@@ -1,8 +1,24 @@
 """Exception types shared across the package.
 
-Refusals triggered by a violated smallness/admissibility condition carry a
-short condition code (e.g. "(na)", "(z1)", "(kn)") so batch drivers can name
-the failed bound; the codes are listed in the README.
+Refusals triggered by a violated smallness/admissibility condition raise
+HypothesisViolation with a short condition code, so batch drivers can name
+the failed bound.  The codes and the functions that raise them:
+
+    (i2)           series.PeriodicSeries.antiderivative
+    (z1)           flows.flow
+    (nf)           flows.invert_map
+    (na)           moser.moser_normalize
+    (p4), (b)      fibering.fibering_step
+    (smallh)       fibering.fibering_normalize
+    (kn)           realization.solve_divergence, realization.realize_form
+    (smalla)       realization.realize_form
+    (f4)           realization.realization_step
+    (f-id)         pipeline.normalize_embedding
+    (branch)       pipeline.modulus_phase_split
+    (exact)        pipeline.normal_form_curve
+    (embed)        pipeline.normal_form_embedding
+    (degree)       curves.whitney_homotopy
+    (noncritical)  curves.whitney_homotopy, curves.embedding_check
 """
 
 
@@ -26,17 +42,3 @@ class HypothesisViolation(TorusNFError):
 
 class NumericalFailure(TorusNFError):
     """A computation started but could not be completed to tolerance."""
-
-
-class SchemaError(TorusNFError):
-    """An input file does not match the JSON schema or its invariants.
-
-    Attributes
-    ----------
-    field : str
-        Dotted path of the offending field, when known.
-    """
-
-    def __init__(self, message, field=""):
-        self.field = field
-        super().__init__(message if not field else f"{field}: {message}")

@@ -15,7 +15,6 @@ and reported when it first fails.
 from __future__ import annotations
 
 import dataclasses
-import io
 import warnings
 
 import numpy as np
@@ -110,26 +109,12 @@ class TraceRow:
 
 @dataclasses.dataclass
 class KamTrace:
-    """Per-iteration record of the shrinking-strip run, CSV-serializable."""
+    """Per-iteration record of the shrinking-strip run, one row per step."""
 
     rows: list
-    columns: tuple = ("m", "r_m", "delta_m", "b_m", "B_m", "residual")
 
     def append(self, row):
         self.rows.append(row)
-
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(_fmt(v) for v in dataclasses.astuple(row)) + "\n")
-        return buf.getvalue()
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 def leading_bound(h, r):

@@ -5,6 +5,11 @@ uniform grid and re-expanded as Fourier series; the periodic displacement
 determines the analytic extension of the map to the strip, so strip bounds
 are then read off coefficient norms.  Holomorphic (non-real) fields are
 allowed: trajectories simply leave R^n while staying in the strip.
+
+A composite of lifts is kept as a `MapChain` and evaluated stage by stage.
+`compose_maps` is the one place a composite is collapsed: it applies every
+map in turn on one oversampled grid and re-expands the result once.
+`invert_map` is the one fixed-point inverter, for a single lift or a chain.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import numpy as np
 
 from .errors import HypothesisViolation, NumericalFailure
 from .series import (
-    GRID_MULT,
     PeriodicSeries,
     eval_many,
+    grid_size,
     series_from_real_grid,
     theta_grid,
 )
@@ -136,7 +141,7 @@ class TorusMapLift:
                 jac[:, j, l] += vals[j * self.n + l]
         return jac
 
-    def pullback(self, h, N_out=None, grid_mult=GRID_MULT):
+    def pullback(self, h, N_out=None):
         """h composed with this lift, re-expanded on an oversampled grid.
 
         Refuses when the requested degree bound cannot hold the input
@@ -149,7 +154,7 @@ class TorusMapLift:
         if N_out < h.N:
             raise ValueError(
                 f"output degree {N_out} below input degree {h.N}: grid too coarse")
-        M = grid_mult * (2 * N_out + 1)
+        M = grid_size(N_out)
         pts = theta_grid(self.n, M)
         vals = h.eval_points(self.apply(pts)).reshape((M,) * self.n)
         return series_from_real_grid(vals, N_out, real=h.real and self.real)
@@ -198,8 +203,17 @@ def flow_step_count(p_norm, r1, delta, min_steps=32):
     return max(min_steps, int(math.ceil(8.0 * p_norm / (r1 * delta))))
 
 
-def flow(v, t, r1, delta, N_out=None, grid_mult=GRID_MULT, min_steps=32,
-         defect_tol=1e-8, line_integrand=None):
+def _lift_from_grid(D, disp, M, N_out, real):
+    """The lift D theta + f(theta) whose displacement f has the values `disp`
+    (one column per component) on the M^n real grid, re-expanded at N_out."""
+    n = disp.shape[1]
+    parts = [series_from_real_grid(disp[:, j].reshape((M,) * n), N_out, real=real)
+             for j in range(n)]
+    return TorusMapLift(D, parts)
+
+
+def flow(v, t, r1, delta, N_out=None, min_steps=32, defect_tol=1e-8,
+         line_integrand=None):
     """Time-t map of the field as a near-identity lift.
 
     Requires |t| <= 1, 0 < delta < 1/2 and the admissibility bound (z1)
@@ -217,8 +231,7 @@ def flow(v, t, r1, delta, N_out=None, grid_mult=GRID_MULT, min_steps=32,
     if N_out is None:
         N_out = v.N
     steps = flow_step_count(p_norm, r1, delta, min_steps)
-    M = grid_mult * (2 * N_out + 1)
-    M = max(M, 2 * v.N + 1)
+    M = grid_size(N_out, v.N)
     pts = theta_grid(v.n, M)
     end, acc = _flow_points(v, pts, t, steps, extra=line_integrand)
     # Richardson witness from a half-resolution run; for 4th order the
@@ -231,12 +244,9 @@ def flow(v, t, r1, delta, N_out=None, grid_mult=GRID_MULT, min_steps=32,
     if defect > defect_tol:
         raise NumericalFailure(
             f"integrator defect {defect:.3e} above tolerance {defect_tol:.1e}")
-    disp = end - pts
-    parts = [series_from_real_grid(disp[:, j].reshape((M,) * v.n), N_out,
-                                   real=v.real)
-             for j in range(v.n)]
-    result = FlowResult(TorusMapLift(np.eye(v.n, dtype=int), parts),
-                        float(t), steps, defect)
+    result = FlowResult(
+        _lift_from_grid(np.eye(v.n, dtype=int), end - pts, M, N_out, v.real),
+        float(t), steps, defect)
     if line_integrand is None:
         return result
     acc_series = series_from_real_grid(acc.reshape((M,) * v.n), N_out,
@@ -255,34 +265,32 @@ def log_det_jacobian(v, t, r1, delta, **kw):
     return acc
 
 
-def compose_maps(phi, psi, N_out=None, grid_mult=GRID_MULT):
-    """The lift of phi after psi: theta -> phi(psi(theta)).
+def compose_maps(*maps, N_out=None):
+    """The lift of the composite of `maps`, outermost first.
 
-    Integer parts multiply; the periodic part D_phi f_psi + f_phi(psi(.))
-    is re-expanded on an oversampled grid at the requested degree bound.
+    compose_maps(phi, psi) is theta -> phi(psi(theta)).  Integer parts
+    multiply; the maps are applied in turn on one oversampled grid and the
+    periodic part of the composite is re-expanded once, at the requested
+    degree bound (default: the largest input degree).
     """
-    if phi.n != psi.n:
-        raise ValueError("dimension mismatch")
-    n = phi.n
+    chain = MapChain(maps[::-1])
     if N_out is None:
-        N_out = max(phi.N, psi.N)
-    D = phi.D @ psi.D
-    M = grid_mult * (2 * N_out + 1)
-    M = max(M, 2 * phi.N + 1, 2 * psi.N + 1)
-    pts = theta_grid(n, M)
-    vals = phi.apply(psi.apply(pts)) - pts @ (D.T.astype(float))
-    real = phi.real and psi.real
-    parts = [series_from_real_grid(vals[:, j].reshape((M,) * n), N_out, real=real)
-             for j in range(n)]
-    return TorusMapLift(D, parts)
+        N_out = chain.N
+    M = grid_size(N_out, chain.N)
+    pts = theta_grid(chain.n, M)
+    D = chain.D
+    disp = chain.apply(pts) - pts @ D.T.astype(float)
+    return _lift_from_grid(D, disp, M, N_out, chain.real)
 
 
 class MapChain:
     """A composition of lifts kept stage by stage, first-applied first.
 
     Evaluating through the stages avoids the re-expansion error of collapsing
-    the chain into a single truncated lift; `to_single` produces that
-    collapsed form when a serializable map is wanted.
+    the chain into a single truncated lift.  A chain has the lift-shaped
+    members `D`, `N`, `real`, `has_identity_integer_part` and `part_norm`,
+    so `invert_map` inverts it without collapsing it first; `to_single`
+    collapses it in one pass when a serializable map is wanted.
     """
 
     __slots__ = ("stages",)
@@ -299,6 +307,29 @@ class MapChain:
     def n(self):
         return self.stages[0].n
 
+    @property
+    def N(self):
+        return max(s.N for s in self.stages)
+
+    @property
+    def real(self):
+        return all(s.real for s in self.stages)
+
+    @property
+    def D(self):
+        """Integer part of the composite: the stage integer parts multiplied."""
+        D = np.eye(self.n, dtype=int)
+        for s in self.stages:
+            D = s.D @ D
+        return D
+
+    def has_identity_integer_part(self):
+        return bool(np.array_equal(self.D, np.eye(self.n, dtype=int)))
+
+    def part_norm(self, r):
+        """Sum of the stage part norms: what `invert_map` gates for a chain."""
+        return sum(s.part_norm(r) for s in self.stages)
+
     def apply(self, pts):
         pts = np.asarray(pts, dtype=complex)
         for s in self.stages:
@@ -314,17 +345,14 @@ class MapChain:
             pts = s.apply(pts)
         return det
 
-    def integer_part(self):
-        D = np.eye(self.n, dtype=int)
-        for s in self.stages:
-            D = s.D @ D
-        return D
+    def to_single(self, N_out):
+        """The chain collapsed by `compose_maps` into one lift of degree N_out.
 
-    def to_single(self, N_out, grid_mult=GRID_MULT):
-        total = self.stages[0]
-        for s in self.stages[1:]:
-            total = compose_maps(s, total, N_out=N_out, grid_mult=grid_mult)
-        return total
+        A one-stage chain returns its lone stage unchanged.
+        """
+        if len(self.stages) == 1:
+            return self.stages[0]
+        return compose_maps(*self.stages[::-1], N_out=N_out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -334,12 +362,15 @@ class MapInverse:
     iterations: int
 
 
-def invert_map(phi, r, N_out=None, grid_mult=GRID_MULT, tol=1e-13, max_iter=200):
-    """Inverse of a near-identity lift by the contraction theta' -> theta - f(theta').
+def invert_map(phi, r, N_out=None, tol=1e-13, max_iter=200):
+    """Inverse of a near-identity lift or MapChain by fixed-point iteration.
 
-    Requires the integer part to be the identity and the smallness bound
-    (nf) ||f||_r <= r/(4n), which makes the fixed-point map a contraction on
-    the half-width strip.  The returned residual is the sup of
+    Iterates theta' -> theta' + (theta - phi(theta')), which for one lift
+    theta + f is the contraction theta' -> theta - f(theta'); a chain is
+    applied stage by stage and never collapsed.  Requires an identity
+    integer part and the smallness bound (nf) ||f||_r <= r/(4n), on the
+    summed stage norms for a chain, which makes the iteration a contraction
+    on the half-width strip.  The returned residual is the sup of
     |phi(phi^{-1}(theta)) - theta| over a verification grid.
     """
     if not phi.has_identity_integer_part():
@@ -351,17 +382,15 @@ def invert_map(phi, r, N_out=None, grid_mult=GRID_MULT, tol=1e-13, max_iter=200)
             "(nf)", f"||f||_r = {f_norm:.3e} exceeds r/(4n) = {r / (4 * n):.3e}")
     if N_out is None:
         N_out = phi.N
-    M = grid_mult * (2 * N_out + 1)
-    M = max(M, 2 * phi.N + 1)
+    M = grid_size(N_out, phi.N)
     pts = theta_grid(n, M)
     cur = np.array(pts)
     prev_delta = np.inf
     its = 0
     for its in range(1, max_iter + 1):
-        f_vals = np.stack([p.eval_points(cur) for p in phi.parts], axis=-1)
-        nxt = pts - f_vals
-        delta = float(np.max(np.abs(nxt - cur)))
-        cur = nxt
+        step = pts - phi.apply(cur)
+        cur = cur + step
+        delta = float(np.max(np.abs(step)))
         if delta <= tol:
             break
         if delta > prev_delta * (1.0 + 1e-12) and delta > 1e3 * tol:
@@ -372,11 +401,7 @@ def invert_map(phi, r, N_out=None, grid_mult=GRID_MULT, tol=1e-13, max_iter=200)
     else:
         raise NumericalFailure(
             f"fixed-point iteration did not reach {tol:.1e} in {max_iter} steps")
-    disp = cur - pts
-    parts = [series_from_real_grid(disp[:, j].reshape((M,) * n), N_out,
-                                   real=phi.real)
-             for j in range(n)]
-    inv = TorusMapLift(np.eye(n, dtype=int), parts)
+    inv = _lift_from_grid(np.eye(n, dtype=int), cur - pts, M, N_out, phi.real)
     check = theta_grid(n, M + 1)
     residual = float(np.max(np.abs(phi.apply(inv.apply(check)) - check)))
     return MapInverse(inv, residual, its)

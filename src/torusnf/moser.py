@@ -15,9 +15,9 @@ import numpy as np
 from .errors import HypothesisViolation, NumericalFailure
 from .flows import TorusMapLift
 from .series import (
-    GRID_MULT,
     PeriodicSeries,
     divide,
+    grid_size,
     series_from_real_grid,
 )
 
@@ -33,7 +33,7 @@ class VolumeDensity:
             raise ValueError("volume density perturbation must be real on R^n")
 
     def min_on_grid(self, M=None):
-        M = M or max(2 * (2 * self.b.N + 1), 16)
+        M = M or max(grid_size(self.b.N), 16)
         vals = 1.0 + self.b.eval_real_grid(M).real
         return float(np.min(vals))
 
@@ -51,7 +51,7 @@ def admissible_density_bound(n, r):
     return r / (32.0 * n * np.pi)
 
 
-def moser_normalize(density, r, N_out=None, grid_mult=GRID_MULT):
+def moser_normalize(density, r, N_out=None):
     """Map the density (1+b) d theta to its mean multiple of d theta.
 
     Returns the triangular near-identity lift phi with
@@ -82,7 +82,7 @@ def moser_normalize(density, r, N_out=None, grid_mult=GRID_MULT):
     for p in range(1, n + 1):
         axis = p - 1
         num = parts[p].antiderivative(axis)
-        f_p = divide(num, partial, N_out=N_out, grid_mult=grid_mult)
+        f_p = divide(num, partial, N_out=N_out)
         # the quotient lives on axes <= axis and keeps a zero axis-average;
         # re-impose both exactly against grid round-off
         f_p = f_p.restrict_axes(axis, require_oscillating=axis)
@@ -90,7 +90,7 @@ def moser_normalize(density, r, N_out=None, grid_mult=GRID_MULT):
         partial = partial + parts[p]
     phi = TorusMapLift(np.eye(n, dtype=int), fs)
 
-    M = grid_mult * (2 * max(N_out, b.N) + 1)
+    M = grid_size(max(N_out, b.N))
     det = np.ones((M,) * n, dtype=complex)
     for p in range(1, n + 1):
         det *= 1.0 + fs[p - 1].derivative(p - 1).eval_real_grid(M)
@@ -101,11 +101,11 @@ def moser_normalize(density, r, N_out=None, grid_mult=GRID_MULT):
     return MoserResult(phi, mean, residual, f_norm)
 
 
-def jacobian_factor_series(result, N_out, grid_mult=GRID_MULT):
+def jacobian_factor_series(result, N_out):
     """The product prod_j (1 + D_j f_j) of the triangular map, as a series."""
     fs = result.map.parts
     n = len(fs)
-    M = grid_mult * (2 * N_out + 1)
+    M = grid_size(N_out)
     det = np.ones((M,) * n, dtype=complex)
     for j in range(n):
         det *= 1.0 + fs[j].derivative(j).eval_real_grid(M)

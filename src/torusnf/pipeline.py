@@ -26,8 +26,8 @@ from .flows import MapChain, TorusMapLift, invert_map
 from .moser import VolumeDensity, moser_normalize
 from .realization import AnnulusFunction
 from .series import (
-    GRID_MULT,
     PeriodicSeries,
+    grid_size,
     pull_back_linear,
     series_from_real_grid,
     theta_grid,
@@ -96,7 +96,7 @@ def jacobian_density(emb, N_out=None):
     N_exact = n * (emb.N + 1)
     if N_out is None:
         N_out = N_exact
-    M = max(2 * N_exact + 1, GRID_MULT * (2 * min(N_out, N_exact) + 1))
+    M = grid_size(min(N_out, N_exact), N_exact)
     mat = np.empty((M ** n, n, n), dtype=complex)
     for j in range(n):
         for l in range(n):
@@ -129,7 +129,7 @@ def modulus_phase_split(a, N_out=None):
     n = a.n
     if N_out is None:
         N_out = a.N + 8
-    M = GRID_MULT * (2 * max(N_out, a.N) + 1)
+    M = grid_size(max(N_out, a.N))
     vals = a.series.eval_real_grid(M)
     worst = float(np.max(np.abs(vals)))
     if worst >= 0.5:
@@ -199,10 +199,7 @@ def normalize_embedding(emb, eps0=0.2, stage_tol=1e-8, fib_degree=16,
     r = r0 / 2.0
     density_norm = a.norm(r)
     split = modulus_phase_split(a)
-    if split.residual > stage_tol:
-        raise NumericalFailure(
-            f"modulus/phase factorization residual {split.residual:.3e} "
-            f"above {stage_tol:.1e}")
+    _stage_gate("modulus/phase factorization", split.residual, stage_tol)
 
     shear = shear_lift(n)
     A_inv = np.linalg.inv(shear.D).astype(int)
@@ -210,16 +207,10 @@ def normalize_embedding(emb, eps0=0.2, stage_tol=1e-8, fib_degree=16,
     h2 = pull_back_linear(split.phase, A_inv)
 
     moser = moser_normalize(VolumeDensity(b2), r, N_out=b2.N + 4)
-    if moser.residual > stage_tol:
-        raise NumericalFailure(
-            f"volume normalization residual {moser.residual:.3e} "
-            f"above {stage_tol:.1e}")
+    _stage_gate("volume normalization", moser.residual, stage_tol)
     rho0 = 1.0 + moser.mean
     inv1 = invert_map(moser.map, r, N_out=moser.map.N + 4)
-    if inv1.residual > stage_tol:
-        raise NumericalFailure(
-            f"volume map inversion residual {inv1.residual:.3e} "
-            f"above {stage_tol:.1e}")
+    _stage_gate("volume map inversion", inv1.residual, stage_tol)
 
     h2s = h2.pad_to(max(h2.N, moser.map.N))
     carried = h2s - moser.map.parts[0].pad_to(h2s.N)
@@ -245,7 +236,8 @@ def normalize_embedding(emb, eps0=0.2, stage_tol=1e-8, fib_degree=16,
     k = fib.k
 
     g, exactness_defect = normal_form_curve(k, rho0)
-    stages = [shear] + list(fib.chain.stages) + [inv1.map, _unshear(shear)]
+    unshear = TorusMapLift(A_inv, shear.parts)
+    stages = [shear] + list(fib.chain.stages) + [inv1.map, unshear]
     chain = MapChain(stages)
     if N_comp is None:
         N_comp = max(fib.composite.N, moser.map.N + 4, 12)
@@ -263,10 +255,10 @@ def normalize_embedding(emb, eps0=0.2, stage_tol=1e-8, fib_degree=16,
         fibering_converged=fib.converged, fibering_trace=fib.trace)
 
 
-def _unshear(shear):
-    return TorusMapLift(np.linalg.inv(shear.D).astype(int),
-                        [PeriodicSeries.zeros(shear.n, 0)
-                         for _ in range(shear.n)])
+def _stage_gate(stage, residual, stage_tol):
+    if residual > stage_tol:
+        raise NumericalFailure(
+            f"{stage} residual {residual:.3e} above {stage_tol:.1e}")
 
 
 def _normal_form_residual(a, chain, k, rho0, n, M):
@@ -324,8 +316,10 @@ def exactness_correct(k, max_iter=30, tol=1e-13, M=None):
     return (k + corr.pad_to(k.N)).symmetrized()
 
 
-def _profile_velocity(k, rho0, N_out):
-    M = GRID_MULT * (2 * N_out + 1)
+def _profile_velocity(k, rho0, N_out=None):
+    if N_out is None:
+        N_out = max(2 * k.N + 8, 24)
+    M = grid_size(N_out)
     t = 2.0 * np.pi * np.arange(M) / M
     kv = k.eval_real_grid(M).real
     slope = 1.0 + k.derivative(0).eval_real_grid(M).real
@@ -337,8 +331,6 @@ def _profile_velocity(k, rho0, N_out):
 
 def closure_defect(k, rho0=1.0, N_out=None):
     """|integral over a turn of rho0 e^{i(t + k(t))}| = 2 pi |velocity mean|."""
-    if N_out is None:
-        N_out = max(2 * k.N + 8, 24)
     return 2.0 * np.pi * abs(_profile_velocity(k, rho0, N_out).mean())
 
 
@@ -355,20 +347,12 @@ def normal_form_curve(k, rho0, N_out=None, defect_tol=1e-8):
         raise ValueError(f"profile must have zero mean, got {k.mean():.3e}")
     if rho0 <= 0.0:
         raise ValueError("the amplitude must be positive")
-    if N_out is None:
-        N_out = max(2 * k.N + 8, 24)
-    vel = _profile_velocity(k, rho0, N_out)
-    mean_defect = abs(vel.mean())
-    defect = 2.0 * np.pi * mean_defect
-    if mean_defect > defect_tol:
+    defect = closure_defect(k, rho0, N_out)
+    if defect > 2.0 * np.pi * defect_tol:
         raise HypothesisViolation(
             "(exact)", f"velocity closure defect {defect:.6e} "
             "(integral over a turn); correct the profile first")
-    vel = vel - vel.mean()
-    curve = CurveImmersion(vel.antiderivative(0))
-    if gauss_degree(curve) != 1:
-        raise NumericalFailure("generating curve has turning number != 1")
-    return curve, defect
+    return curve_from_profile(k, rho0, N_out), defect
 
 
 def curve_from_profile(k, rho0, N_out=None):
@@ -380,8 +364,6 @@ def curve_from_profile(k, rho0, N_out=None):
     profile is \"closure-corrected through the pipeline\": build the curve,
     embed, normalize, and read the corrected profile off the report.
     """
-    if N_out is None:
-        N_out = max(2 * k.N + 8, 24)
     vel = _profile_velocity(k, rho0, N_out)
     vel = vel - vel.mean()
     curve = CurveImmersion(vel.antiderivative(0))
@@ -423,18 +405,13 @@ def normal_form_embedding(g, n, r0=0.5, check_tol=1e-8):
     M = 4 * (N_emb + 1)
     pts = theta_grid(n, M)
     s = pts.sum(axis=1)
-    det = _first_component_slope(first, n).eval_points(pts)
+    det = first.z_derivative(0).series.eval_points(pts)
     target = np.exp(-1j * s) * line.derivative(0).eval_points(s[:, None])
     worst = float(np.max(np.abs(det - target)))
     if worst > check_tol:
         raise NumericalFailure(
             f"normal form embedding verification failed at {worst:.3e}")
     return emb
-
-
-def _first_component_slope(first, n):
-    # d/dz_1 of the first component, as a function of theta
-    return first.z_derivative(0).series
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +450,7 @@ def postcompose_monomial_shear(emb, target, exponents, eps, N_out=None):
     n = emb.n
     if N_out is None:
         N_out = emb.N * max(1, sum(abs(m) for m in exponents.values())) + 4
-    M = GRID_MULT * (2 * N_out + 1)
+    M = grid_size(N_out)
     vals = np.ones((M ** n,), dtype=complex)
     z = np.exp(1j * theta_grid(n, M))
     for j, m in exponents.items():

@@ -15,12 +15,12 @@ import warnings
 
 import numpy as np
 
-from .errors import HypothesisViolation, NumericalFailure
+from .errors import HypothesisViolation
 from .fibering import KamSchedule, KamTrace
-from .flows import MapChain, PeriodicVectorField, TorusMapLift, flow
+from .flows import MapChain, PeriodicVectorField, TorusMapLift, flow, invert_map
 from .series import (
-    GRID_MULT,
     PeriodicSeries,
+    grid_size,
     series_from_real_grid,
     theta_grid,
 )
@@ -203,10 +203,6 @@ class AnnulusMap:
                            tuple(AnnulusFunction(c) for c in self.log_g))
 
     @classmethod
-    def identity(cls, n, N=0):
-        return cls(tuple(AnnulusFunction.zeros(n, N) for _ in range(n)))
-
-    @classmethod
     def from_torus_lift(cls, lift):
         if not lift.has_identity_integer_part():
             raise ValueError("only near-identity lifts define annulus maps")
@@ -247,10 +243,6 @@ class AnnulusMap:
         return np.exp(lam.sum(axis=1)) * np.linalg.det(mat)
 
 
-def _theta_series_of(a):
-    return a.series if isinstance(a, AnnulusFunction) else a
-
-
 @dataclasses.dataclass(frozen=True)
 class RealizationStep:
     map: AnnulusMap
@@ -284,7 +276,7 @@ def realization_step(a, r, delta, N_field=None, N_pull=None,
 
     field = solve_divergence(a).to_theta_field()
     fr, acc = flow(field, -1.0, r, delta, N_out=max(N_field, field.N),
-                   line_integrand=_theta_series_of(a))
+                   line_integrand=a.series)
     psi = AnnulusMap.from_torus_lift(fr.map)
     log_norm = psi.log_norm((1.0 - delta) * r)
     if warn_f5 and log_norm > r * delta * delta:
@@ -294,7 +286,7 @@ def realization_step(a, r, delta, N_field=None, N_pull=None,
             "is monitored through the trace instead",
             RuntimeWarning, stacklevel=2)
 
-    M = GRID_MULT * (2 * N_pull + 1)
+    M = grid_size(N_pull)
     pts = theta_grid(n, M)
     moved = fr.map.apply(pts)
     a_vals = a.series.eval_points(moved)
@@ -314,9 +306,6 @@ class RealizationTraceRow:
     residual: float  # realized contraction constant of the step taken at m
 
 
-REALIZATION_TRACE_COLUMNS = ("m", "r_m", "delta_m", "a_m", "residual")
-
-
 @dataclasses.dataclass
 class RealizationResult:
     phi: AnnulusMap              # the realizing embedding perturbation
@@ -324,7 +313,7 @@ class RealizationResult:
     chain: MapChain              # psi stage chain in application order
     trace: KamTrace
     det_residual: float          # sup |det D phi - (1 + a)| on the torus grid
-    inverse_residual: float      # sup |psi(phi(z)) - z| near the torus
+    inverse_residual: float      # sup |psi(phi(theta)) - theta| near the torus
     min_det: float               # totally-real witness: min |det D phi|
     min_phase_gradient: float    # non-critical witness: min |grad mu|
     converged: bool
@@ -337,9 +326,11 @@ def realize_form(a, r0, schedule=None, eps=EPS_SMALLA,
     """Build the near-identity embedding whose volume density is 1 + a.
 
     Iterates corrective flows until the transported density defect is below
-    stop_tol, then inverts the composite by the contraction
-    xi -> z - psi(xi) + xi.  Entry hypotheses: the all-(-1) monomial of `a`
-    vanishes and ||a||_{r0} <= eps r0.
+    stop_tol, then inverts the stage chain with `invert_map` and checks the
+    round trip on the torus and on the shells Im theta = +-r0/8, which lie
+    inside the half-width strip of r0/2 where the inversion gate (nf) is
+    taken.  Entry hypotheses: the all-(-1) monomial of `a` vanishes and
+    ||a||_{r0} <= eps r0.
     """
     a0 = AnnulusFunction(a)
     n = a0.n
@@ -358,7 +349,7 @@ def realize_form(a, r0, schedule=None, eps=EPS_SMALLA,
 
     state = a0
     stage_maps = []
-    trace = KamTrace(rows=[], columns=REALIZATION_TRACE_COLUMNS)
+    trace = KamTrace(rows=[])
     converged = False
     iterations = 0
     for m in range(schedule.max_iter + 1):
@@ -387,64 +378,24 @@ def realize_form(a, r0, schedule=None, eps=EPS_SMALLA,
 
     if N_comp is None:
         N_comp = max(2 * a0.N + 4, 8)
-    if stage_maps:
-        chain = MapChain(stage_maps[::-1])
-        psi_single = AnnulusMap.from_torus_lift(chain.to_single(N_comp))
-    else:
-        chain = MapChain([TorusMapLift.identity(n, 0)])
-        psi_single = AnnulusMap.identity(n)
+    if not stage_maps:
+        stage_maps = [TorusMapLift.identity(n, 0)]
+    chain = MapChain(stage_maps[::-1])
+    psi_single = AnnulusMap.from_torus_lift(chain.to_single(N_comp))
 
-    phi, inverse_residual = _invert_composite(chain, n, r0, N_comp)
+    inv = invert_map(chain, r0 / 2.0, N_out=N_comp).map
+    phi = AnnulusMap.from_torus_lift(inv)
+    base = theta_grid(n, max(2 * N_comp + 3, 33))
+    inverse_residual = 0.0
+    for shift in (0.0, -r0 / 8.0, r0 / 8.0):
+        pts = base + 1j * shift
+        inverse_residual = max(inverse_residual, float(np.max(np.abs(
+            chain.apply(inv.apply(pts)) - pts))))
     det_residual, min_det, min_phase_gradient = _verify_density(
         phi, a0, verify_grid)
     return RealizationResult(phi, psi_single, chain, trace, det_residual,
                              inverse_residual, min_det, min_phase_gradient,
                              converged, iterations)
-
-
-def _chain_apply_z(chain, zpts):
-    return np.exp(1j * chain.apply(-1j * np.log(zpts)))
-
-
-def _invert_composite(chain, n, r0, N_comp, tol=1e-13, max_iter=200,
-                      grid_mult=GRID_MULT):
-    """Invert the composite on the torus by the fixed-point map in z."""
-    M = grid_mult * (2 * N_comp + 1)
-    theta = theta_grid(n, M)
-    z = np.exp(1j * theta)
-    xi = np.array(z)
-    prev = np.inf
-    for _ in range(max_iter):
-        nxt = z - _chain_apply_z(chain, xi) + xi
-        delta = float(np.max(np.abs(nxt - xi)))
-        xi = nxt
-        if delta <= tol:
-            break
-        if delta > prev * (1.0 + 1e-12) and delta > 1e3 * tol:
-            raise NumericalFailure(
-                f"inversion fixed point expanding: contraction estimate "
-                f"{delta / prev:.3f} >= 1")
-        prev = delta
-    else:
-        raise NumericalFailure(
-            f"inversion fixed point did not reach {tol:.1e} in {max_iter} steps")
-    log_g = [series_from_real_grid(np.log(xi[:, j] / z[:, j]).reshape((M,) * n),
-                                   N_comp)
-             for j in range(n)]
-    phi = AnnulusMap(tuple(AnnulusFunction(s) for s in log_g))
-    # round trip psi(phi(z)) on and near the torus
-    shells = [np.zeros(n)]
-    for sign in (-1.0, 1.0):
-        shells.append(np.full(n, sign * r0 / 8.0))
-    worst = 0.0
-    Mv = max(2 * N_comp + 3, 33)
-    base = theta_grid(n, Mv)
-    for s in shells:
-        pts = base + 1j * s[None, :]
-        zz = np.exp(1j * pts)
-        worst = max(worst, float(np.max(np.abs(
-            _chain_apply_z(chain, phi.apply_z(zz)) - zz))))
-    return phi, worst
 
 
 def _verify_density(phi, a0, verify_grid=None):

@@ -28,20 +28,9 @@ REAL_TOL = 1e-12
 
 # Oversampling factor for grid-based products, quotients and compositions.
 GRID_MULT = 2
-
-
-@dataclasses.dataclass(frozen=True)
-class StripDomain:
-    """Strip |Im theta_j| < r around R^n inside C^n."""
-
-    r: float
-    n: int
-
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise ValueError(f"strip half-width must lie in (0, 1), got {self.r}")
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+# Points per block of off-grid evaluation, which bounds the memory of the
+# per-block phase matrices and partial sums.
+EVAL_CHUNK = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,12 +45,6 @@ class NormEstimate:
 
     coeff_bound: float
     sampled_sup: float
-
-
-def _as_radius(r):
-    if isinstance(r, StripDomain):
-        return r.r
-    return float(r)
 
 
 class PeriodicSeries:
@@ -239,9 +222,9 @@ class PeriodicSeries:
             raise ValueError(f"expected point of length {self.n}, got {theta.shape}")
         return complex(self.eval_points(theta[None, :])[0])
 
-    def eval_points(self, pts, chunk=4096):
+    def eval_points(self, pts):
         """Evaluate at an (m, n) array of complex points."""
-        return eval_many([self], pts, chunk=chunk)[0]
+        return eval_many([self], pts)[0]
 
     def eval_real_grid(self, M):
         """Values on the uniform real grid theta_j = 2 pi m / M (exact FFT path)."""
@@ -363,7 +346,6 @@ class PeriodicSeries:
 
     def coeff_norm(self, r):
         """Majorant sum_k |c_k| e^{r sum_j |k_j|} of the sup norm on S_r."""
-        r = _as_radius(r)
         w = np.exp(r * np.abs(self.k_range()))
         v = np.abs(self.coeffs)
         for _ in range(self.n):
@@ -372,9 +354,8 @@ class PeriodicSeries:
 
     def boundary_sup(self, r, M=None):
         """Max |h| over a grid on the distinguished boundary Im theta = +-r."""
-        r = _as_radius(r)
         if M is None:
-            M = max(2 * (2 * self.N + 1), 32)
+            M = max(grid_size(self.N), 32)
         best = 0.0
         for signs in np.ndindex(*((2,) * self.n)):
             s = r * (2.0 * np.asarray(signs) - 1.0)
@@ -383,7 +364,6 @@ class PeriodicSeries:
         return best
 
     def strip_norm(self, r, M=None):
-        r = _as_radius(r)
         if not 0.0 < r < 1.0:
             raise ValueError(f"strip half-width must lie in (0, 1), got {r}")
         return NormEstimate(self.coeff_norm(r), self.boundary_sup(r, M))
@@ -416,7 +396,7 @@ def phase_matrix(vals, N):
     return E
 
 
-def eval_many(series_list, pts, chunk=4096):
+def eval_many(series_list, pts):
     """Evaluate several series of one shape at shared points.
 
     The per-axis phase matrices are built once per point chunk and reused
@@ -432,8 +412,8 @@ def eval_many(series_list, pts, chunk=4096):
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"expected (m, {n}) points, got {pts.shape}")
     out = np.empty((len(series_list), pts.shape[0]), dtype=complex)
-    for s0 in range(0, pts.shape[0], chunk):
-        block = pts[s0:s0 + chunk]
+    for s0 in range(0, pts.shape[0], EVAL_CHUNK):
+        block = pts[s0:s0 + EVAL_CHUNK]
         mats = [phase_matrix(block[:, j], N) for j in range(n)]
         for i, s in enumerate(series_list):
             acc = np.tensordot(mats[0], s.coeffs, axes=(1, 0))
@@ -441,6 +421,15 @@ def eval_many(series_list, pts, chunk=4096):
                 acc = np.einsum("mk...,mk->m...", acc, mats[j])
             out[i, s0:s0 + block.shape[0]] = acc
     return out
+
+
+def grid_size(N_out, *N_in):
+    """Points per axis of a re-expansion grid.
+
+    Oversamples the output degree by GRID_MULT and never drops below the
+    alias-free size of any input degree that is sampled on the grid.
+    """
+    return max([GRID_MULT * (2 * N_out + 1)] + [2 * N + 1 for N in N_in])
 
 
 def theta_grid(n, M):
@@ -496,7 +485,7 @@ def multiply(a, b, N_out=None):
     return prod.truncate(N_out)
 
 
-def divide(num, den, N_out=None, grid_mult=GRID_MULT, min_den=1e-8):
+def divide(num, den, N_out=None, min_den=1e-8):
     """Quotient via grid evaluation and re-expansion.
 
     The denominator must stay away from zero on the real grid (its modulus
@@ -507,8 +496,7 @@ def divide(num, den, N_out=None, grid_mult=GRID_MULT, min_den=1e-8):
         raise ValueError("dimension mismatch")
     if N_out is None:
         N_out = num.N
-    M = grid_mult * (2 * N_out + 1)
-    M = max(M, 2 * num.N + 1, 2 * den.N + 1)
+    M = grid_size(N_out, num.N, den.N)
     dv = den.eval_real_grid(M)
     worst = float(np.min(np.abs(dv)))
     if worst < min_den:
@@ -516,12 +504,6 @@ def divide(num, den, N_out=None, grid_mult=GRID_MULT, min_den=1e-8):
             f"denominator modulus {worst:.3e} below {min_den:.1e} on grid")
     nv = num.eval_real_grid(M)
     return series_from_real_grid(nv / dv, N_out, real=num.real and den.real)
-
-
-def reciprocal(den, N_out=None, grid_mult=GRID_MULT, min_den=1e-8):
-    one = PeriodicSeries.constant(den.n, 0, 1.0).pad_to(den.N)
-    return divide(one, den, N_out=N_out if N_out is not None else den.N,
-                  grid_mult=grid_mult, min_den=min_den)
 
 
 def translate(h, shift):
@@ -579,17 +561,6 @@ def extract_axis_line(h, axis=0, off_line_tol=None):
             raise ValueError(f"series is not supported on axis {axis}: "
                              f"off-line mass {off:.3e}")
     return PeriodicSeries(line, real=h.real, trunc_mass=h.trunc_mass)
-
-
-def embed_axis_line(line, n, axis=0):
-    """Inverse of extract_axis_line: place a 1-d series along one axis of T^n."""
-    if line.n != 1:
-        raise ValueError("expected a one-dimensional series")
-    c = np.zeros((2 * line.N + 1,) * n, dtype=complex)
-    idx = [line.N] * n
-    idx[axis] = slice(None)
-    c[tuple(idx)] = line.coeffs
-    return PeriodicSeries(c, real=line.real, trunc_mass=line.trunc_mass)
 
 
 def allclose(a, b, tol=1e-12):

@@ -3,6 +3,7 @@ import pytest
 
 from torusnf.errors import HypothesisViolation
 from torusnf.flows import (
+    MapChain,
     PeriodicVectorField,
     TorusMapLift,
     compose_maps,
@@ -159,8 +160,10 @@ class TestMapAlgebra:
         a, b, c = maps
         left = compose_maps(compose_maps(a, b, N_out=10), c, N_out=10)
         right = compose_maps(a, compose_maps(b, c, N_out=10), N_out=10)
+        flat = compose_maps(a, b, c, N_out=10)
         pts = theta_grid(2, 9)
         assert np.max(np.abs(left.apply(pts) - right.apply(pts))) < 1e-10
+        assert np.max(np.abs(flat.apply(pts) - right.apply(pts))) < 1e-10
 
     def test_degree(self):
         A = np.array([[2, 1], [1, 1]])
@@ -226,3 +229,20 @@ class TestInverse:
         out = compose_maps(ab, inv.map, N_out=10)
         pts = theta_grid(2, 9)
         assert np.max(np.abs(out.apply(pts) - pts)) < 1e-9
+
+    def test_chain_round_trip(self):
+        rng = np.random.default_rng(28)
+        a = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2).map
+        b = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2).map
+        chain = MapChain([b, a])
+        inv = invert_map(chain, 0.5, N_out=10)
+        pts = theta_grid(2, 9)
+        assert np.max(np.abs(chain.apply(inv.map.apply(pts)) - pts)) < 1e-9
+
+    def test_chain_nf_gate_sums_stages(self):
+        # each stage alone passes ||f||_r <= r/(4n) = 0.0625, the chain does not
+        phi = TorusMapLift.translation(2, [0.04, 0.0])
+        assert invert_map(phi, 0.5).residual < 1e-12
+        with pytest.raises(HypothesisViolation) as err:
+            invert_map(MapChain([phi, phi]), 0.5)
+        assert err.value.bound == "(nf)"
