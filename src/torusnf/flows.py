@@ -1,20 +1,25 @@
 """Flows of periodic vector fields and the algebra of lifted torus maps.
 
-Flows are integrated by fixed-step classical RK4 from the points of a real
-uniform grid and re-expanded as Fourier series; the periodic displacement
-determines the analytic extension of the map to the strip, so strip bounds
-are then read off coefficient norms.  Holomorphic (non-real) fields are
-allowed: trajectories simply leave R^n while staying in the strip.
+Every map is near the identity, theta -> D theta + f(theta) with D integer
+and f small.  It is computed on a uniform real grid and re-expanded as a
+Fourier series, whose coefficient norms then bound it on the strip.
+Holomorphic (non-real) data are allowed throughout.
 
-A composite of lifts is kept as a `MapChain` and evaluated stage by stage.
-`compose_maps` is the one place a composite is collapsed: it applies every
-map in turn on one oversampled grid and re-expands the result once.
-`invert_map` is the one fixed-point inverter, for a single lift or a chain.
+One grid kernel composes a series h with such a map: h(D theta + U) is the
+Taylor sum of on-grid derivatives of h times powers of U, one order at a
+time until an order is below round-off.  `TorusMapLift.pullback`,
+`compose_maps` (stage by stage) and `invert_map` all go through it.  Flows
+are Lie series, sum_k t^k/k! L^{k-1} p with L g = sum_i p_i d_i g, every
+product taken on the grid.  `compose_maps` is the one place a composite is
+collapsed and `invert_map` the one fixed-point inverter.  Off-grid point
+evaluation (`apply`, `jacobian`, `MapChain.jacobian_det`) is kept for the
+independent residual witnesses.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +34,15 @@ from .series import (
 )
 
 DIV_FREE_TOL = 1e-10
+# A Taylor order or Lie term with grid sup at or below TERM_TOL is round-off
+# next to the angles, and ends the sum; no sum runs past MAX_TERMS, and a Lie
+# series cut there with a last term above FLOW_DEFECT_TOL is refused.
+TERM_TOL = 1e-16
+MAX_TERMS = 40
+FLOW_DEFECT_TOL = 1e-8
+# Fixed-point inversion stops once a step is at or below INVERT_TOL.
+INVERT_TOL = 1e-13
+INVERT_MAX_ITER = 200
 
 
 class PeriodicVectorField:
@@ -61,9 +75,6 @@ class PeriodicVectorField:
     def coeff_norm(self, r):
         return max(c.coeff_norm(r) for c in self.components)
 
-    def eval_points(self, pts):
-        return eval_many(self.components, pts).T
-
     def divergence(self):
         out = PeriodicSeries.zeros(self.n, self.N, real=self.real)
         for j, c in enumerate(self.components):
@@ -72,6 +83,87 @@ class PeriodicVectorField:
 
     def is_divergence_free(self, r=0.5, tol=DIV_FREE_TOL):
         return self.divergence().coeff_norm(r) <= tol
+
+
+def _spectral_factors(n, M):
+    """i k along each axis of an M-point FFT grid, zero at the Nyquist index."""
+    k = np.fft.fftfreq(M, 1.0 / M)
+    k[2 * np.abs(k) == M] = 0.0
+    return [1j * k.reshape([M if i == j else 1 for i in range(n)])
+            for j in range(n)]
+
+
+def _grid_gradient(vals):
+    """Spectral partial derivatives of grid values, one grid per axis."""
+    spec = np.fft.fftn(vals)
+    return [np.fft.ifftn(spec * ik)
+            for ik in _spectral_factors(vals.ndim, vals.shape[0])]
+
+
+def _sup(grids):
+    return max(float(np.max(np.abs(g))) for g in grids)
+
+
+def _taylor_on_grid(series_list, D, U, M):
+    """Values of each series at D theta + U(theta) on the M^n grid.
+
+    U holds one grid per component.  The Taylor sum over multi-indices a of
+    (d^a h)(D theta) U^a / a! runs one order |a| at a time until an order is
+    below TERM_TOL; each derivative is one inverse FFT, and D only re-indexes
+    grid points.  Derivatives along axes h does not depend on, and powers of
+    vanishing components of U, are skipped.
+    """
+    n = len(U)
+    if np.array_equal(D, np.eye(n, dtype=int)):
+        index = Ellipsis
+    else:
+        index = tuple(np.tensordot(D, np.indices((M,) * n), axes=(1, 0)) % M)
+    vals = [h.eval_real_grid(M) for h in series_list]
+    out = [v[index] for v in vals]
+    spectra = [np.fft.fftn(v) for v in vals]
+    deps = [{j for j in range(n) if np.any(np.delete(h.coeffs, h.N, axis=j))}
+            for h in series_list]
+    active = [j for j in range(n) if np.any(U[j])]
+    ik = _spectral_factors(n, M)
+    for order in range(1, MAX_TERMS + 1):
+        terms = [0.0] * len(spectra)
+        for axes in itertools.combinations_with_replacement(active, order):
+            weight, fac = 1.0, 1.0
+            for j in set(axes):
+                a = axes.count(j)
+                weight = weight * U[j] ** a / math.factorial(a)
+                fac = fac * ik[j] ** a
+            for i, s in enumerate(spectra):
+                if deps[i].issuperset(axes):
+                    terms[i] = terms[i] + weight * np.fft.ifftn(s * fac)[index]
+        for acc, term in zip(out, terms):
+            acc += term
+        if _sup(terms) <= TERM_TOL:
+            return out
+    raise NumericalFailure(
+        f"Taylor composition not below {TERM_TOL:.0e} after {MAX_TERMS} orders")
+
+
+def _apply_on_grid(stages, M, U=None):
+    """The lifts `stages`, first-applied first, applied to theta + U(theta)
+    (default theta) on the M^n grid, as D theta + W(theta): returns D and
+    the displacement W, one grid per component."""
+    n = stages[0].n
+    if U is None:
+        U = [np.zeros((M,) * n, dtype=complex) for _ in range(n)]
+    D = np.eye(n, dtype=int)
+    for s in stages:
+        f = _taylor_on_grid(s.parts, D, U, M)
+        U = [sum(s.D[j, l] * U[l] for l in range(n)) + f[j] for j in range(n)]
+        D = s.D @ D
+    return D, U
+
+
+def _lift_from_grid(D, disp, N_out, real):
+    """The lift D theta + f(theta), f re-expanded at N_out from the grids
+    `disp`, one per component."""
+    return TorusMapLift(
+        D, [series_from_real_grid(g, N_out, real=real) for g in disp])
 
 
 class TorusMapLift:
@@ -142,10 +234,12 @@ class TorusMapLift:
         return jac
 
     def pullback(self, h, N_out=None):
-        """h composed with this lift, re-expanded on an oversampled grid.
+        """h composed with this lift by the grid kernel, re-expanded at N_out.
 
         Refuses when the requested degree bound cannot hold the input
-        spectrum (the re-expansion grid would alias h itself).
+        spectrum (the re-expansion grid would alias h itself), and raises
+        NumericalFailure for a map so far from the identity that the Taylor
+        sum does not reach round-off in MAX_TERMS orders.
         """
         if h.n != self.n:
             raise ValueError("dimension mismatch")
@@ -154,15 +248,17 @@ class TorusMapLift:
         if N_out < h.N:
             raise ValueError(
                 f"output degree {N_out} below input degree {h.N}: grid too coarse")
-        M = grid_size(N_out)
-        pts = theta_grid(self.n, M)
-        vals = h.eval_points(self.apply(pts)).reshape((M,) * self.n)
+        M = grid_size(N_out, self.N)
+        U = [p.eval_real_grid(M) for p in self.parts]
+        vals = _taylor_on_grid([h], self.D, U, M)[0]
         return series_from_real_grid(vals, N_out, real=h.real and self.real)
 
 
 @dataclasses.dataclass(frozen=True)
 class FlowResult:
-    """Time-t map of a field, with integration metadata."""
+    """Time-t map of a field.  `step_count` Lie-series terms were summed
+    (the benchmark tracer reads it as flows.flow.rk4_steps); `defect` is the
+    grid sup of the last term, over the displacement and line integral."""
 
     map: TorusMapLift
     t: float
@@ -170,55 +266,14 @@ class FlowResult:
     defect: float
 
 
-def _rk4(eval_state, y0, t, steps):
-    y = np.array(y0, dtype=complex)
-    h = t / steps
-    for _ in range(steps):
-        k1 = eval_state(y)
-        k2 = eval_state(y + 0.5 * h * k1)
-        k3 = eval_state(y + 0.5 * h * k2)
-        k4 = eval_state(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def flow(v, t, r1, delta, N_out=None, line_integrand=None):
+    """Time-t map of the field as a near-identity lift, by its Lie series.
 
-
-def _flow_points(v, pts, t, steps, extra=None):
-    """Integrate the field from `pts`; optionally accumulate int g(theta(s)) ds."""
-    n = v.n
-    if extra is None:
-        return _rk4(lambda y: v.eval_points(y), pts, t, steps), None
-
-    def rhs(y):
-        out = np.empty_like(y)
-        out[:, :n] = v.eval_points(y[:, :n])
-        out[:, n] = extra.eval_points(y[:, :n])
-        return out
-
-    y0 = np.concatenate([pts, np.zeros((pts.shape[0], 1), dtype=complex)], axis=1)
-    y = _rk4(rhs, y0, t, steps)
-    return y[:, :n], y[:, n]
-
-
-def flow_step_count(p_norm, r1, delta, min_steps=32):
-    return max(min_steps, int(math.ceil(8.0 * p_norm / (r1 * delta))))
-
-
-def _lift_from_grid(D, disp, M, N_out, real):
-    """The lift D theta + f(theta) whose displacement f has the values `disp`
-    (one column per component) on the M^n real grid, re-expanded at N_out."""
-    n = disp.shape[1]
-    parts = [series_from_real_grid(disp[:, j].reshape((M,) * n), N_out, real=real)
-             for j in range(n)]
-    return TorusMapLift(D, parts)
-
-
-def flow(v, t, r1, delta, N_out=None, min_steps=32, defect_tol=1e-8,
-         line_integrand=None):
-    """Time-t map of the field as a near-identity lift.
-
-    Requires |t| <= 1, 0 < delta < 1/2 and the admissibility bound (z1)
-    ||p||_{r1} <= r1 delta in the coefficient norm.  With `line_integrand` g,
-    additionally returns the series of int_0^t g(theta(s)) ds along the flow.
+    The displacement is sum_{k >= 1} t^k/k! L^{k-1} p with L g = sum_i p_i
+    d_i g, products and spectral derivatives taken on the grid, summed up to
+    the first term at or below TERM_TOL.  Requires |t| <= 1, 0 < delta < 1/2
+    and the bound (z1) ||p||_{r1} <= r1 delta.  With `line_integrand` g, also
+    returns int_0^t g(theta(s)) ds = sum_{k >= 1} t^k/k! L^{k-1} g.
     """
     if abs(t) > 1.0 + 1e-15:
         raise ValueError("flows are only taken for |t| <= 1")
@@ -230,38 +285,41 @@ def flow(v, t, r1, delta, N_out=None, min_steps=32, defect_tol=1e-8,
             "(z1)", f"||p||_r1 = {p_norm:.3e} exceeds r1*delta = {r1 * delta:.3e}")
     if N_out is None:
         N_out = v.N
-    steps = flow_step_count(p_norm, r1, delta, min_steps)
-    M = grid_size(N_out, v.N)
-    pts = theta_grid(v.n, M)
-    end, acc = _flow_points(v, pts, t, steps, extra=line_integrand)
-    # Richardson witness from a half-resolution run; for 4th order the
-    # coarse-fine gap over-estimates the fine error by roughly 15x.
-    coarse_steps = max(8, steps // 2)
-    end_c, acc_c = _flow_points(v, pts, t, coarse_steps, extra=line_integrand)
-    defect = float(np.max(np.abs(end - end_c)))
-    if acc is not None:
-        defect = max(defect, float(np.max(np.abs(acc - acc_c))))
-    if defect > defect_tol:
-        raise NumericalFailure(
-            f"integrator defect {defect:.3e} above tolerance {defect_tol:.1e}")
+    fields = list(v.components) + ([] if line_integrand is None
+                                   else [line_integrand])
+    M = grid_size(N_out, *(g.N for g in fields))
+    powers = [g.eval_real_grid(M) for g in fields]   # L^{k-1} of each
+    p = powers[:v.n]
+    sums = [t * g for g in powers]
+    k, defect = 1, _sup(sums)
+    while defect > TERM_TOL and k < MAX_TERMS:
+        k += 1
+        powers = [sum(pi * d for pi, d in zip(p, _grid_gradient(g)))
+                  for g in powers]
+        terms = [t ** k / math.factorial(k) * g for g in powers]
+        sums = [acc + term for acc, term in zip(sums, terms)]
+        defect = _sup(terms)
+    if defect > FLOW_DEFECT_TOL:
+        raise NumericalFailure(f"Lie series defect {defect:.3e} above "
+                               f"{FLOW_DEFECT_TOL:.1e} after {MAX_TERMS} terms")
     result = FlowResult(
-        _lift_from_grid(np.eye(v.n, dtype=int), end - pts, M, N_out, v.real),
-        float(t), steps, defect)
+        _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], N_out, v.real),
+        float(t), k, defect)
     if line_integrand is None:
         return result
-    acc_series = series_from_real_grid(acc.reshape((M,) * v.n), N_out,
+    acc_series = series_from_real_grid(sums[v.n], N_out,
                                        real=v.real and line_integrand.real)
     return result, acc_series
 
 
-def log_det_jacobian(v, t, r1, delta, **kw):
+def log_det_jacobian(v, t, r1, delta):
     """log det of the time-t flow map, via quadrature of the divergence.
 
     Along the flow, d/ds log det D phi_s = (div p)(phi_s), so the log
     determinant is the line integral of the divergence; for divergence-free
     fields it vanishes identically and the flow is volume-preserving.
     """
-    _, acc = flow(v, t, r1, delta, line_integrand=v.divergence(), **kw)
+    _, acc = flow(v, t, r1, delta, line_integrand=v.divergence())
     return acc
 
 
@@ -269,18 +327,16 @@ def compose_maps(*maps, N_out=None):
     """The lift of the composite of `maps`, outermost first.
 
     compose_maps(phi, psi) is theta -> phi(psi(theta)).  Integer parts
-    multiply; the maps are applied in turn on one oversampled grid and the
-    periodic part of the composite is re-expanded once, at the requested
-    degree bound (default: the largest input degree).
+    multiply; the maps are applied in turn on one oversampled grid by the
+    grid kernel and the periodic part of the composite is re-expanded once,
+    at the requested degree bound (default: the largest input degree).
     """
     chain = MapChain(maps[::-1])
     if N_out is None:
         N_out = chain.N
     M = grid_size(N_out, chain.N)
-    pts = theta_grid(chain.n, M)
-    D = chain.D
-    disp = chain.apply(pts) - pts @ D.T.astype(float)
-    return _lift_from_grid(D, disp, M, N_out, chain.real)
+    D, disp = _apply_on_grid(chain.stages, M)
+    return _lift_from_grid(D, disp, N_out, chain.real)
 
 
 class MapChain:
@@ -362,16 +418,16 @@ class MapInverse:
     iterations: int
 
 
-def invert_map(phi, r, N_out=None, tol=1e-13, max_iter=200):
+def invert_map(phi, r, N_out=None):
     """Inverse of a near-identity lift or MapChain by fixed-point iteration.
 
-    Iterates theta' -> theta' + (theta - phi(theta')), which for one lift
-    theta + f is the contraction theta' -> theta - f(theta'); a chain is
-    applied stage by stage and never collapsed.  Requires an identity
-    integer part and the smallness bound (nf) ||f||_r <= r/(4n), on the
-    summed stage norms for a chain, which makes the iteration a contraction
-    on the half-width strip.  The returned residual is the sup of
-    |phi(phi^{-1}(theta)) - theta| over a verification grid.
+    The inverse is theta + U on the grid.  Each iteration applies phi to
+    theta + U by the grid kernel, stage by stage for a chain, giving
+    theta + W, and sets U <- U - W: for one lift theta + f, the contraction
+    U <- -f(theta + U).  Requires an identity integer part and the bound
+    (nf) ||f||_r <= r/(4n), on the summed stage norms for a chain, which
+    makes the iteration contract on the half-width strip.  The residual is
+    the off-grid witness sup |phi(phi^{-1}(theta)) - theta| on a second grid.
     """
     if not phi.has_identity_integer_part():
         raise ValueError("invert_map requires an identity integer part")
@@ -382,26 +438,26 @@ def invert_map(phi, r, N_out=None, tol=1e-13, max_iter=200):
             "(nf)", f"||f||_r = {f_norm:.3e} exceeds r/(4n) = {r / (4 * n):.3e}")
     if N_out is None:
         N_out = phi.N
+    stages = phi.stages if isinstance(phi, MapChain) else (phi,)
     M = grid_size(N_out, phi.N)
-    pts = theta_grid(n, M)
-    cur = np.array(pts)
+    U = [np.zeros((M,) * n, dtype=complex) for _ in range(n)]
     prev_delta = np.inf
-    its = 0
-    for its in range(1, max_iter + 1):
-        step = pts - phi.apply(cur)
-        cur = cur + step
-        delta = float(np.max(np.abs(step)))
-        if delta <= tol:
+    for its in range(1, INVERT_MAX_ITER + 1):
+        _, W = _apply_on_grid(stages, M, U)
+        U = [u - w for u, w in zip(U, W)]
+        delta = _sup(W)
+        if delta <= INVERT_TOL:
             break
-        if delta > prev_delta * (1.0 + 1e-12) and delta > 1e3 * tol:
+        if delta > prev_delta * (1.0 + 1e-12) and delta > 1e3 * INVERT_TOL:
             raise NumericalFailure(
                 f"fixed-point iteration expanding: step {delta:.3e} "
                 f"after {prev_delta:.3e}")
         prev_delta = delta
     else:
         raise NumericalFailure(
-            f"fixed-point iteration did not reach {tol:.1e} in {max_iter} steps")
-    inv = _lift_from_grid(np.eye(n, dtype=int), cur - pts, M, N_out, phi.real)
+            f"fixed-point iteration did not reach {INVERT_TOL:.1e} "
+            f"in {INVERT_MAX_ITER} steps")
+    inv = _lift_from_grid(np.eye(n, dtype=int), U, N_out, phi.real)
     check = theta_grid(n, M + 1)
     residual = float(np.max(np.abs(phi.apply(inv.apply(check)) - check)))
     return MapInverse(inv, residual, its)

@@ -18,7 +18,6 @@ from .series import (
     PeriodicSeries,
     divide,
     grid_size,
-    series_from_real_grid,
 )
 
 
@@ -100,13 +99,3 @@ def moser_normalize(density, r, N_out=None):
     f_norm = phi.part_norm(r)
     return MoserResult(phi, mean, residual, f_norm)
 
-
-def jacobian_factor_series(result, N_out):
-    """The product prod_j (1 + D_j f_j) of the triangular map, as a series."""
-    fs = result.map.parts
-    n = len(fs)
-    M = grid_size(N_out)
-    det = np.ones((M,) * n, dtype=complex)
-    for j in range(n):
-        det *= 1.0 + fs[j].derivative(j).eval_real_grid(M)
-    return series_from_real_grid(det, N_out, real=True)

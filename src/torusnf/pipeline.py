@@ -362,11 +362,13 @@ def curve_from_profile(k, rho0, N_out=None):
     yields a valid generating curve; its true invariant profile is then the
     nearby exact one the normalization extracts.  This is how a synthetic
     profile is \"closure-corrected through the pipeline\": build the curve,
-    embed, normalize, and read the corrected profile off the report.
+    embed, normalize, and read the corrected profile off the report.  The
+    curve is chopped at CHOP_FLOOR, so that its round-off coefficients cannot
+    dominate the weighted (f-id) closeness of the embedding.
     """
     vel = _profile_velocity(k, rho0, N_out)
     vel = vel - vel.mean()
-    curve = CurveImmersion(vel.antiderivative(0))
+    curve = CurveImmersion(vel.antiderivative(0).chop(CHOP_FLOOR))
     if gauss_degree(curve) != 1:
         raise NumericalFailure("generating curve has turning number != 1")
     return curve

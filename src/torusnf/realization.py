@@ -3,7 +3,7 @@
 Laurent data a(z) on the annulus is carried by the same coefficient engine
 as the periodic series (exponent = frequency).  The correction maps are
 time-(-1) flows of holomorphic fields v = sum q_j d/dz_j with div v = a,
-integrated in angle coordinates through the conjugated field
+computed as Lie series in angle coordinates through the conjugated field
 p_j(theta) = -i e^{-i theta_j} q_j(z); the Jacobian determinant along the
 flow comes from the exact quadrature log det D psi = int a o phi_s ds.
 """
@@ -258,10 +258,9 @@ def realization_step(a, r, delta, N_field=None, N_pull=None,
 
     Returns the multiplicative map psi and the transported density defect
     a_hat with 1 + a_hat = (1 + a o psi) det D psi, computed on a grid from
-    the exact log-determinant quadrature.
+    the pullback of a through psi and the exact log-determinant quadrature.
     """
     a = AnnulusFunction(a)
-    n = a.n
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     a_norm = a.norm(r)
@@ -287,13 +286,10 @@ def realization_step(a, r, delta, N_field=None, N_pull=None,
             RuntimeWarning, stacklevel=2)
 
     M = grid_size(N_pull)
-    pts = theta_grid(n, M)
-    moved = fr.map.apply(pts)
-    a_vals = a.series.eval_points(moved)
-    det_vals = np.exp(acc.pad_to(max(acc.N, N_pull)).eval_real_grid(M).reshape(-1))
+    a_vals = fr.map.pullback(a.series, N_out=N_pull).eval_real_grid(M)
+    det_vals = np.exp(acc.pad_to(max(acc.N, N_pull)).eval_real_grid(M))
     hat_vals = (1.0 + a_vals) * det_vals - 1.0
-    a_next = AnnulusFunction(
-        series_from_real_grid(hat_vals.reshape((M,) * n), a.N))
+    a_next = AnnulusFunction(series_from_real_grid(hat_vals, a.N))
     return RealizationStep(psi, a_next, a_norm, fr.defect, log_norm)
 
 

@@ -16,8 +16,6 @@ are marked read-only so instances can be shared freely between threads.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalFailure
@@ -31,20 +29,6 @@ GRID_MULT = 2
 # Points per block of off-grid evaluation, which bounds the memory of the
 # per-block phase matrices and partial sums.
 EVAL_CHUNK = 4096
-
-
-@dataclasses.dataclass(frozen=True)
-class NormEstimate:
-    """Two norm surrogates for sup |h| over a strip.
-
-    coeff_bound majorizes the true sup norm (weighted l1 of coefficients),
-    sampled_sup is max |h| over a finite grid on the distinguished boundary
-    Im theta_j = +-r.  Always sampled_sup <= coeff_bound, so hypothesis
-    checks use coeff_bound and sampled_sup is a lower witness.
-    """
-
-    coeff_bound: float
-    sampled_sup: float
 
 
 class PeriodicSeries:
@@ -235,19 +219,6 @@ class PeriodicSeries:
         emb[idx] = self.coeffs
         return np.fft.ifftn(emb) * (M ** self.n)
 
-    def eval_shifted_grid(self, M, imag_shift):
-        """Values on the grid theta + i s for a fixed imaginary offset vector s."""
-        s = np.asarray(imag_shift, dtype=float)
-        if s.shape != (self.n,):
-            raise ValueError("imaginary shift must have one entry per axis")
-        scaled = np.array(self.coeffs)
-        k = self.k_range()
-        for j in range(self.n):
-            shape = [1] * self.n
-            shape[j] = 2 * self.N + 1
-            scaled *= np.exp(-k * s[j]).reshape(shape)
-        return PeriodicSeries(scaled).eval_real_grid(M)
-
     # ------------------------------------------------------------------
     # averaging, splitting, calculus
 
@@ -351,22 +322,6 @@ class PeriodicSeries:
         for _ in range(self.n):
             v = np.tensordot(w, v, axes=(0, 0))
         return float(v)
-
-    def boundary_sup(self, r, M=None):
-        """Max |h| over a grid on the distinguished boundary Im theta = +-r."""
-        if M is None:
-            M = max(grid_size(self.N), 32)
-        best = 0.0
-        for signs in np.ndindex(*((2,) * self.n)):
-            s = r * (2.0 * np.asarray(signs) - 1.0)
-            vals = self.eval_shifted_grid(M, s)
-            best = max(best, float(np.max(np.abs(vals))))
-        return best
-
-    def strip_norm(self, r, M=None):
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"strip half-width must lie in (0, 1), got {r}")
-        return NormEstimate(self.coeff_norm(r), self.boundary_sup(r, M))
 
     def abs_max_coeff(self):
         return float(np.max(np.abs(self.coeffs)))

@@ -22,3 +22,22 @@ def test_tracer_installs_and_restores(monkeypatch):
     for w in workloads.WORKLOADS.values():
         assert set(w.layers) <= set(tracer.LAYERS)
         assert w.entry in tracer.LAYERS
+
+
+def test_tracer_reads_flow_and_inverse_counts(monkeypatch):
+    # the tracer reads FlowResult.step_count as flows.flow.rk4_steps and
+    # MapInverse.iterations as flows.invert_map.iterations
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    flows = importlib.import_module("torusnf.flows")
+    series = importlib.import_module("torusnf.series")
+    c = series.PeriodicSeries.from_terms(2, 1, {(0, 1): 1e-3, (0, -1): 1e-3})
+    v = flows.PeriodicVectorField([c, series.PeriodicSeries.zeros(2, 1)])
+    with tracer.LayerTracer() as trace:
+        fr = flows.flow(v, 1.0, 0.5, 0.2)
+        flows.flow(v, -1.0, 0.5, 0.2, line_integrand=c)
+        flows.invert_map(fr.map, 0.5)
+    counts = trace.exact_counts()
+    assert counts["flows.flow.calls"] == 2
+    assert counts["flows.flow.rk4_steps"] > 0
+    assert counts["flows.invert_map.iterations"] > 0

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import torusnf.flows
+import torusnf.series
 from torusnf.errors import HypothesisViolation
+from torusnf.fibering import FiberingPhase, fibering_step
 from torusnf.flows import (
     MapChain,
     PeriodicVectorField,
@@ -12,6 +15,7 @@ from torusnf.flows import (
     invert_map,
     log_det_jacobian,
 )
+from torusnf.realization import AnnulusFunction, realization_step
 from torusnf.series import PeriodicSeries, coeff_distance, theta_grid
 
 from test_series import random_series, sin_series
@@ -28,7 +32,55 @@ def stream_field(rng, N=4, norm=2e-2, decay=0.9, r=0.5):
     return PeriodicVectorField([s * c for c in v.components])
 
 
+def rk4_oracle(v, pts, t, steps=200, g=None):
+    """Classical RK4 for d theta/dt = p(theta) from each point.
+
+    With a series g, also integrates int_0^t g(theta(s)) ds.  Returns the end
+    points and the integrals (None without g).
+    """
+    n = v.n
+
+    def rhs(y):
+        vals = [c.eval_points(y[:, :n]) for c in v.components]
+        if g is not None:
+            vals.append(g.eval_points(y[:, :n]))
+        return np.stack(vals, axis=-1)
+
+    y = np.asarray(pts, dtype=complex)
+    if g is not None:
+        y = np.concatenate([y, np.zeros((y.shape[0], 1))], axis=1)
+    h = t / steps
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y[:, :n], (y[:, n] if g is not None else None)
+
+
 class TestFlow:
+    def test_matches_rk4_oracle_real_stream_field(self):
+        rng = np.random.default_rng(30)
+        v = stream_field(rng, N=4, norm=2e-2)
+        fr = flow(v, 1.0, 0.5, 0.2, N_out=16)
+        pts = rng.uniform(0, 2 * np.pi, size=(40, 2))
+        end, _ = rk4_oracle(v, pts, 1.0)
+        assert np.max(np.abs(fr.map.apply(pts) - end)) < 1e-10
+
+    def test_matches_rk4_oracle_complex_field_with_integral(self):
+        rng = np.random.default_rng(31)
+        v = PeriodicVectorField([random_series(rng, 2, 3, real=False)
+                                 for _ in range(2)])
+        v = PeriodicVectorField([c * (1e-2 / v.coeff_norm(0.5))
+                                 for c in v.components])
+        g = 1e-3 * random_series(rng, 2, 3, real=False)
+        fr, acc = flow(v, -1.0, 0.5, 0.2, N_out=16, line_integrand=g)
+        pts = rng.uniform(0, 2 * np.pi, size=(40, 2))
+        end, integral = rk4_oracle(v, pts, -1.0, g=g)
+        assert np.max(np.abs(fr.map.apply(pts) - end)) < 1e-10
+        assert np.max(np.abs(acc.eval_points(pts) - integral)) < 1e-10
+
     def test_zero_field_gives_identity(self):
         v = PeriodicVectorField([PeriodicSeries.zeros(2, 2) for _ in range(2)])
         fr = flow(v, 1.0, 0.5, 0.25)
@@ -174,11 +226,13 @@ class TestMapAlgebra:
         rng = np.random.default_rng(22)
         h = random_series(rng, 2, 4)
         phi = flow(stream_field(rng, norm=1e-3), 1.0, 0.5, 0.2, N_out=8).map
-        comp = phi.pullback(h, N_out=16)
+        sheared = TorusMapLift([[1, 1], [0, 1]], phi.parts)
         pts = rng.uniform(0, 2 * np.pi, size=(30, 2))
-        lhs = comp.eval_points(pts)
-        rhs = h.eval_points(phi.apply(pts))
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
+        for lift, N_out in ((phi, 16), (sheared, 24)):
+            comp = lift.pullback(h, N_out=N_out)
+            lhs = comp.eval_points(pts)
+            rhs = h.eval_points(lift.apply(pts))
+            assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_pullback_refuses_coarse_degree(self):
         rng = np.random.default_rng(24)
@@ -246,3 +300,29 @@ class TestInverse:
         with pytest.raises(HypothesisViolation) as err:
             invert_map(MapChain([phi, phi]), 0.5)
         assert err.value.bound == "(nf)"
+
+
+class TestGridNative:
+    def test_compute_path_makes_no_off_grid_evaluation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("off-grid eval_many on the compute path")
+
+        rng = np.random.default_rng(29)
+        h = random_series(rng, 2, 6, decay=1.0)
+        h = h * (1e-3 * 0.5 ** 3 / h.coeff_norm(0.5))
+        s = random_series(rng, 2, 5, real=False)
+        c = np.array(s.coeffs)
+        c[4, 4] = 0.0   # the all-(-1) monomial obstructs realization
+        a = AnnulusFunction(PeriodicSeries(c))
+        a = a * (1e-4 / a.norm(0.5))
+        phi = flow(stream_field(rng, norm=1e-3), 1.0, 0.5, 0.2, N_out=8).map
+        shear = TorusMapLift([[1, 1], [0, 1]], phi.parts)
+
+        monkeypatch.setattr(torusnf.series, "eval_many", refuse)
+        monkeypatch.setattr(torusnf.flows, "eval_many", refuse)
+        with pytest.raises(AssertionError):
+            phi.apply(theta_grid(2, 3))
+        fibering_step(FiberingPhase(h), 0.5, 1.0 / 16.0)
+        realization_step(a, 0.5, 0.05)
+        compose_maps(phi, shear, phi, N_out=10)
+        shear.pullback(h, N_out=20)

@@ -6,7 +6,6 @@ from torusnf.flows import invert_map
 from torusnf.moser import (
     VolumeDensity,
     admissible_density_bound,
-    jacobian_factor_series,
     moser_normalize,
 )
 from torusnf.series import PeriodicSeries, coeff_distance, theta_grid
@@ -65,10 +64,12 @@ class TestMoserNormalize:
         rng = np.random.default_rng(43)
         d = admissible_density(rng, 2, 6, 0.5)
         res = moser_normalize(d, 0.5, N_out=12)
-        det = jacobian_factor_series(res, N_out=12)
         M = 40
+        det = np.ones((M, M), dtype=complex)
+        for j, f in enumerate(res.map.parts):
+            det *= 1.0 + f.derivative(j).eval_real_grid(M)
         vals = (1.0 + d.b.eval_real_grid(M)) / (1.0 + res.mean)
-        gap = vals - det.eval_real_grid(M)
+        gap = vals - det
         assert abs(np.mean(gap)) < 1e-10
 
     def test_domain_containment(self):

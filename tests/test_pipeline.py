@@ -176,6 +176,12 @@ class TestNormalFormEmbedding:
         emb, _ = seeded_embedding(1e-3)
         assert emb.closeness() <= 0.2 * 0.5 ** 4
 
+    def test_closeness_small_at_three_angles(self):
+        # round-off coefficients of the generating curve are chopped, so the
+        # weighted closeness measures the profile and not noise
+        emb, _ = seeded_embedding(1e-4, n=3)
+        assert emb.closeness() <= 0.2 * 0.5 ** 4
+
 
 class TestNormalizeEmbedding:
     def test_identity(self):
