@@ -13,7 +13,10 @@ are Lie series, sum_k t^k/k! L^{k-1} p with L g = sum_i p_i d_i g, every
 product taken on the grid.  `compose_maps` is the one place a composite is
 collapsed and `invert_map` the one fixed-point inverter.  Off-grid point
 evaluation (`apply`, `jacobian`, `MapChain.jacobian_det`) is kept for the
-independent residual witnesses.
+independent residual witnesses.  A stage's image and Jacobian come from one
+`eval_many` call over its parts and their first derivatives, and `eval_many`
+contracts each series only over the axes it depends on, so the vanishing
+and one-angle parts of a stage cost next to nothing.
 """
 
 from __future__ import annotations
@@ -121,8 +124,7 @@ def _taylor_on_grid(series_list, D, U, M):
     vals = [h.eval_real_grid(M) for h in series_list]
     out = [v[index] for v in vals]
     spectra = [np.fft.fftn(v) for v in vals]
-    deps = [{j for j in range(n) if np.any(np.delete(h.coeffs, h.N, axis=j))}
-            for h in series_list]
+    deps = [set(h.dependent_axes()) for h in series_list]
     active = [j for j in range(n) if np.any(U[j])]
     ik = _spectral_factors(n, M)
     for order in range(1, MAX_TERMS + 1):
@@ -223,15 +225,18 @@ class TorusMapLift:
 
     def jacobian(self, pts):
         """Stacked Jacobian matrices D + grad f at each point, shape (m, n, n)."""
+        return self._image_and_jacobian(pts)[1]
+
+    def _image_and_jacobian(self, pts):
+        """The image and the Jacobian at each point, from one `eval_many`
+        call over the parts and their n^2 first derivatives."""
         pts = np.asarray(pts, dtype=complex)
-        m = pts.shape[0]
-        jac = np.broadcast_to(self.D.astype(complex), (m, self.n, self.n)).copy()
-        grads = [p.derivative(l) for p in self.parts for l in range(self.n)]
-        vals = eval_many(grads, pts)
-        for j in range(self.n):
-            for l in range(self.n):
-                jac[:, j, l] += vals[j * self.n + l]
-        return jac
+        n = self.n
+        grads = [p.derivative(l) for p in self.parts for l in range(n)]
+        vals = eval_many(self.parts + tuple(grads), pts)
+        image = pts @ self.D.T.astype(float)
+        image += vals[:n].T
+        return image, self.D + vals[n:].T.reshape(-1, n, n)
 
     def pullback(self, h, N_out=None):
         """h composed with this lift by the grid kernel, re-expanded at N_out.
@@ -397,8 +402,9 @@ class MapChain:
         pts = np.asarray(pts, dtype=complex)
         det = np.ones(pts.shape[0], dtype=complex)
         for s in self.stages:
-            det = det * np.linalg.det(s.jacobian(pts))
-            pts = s.apply(pts)
+            pts, jac = s._image_and_jacobian(pts)
+            # a degree-0 stage is affine, with the constant Jacobian D
+            det = det * np.linalg.det(jac if s.N else s.D)
         return det
 
     def to_single(self, N_out):

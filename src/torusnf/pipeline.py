@@ -183,7 +183,9 @@ def normalize_embedding(emb, eps0=0.2, stage_tol=1e-8, fib_degree=16,
     shear that concentrates the phase on the first angle, volume
     normalization of the modulus, phase transport through the inverse volume
     map, and the volume-preserving phase iteration.  Each stage must land
-    under `stage_tol` before the next runs.
+    under `stage_tol` before the next runs.  Both off-grid residual
+    witnesses, of the phase iteration and of the normal form, sample
+    `verify_grid` points per axis.
     """
     n = emb.n
     if n < 2:
@@ -229,7 +231,7 @@ def normalize_embedding(emb, eps0=0.2, stage_tol=1e-8, fib_degree=16,
     fib = fibering_normalize(
         FiberingPhase(h3), KamSchedule(r_fib, max_iter=max_iter,
                                        stop_tol=stop_tol),
-        eps=eps_fibering)
+        eps=eps_fibering, verify_grid=verify_grid)
     if not fib.converged:
         raise NumericalFailure(
             "phase normalization exhausted its schedule; trace attached")

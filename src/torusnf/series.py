@@ -102,6 +102,11 @@ class PeriodicSeries:
         """Full average [h] = constant Fourier coefficient."""
         return complex(self.coeffs[(self.N,) * self.n])
 
+    def dependent_axes(self):
+        """The axes some stored term oscillates in; () for a constant."""
+        return tuple(j for j in range(self.n)
+                     if np.any(np.delete(self.coeffs, self.N, axis=j)))
+
     def is_real_symmetric(self, tol=REAL_TOL):
         flipped = np.conj(self.coeffs[(slice(None, None, -1),) * self.n])
         return bool(np.max(np.abs(self.coeffs - flipped)) <= tol)
@@ -354,8 +359,10 @@ def phase_matrix(vals, N):
 def eval_many(series_list, pts):
     """Evaluate several series of one shape at shared points.
 
-    The per-axis phase matrices are built once per point chunk and reused
-    for every series, which dominates the cost of point evaluation.
+    Each series is contracted only over the axes it depends on: its block is
+    cut to the k = 0 plane of every other axis, so a constant (an identically
+    zero series included) costs no contraction at all.  The per-axis phase
+    matrices are built once per point chunk and reused for every series.
     Returns an array of shape (len(series_list), m).
     """
     series_list = list(series_list)
@@ -366,15 +373,22 @@ def eval_many(series_list, pts):
     pts = np.asarray(pts, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"expected (m, {n}) points, got {pts.shape}")
+    deps = [s.dependent_axes() for s in series_list]
+    blocks = [s.coeffs[tuple(slice(None) if j in axes else N
+                             for j in range(n))]
+              for s, axes in zip(series_list, deps)]
     out = np.empty((len(series_list), pts.shape[0]), dtype=complex)
     for s0 in range(0, pts.shape[0], EVAL_CHUNK):
         block = pts[s0:s0 + EVAL_CHUNK]
-        mats = [phase_matrix(block[:, j], N) for j in range(n)]
-        for i, s in enumerate(series_list):
-            acc = np.tensordot(mats[0], s.coeffs, axes=(1, 0))
-            for j in range(1, n):
-                acc = np.einsum("mk...,mk->m...", acc, mats[j])
-            out[i, s0:s0 + block.shape[0]] = acc
+        m = block.shape[0]
+        mats = {j: phase_matrix(block[:, j], N) for j in set().union(*deps)}
+        for i, (c, axes) in enumerate(zip(blocks, deps)):
+            # one GEMM over the first axis, then per-point products over the
+            # others, last axis first
+            acc = np.tensordot(mats[axes[0]], c, axes=(1, 0)) if axes else c
+            for j in axes[:0:-1]:
+                acc = acc.reshape(m, -1, 2 * N + 1) @ mats[j][:, :, None]
+            out[i, s0:s0 + m] = acc.reshape(-1)
     return out
 
 

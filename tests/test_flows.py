@@ -302,6 +302,47 @@ class TestInverse:
         assert err.value.bound == "(nf)"
 
 
+class TestStageJacobian:
+    @staticmethod
+    def three_angle_chain():
+        """A translation, a stream-field flow whose third component vanishes,
+        and a shear whose periodic part makes the determinant vary."""
+        rng = np.random.default_rng(31)
+        H = random_series(rng, 3, 3)
+        v = PeriodicVectorField([H.derivative(1), -1.0 * H.derivative(0),
+                                 PeriodicSeries.zeros(3, 3)])
+        v = PeriodicVectorField([(3e-3 / v.coeff_norm(0.5)) * c
+                                 for c in v.components])
+        phi = flow(v, 1.0, 0.5, 0.2).map
+        assert phi.parts[2].dependent_axes() == ()
+        bump = 0.05 * sin_series(3, phi.N, 0)
+        shear = TorusMapLift([[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                             [bump, PeriodicSeries.zeros(3, 0),
+                              PeriodicSeries.zeros(3, 0)])
+        return MapChain([TorusMapLift.translation(3, [0.3, -0.2, 0.1]),
+                         phi, shear])
+
+    def test_determinant_matches_finite_difference(self):
+        chain = self.three_angle_chain()
+        pts = theta_grid(3, 5) + 0.05j
+        det = chain.jacobian_det(pts)
+        fd = finite_difference_jacobian_det(chain.apply, pts)
+        assert np.max(np.abs(det - 1.0)) > 1e-2
+        assert np.max(np.abs(det - fd)) < 1e-8
+
+    def test_one_evaluation_per_stage(self, monkeypatch):
+        chain = self.three_angle_chain()
+        calls = []
+
+        def counting(series_list, pts):
+            calls.append(len(series_list))
+            return torusnf.series.eval_many(series_list, pts)
+
+        monkeypatch.setattr(torusnf.flows, "eval_many", counting)
+        chain.jacobian_det(theta_grid(3, 4))
+        assert calls == [3 + 9] * len(chain.stages)
+
+
 class TestGridNative:
     def test_compute_path_makes_no_off_grid_evaluation(self, monkeypatch):
         def refuse(*args, **kwargs):

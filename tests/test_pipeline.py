@@ -200,6 +200,15 @@ class TestNormalizeEmbedding:
         assert rep.volume_residual <= 1e-8
         assert rep.exactness_defect <= 1e-8
 
+    def test_round_trip_three_angles(self):
+        emb, k_seed = seeded_embedding(1e-4, n=3)
+        rep = normalize_embedding(emb)
+        assert rep.rho0 == pytest.approx(1.0, abs=1e-6)
+        assert phase_profile_distance(
+            k_seed, rep.k, allow_half_turn=True) <= 1e-6
+        assert rep.phase_residual <= 1e-8
+        assert rep.volume_residual <= 1e-8
+
     def test_round_trip_with_amplitude(self):
         emb, k_seed = seeded_embedding(5e-4, rho0=1.0005)
         rep = normalize_embedding(emb)

@@ -9,6 +9,7 @@ from torusnf.series import (
     allclose,
     coeff_distance,
     divide,
+    eval_many,
     multiply,
     pull_back_linear,
     series_from_real_grid,
@@ -73,6 +74,41 @@ class TestEval:
         grid_vals = h.eval_real_grid(M).reshape(-1)
         pts_vals = h.eval_points(theta_grid(2, M))
         assert np.max(np.abs(grid_vals - pts_vals)) < 1e-12
+
+
+def term_sum(h, pts):
+    """sum_k c_k exp(i <k, theta>) over the stored terms, one term at a time."""
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for idx in np.ndindex(h.coeffs.shape):
+        out += h.coeffs[idx] * np.exp(1j * (pts @ (np.array(idx) - h.N)))
+    return out
+
+
+class TestEvalMany:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_term_sum_off_torus(self, n):
+        rng = np.random.default_rng(30 + n)
+        N = 3
+        full = random_series(rng, n, N, real=False)
+        inputs = ([PeriodicSeries.zeros(n, N),
+                   PeriodicSeries.constant(n, N, 0.7 - 0.2j),
+                   full.average(range(1, n))]      # on axis 0 alone
+                  + [full.average(j) for j in range(n)]  # all but axis j
+                  + [full])
+        pts = (rng.uniform(0.0, 2.0 * np.pi, (40, n))
+               + 1j * rng.uniform(-0.4, 0.4, (40, n)))
+        mixed = eval_many(inputs, pts)
+        for h, row in zip(inputs, mixed):
+            expect = term_sum(h, pts)
+            assert np.max(np.abs(row - expect)) <= 1e-12
+            assert np.max(np.abs(eval_many([h], pts)[0] - expect)) <= 1e-12
+
+    def test_dependent_axes(self):
+        h = PeriodicSeries.from_terms(3, 2, {(1, 0, 0): 1.0, (0, 0, -2): 2.0,
+                                             (0, 0, 0): 3.0})
+        assert h.dependent_axes() == (0, 2)
+        assert PeriodicSeries.constant(3, 2, 1.0).dependent_axes() == ()
+        assert PeriodicSeries.zeros(2, 2).dependent_axes() == ()
 
 
 class TestAverage:
