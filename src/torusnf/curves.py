@@ -18,6 +18,10 @@ from .series import PeriodicSeries, series_from_real_grid
 
 DEFAULT_GRID = 4096
 IMMERSION_TOL = 1e-9
+NONCRITICAL_TOL = 1e-6  # margin of the phase derivative from zero
+HOMOTOPY_GRID = 2048
+EMBED_GRID = 512
+SEPARATION_FRACTION = 0.02  # of a turn, between compared embedding samples
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,15 +88,16 @@ def phase_derivative(curve, M=DEFAULT_GRID):
     return (a / v).imag
 
 
-def noncritical_phase(curve, M=DEFAULT_GRID, tol=1e-6):
+def noncritical_phase(curve, M=DEFAULT_GRID):
     """Phase-derivative samples and whether they stay away from zero.
 
-    Non-critical means the samples keep one sign with margin `tol`; testing
-    |mu'| alone would miss a continuous sign crossing that falls between
-    grid points.
+    Non-critical means the samples keep one sign with margin NONCRITICAL_TOL;
+    testing |mu'| alone would miss a continuous sign crossing that falls
+    between grid points.
     """
     mu_prime = phase_derivative(curve, M)
-    flag = bool(np.min(mu_prime) > tol or np.max(mu_prime) < -tol)
+    flag = bool(np.min(mu_prime) > NONCRITICAL_TOL
+                or np.max(mu_prime) < -NONCRITICAL_TOL)
     return mu_prime, flag
 
 
@@ -130,7 +135,7 @@ def _invert_circle_reparam(h, d, targets, iters=60):
     return 0.5 * (lo + hi)
 
 
-def whitney_homotopy(f0, f1, t, M=2048, N_out=None):
+def whitney_homotopy(f0, f1, t):
     """The non-critical regular interpolation between two curves at time t.
 
     Both curves must be non-critical with the same nonzero turning number d.
@@ -141,6 +146,7 @@ def whitney_homotopy(f0, f1, t, M=2048, N_out=None):
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"homotopy time must lie in [0, 1], got {t}")
+    M = HOMOTOPY_GRID
     d0, d1 = gauss_degree(f0, M), gauss_degree(f1, M)
     if d0 != d1:
         raise HypothesisViolation(
@@ -155,8 +161,7 @@ def whitney_homotopy(f0, f1, t, M=2048, N_out=None):
             raise HypothesisViolation(
                 "(noncritical)", f"{name} has a vanishing phase derivative")
     d = d0
-    if N_out is None:
-        N_out = max(f0.N, f1.N, 32) + 8
+    N_out = max(f0.N, f1.N, 32) + 8
 
     grid = 2.0 * np.pi * np.arange(M) / M
     profiles = []
@@ -187,13 +192,13 @@ class EmbeddingCheck:
     grid_injective: bool
 
 
-def embedding_check(curve, M=512, separation_fraction=0.02, gap_tol=None):
+def embedding_check(curve):
     """Embeddedness by turning number, cross-checked by grid injectivity.
 
     A non-critical immersion is an embedding exactly when its turning
     number is +-1; the index d - sign(d) counts signed double points.  The
     grid check reports the smallest distance between images of parameters
-    separated by at least `separation_fraction` of a turn.
+    separated by at least SEPARATION_FRACTION of a turn.
     """
     mu_prime, flag = noncritical_phase(curve)
     if not flag:
@@ -203,15 +208,14 @@ def embedding_check(curve, M=512, separation_fraction=0.02, gap_tol=None):
     index = d - int(np.sign(d))
     is_embedding = abs(d) == 1
 
+    M = EMBED_GRID
     pos = curve.positions(M)
-    sep = max(2, int(np.ceil(separation_fraction * M)))
+    sep = max(2, int(np.ceil(SEPARATION_FRACTION * M)))
     diff = np.abs(pos[None, :] - pos[:, None])
     idx = np.arange(M)
     ring = np.minimum(np.abs(idx[None, :] - idx[:, None]),
                       M - np.abs(idx[None, :] - idx[:, None]))
     gaps = diff[ring >= sep]
     min_gap = float(np.min(gaps))
-    if gap_tol is None:
-        scale = float(np.max(np.abs(pos - pos.mean())))
-        gap_tol = 1e-6 * scale
+    gap_tol = 1e-6 * float(np.max(np.abs(pos - pos.mean())))
     return EmbeddingCheck(is_embedding, index, min_gap, bool(min_gap > gap_tol))

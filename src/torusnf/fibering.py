@@ -30,24 +30,20 @@ from .series import (
 )
 
 EPS_SMALLH = 1e-3  # default constant in the entry hypothesis ||h||_r <= eps r^3
-
-
-@dataclasses.dataclass(frozen=True)
-class FibConstants:
-    """Fitted admissibility constants.
-
-    The measured step norms run at c2 ~ 0.03 on admissible desk-scale data;
-    the default keeps a factor ~4 of headroom while still admitting every
-    input that demonstrably converges.  The flow itself re-checks its own
-    admissibility bound (z1) directly, so a too-generous c2 cannot silently
-    break the iteration: it only changes which gate names the refusal.
-    """
-
-    c2: float = 0.125   # step gate (b):  b_r <= r^2 delta^2 / (n c2)
-    c6: float = 27.0    # schedule invariant b_m <= r_m^3 delta_m^3 / c6
-
-
-DEFAULT_CONSTANTS = FibConstants()
+# Fitted admissibility constants.  The measured step norms run at c2 ~ 0.03
+# on admissible desk-scale data; C2 keeps a factor ~4 of headroom while still
+# admitting every input that demonstrably converges.  The flow re-checks its
+# own admissibility bound (z1) directly, so a too-generous C2 cannot silently
+# break the iteration: it only changes which gate names the refusal.
+C2 = 0.125   # step gate (b):  b_r <= r^2 delta^2 / (n C2)
+C6 = 27.0    # schedule invariant b_m <= r_m^3 delta_m^3 / C6
+# Both shrinking-strip loops (this one and the annulus realization) stop once
+# the defect norm is at or below STOP_TOL, and give up after MAX_ITER steps.
+MAX_ITER = 20
+STOP_TOL = 1e-12
+VERIFY_GRID = 48  # points per axis of the off-grid residual witnesses
+PROFILE_GRID = 4096
+PROFILE_MEAN_TOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,7 +59,7 @@ class FiberingPhase:
 
 @dataclasses.dataclass(frozen=True)
 class KamSchedule:
-    """Shrinking-strip schedule r_m, delta_m with a stop rule.
+    """Shrinking-strip schedule r_m, delta_m.
 
     kind "fibering":     r_m = (1 + 1/(m+1)) r0 / 2,  delta_m = 1/(4 (m+2)^2)
     kind "realization":  r_{m+1} = (1 - 2 delta_m) r_m,
@@ -72,8 +68,6 @@ class KamSchedule:
     """
 
     r0: float
-    max_iter: int = 20
-    stop_tol: float = 1e-12
     kind: str = "fibering"
     dim: int = 2
 
@@ -141,8 +135,7 @@ class FiberingStep:
     divergence_defect: float
 
 
-def fibering_step(phase, r, delta, N_field=None, N_pull=None,
-                  constants=DEFAULT_CONSTANTS):
+def fibering_step(phase, r, delta):
     """One volume-preserving sweep reducing the transverse part of h.
 
     Builds the divergence-free field whose first component cancels the
@@ -154,7 +147,7 @@ def fibering_step(phase, r, delta, N_field=None, N_pull=None,
     while the pulled-back phase is resolved at roughly twice the state
     degree before truncating back.
     """
-    h = phase.h if isinstance(phase, FiberingPhase) else phase
+    h = phase.h
     n = h.n
     if n < 2:
         raise ValueError("a fibering step needs at least two angles")
@@ -164,14 +157,12 @@ def fibering_step(phase, r, delta, N_field=None, N_pull=None,
     b = transverse_bound(h, r)
     if B > 0.5:
         raise HypothesisViolation("(p4)", f"B_r = {B:.3e} exceeds 1/2")
-    b_max = r * r * delta * delta / (n * constants.c2)
+    b_max = r * r * delta * delta / (n * C2)
     if b > b_max:
         raise HypothesisViolation(
-            "(b)", f"b_r = {b:.3e} exceeds r^2 delta^2/(n c2) = {b_max:.3e}")
-    if N_field is None:
-        N_field = h.N + 4
-    if N_pull is None:
-        N_pull = 2 * h.N + 4
+            "(b)", f"b_r = {b:.3e} exceeds r^2 delta^2/(n C2) = {b_max:.3e}")
+    N_field = h.N + 4
+    N_pull = 2 * h.N + 4
 
     parts = h.triangular_split()
     denom = PeriodicSeries.constant(n, h.N, 1.0) + parts[1].derivative(0)
@@ -207,21 +198,20 @@ class FiberingResult:
     lemma42_first_fail: int    # -1 when the invariant held throughout
 
 
-def fibering_normalize(phase, schedule, eps=EPS_SMALLH, N_field=None,
-                       N_pull=None, constants=DEFAULT_CONSTANTS, N_comp=None,
-                       verify_grid=48):
-    """Iterate fibering steps until the transverse mass drops below stop_tol.
+def fibering_normalize(phase, schedule, eps=EPS_SMALLH):
+    """Iterate fibering steps until the transverse mass drops to STOP_TOL.
 
     Entry hypothesis: ||h||_{r0} <= eps r0^3 in the coefficient norm.  On
     success returns the stage chain, its collapsed lift, the normalized
     one-variable phase k with zero mean, the per-step trace, and the grid
     residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
-    sup |det D Phi - 1|.
+    sup |det D Phi - 1| on VERIFY_GRID points per axis.
 
-    Schedule exhaustion returns a non-converged result (with trace); a step
-    refusal mid-run raises, with the partial trace attached to the error.
+    Schedule exhaustion (MAX_ITER steps) returns a non-converged result
+    with its trace; a step refusal mid-run raises, with the partial trace
+    attached to the error.
     """
-    h0 = phase.h if isinstance(phase, FiberingPhase) else phase
+    h0 = phase.h
     n = h0.n
     r0 = schedule.r0
     h_norm = h0.coeff_norm(r0)
@@ -236,28 +226,26 @@ def fibering_normalize(phase, schedule, eps=EPS_SMALLH, N_field=None,
     converged = False
     lemma42_first_fail = -1
     iterations = 0
-    for m in range(schedule.max_iter + 1):
+    for m in range(MAX_ITER + 1):
         r_m = schedule.radius(m)
         d_m = schedule.delta(m)
         b_m = transverse_bound(state, r_m)
         B_m = leading_bound(state, r_m)
-        if lemma42_first_fail < 0 and b_m > r_m ** 3 * d_m ** 3 / constants.c6:
+        if lemma42_first_fail < 0 and b_m > r_m ** 3 * d_m ** 3 / C6:
             lemma42_first_fail = m
             warnings.warn(
-                f"schedule invariant b_m <= r_m^3 delta_m^3/c6 fails at m={m} "
+                f"schedule invariant b_m <= r_m^3 delta_m^3/C6 fails at m={m} "
                 f"(b={b_m:.3e}); continuing on fitted-constant gates",
                 RuntimeWarning, stacklevel=2)
-        if b_m <= schedule.stop_tol:
+        if b_m <= STOP_TOL:
             trace.append(TraceRow(m, r_m, d_m, b_m, B_m, 0.0))
             converged = True
             break
-        if m == schedule.max_iter:
+        if m == MAX_ITER:
             trace.append(TraceRow(m, r_m, d_m, b_m, B_m, 0.0))
             break
         try:
-            step = fibering_step(FiberingPhase(state), r_m, d_m,
-                                 N_field=N_field, N_pull=N_pull,
-                                 constants=constants)
+            step = fibering_step(FiberingPhase(state), r_m, d_m)
         except HypothesisViolation as err:
             err.trace = trace
             raise
@@ -270,18 +258,16 @@ def fibering_normalize(phase, schedule, eps=EPS_SMALLH, N_field=None,
 
     parts = state.triangular_split()
     k_nd = parts[0] + parts[1]
-    k_line = extract_axis_line(k_nd, axis=0)
+    k_line = extract_axis_line(k_nd)
     a = -k_line.mean().real
     k = (translate(k_line, [a]) + a).symmetrized()
     shift = np.zeros(n)
     shift[0] = a
     stages = [TorusMapLift.translation(n, shift)] + stage_maps[::-1]
     chain = MapChain(stages)
-    if N_comp is None:
-        N_comp = max(h0.N + 6, 10)
-    composite = chain.to_single(N_comp)
+    composite = chain.to_single(max(h0.N + 6, 10))
 
-    pts = theta_grid(n, verify_grid)
+    pts = theta_grid(n, VERIFY_GRID)
     moved = chain.apply(pts)
     mu = moved[:, 0] + h0.eval_points(moved)
     target = pts[:, 0] + k.eval_points(pts[:, :1])
@@ -292,25 +278,25 @@ def fibering_normalize(phase, schedule, eps=EPS_SMALLH, N_field=None,
                           converged, iterations, lemma42_first_fail)
 
 
-def phase_profile_distance(k, k_hat, allow_half_turn=False, M=4096,
-                           mean_tol=1e-10):
+def phase_profile_distance(k, k_hat, allow_half_turn=False):
     """Sup-grid distance between two one-variable phase profiles.
 
     Minimizes over the allowed reparametrizations: no shift, or additionally
     the half-turn theta_1 -> theta_1 + pi when `allow_half_turn` is set.
-    Both profiles must have zero mean.
+    Both profiles must have zero mean; the distance is sampled on
+    PROFILE_GRID points.
     """
     for name, s in (("k", k), ("k_hat", k_hat)):
         if s.n != 1:
             raise ValueError(f"{name} must be a one-dimensional series")
-        if abs(s.mean()) > mean_tol:
+        if abs(s.mean()) > PROFILE_MEAN_TOL:
             raise ValueError(f"{name} must have zero mean, got {s.mean():.3e}")
     N = max(k.N, k_hat.N)
     k, k_hat = k.pad_to(N), k_hat.pad_to(N)
-    base = k.eval_real_grid(M)
+    base = k.eval_real_grid(PROFILE_GRID)
     shifts = [0.0, np.pi] if allow_half_turn else [0.0]
     best = np.inf
     for s in shifts:
-        shifted = translate(k_hat, [s]).eval_real_grid(M)
+        shifted = translate(k_hat, [s]).eval_real_grid(PROFILE_GRID)
         best = min(best, float(np.max(np.abs(shifted - base))))
     return best

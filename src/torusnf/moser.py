@@ -31,8 +31,8 @@ class VolumeDensity:
         if not self.b.real:
             raise ValueError("volume density perturbation must be real on R^n")
 
-    def min_on_grid(self, M=None):
-        M = M or max(grid_size(self.b.N), 16)
+    def min_on_grid(self):
+        M = max(grid_size(self.b.N), 16)
         vals = 1.0 + self.b.eval_real_grid(M).real
         return float(np.min(vals))
 
@@ -58,8 +58,6 @@ def moser_normalize(density, r, N_out=None):
     the grid residual of that identity, and the coefficient norm of the
     perturbation (which obeys ||f||_r <= 8 pi ||b||_r).
     """
-    if isinstance(density, PeriodicSeries):
-        density = VolumeDensity(density)
     b = density.b
     n = b.n
     if not 0.0 < r < 1.0:

@@ -21,7 +21,13 @@ import numpy as np
 
 from .curves import CurveImmersion, embedding_check, gauss_degree
 from .errors import HypothesisViolation, NumericalFailure
-from .fibering import EPS_SMALLH, FiberingPhase, KamSchedule, fibering_normalize
+from .fibering import (
+    EPS_SMALLH,
+    VERIFY_GRID,
+    FiberingPhase,
+    KamSchedule,
+    fibering_normalize,
+)
 from .flows import MapChain, TorusMapLift, invert_map
 from .moser import VolumeDensity, moser_normalize
 from .realization import AnnulusFunction
@@ -35,6 +41,13 @@ from .series import (
 )
 
 CHOP_FLOOR = 1e-15
+EPS0 = 0.2         # entry gate (f-id): ||phi - Id||_r0 <= EPS0 r0^4
+# Every stage residual of the normalization, the closure defect of a normal
+# form and the normal-form embedding check must land at or below STAGE_TOL.
+STAGE_TOL = 1e-8
+FIB_DEGREE = 16    # the transported phase is truncated to this degree
+CLOSURE_MAX_ITER = 30  # damped Newton steps of the closure correction
+CLOSURE_TOL = 1e-13    # closure integral at which the correction stops
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +97,7 @@ def identity_embedding(n, N=1, r0=0.5):
     return TorusEmbedding(tuple(comps), r0)
 
 
-def jacobian_density(emb, N_out=None):
+def jacobian_density(emb):
     """det of the embedding Jacobian minus one, as Laurent data.
 
     The derivative entries are exact coefficient operations; the determinant
@@ -94,9 +107,7 @@ def jacobian_density(emb, N_out=None):
     """
     n = emb.n
     N_exact = n * (emb.N + 1)
-    if N_out is None:
-        N_out = N_exact
-    M = grid_size(min(N_out, N_exact), N_exact)
+    M = grid_size(N_exact)
     mat = np.empty((M ** n, n, n), dtype=complex)
     for j in range(n):
         for l in range(n):
@@ -106,8 +117,7 @@ def jacobian_density(emb, N_out=None):
     if float(np.min(np.abs(det))) <= 1e-12:
         raise NumericalFailure(
             "Jacobian determinant vanishes on the torus grid: not totally real")
-    a = series_from_real_grid((det - 1.0).reshape((M,) * n),
-                              min(N_out, N_exact))
+    a = series_from_real_grid((det - 1.0).reshape((M,) * n), N_exact)
     return AnnulusFunction(a.chop(CHOP_FLOOR))
 
 
@@ -118,7 +128,7 @@ class PolarSplit:
     residual: float           # sup |(1+b) e^{ih} - (1+a)| on the grid
 
 
-def modulus_phase_split(a, N_out=None):
+def modulus_phase_split(a):
     """Factor 1 + a into positive modulus and real phase on the real torus.
 
     Requires |a| < 1/2 on the grid so the principal branch is unambiguous;
@@ -127,9 +137,8 @@ def modulus_phase_split(a, N_out=None):
     """
     a = AnnulusFunction(a)
     n = a.n
-    if N_out is None:
-        N_out = a.N + 8
-    M = grid_size(max(N_out, a.N))
+    N_out = a.N + 8
+    M = grid_size(N_out)
     vals = a.series.eval_real_grid(M)
     worst = float(np.max(np.abs(vals)))
     if worst >= 0.5:
@@ -174,34 +183,33 @@ class InvariantReport:
                   "identity embedding")
 
 
-def normalize_embedding(emb, eps0=0.2, stage_tol=1e-8, fib_degree=16,
-                        max_iter=20, stop_tol=1e-12, N_comp=None,
-                        verify_grid=48, eps_fibering=None):
+def normalize_embedding(emb):
     """Run the full normalization and assemble the invariant report.
 
     Stage order: Jacobian density, modulus/phase factorization, the integer
     shear that concentrates the phase on the first angle, volume
     normalization of the modulus, phase transport through the inverse volume
     map, and the volume-preserving phase iteration.  Each stage must land
-    under `stage_tol` before the next runs.  Both off-grid residual
+    under STAGE_TOL before the next runs.  Both off-grid residual
     witnesses, of the phase iteration and of the normal form, sample
-    `verify_grid` points per axis.
+    VERIFY_GRID points per axis.  Raises NumericalFailure when the phase
+    iteration exhausts its schedule.
     """
     n = emb.n
     if n < 2:
         raise ValueError("the normal form machinery needs n >= 2")
     r0 = emb.r0
     close = emb.closeness()
-    if close > eps0 * r0 ** 4:
+    if close > EPS0 * r0 ** 4:
         raise HypothesisViolation(
             "(f-id)", f"||phi - Id||_r0 = {close:.3e} exceeds "
-            f"eps0 r0^4 = {eps0 * r0 ** 4:.3e}")
+            f"EPS0 r0^4 = {EPS0 * r0 ** 4:.3e}")
 
     a = jacobian_density(emb)
     r = r0 / 2.0
     density_norm = a.norm(r)
     split = modulus_phase_split(a)
-    _stage_gate("modulus/phase factorization", split.residual, stage_tol)
+    _stage_gate("modulus/phase factorization", split.residual)
 
     shear = shear_lift(n)
     A_inv = np.linalg.inv(shear.D).astype(int)
@@ -209,29 +217,24 @@ def normalize_embedding(emb, eps0=0.2, stage_tol=1e-8, fib_degree=16,
     h2 = pull_back_linear(split.phase, A_inv)
 
     moser = moser_normalize(VolumeDensity(b2), r, N_out=b2.N + 4)
-    _stage_gate("volume normalization", moser.residual, stage_tol)
+    _stage_gate("volume normalization", moser.residual)
     rho0 = 1.0 + moser.mean
     inv1 = invert_map(moser.map, r, N_out=moser.map.N + 4)
-    _stage_gate("volume map inversion", inv1.residual, stage_tol)
+    _stage_gate("volume map inversion", inv1.residual)
 
     h2s = h2.pad_to(max(h2.N, moser.map.N))
     carried = h2s - moser.map.parts[0].pad_to(h2s.N)
     h3 = inv1.map.pullback(carried, N_out=carried.N + 4)
     h3 = h3.symmetrized().chop(CHOP_FLOOR)
-    if h3.N > fib_degree:
-        h3 = h3.truncate(fib_degree)
+    if h3.N > FIB_DEGREE:
+        h3 = h3.truncate(FIB_DEGREE)
 
-    r_fib = r
-    if eps_fibering is None:
-        # staged gates replace the single unquantified entry threshold:
-        # admit the actual input with margin, then rely on the per-step
-        # admissibility checks and the a-posteriori residuals
-        eps_fibering = max(EPS_SMALLH,
-                           2.0 * h3.coeff_norm(r_fib) / r_fib ** 3)
-    fib = fibering_normalize(
-        FiberingPhase(h3), KamSchedule(r_fib, max_iter=max_iter,
-                                       stop_tol=stop_tol),
-        eps=eps_fibering, verify_grid=verify_grid)
+    # staged gates replace the single unquantified entry threshold: admit
+    # the actual input with margin, then rely on the per-step admissibility
+    # checks and the a-posteriori residuals
+    eps_fibering = max(EPS_SMALLH, 2.0 * h3.coeff_norm(r) / r ** 3)
+    fib = fibering_normalize(FiberingPhase(h3), KamSchedule(r),
+                             eps=eps_fibering)
     if not fib.converged:
         raise NumericalFailure(
             "phase normalization exhausted its schedule; trace attached")
@@ -241,11 +244,9 @@ def normalize_embedding(emb, eps0=0.2, stage_tol=1e-8, fib_degree=16,
     unshear = TorusMapLift(A_inv, shear.parts)
     stages = [shear] + list(fib.chain.stages) + [inv1.map, unshear]
     chain = MapChain(stages)
-    if N_comp is None:
-        N_comp = max(fib.composite.N, moser.map.N + 4, 12)
-    normalizer = chain.to_single(N_comp)
+    normalizer = chain.to_single(max(fib.composite.N, moser.map.N + 4, 12))
 
-    phase_residual = _normal_form_residual(a, chain, k, rho0, n, verify_grid)
+    phase_residual = _normal_form_residual(a, chain, k, rho0, n)
     return InvariantReport(
         rho0=rho0, k=k, normalizer=normalizer, chain=chain, g=g,
         phase_residual=phase_residual, volume_residual=fib.det_residual,
@@ -257,19 +258,19 @@ def normalize_embedding(emb, eps0=0.2, stage_tol=1e-8, fib_degree=16,
         fibering_converged=fib.converged, fibering_trace=fib.trace)
 
 
-def _stage_gate(stage, residual, stage_tol):
-    if residual > stage_tol:
+def _stage_gate(stage, residual):
+    if residual > STAGE_TOL:
         raise NumericalFailure(
-            f"{stage} residual {residual:.3e} above {stage_tol:.1e}")
+            f"{stage} residual {residual:.3e} above {STAGE_TOL:.1e}")
 
 
-def _normal_form_residual(a, chain, k, rho0, n, M):
+def _normal_form_residual(a, chain, k, rho0, n):
     """sup over the real grid of the defining identity of the normal form:
 
     (1 + a(pi(Phi theta))) e^{i sum Phi_j} det D Phi
         = rho0 e^{i (sum theta_j + k(sum theta_j))}.
     """
-    pts = theta_grid(n, M)
+    pts = theta_grid(n, VERIFY_GRID)
     moved = chain.apply(pts)
     det = chain.jacobian_det(pts)
     lhs = (1.0 + a.series.eval_points(moved)) \
@@ -279,7 +280,7 @@ def _normal_form_residual(a, chain, k, rho0, n, M):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def exactness_correct(k, max_iter=30, tol=1e-13, M=None):
+def exactness_correct(k):
     """Adjust a zero-mean profile so e^{i(t + k(t))} integrates to zero.
 
     Adds a small first-harmonic correction alpha cos t + beta sin t and
@@ -289,8 +290,7 @@ def exactness_correct(k, max_iter=30, tol=1e-13, M=None):
     """
     if k.n != 1:
         raise ValueError("expected a one-dimensional profile")
-    if M is None:
-        M = max(16 * (k.N + 1), 64)
+    M = max(16 * (k.N + 1), 64)
     t = 2.0 * np.pi * np.arange(M) / M
     kv = k.eval_real_grid(M).real
     ct, st = np.cos(t), np.sin(t)
@@ -300,9 +300,9 @@ def exactness_correct(k, max_iter=30, tol=1e-13, M=None):
         return np.mean(w), w
 
     alpha = beta = 0.0
-    for _ in range(max_iter):
+    for _ in range(CLOSURE_MAX_ITER):
         c0, w = closure(alpha, beta)
-        if abs(c0) <= tol:
+        if abs(c0) <= CLOSURE_TOL:
             break
         da = np.mean(1j * ct * w)
         db = np.mean(1j * st * w)
@@ -318,9 +318,8 @@ def exactness_correct(k, max_iter=30, tol=1e-13, M=None):
     return (k + corr.pad_to(k.N)).symmetrized()
 
 
-def _profile_velocity(k, rho0, N_out=None):
-    if N_out is None:
-        N_out = max(2 * k.N + 8, 24)
+def _profile_velocity(k, rho0):
+    N_out = max(2 * k.N + 8, 24)
     M = grid_size(N_out)
     t = 2.0 * np.pi * np.arange(M) / M
     kv = k.eval_real_grid(M).real
@@ -331,16 +330,16 @@ def _profile_velocity(k, rho0, N_out=None):
     return series_from_real_grid(rho0 * np.exp(1j * (t + kv)), N_out)
 
 
-def closure_defect(k, rho0=1.0, N_out=None):
+def closure_defect(k, rho0=1.0):
     """|integral over a turn of rho0 e^{i(t + k(t))}| = 2 pi |velocity mean|."""
-    return 2.0 * np.pi * abs(_profile_velocity(k, rho0, N_out).mean())
+    return 2.0 * np.pi * abs(_profile_velocity(k, rho0).mean())
 
 
-def normal_form_curve(k, rho0, N_out=None, defect_tol=1e-8):
+def normal_form_curve(k, rho0):
     """The generating curve with velocity rho0 e^{i(t + k(t))} (zero mean).
 
     Refuses when the closure integral of the velocity over a turn is above
-    tolerance (reported as 2 pi times the mean defect), or when the profile
+    2 pi STAGE_TOL (reported as 2 pi times the mean defect), or when the profile
     fails 1 + k' > 0, which would make the normal form critical.
     """
     if k.n != 1:
@@ -349,15 +348,15 @@ def normal_form_curve(k, rho0, N_out=None, defect_tol=1e-8):
         raise ValueError(f"profile must have zero mean, got {k.mean():.3e}")
     if rho0 <= 0.0:
         raise ValueError("the amplitude must be positive")
-    defect = closure_defect(k, rho0, N_out)
-    if defect > 2.0 * np.pi * defect_tol:
+    defect = closure_defect(k, rho0)
+    if defect > 2.0 * np.pi * STAGE_TOL:
         raise HypothesisViolation(
             "(exact)", f"velocity closure defect {defect:.6e} "
             "(integral over a turn); correct the profile first")
-    return curve_from_profile(k, rho0, N_out), defect
+    return curve_from_profile(k, rho0), defect
 
 
-def curve_from_profile(k, rho0, N_out=None):
+def curve_from_profile(k, rho0):
     """A closed non-critical curve from a possibly non-exact profile.
 
     Subtracts the velocity mean before integrating, so any small profile
@@ -368,7 +367,7 @@ def curve_from_profile(k, rho0, N_out=None):
     curve is chopped at CHOP_FLOOR, so that its round-off coefficients cannot
     dominate the weighted (f-id) closeness of the embedding.
     """
-    vel = _profile_velocity(k, rho0, N_out)
+    vel = _profile_velocity(k, rho0)
     vel = vel - vel.mean()
     curve = CurveImmersion(vel.antiderivative(0).chop(CHOP_FLOOR))
     if gauss_degree(curve) != 1:
@@ -376,13 +375,13 @@ def curve_from_profile(k, rho0, N_out=None):
     return curve
 
 
-def normal_form_embedding(g, n, r0=0.5, check_tol=1e-8):
+def normal_form_embedding(g, n, r0=0.5):
     """The model embedding built from a generating curve.
 
     First component i g(z_1 ... z_n) / (z_2 ... z_n), remaining components
     the coordinates themselves; the absorbed factor i makes the round curve
     correspond to the identity.  Verifies on a grid that the Jacobian
-    determinant matches the curve velocity data.
+    determinant matches the curve velocity data to STAGE_TOL.
     """
     if n < 2:
         raise ValueError("the normal form embedding needs n >= 2")
@@ -412,7 +411,7 @@ def normal_form_embedding(g, n, r0=0.5, check_tol=1e-8):
     det = first.z_derivative(0).series.eval_points(pts)
     target = np.exp(-1j * s) * line.derivative(0).eval_points(s[:, None])
     worst = float(np.max(np.abs(det - target)))
-    if worst > check_tol:
+    if worst > STAGE_TOL:
         raise NumericalFailure(
             f"normal form embedding verification failed at {worst:.3e}")
     return emb
@@ -422,7 +421,7 @@ def normal_form_embedding(g, n, r0=0.5, check_tol=1e-8):
 # test conjugations
 
 
-def precompose_torus_map(emb, lift, N_out=None):
+def precompose_torus_map(emb, lift):
     """Reparametrize the embedding by a real near-identity torus self-map.
 
     The image submanifold is unchanged, so the invariant pair must be
@@ -430,18 +429,13 @@ def precompose_torus_map(emb, lift, N_out=None):
     """
     if not lift.real:
         raise ValueError("reparametrizations must be real torus maps")
-    comps = []
-    for c in emb.components:
-        if N_out is None:
-            N_here = c.N + lift.N + 4
-        else:
-            N_here = N_out
-        comps.append(AnnulusFunction(lift.pullback(
-            c.series, N_out=max(N_here, c.N)).chop(CHOP_FLOOR)))
+    comps = [AnnulusFunction(lift.pullback(
+        c.series, N_out=c.N + lift.N + 4).chop(CHOP_FLOOR))
+        for c in emb.components]
     return TorusEmbedding(tuple(comps), emb.r0)
 
 
-def postcompose_monomial_shear(emb, target, exponents, eps, N_out=None):
+def postcompose_monomial_shear(emb, target, exponents, eps):
     """Apply the ambient unimodular shear w_target += eps prod w_j^{m_j}.
 
     The exponent map must not involve the target coordinate, which makes the
@@ -452,8 +446,7 @@ def postcompose_monomial_shear(emb, target, exponents, eps, N_out=None):
     if target in exponents:
         raise ValueError("a shear cannot feed a coordinate into itself")
     n = emb.n
-    if N_out is None:
-        N_out = emb.N * max(1, sum(abs(m) for m in exponents.values())) + 4
+    N_out = emb.N * max(1, sum(abs(m) for m in exponents.values())) + 4
     M = grid_size(N_out)
     vals = np.ones((M ** n,), dtype=complex)
     z = np.exp(1j * theta_grid(n, M))

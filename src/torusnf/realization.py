@@ -16,10 +16,18 @@ import warnings
 import numpy as np
 
 from .errors import HypothesisViolation
-from .fibering import KamSchedule, KamTrace
-from .flows import MapChain, PeriodicVectorField, TorusMapLift, flow, invert_map
+from .fibering import MAX_ITER, STOP_TOL, KamSchedule, KamTrace
+from .flows import (
+    DIV_FREE_TOL,
+    MapChain,
+    PeriodicVectorField,
+    TorusMapLift,
+    flow,
+    invert_map,
+)
 from .series import (
     PeriodicSeries,
+    eval_many,
     grid_size,
     series_from_real_grid,
     theta_grid,
@@ -27,22 +35,11 @@ from .series import (
 
 MEAN_MONOMIAL_TOL = 1e-12
 EPS_SMALLA = 1e-3  # default constant in the entry hypothesis ||a||_r0 <= eps r0
-
-
-@dataclasses.dataclass(frozen=True)
-class RealizationConstants:
-    """Fitted admissibility constants for the annulus iteration.
-
-    The step gate keeps the shape ||a||_r <= r delta^2 / c_f4 of the
-    worst-case estimate but with a fitted constant; the flow invoked by the
-    step re-checks its own bound (z1) on the actual conjugated field, which
-    is the condition the construction genuinely needs.
-    """
-
-    c_f4: float = 0.05
-
-
-DEFAULT_REAL_CONSTANTS = RealizationConstants()
+# The step gate keeps the shape ||a||_r <= r delta^2 / C_F4 of the worst-case
+# estimate but with a fitted constant; the flow invoked by the step re-checks
+# its own bound (z1) on the actual conjugated field, which is the condition
+# the construction genuinely needs.
+C_F4 = 0.05
 
 
 class AnnulusFunction:
@@ -219,28 +216,20 @@ class AnnulusMap:
     def log_norm(self, r):
         return max(lg.series.coeff_norm(r) for lg in self.log_g)
 
+    # Both evaluate the torus lift theta + f at theta = -i log z from f itself,
+    # since the image theta + f would round f off at the scale of theta.
     def apply_z(self, zpts):
+        """z' = e^{i (theta + f)} = z e^{i f}."""
         zpts = np.asarray(zpts, dtype=complex)
-        theta = -1j * np.log(zpts)
-        vals = np.stack([lg.series.eval_points(theta) for lg in self.log_g],
-                        axis=-1)
-        return zpts * np.exp(vals)
+        f = eval_many(self.to_torus_lift().parts, -1j * np.log(zpts))
+        return zpts * np.exp(1j * f.T)
 
     def det_jacobian_z(self, zpts):
-        """det of the z-Jacobian from the stored series (exact derivative)."""
-        zpts = np.asarray(zpts, dtype=complex)
-        theta = -1j * np.log(zpts)
-        m, n = zpts.shape
-        lam = np.stack([lg.series.eval_points(theta) for lg in self.log_g],
-                       axis=-1)
-        mat = np.zeros((m, n, n), dtype=complex)
-        for j in range(n):
-            for l in range(n):
-                d = self.log_g[j].z_derivative(l)
-                mat[:, j, l] = zpts[:, j] * d.eval_z(zpts)
-                if j == l:
-                    mat[:, j, l] += 1.0
-        return np.exp(lam.sum(axis=1)) * np.linalg.det(mat)
+        """det D_z = e^{i sum_j f_j} det(I + grad f)."""
+        theta = -1j * np.log(np.asarray(zpts, dtype=complex))
+        lift = self.to_torus_lift()
+        f = eval_many(lift.parts, theta)
+        return np.exp(1j * f.sum(axis=0)) * np.linalg.det(lift.jacobian(theta))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -252,8 +241,7 @@ class RealizationStep:
     log_g_norm: float
 
 
-def realization_step(a, r, delta, N_field=None, N_pull=None,
-                     constants=DEFAULT_REAL_CONSTANTS, warn_f5=True):
+def realization_step(a, r, delta, warn_f5=True):
     """One corrective sweep: flow for time -1 along the divergence solution.
 
     Returns the multiplicative map psi and the transported density defect
@@ -264,17 +252,14 @@ def realization_step(a, r, delta, N_field=None, N_pull=None,
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     a_norm = a.norm(r)
-    gate = r * delta * delta / constants.c_f4
+    gate = r * delta * delta / C_F4
     if a_norm > gate:
         raise HypothesisViolation(
-            "(f4)", f"||a||_r = {a_norm:.3e} exceeds r delta^2/c_f4 = {gate:.3e}")
-    if N_field is None:
-        N_field = a.N + 1
-    if N_pull is None:
-        N_pull = 2 * a.N + 4
+            "(f4)", f"||a||_r = {a_norm:.3e} exceeds r delta^2/C_F4 = {gate:.3e}")
+    N_pull = 2 * a.N + 4
 
     field = solve_divergence(a).to_theta_field()
-    fr, acc = flow(field, -1.0, r, delta, N_out=max(N_field, field.N),
+    fr, acc = flow(field, -1.0, r, delta, N_out=max(a.N + 1, field.N),
                    line_integrand=a.series)
     psi = AnnulusMap.from_torus_lift(fr.map)
     log_norm = psi.log_norm((1.0 - delta) * r)
@@ -316,13 +301,12 @@ class RealizationResult:
     iterations: int
 
 
-def realize_form(a, r0, schedule=None, eps=EPS_SMALLA,
-                 constants=DEFAULT_REAL_CONSTANTS, N_comp=None,
-                 max_iter=20, stop_tol=1e-12, verify_grid=None):
+def realize_form(a, r0, eps=EPS_SMALLA):
     """Build the near-identity embedding whose volume density is 1 + a.
 
-    Iterates corrective flows until the transported density defect is below
-    stop_tol, then inverts the stage chain with `invert_map` and checks the
+    Iterates corrective flows on the realization schedule until the
+    transported density defect is at or below STOP_TOL, or MAX_ITER steps
+    are taken, then inverts the stage chain with `invert_map` and checks the
     round trip on the torus and on the shells Im theta = +-r0/8, which lie
     inside the half-width strip of r0/2 where the inversion gate (nf) is
     taken.  Entry hypotheses: the all-(-1) monomial of `a` vanishes and
@@ -339,29 +323,26 @@ def realize_form(a, r0, schedule=None, eps=EPS_SMALLA,
         raise HypothesisViolation(
             "(smalla)",
             f"||a||_r0 = {a_norm:.3e} exceeds eps r0 = {eps * r0:.3e}")
-    if schedule is None:
-        schedule = KamSchedule(r0, max_iter=max_iter, stop_tol=stop_tol,
-                               kind="realization", dim=n)
+    schedule = KamSchedule(r0, kind="realization", dim=n)
 
     state = a0
     stage_maps = []
     trace = KamTrace(rows=[])
     converged = False
     iterations = 0
-    for m in range(schedule.max_iter + 1):
+    for m in range(MAX_ITER + 1):
         r_m = schedule.radius(m)
         d_m = schedule.delta(m)
         a_m = state.norm(r_m)
-        if a_m <= schedule.stop_tol:
+        if a_m <= STOP_TOL:
             trace.append(RealizationTraceRow(m, r_m, d_m, a_m, 0.0))
             converged = True
             break
-        if m == schedule.max_iter:
+        if m == MAX_ITER:
             trace.append(RealizationTraceRow(m, r_m, d_m, a_m, 0.0))
             break
         try:
-            step = realization_step(state, r_m, d_m, constants=constants,
-                                    warn_f5=(m == 0))
+            step = realization_step(state, r_m, d_m, warn_f5=(m == 0))
         except HypothesisViolation as err:
             err.trace = trace
             raise
@@ -372,8 +353,7 @@ def realize_form(a, r0, schedule=None, eps=EPS_SMALLA,
         trace.append(RealizationTraceRow(m, r_m, d_m, a_m, realized))
         stage_maps.append(step.map.to_torus_lift())
 
-    if N_comp is None:
-        N_comp = max(2 * a0.N + 4, 8)
+    N_comp = max(2 * a0.N + 4, 8)
     if not stage_maps:
         stage_maps = [TorusMapLift.identity(n, 0)]
     chain = MapChain(stage_maps[::-1])
@@ -387,16 +367,15 @@ def realize_form(a, r0, schedule=None, eps=EPS_SMALLA,
         pts = base + 1j * shift
         inverse_residual = max(inverse_residual, float(np.max(np.abs(
             chain.apply(inv.apply(pts)) - pts))))
-    det_residual, min_det, min_phase_gradient = _verify_density(
-        phi, a0, verify_grid)
+    det_residual, min_det, min_phase_gradient = _verify_density(phi, a0)
     return RealizationResult(phi, psi_single, chain, trace, det_residual,
                              inverse_residual, min_det, min_phase_gradient,
                              converged, iterations)
 
 
-def _verify_density(phi, a0, verify_grid=None):
+def _verify_density(phi, a0):
     n = a0.n
-    M = verify_grid or max(4 * (phi.log_g[0].N + 1), 32)
+    M = max(4 * (phi.log_g[0].N + 1), 32)
     z = np.exp(1j * theta_grid(n, M))
     det = phi.det_jacobian_z(z)
     target = 1.0 + a0.eval_z(z)
@@ -426,11 +405,10 @@ def hamiltonian_field(H):
     return HoloVectorField((H.z_derivative(1), -1.0 * H.z_derivative(0)))
 
 
-def unimodular_flow_map(field, r, delta, N_out=None, div_tol=1e-10):
+def unimodular_flow_map(field, r, delta, N_out=None):
     """Time-1 annulus map of a divergence-free holomorphic field (det = 1)."""
-    div = field.divergence_z()
-    worst = div.series.coeff_norm(r)
-    if worst > div_tol:
+    worst = field.divergence_z().norm(r)
+    if worst > DIV_FREE_TOL:
         raise ValueError(f"field divergence {worst:.3e} is not negligible")
     theta_field = field.to_theta_field()
     fr = flow(theta_field, 1.0, r, delta,

@@ -26,6 +26,8 @@ REAL_TOL = 1e-12
 
 # Oversampling factor for grid-based products, quotients and compositions.
 GRID_MULT = 2
+# A quotient is refused where the denominator's modulus drops below MIN_DEN.
+MIN_DEN = 1e-8
 # Points per block of off-grid evaluation, which bounds the memory of the
 # per-block phase matrices and partial sums.
 EVAL_CHUNK = 4096
@@ -454,11 +456,11 @@ def multiply(a, b, N_out=None):
     return prod.truncate(N_out)
 
 
-def divide(num, den, N_out=None, min_den=1e-8):
+def divide(num, den, N_out=None):
     """Quotient via grid evaluation and re-expansion.
 
     The denominator must stay away from zero on the real grid (its modulus
-    is checked against `min_den`).  Truncation mass is recorded on the
+    is checked against MIN_DEN).  Truncation mass is recorded on the
     result.
     """
     if num.n != den.n:
@@ -468,9 +470,9 @@ def divide(num, den, N_out=None, min_den=1e-8):
     M = grid_size(N_out, num.N, den.N)
     dv = den.eval_real_grid(M)
     worst = float(np.min(np.abs(dv)))
-    if worst < min_den:
+    if worst < MIN_DEN:
         raise NumericalFailure(
-            f"denominator modulus {worst:.3e} below {min_den:.1e} on grid")
+            f"denominator modulus {worst:.3e} below {MIN_DEN:.1e} on grid")
     nv = num.eval_real_grid(M)
     return series_from_real_grid(nv / dv, N_out, real=num.real and den.real)
 
@@ -515,20 +517,9 @@ def pull_back_linear(h, A, N_out=None):
     return PeriodicSeries(c, real=h.real, trunc_mass=h.trunc_mass)
 
 
-def extract_axis_line(h, axis=0, off_line_tol=None):
-    """Collapse a series supported on one axis to a one-dimensional series.
-
-    With `off_line_tol` set, refuses when the coefficients away from the
-    axis line carry more than that much total mass.
-    """
-    idx = [h.N] * h.n
-    idx[axis] = slice(None)
-    line = np.array(h.coeffs[tuple(idx)])
-    if off_line_tol is not None:
-        off = float(np.abs(h.coeffs).sum() - np.abs(line).sum())
-        if off > off_line_tol:
-            raise ValueError(f"series is not supported on axis {axis}: "
-                             f"off-line mass {off:.3e}")
+def extract_axis_line(h):
+    """The terms of h with k_2 = ... = k_n = 0, as a series in theta_1."""
+    line = np.array(h.coeffs[(slice(None),) + (h.N,) * (h.n - 1)])
     return PeriodicSeries(line, real=h.real, trunc_mass=h.trunc_mass)
 
 

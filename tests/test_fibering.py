@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from torusnf import fibering
 from torusnf.errors import HypothesisViolation
 from torusnf.fibering import (
+    STOP_TOL,
     FiberingPhase,
     KamSchedule,
     fibering_normalize,
@@ -136,6 +138,17 @@ class TestNormalize:
         assert res.det_residual <= 1e-8
         bs = [row.b for row in res.trace.rows if row.b > 0]
         assert all(b2 < b1 for b1, b2 in zip(bs[1:], bs[2:]))  # after first step
+
+    def test_exhausted_schedule_is_not_converged(self, monkeypatch):
+        # the random admissible phase needs two steps; allow only one
+        monkeypatch.setattr(fibering, "MAX_ITER", 1)
+        h = admissible_phase(np.random.default_rng(53))
+        with pytest.warns(RuntimeWarning):
+            res = fibering_normalize(FiberingPhase(h), KamSchedule(0.5))
+        assert not res.converged
+        assert res.iterations == 1
+        assert [row.m for row in res.trace.rows] == [0, 1]
+        assert res.trace.rows[-1].b > STOP_TOL
 
     def test_uniqueness_under_volume_preserving_conjugation(self):
         rng = np.random.default_rng(54)

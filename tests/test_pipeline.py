@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from torusnf import fibering
 from torusnf.curves import gauss_degree
-from torusnf.errors import HypothesisViolation
+from torusnf.errors import HypothesisViolation, NumericalFailure
 from torusnf.fibering import phase_profile_distance
-from torusnf.flows import flow
+from torusnf.flows import TorusMapLift, flow
 from torusnf.pipeline import (
     TorusEmbedding,
     closure_defect,
@@ -267,6 +268,17 @@ class TestNormalizeEmbedding:
                               a2.series.pad_to(a1.N)) < 1e-12
         rep2 = normalize_embedding(emb2)
         assert phase_profile_distance(rep.k, rep2.k) <= 1e-8
+
+    def test_refuses_exhausted_phase_schedule(self, monkeypatch):
+        # a volume-changing reparametrization needs two phase steps
+        monkeypatch.setattr(fibering, "MAX_ITER", 1)
+        rng = np.random.default_rng(84)
+        emb, _ = seeded_embedding(1e-3)
+        parts = [2e-5 * random_series(rng, 2, 3), 2e-5 * random_series(rng, 2, 3)]
+        emb2 = precompose_torus_map(
+            emb, TorusMapLift(np.eye(2, dtype=int), parts))
+        with pytest.raises(NumericalFailure, match="exhausted"):
+            normalize_embedding(emb2)
 
     def test_refuses_far_from_identity(self):
         comps = (AnnulusFunction.from_terms(2, 1, {(1, 0): 1.0, (0, 0): 0.4}),

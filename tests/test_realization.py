@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusnf import realization
 from torusnf.errors import HypothesisViolation
 from torusnf.realization import (
     AnnulusFunction,
@@ -184,6 +185,17 @@ class TestRealizeForm:
         assert res.inverse_residual <= 1e-9
         decays = [row.residual for row in res.trace.rows if row.residual > 0]
         assert all(c <= 1e3 for c in decays)
+
+    def test_exhausted_schedule_is_not_converged(self, monkeypatch):
+        # the random density needs two corrective steps; allow only one
+        monkeypatch.setattr(realization, "MAX_ITER", 1)
+        rng = np.random.default_rng(66)
+        a = random_annulus_function(rng, 2, 8, 0.5, 1e-4)
+        with pytest.warns(RuntimeWarning):
+            res = realize_form(a, 0.5)
+        assert not res.converged
+        assert res.iterations == 1
+        assert [row.m for row in res.trace.rows] == [0, 1]
 
     def test_refuses_obstructed_density(self):
         a = AnnulusFunction.from_terms(2, 2, {(-1, -1): 1e-3, (1, 0): 1e-3})
