@@ -22,6 +22,7 @@ NONCRITICAL_TOL = 1e-6  # margin of the phase derivative from zero
 HOMOTOPY_GRID = 2048
 EMBED_GRID = 512
 SEPARATION_FRACTION = 0.02  # of a turn, between compared embedding samples
+REPARAM_BISECTIONS = 60  # halvings of the bracket in _invert_circle_reparam
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,7 +113,7 @@ def _phase_deviation(curve, d, M):
     return series_from_real_grid(h_vals.astype(complex), N_h, real=True)
 
 
-def _invert_circle_reparam(h, d, targets, iters=60):
+def _invert_circle_reparam(h, d, targets):
     """Solve x + h(x)/d = target for each target by bisection.
 
     The map is strictly increasing for a non-critical curve (its slope is
@@ -127,7 +128,7 @@ def _invert_circle_reparam(h, d, targets, iters=60):
 
     lo = targets - margin
     hi = targets + margin
-    for _ in range(iters):
+    for _ in range(REPARAM_BISECTIONS):
         mid = 0.5 * (lo + hi)
         too_low = val(mid) < targets
         lo = np.where(too_low, mid, lo)

@@ -11,12 +11,23 @@ time until an order is below round-off.  `TorusMapLift.pullback`,
 `compose_maps` (stage by stage) and `invert_map` all go through it.  Flows
 are Lie series, sum_k t^k/k! L^{k-1} p with L g = sum_i p_i d_i g, every
 product taken on the grid.  `compose_maps` is the one place a composite is
-collapsed and `invert_map` the one fixed-point inverter.  Off-grid point
-evaluation (`apply`, `jacobian`, `MapChain.jacobian_det`) is kept for the
-independent residual witnesses.  A stage's image and Jacobian come from one
-`eval_many` call over its parts and their first derivatives, and `eval_many`
-contracts each series only over the axes it depends on, so the vanishing
-and one-angle parts of a stage cost next to nothing.
+collapsed and `invert_map` the one fixed-point inverter.
+
+`_lift_from_grid` is the one place a computed map is re-expanded, and it
+chops each part by one rule: the smallest coefficients are dropped for as
+long as their summed modulus stays at or below CHOP_FLOOR, and that mass is
+added to the part's `trunc_mass`.  A chopped part therefore differs from its
+re-expansion by at most CHOP_FLOOR anywhere on the real torus, about one ulp
+of an angle near 2 pi, while a map that is round-off (the inverse of an
+identity up to rounding, say) keeps only the few coefficients that carry its
+mass.
+
+Off-grid point evaluation (`apply`, `jacobian`, `MapChain.jacobian_det`) is
+kept for the independent residual witnesses.  A stage's image and Jacobian
+come from one `eval_many` call over its parts and their first derivatives,
+and `eval_many` contracts each series only over the axes it depends on, so
+the vanishing and one-angle parts of a stage, chopped maps included, cost
+next to nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +47,10 @@ from .series import (
     theta_grid,
 )
 
+# A field is divergence-free when its divergence has coefficient norm at or
+# below DIV_FREE_TOL on the strip of half-width DIV_FREE_R.
 DIV_FREE_TOL = 1e-10
+DIV_FREE_R = 0.5
 # A Taylor order or Lie term with grid sup at or below TERM_TOL is round-off
 # next to the angles, and ends the sum; no sum runs past MAX_TERMS, and a Lie
 # series cut there with a last term above FLOW_DEFECT_TOL is refused.
@@ -46,6 +60,8 @@ FLOW_DEFECT_TOL = 1e-8
 # Fixed-point inversion stops once a step is at or below INVERT_TOL.
 INVERT_TOL = 1e-13
 INVERT_MAX_ITER = 200
+# Step of the central differences in `finite_difference_jacobian_det`.
+FD_STEP = 1e-5
 
 
 class PeriodicVectorField:
@@ -84,8 +100,8 @@ class PeriodicVectorField:
             out = out + c.derivative(j)
         return out
 
-    def is_divergence_free(self, r=0.5, tol=DIV_FREE_TOL):
-        return self.divergence().coeff_norm(r) <= tol
+    def is_divergence_free(self):
+        return self.divergence().coeff_norm(DIV_FREE_R) <= DIV_FREE_TOL
 
 
 def _spectral_factors(n, M):
@@ -163,9 +179,16 @@ def _apply_on_grid(stages, M, U=None):
 
 def _lift_from_grid(D, disp, N_out, real):
     """The lift D theta + f(theta), f re-expanded at N_out from the grids
-    `disp`, one per component."""
+    `disp`, one per component.
+
+    Each part is tail-chopped: its smallest coefficients are zeroed while
+    their summed modulus stays at or below CHOP_FLOOR, so the part moves by
+    at most CHOP_FLOOR on the real torus, and the dropped mass is added to
+    its `trunc_mass` next to the aliasing mass of the re-expansion.
+    """
     return TorusMapLift(
-        D, [series_from_real_grid(g, N_out, real=real) for g in disp])
+        D, [series_from_real_grid(g, N_out, real=real).chop_tail()
+            for g in disp])
 
 
 class TorusMapLift:
@@ -469,13 +492,14 @@ def invert_map(phi, r, N_out=None):
     return MapInverse(inv, residual, its)
 
 
-def finite_difference_jacobian_det(apply_fn, pts, h=1e-5):
-    """Central-difference det of an arbitrary point map; test oracle helper."""
+def finite_difference_jacobian_det(apply_fn, pts):
+    """Central-difference det of an arbitrary point map, with step FD_STEP;
+    test oracle helper."""
     pts = np.asarray(pts, dtype=complex)
     m, n = pts.shape
     jac = np.empty((m, n, n), dtype=complex)
     for l in range(n):
         e = np.zeros(n)
-        e[l] = h
-        jac[:, :, l] = (apply_fn(pts + e) - apply_fn(pts - e)) / (2.0 * h)
+        e[l] = FD_STEP
+        jac[:, :, l] = (apply_fn(pts + e) - apply_fn(pts - e)) / (2.0 * FD_STEP)
     return np.linalg.det(jac)

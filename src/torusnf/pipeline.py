@@ -32,6 +32,7 @@ from .flows import MapChain, TorusMapLift, invert_map
 from .moser import VolumeDensity, moser_normalize
 from .realization import AnnulusFunction
 from .series import (
+    CHOP_FLOOR,
     PeriodicSeries,
     grid_size,
     pull_back_linear,
@@ -40,7 +41,6 @@ from .series import (
     translate,
 )
 
-CHOP_FLOOR = 1e-15
 EPS0 = 0.2         # entry gate (f-id): ||phi - Id||_r0 <= EPS0 r0^4
 # Every stage residual of the normalization, the closure defect of a normal
 # form and the normal-form embedding check must land at or below STAGE_TOL.
@@ -100,14 +100,15 @@ def identity_embedding(n, N=1, r0=0.5):
 def jacobian_density(emb):
     """det of the embedding Jacobian minus one, as Laurent data.
 
-    The derivative entries are exact coefficient operations; the determinant
-    is sampled on an alias-free torus grid (its exact Laurent degree is at
-    most n(N+1) per axis) and re-expanded at a content-driven degree with
-    the dropped mass recorded.
+    The derivative entries are exact coefficient operations, so the
+    determinant is a Laurent polynomial of degree at most N_exact = n(N+1)
+    per axis.  It is sampled on the exact alias-free grid of M = 2 N_exact + 1
+    points per axis, which reproduces every coefficient up to round-off, and
+    the re-expansion is chopped at CHOP_FLOOR with the dropped mass recorded.
     """
     n = emb.n
     N_exact = n * (emb.N + 1)
-    M = grid_size(N_exact)
+    M = 2 * N_exact + 1
     mat = np.empty((M ** n, n, n), dtype=complex)
     for j in range(n):
         for l in range(n):
@@ -236,8 +237,10 @@ def normalize_embedding(emb):
     fib = fibering_normalize(FiberingPhase(h3), KamSchedule(r),
                              eps=eps_fibering)
     if not fib.converged:
-        raise NumericalFailure(
+        err = NumericalFailure(
             "phase normalization exhausted its schedule; trace attached")
+        err.trace = fib.trace
+        raise err
     k = fib.k
 
     g, exactness_defect = normal_form_curve(k, rho0)

@@ -133,9 +133,9 @@ def mean_monomial(a):
     return a.coeff((-1,) * a.n)
 
 
-def mean_zero_check(a, tol=MEAN_MONOMIAL_TOL):
+def mean_zero_check(a):
     defect = abs(mean_monomial(a))
-    return defect <= tol, defect
+    return defect <= MEAN_MONOMIAL_TOL, defect
 
 
 @dataclasses.dataclass(frozen=True)

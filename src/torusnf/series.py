@@ -23,6 +23,11 @@ from .errors import HypothesisViolation, NumericalFailure
 # Absolute coefficient tolerances for the mean-zero and reality preconditions.
 MEAN_TOL = 1e-12
 REAL_TOL = 1e-12
+# Round-off floor of computed coefficients: the per-coefficient chop of
+# computed data and the l1 budget of the tail chop of computed maps.
+CHOP_FLOOR = 1e-15
+# Coefficient distance under which `allclose` calls two series equal.
+CLOSE_TOL = 1e-12
 
 # Oversampling factor for grid-based products, quotients and compositions.
 GRID_MULT = 2
@@ -109,9 +114,9 @@ class PeriodicSeries:
         return tuple(j for j in range(self.n)
                      if np.any(np.delete(self.coeffs, self.N, axis=j)))
 
-    def is_real_symmetric(self, tol=REAL_TOL):
+    def is_real_symmetric(self):
         flipped = np.conj(self.coeffs[(slice(None, None, -1),) * self.n])
-        return bool(np.max(np.abs(self.coeffs - flipped)) <= tol)
+        return bool(np.max(np.abs(self.coeffs - flipped)) <= REAL_TOL)
 
     def symmetrized(self):
         """Project onto the real-on-R^n subspace (c_{-k} = conj c_k)."""
@@ -157,6 +162,26 @@ class PeriodicSeries:
         out = PeriodicSeries(kept, real=self.real,
                              trunc_mass=self.trunc_mass + dropped)
         return out.truncate(need)
+
+    def chop_tail(self):
+        """Zero the smallest coefficients for as long as their summed modulus
+        stays at or below CHOP_FLOOR, and record that mass in `trunc_mass`.
+
+        The result differs from the input by at most CHOP_FLOOR anywhere on
+        the real torus.  The degree bound is kept, and so is the conjugate
+        symmetry of a real series: a pair c_k, c_{-k} is dropped together or
+        not at all.
+        """
+        mod = np.abs(self.coeffs)
+        flat = mod.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        drop = np.empty(flat.size, dtype=bool)
+        drop[order] = np.cumsum(flat[order]) <= CHOP_FLOOR
+        drop = drop.reshape(mod.shape)
+        if self.real:
+            drop &= drop[(slice(None, None, -1),) * self.n]
+        return PeriodicSeries(np.where(drop, 0.0, self.coeffs), real=self.real,
+                              trunc_mass=self.trunc_mass + float(mod[drop].sum()))
 
     # ------------------------------------------------------------------
     # algebra
@@ -278,18 +303,18 @@ class PeriodicSeries:
         return PeriodicSeries(self.coeffs * fac, real=self.real,
                               trunc_mass=self.trunc_mass)
 
-    def antiderivative(self, axis, tol=MEAN_TOL):
+    def antiderivative(self, axis):
         """The unique periodic antiderivative with zero average along the axis.
 
         Requires the input to have zero average along the axis (condition
         (i2)): every coefficient on the k_axis = 0 plane must vanish to
-        within `tol`.
+        within MEAN_TOL.
         """
         if not 0 <= axis < self.n:
             raise ValueError(f"axis {axis} out of range")
         plane = np.take(self.coeffs, self.N, axis=axis)
         worst = float(np.max(np.abs(plane))) if plane.size else 0.0
-        if worst > tol:
+        if worst > MEAN_TOL:
             raise HypothesisViolation(
                 "(i2)", f"axis-{axis} average must vanish, max residue {worst:.3e}")
         k = self.k_range().astype(complex)
@@ -523,10 +548,9 @@ def extract_axis_line(h):
     return PeriodicSeries(line, real=h.real, trunc_mass=h.trunc_mass)
 
 
-def allclose(a, b, tol=1e-12):
-    """Max coefficient distance after padding to a common degree."""
-    N = max(a.N, b.N)
-    return float(np.max(np.abs(a.pad_to(N).coeffs - b.pad_to(N).coeffs))) <= tol
+def allclose(a, b):
+    """Whether the max coefficient distance is at or below CLOSE_TOL."""
+    return coeff_distance(a, b) <= CLOSE_TOL
 
 
 def coeff_distance(a, b):

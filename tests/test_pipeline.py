@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from torusnf import fibering
 from torusnf.curves import gauss_degree
 from torusnf.errors import HypothesisViolation, NumericalFailure
 from torusnf.fibering import phase_profile_distance
-from torusnf.flows import TorusMapLift, flow
+from torusnf.flows import TorusMapLift, flow, invert_map
+from torusnf.moser import VolumeDensity, moser_normalize
 from torusnf.pipeline import (
     TorusEmbedding,
     closure_defect,
@@ -20,9 +23,16 @@ from torusnf.pipeline import (
     normalize_embedding,
     postcompose_monomial_shear,
     precompose_torus_map,
+    shear_lift,
 )
 from torusnf.realization import AnnulusFunction
-from torusnf.series import PeriodicSeries, coeff_distance, theta_grid
+from torusnf.series import (
+    CHOP_FLOOR,
+    PeriodicSeries,
+    coeff_distance,
+    pull_back_linear,
+    theta_grid,
+)
 
 from test_flows import stream_field
 from test_series import random_series, sin_series
@@ -53,6 +63,22 @@ def seeded_embedding(delta=1e-3, rho0=1.0, n=2, r0=0.5, profile=None):
     return normal_form_embedding(g, n, r0), k
 
 
+def perturbed_embedding():
+    """A seeded n = 2 embedding with complex degree-3 perturbations."""
+    rng = np.random.default_rng(81)
+    emb, _ = seeded_embedding(1e-3)
+    pert = [AnnulusFunction(c.series
+                            + 1e-4 * random_series(rng, 2, 3, real=False))
+            for c in emb.components]
+    return TorusEmbedding(tuple(pert), 0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def three_angle_embedding():
+    """seeded_embedding(1e-4, n=3), built once: embeddings are immutable."""
+    return seeded_embedding(1e-4, n=3)[0]
+
+
 class TestJacobianDensity:
     def test_identity(self):
         a = jacobian_density(identity_embedding(2))
@@ -67,12 +93,7 @@ class TestJacobianDensity:
         assert abs(a.norm(0.25) - eps) < 1e-12
 
     def test_matches_finite_differences(self):
-        rng = np.random.default_rng(81)
-        emb, _ = seeded_embedding(1e-3)
-        pert = [AnnulusFunction(c.series
-                                + 1e-4 * random_series(rng, 2, 3, real=False))
-                for c in emb.components]
-        emb = TorusEmbedding(tuple(pert), 0.5)
+        emb = perturbed_embedding()
         a = jacobian_density(emb)
         h = 1e-5
         pts = theta_grid(2, 9)
@@ -84,6 +105,75 @@ class TestJacobianDensity:
             jac[:, :, l] = (emb.eval_z(z + dz) - emb.eval_z(z - dz)) / (2 * h)
         fd = np.linalg.det(jac)
         assert np.max(np.abs(fd - 1.0 - a.eval_z(z))) < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_direct_determinant_off_grid(self, n):
+        emb = perturbed_embedding() if n == 2 else three_angle_embedding()
+        a = jacobian_density(emb)
+        rng = np.random.default_rng(85)
+        z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(200, n)))
+        jac = np.stack([np.stack([emb.components[j].z_derivative(l).eval_z(z)
+                                  for l in range(n)], axis=-1)
+                        for j in range(n)], axis=-2)
+        assert np.max(np.abs(np.linalg.det(jac) - 1.0 - a.eval_z(z))) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_samples_exact_alias_free_grid(self, n, monkeypatch):
+        emb = perturbed_embedding() if n == 2 else three_angle_embedding()
+        sizes = []
+        sample = PeriodicSeries.eval_real_grid
+
+        def recording(self, M):
+            sizes.append(M)
+            return sample(self, M)
+
+        monkeypatch.setattr(PeriodicSeries, "eval_real_grid", recording)
+        jacobian_density(emb)
+        assert sizes and set(sizes) == {2 * n * (emb.N + 1) + 1}
+
+
+def inverse_volume_maps(emb, monkeypatch):
+    """The inverse volume map of `normalize_embedding`, rebuilt stage by
+    stage, and the same map computed without the tail chop."""
+    a = jacobian_density(emb)
+    r = emb.r0 / 2.0
+    A_inv = np.linalg.inv(shear_lift(emb.n).D).astype(int)
+    b2 = pull_back_linear(modulus_phase_split(a).modulus, A_inv)
+    moser = moser_normalize(VolumeDensity(b2), r, N_out=b2.N + 4)
+    inv = invert_map(moser.map, r, N_out=moser.map.N + 4).map
+    with monkeypatch.context() as m:
+        m.setattr(PeriodicSeries, "chop_tail", lambda self: self)
+        raw = invert_map(moser.map, r, N_out=moser.map.N + 4).map
+    return inv, raw
+
+
+class TestComputedMapChop:
+    def test_round_off_inverse_volume_map_becomes_one_angle(self, monkeypatch):
+        inv, raw = inverse_volume_maps(three_angle_embedding(), monkeypatch)
+        assert raw.parts[0].dependent_axes() == (0, 1, 2)
+        assert inv.parts[0].dependent_axes() == (0,)
+        assert np.count_nonzero(inv.parts[0].coeffs) == 2
+        for p, q in zip(inv.parts, raw.parts):
+            mass = float(np.abs(p.coeffs - q.coeffs).sum())
+            assert mass <= CHOP_FLOOR
+            assert p.trunc_mass - q.trunc_mass == pytest.approx(
+                mass, rel=1e-12, abs=0.0)
+            change = np.abs(p.eval_real_grid(32) - q.eval_real_grid(32))
+            assert float(np.max(change)) <= CHOP_FLOOR
+
+    def test_map_with_content_keeps_every_coefficient_above_floor(
+            self, monkeypatch):
+        rng = np.random.default_rng(84)
+        emb, _ = seeded_embedding(1e-3)
+        parts = [2e-5 * random_series(rng, 2, 3), 2e-5 * random_series(rng, 2, 3)]
+        emb2 = precompose_torus_map(
+            emb, TorusMapLift(np.eye(2, dtype=int), parts))
+        inv, raw = inverse_volume_maps(emb2, monkeypatch)
+        for p, q in zip(inv.parts, raw.parts):
+            big = np.abs(q.coeffs) > CHOP_FLOOR
+            assert big.any()
+            assert np.array_equal(p.coeffs[big], q.coeffs[big])
+            assert float(np.abs(p.coeffs - q.coeffs).sum()) <= CHOP_FLOOR
 
 
 class TestModulusPhaseSplit:
@@ -277,8 +367,9 @@ class TestNormalizeEmbedding:
         parts = [2e-5 * random_series(rng, 2, 3), 2e-5 * random_series(rng, 2, 3)]
         emb2 = precompose_torus_map(
             emb, TorusMapLift(np.eye(2, dtype=int), parts))
-        with pytest.raises(NumericalFailure, match="exhausted"):
+        with pytest.raises(NumericalFailure, match="exhausted") as err:
             normalize_embedding(emb2)
+        assert err.value.trace.rows
 
     def test_refuses_far_from_identity(self):
         comps = (AnnulusFunction.from_terms(2, 1, {(1, 0): 1.0, (0, 0): 0.4}),

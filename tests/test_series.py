@@ -5,6 +5,7 @@ import pytest
 
 from torusnf.errors import HypothesisViolation
 from torusnf.series import (
+    CHOP_FLOOR,
     PeriodicSeries,
     allclose,
     coeff_distance,
@@ -286,6 +287,32 @@ class TestAlgebra:
         g = pull_back_linear(f, A)
         pts = rng.uniform(0, 2 * np.pi, size=(20, 2))
         assert np.max(np.abs(g.eval_points(pts) - f.eval_points(pts @ A.T))) < 1e-12
+
+
+class TestChopTail:
+    def test_drops_smallest_within_budget(self):
+        h = PeriodicSeries.from_terms(
+            1, 3, {(0,): 1.0, (1,): 4e-16, (2,): 3e-16, (3,): 5e-16})
+        out = h.chop_tail()
+        # 3e-16 + 4e-16 fits the budget; adding 5e-16 would not
+        assert out.coeff((2,)) == 0.0 and out.coeff((1,)) == 0.0
+        assert out.coeff((3,)) == 5e-16 and out.coeff((0,)) == 1.0
+        assert out.N == h.N
+        assert out.trunc_mass == pytest.approx(7e-16, rel=1e-12)
+
+    def test_keeps_conjugate_pairs_together(self):
+        rng = np.random.default_rng(34)
+        h = random_series(rng, 2, 6, decay=5.0)
+        out = h.chop_tail()
+        assert out.real and out.is_real_symmetric()
+        dropped = (out.coeffs == 0.0) & (h.coeffs != 0.0)
+        assert np.array_equal(dropped, dropped[::-1, ::-1])
+        assert dropped.any()
+        mass = float(np.abs(h.coeffs[dropped]).sum())
+        assert mass <= CHOP_FLOOR
+        assert out.trunc_mass - h.trunc_mass == pytest.approx(mass, rel=1e-12)
+        kept = ~dropped
+        assert np.array_equal(out.coeffs[kept], h.coeffs[kept])
 
 
 class TestReality:
