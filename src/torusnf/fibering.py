@@ -20,12 +20,18 @@ import warnings
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalFailure
-from .flows import MapChain, PeriodicVectorField, TorusMapLift, flow
+from .flows import (
+    MapChain,
+    PeriodicVectorField,
+    TorusMapLift,
+    flow,
+    grid_image,
+    grid_jacobian_det,
+)
 from .series import (
     PeriodicSeries,
     divide,
     extract_axis_line,
-    theta_grid,
     translate,
 )
 
@@ -41,7 +47,7 @@ C6 = 27.0    # schedule invariant b_m <= r_m^3 delta_m^3 / C6
 # the defect norm is at or below STOP_TOL, and give up after MAX_ITER steps.
 MAX_ITER = 20
 STOP_TOL = 1e-12
-VERIFY_GRID = 48  # points per axis of the off-grid residual witnesses
+VERIFY_GRID = 48  # points per axis of the residual witness grids
 PROFILE_GRID = 4096
 PROFILE_MEAN_TOL = 1e-10
 
@@ -205,7 +211,10 @@ def fibering_normalize(phase, schedule, eps=EPS_SMALLH):
     success returns the stage chain, its collapsed lift, the normalized
     one-variable phase k with zero mean, the per-step trace, and the grid
     residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
-    sup |det D Phi - 1| on VERIFY_GRID points per axis.
+    sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness reads
+    the translation and the first stage with a non-constant part on that
+    grid by FFT (h too, when no step was taken), and the later stages and
+    h at the scattered image points by `eval_many`.
 
     Schedule exhaustion (MAX_ITER steps) returns a non-converged result
     with its trace; a step refusal mid-run raises, with the partial trace
@@ -267,12 +276,18 @@ def fibering_normalize(phase, schedule, eps=EPS_SMALLH):
     chain = MapChain(stages)
     composite = chain.to_single(max(h0.N + 6, 10))
 
-    pts = theta_grid(n, VERIFY_GRID)
-    moved = chain.apply(pts)
-    mu = moved[:, 0] + h0.eval_points(moved)
-    target = pts[:, 0] + k.eval_points(pts[:, :1])
+    # mu o Phi is the first component of Phi followed by the lift
+    # theta -> (theta_1 + h0(theta), theta_2, ..., theta_n); when every stage
+    # of Phi is affine, h0 is then read on the grid too
+    M = VERIFY_GRID
+    mu_lift = TorusMapLift(np.eye(n, dtype=int),
+                           [h0] + [PeriodicSeries.zeros(n, 0)] * (n - 1))
+    mu = grid_image(MapChain(chain.stages + (mu_lift,)), M, 0.0)[:, 0]
+    t = 2.0 * np.pi * np.arange(M) / M
+    # theta_1 is the slowest axis of theta_grid
+    target = np.repeat(t + k.eval_real_grid(M), M ** (n - 1))
     residual = float(np.max(np.abs(mu - target)))
-    det = chain.jacobian_det(pts)
+    det = grid_jacobian_det(chain, M, 0.0)
     det_residual = float(np.max(np.abs(det - 1.0)))
     return FiberingResult(chain, composite, k, trace, residual, det_residual,
                           converged, iterations, lemma42_first_fail)

@@ -22,12 +22,17 @@ of an angle near 2 pi, while a map that is round-off (the inverse of an
 identity up to rounding, say) keeps only the few coefficients that carry its
 mass.
 
-Off-grid point evaluation (`apply`, `jacobian`, `MapChain.jacobian_det`) is
-kept for the independent residual witnesses.  A stage's image and Jacobian
-come from one `eval_many` call over its parts and their first derivatives,
-and `eval_many` contracts each series only over the axes it depends on, so
-the vanishing and one-angle parts of a stage, chopped maps included, cost
-next to nothing.
+Witnesses read the grid by FFT.  A residual witness samples a uniform grid
+theta_grid(n, M) + i shift.  `grid_image` and `grid_jacobian_det`, the grid
+counterparts of `MapChain.apply` and `jacobian_det`, read a lift or MapChain
+there stage by stage.  Leading affine stages (parts constant, D theta + c)
+keep the points a grid: D re-indexes it as in the grid kernel, and c is
+folded into the offset by `translate`.  The first stage with a non-constant
+part is then read on that grid by `eval_real_grid`, with its first
+derivatives when a determinant is wanted.  Only the later stages see
+scattered image points, and only they go through `MapChain.apply` /
+`jacobian_det` and `eval_many`, which takes a stage's image and Jacobian from
+one call and contracts each series only over the axes it depends on.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .series import (
     grid_size,
     series_from_real_grid,
     theta_grid,
+    translate,
 )
 
 # A field is divergence-free when its divergence has coefficient norm at or
@@ -123,6 +129,15 @@ def _sup(grids):
     return max(float(np.max(np.abs(g))) for g in grids)
 
 
+def _grid_index(D, M):
+    """Index taking values on the M^n grid at theta to values at D theta,
+    for an integer matrix D: the grid points are only re-indexed."""
+    n = D.shape[0]
+    if np.array_equal(D, np.eye(n, dtype=int)):
+        return Ellipsis
+    return tuple(np.tensordot(D, np.indices((M,) * n), axes=(1, 0)) % M)
+
+
 def _taylor_on_grid(series_list, D, U, M):
     """Values of each series at D theta + U(theta) on the M^n grid.
 
@@ -133,10 +148,7 @@ def _taylor_on_grid(series_list, D, U, M):
     vanishing components of U, are skipped.
     """
     n = len(U)
-    if np.array_equal(D, np.eye(n, dtype=int)):
-        index = Ellipsis
-    else:
-        index = tuple(np.tensordot(D, np.indices((M,) * n), axes=(1, 0)) % M)
+    index = _grid_index(D, M)
     vals = [h.eval_real_grid(M) for h in series_list]
     out = [v[index] for v in vals]
     spectra = [np.fft.fftn(v) for v in vals]
@@ -245,10 +257,6 @@ class TorusMapLift:
         out = pts @ self.D.T.astype(float)
         out += eval_many(self.parts, pts).T
         return out
-
-    def jacobian(self, pts):
-        """Stacked Jacobian matrices D + grad f at each point, shape (m, n, n)."""
-        return self._image_and_jacobian(pts)[1]
 
     def _image_and_jacobian(self, pts):
         """The image and the Jacobian at each point, from one `eval_many`
@@ -440,6 +448,92 @@ class MapChain:
         return compose_maps(*self.stages[::-1], N_out=N_out)
 
 
+def _grid_reader(M, D, c):
+    """Reads a series at the points D theta + c over theta_grid(n, M), as a
+    flat (M^n,) array: there h equals translate(h, c) on the grid, read by
+    one inverse FFT and re-indexed by the integer matrix D.  A constant is
+    read exactly as its value, as `eval_many` reads it, with no transform."""
+    index = _grid_index(D, M)
+
+    def read(h):
+        if not h.dependent_axes():
+            return np.full(M ** h.n, h.mean())
+        return translate(h, c).eval_real_grid(M)[index].reshape(-1)
+
+    return read
+
+
+def _grid_head(phi, M, shift):
+    """phi at theta_grid(n, M) + i shift, split where its points stop being
+    a grid.
+
+    Returns (pts, D, read, stage, rest): the image of the grid under the
+    leading affine stages, summed as `TorusMapLift.apply` sums it, and D,
+    the product of their integer parts; a `_grid_reader` of series at those
+    points; the first stage with a non-constant part (None when every stage
+    is affine); and the later stages as a MapChain (None when there are
+    none).
+    """
+    stages = phi.stages if isinstance(phi, MapChain) else (phi,)
+    n = stages[0].n
+    pts = theta_grid(n, M) + 1j * shift
+    D, c = np.eye(n, dtype=int), np.full(n, 1j * shift)
+    for i, s in enumerate(stages):
+        if any(p.dependent_axes() for p in s.parts):
+            rest = MapChain(stages[i + 1:]) if i + 1 < len(stages) else None
+            return pts, D, _grid_reader(M, D, c), s, rest
+        const = np.array([p.mean() for p in s.parts])
+        pts = pts @ s.D.T.astype(float) + const
+        D, c = s.D @ D, s.D @ c + const
+    return pts, D, None, None, None
+
+
+def _stage_image(stage, pts, read):
+    out = pts @ stage.D.T.astype(float)
+    for j, p in enumerate(stage.parts):
+        out[:, j] += read(p)
+    return out
+
+
+def grid_image(phi, M, shift):
+    """A lift or MapChain at the points theta_grid(n, M) + i shift, as an
+    (M^n, n) array: the grid counterpart of `MapChain.apply`.
+
+    The leading affine stages and the first stage with a non-constant part
+    are read on the grid by FFT (see `_grid_head`); the later stages see
+    scattered points and go through `MapChain.apply`.
+    """
+    pts, _, read, stage, rest = _grid_head(phi, M, shift)
+    if stage is not None:
+        pts = _stage_image(stage, pts, read)
+    return pts if rest is None else rest.apply(pts)
+
+
+def grid_jacobian_det(phi, M, shift):
+    """det D phi at the points theta_grid(n, M) + i shift: the grid
+    counterpart of `MapChain.jacobian_det`.
+
+    The first non-affine stage's Jacobian D + grad f is read on the grid,
+    one first derivative of each part at a time, into one preallocated
+    (M^n, n, n) stack; the later stages go through `MapChain.jacobian_det`
+    at that stage's image.
+    """
+    pts, D, read, stage, rest = _grid_head(phi, M, shift)
+    det = np.full(pts.shape[0], np.linalg.det(D), dtype=complex)
+    if stage is None:
+        return det
+    n = stage.n
+    jac = np.empty((pts.shape[0], n, n), dtype=complex)
+    for j, p in enumerate(stage.parts):
+        for l in range(n):
+            jac[:, j, l] = stage.D[j, l] + read(p.derivative(l))
+    det *= np.linalg.det(jac)
+    del jac   # freed before the later stages allocate their own
+    if rest is not None:
+        det *= rest.jacobian_det(_stage_image(stage, pts, read))
+    return det
+
+
 @dataclasses.dataclass(frozen=True)
 class MapInverse:
     map: TorusMapLift
@@ -456,7 +550,9 @@ def invert_map(phi, r, N_out=None):
     U <- -f(theta + U).  Requires an identity integer part and the bound
     (nf) ||f||_r <= r/(4n), on the summed stage norms for a chain, which
     makes the iteration contract on the half-width strip.  The residual is
-    the off-grid witness sup |phi(phi^{-1}(theta)) - theta| on a second grid.
+    the witness sup |phi(phi^{-1}(theta)) - theta| on a second grid, of
+    M + 1 points per axis: phi^{-1} is read there by FFT (`grid_image`), and
+    phi at the scattered image points by `eval_many`.
     """
     if not phi.has_identity_integer_part():
         raise ValueError("invert_map requires an identity integer part")
@@ -487,8 +583,8 @@ def invert_map(phi, r, N_out=None):
             f"fixed-point iteration did not reach {INVERT_TOL:.1e} "
             f"in {INVERT_MAX_ITER} steps")
     inv = _lift_from_grid(np.eye(n, dtype=int), U, N_out, phi.real)
-    check = theta_grid(n, M + 1)
-    residual = float(np.max(np.abs(phi.apply(inv.apply(check)) - check)))
+    round_trip = grid_image(MapChain((inv,) + stages), M + 1, 0.0)
+    residual = float(np.max(np.abs(round_trip - theta_grid(n, M + 1))))
     return MapInverse(inv, residual, its)
 
 

@@ -28,7 +28,13 @@ from .fibering import (
     KamSchedule,
     fibering_normalize,
 )
-from .flows import MapChain, TorusMapLift, invert_map
+from .flows import (
+    MapChain,
+    TorusMapLift,
+    grid_image,
+    grid_jacobian_det,
+    invert_map,
+)
 from .moser import VolumeDensity, moser_normalize
 from .realization import AnnulusFunction
 from .series import (
@@ -102,13 +108,14 @@ def jacobian_density(emb):
 
     The derivative entries are exact coefficient operations, so the
     determinant is a Laurent polynomial of degree at most N_exact = n(N+1)
-    per axis.  It is sampled on the exact alias-free grid of M = 2 N_exact + 1
-    points per axis, which reproduces every coefficient up to round-off, and
+    per axis.  It is sampled on the smallest 7-smooth number M of points per
+    axis at or above the alias-free 2 N_exact + 1, which reproduces every
+    coefficient up to round-off while keeping the FFTs off prime sizes, and
     the re-expansion is chopped at CHOP_FLOOR with the dropped mass recorded.
     """
     n = emb.n
     N_exact = n * (emb.N + 1)
-    M = 2 * N_exact + 1
+    M = _seven_smooth(2 * N_exact + 1)
     mat = np.empty((M ** n, n, n), dtype=complex)
     for j in range(n):
         for l in range(n):
@@ -120,6 +127,18 @@ def jacobian_density(emb):
             "Jacobian determinant vanishes on the torus grid: not totally real")
     a = series_from_real_grid((det - 1.0).reshape((M,) * n), N_exact)
     return AnnulusFunction(a.chop(CHOP_FLOOR))
+
+
+def _seven_smooth(m):
+    """The smallest integer at or above m with no prime factor above 7."""
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,9 +210,12 @@ def normalize_embedding(emb):
     shear that concentrates the phase on the first angle, volume
     normalization of the modulus, phase transport through the inverse volume
     map, and the volume-preserving phase iteration.  Each stage must land
-    under STAGE_TOL before the next runs.  Both off-grid residual
-    witnesses, of the phase iteration and of the normal form, sample
-    VERIFY_GRID points per axis.  Raises NumericalFailure when the phase
+    under STAGE_TOL before the next runs.  Both residual witnesses, of the
+    phase iteration and of the normal form, sample VERIFY_GRID points per
+    axis.  The normal-form witness reads the shear and the first stage with
+    a non-constant part (a fibering stage, or the inverse volume map) on
+    that grid by FFT, and the later stages and the density at the scattered
+    image points by `eval_many`.  Raises NumericalFailure when the phase
     iteration exhausts its schedule.
     """
     n = emb.n
@@ -273,14 +295,21 @@ def _normal_form_residual(a, chain, k, rho0, n):
     (1 + a(pi(Phi theta))) e^{i sum Phi_j} det D Phi
         = rho0 e^{i (sum theta_j + k(sum theta_j))}.
     """
-    pts = theta_grid(n, VERIFY_GRID)
-    moved = chain.apply(pts)
-    det = chain.jacobian_det(pts)
+    moved = grid_image(chain, VERIFY_GRID, 0.0)
+    det = grid_jacobian_det(chain, VERIFY_GRID, 0.0)
     lhs = (1.0 + a.series.eval_points(moved)) \
         * np.exp(1j * moved.sum(axis=1)) * det
-    s = pts.sum(axis=1)
-    rhs = rho0 * np.exp(1j * (s + k.eval_points(s[:, None])))
+    s = theta_grid(n, VERIFY_GRID).sum(axis=1)
+    rhs = rho0 * np.exp(1j * (s + _on_grid_sums(k, n, VERIFY_GRID)))
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def _on_grid_sums(line, n, M):
+    """A one-angle series at the sums theta_1 + ... + theta_n over
+    theta_grid(n, M), flat: its M-point grid values at the index
+    (m_1 + ... + m_n) mod M."""
+    index = np.indices((M,) * n).sum(axis=0).reshape(-1) % M
+    return line.eval_real_grid(M)[index]
 
 
 def exactness_correct(k):
@@ -383,8 +412,10 @@ def normal_form_embedding(g, n, r0=0.5):
 
     First component i g(z_1 ... z_n) / (z_2 ... z_n), remaining components
     the coordinates themselves; the absorbed factor i makes the round curve
-    correspond to the identity.  Verifies on a grid that the Jacobian
-    determinant matches the curve velocity data to STAGE_TOL.
+    correspond to the identity.  Verifies on the uniform grid of
+    4 (N + 1) points per axis, N the embedding degree, that the Jacobian
+    determinant matches the curve velocity data to STAGE_TOL; both sides
+    are read there by FFT.
     """
     if n < 2:
         raise ValueError("the normal form embedding needs n >= 2")
@@ -409,10 +440,9 @@ def normal_form_embedding(g, n, r0=0.5):
 
     # det D psi(e^{i theta}) must equal e^{-i s} d/ds g(e^{i s}) at s = sum theta
     M = 4 * (N_emb + 1)
-    pts = theta_grid(n, M)
-    s = pts.sum(axis=1)
-    det = first.z_derivative(0).series.eval_points(pts)
-    target = np.exp(-1j * s) * line.derivative(0).eval_points(s[:, None])
+    s = theta_grid(n, M).sum(axis=1)
+    det = first.z_derivative(0).series.eval_real_grid(M).reshape(-1)
+    target = np.exp(-1j * s) * _on_grid_sums(line.derivative(0), n, M)
     worst = float(np.max(np.abs(det - target)))
     if worst > STAGE_TOL:
         raise NumericalFailure(

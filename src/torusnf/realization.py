@@ -23,11 +23,12 @@ from .flows import (
     PeriodicVectorField,
     TorusMapLift,
     flow,
+    grid_image,
+    grid_jacobian_det,
     invert_map,
 )
 from .series import (
     PeriodicSeries,
-    eval_many,
     grid_size,
     series_from_real_grid,
     theta_grid,
@@ -216,21 +217,6 @@ class AnnulusMap:
     def log_norm(self, r):
         return max(lg.series.coeff_norm(r) for lg in self.log_g)
 
-    # Both evaluate the torus lift theta + f at theta = -i log z from f itself,
-    # since the image theta + f would round f off at the scale of theta.
-    def apply_z(self, zpts):
-        """z' = e^{i (theta + f)} = z e^{i f}."""
-        zpts = np.asarray(zpts, dtype=complex)
-        f = eval_many(self.to_torus_lift().parts, -1j * np.log(zpts))
-        return zpts * np.exp(1j * f.T)
-
-    def det_jacobian_z(self, zpts):
-        """det D_z = e^{i sum_j f_j} det(I + grad f)."""
-        theta = -1j * np.log(np.asarray(zpts, dtype=complex))
-        lift = self.to_torus_lift()
-        f = eval_many(lift.parts, theta)
-        return np.exp(1j * f.sum(axis=0)) * np.linalg.det(lift.jacobian(theta))
-
 
 @dataclasses.dataclass(frozen=True)
 class RealizationStep:
@@ -311,6 +297,11 @@ def realize_form(a, r0, eps=EPS_SMALLA):
     inside the half-width strip of r0/2 where the inversion gate (nf) is
     taken.  Entry hypotheses: the all-(-1) monomial of `a` vanishes and
     ||a||_{r0} <= eps r0.
+
+    The inverse is read by FFT on each shell grid (`grid_image`) and the
+    stage chain at the scattered image points by `eval_many`.  The density
+    check reads phi, its Jacobian and `a` on its own uniform grid, all by
+    FFT.
     """
     a0 = AnnulusFunction(a)
     n = a0.n
@@ -361,12 +352,13 @@ def realize_form(a, r0, eps=EPS_SMALLA):
 
     inv = invert_map(chain, r0 / 2.0, N_out=N_comp).map
     phi = AnnulusMap.from_torus_lift(inv)
-    base = theta_grid(n, max(2 * N_comp + 3, 33))
+    M = max(2 * N_comp + 3, 33)
+    base = theta_grid(n, M)
+    round_trip = MapChain((inv,) + chain.stages)
     inverse_residual = 0.0
     for shift in (0.0, -r0 / 8.0, r0 / 8.0):
-        pts = base + 1j * shift
         inverse_residual = max(inverse_residual, float(np.max(np.abs(
-            chain.apply(inv.apply(pts)) - pts))))
+            grid_image(round_trip, M, shift) - (base + 1j * shift)))))
     det_residual, min_det, min_phase_gradient = _verify_density(phi, a0)
     return RealizationResult(phi, psi_single, chain, trace, det_residual,
                              inverse_residual, min_det, min_phase_gradient,
@@ -374,11 +366,19 @@ def realize_form(a, r0, eps=EPS_SMALLA):
 
 
 def _verify_density(phi, a0):
+    """det D_z phi against 1 + a0 on the uniform M^n torus grid, read by FFT.
+
+    With phi_j = z_j g_j and theta + f the torus lift, det D_z phi is
+    prod_j g_j det(I + grad f), and prod_j g_j = exp(sum_j log g_j) is read
+    from the summed series rather than from theta + f, which would round f
+    off at the scale of theta.
+    """
     n = a0.n
     M = max(4 * (phi.log_g[0].N + 1), 32)
-    z = np.exp(1j * theta_grid(n, M))
-    det = phi.det_jacobian_z(z)
-    target = 1.0 + a0.eval_z(z)
+    log_g = sum(lg.series for lg in phi.log_g)
+    det = np.exp(log_g.eval_real_grid(M).reshape(-1)) \
+        * grid_jacobian_det(phi.to_torus_lift(), M, 0.0)
+    target = 1.0 + a0.series.eval_real_grid(M).reshape(-1)
     det_residual = float(np.max(np.abs(det - target)))
     min_det = float(np.min(np.abs(det)))
     # the toroidal phase of the realized volume form is

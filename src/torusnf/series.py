@@ -243,12 +243,17 @@ class PeriodicSeries:
         return eval_many([self], pts)[0]
 
     def eval_real_grid(self, M):
-        """Values on the uniform real grid theta_j = 2 pi m / M (exact FFT path)."""
-        if M < 2 * self.N + 1:
-            raise ValueError(f"grid of {M} points cannot resolve degree {self.N}")
+        """Values on the uniform real grid theta_j = 2 pi m / M, by one
+        inverse FFT: the points of `theta_grid(n, M)`, as an (M,)*n array.
+
+        Exact for every M: on the grid exp(i k theta) = exp(i k' theta)
+        whenever k = k' (mod M), so such coefficients are added into one
+        FFT bin.  No off-grid point is read here; scattered points go
+        through `eval_many`.
+        """
         emb = np.zeros((M,) * self.n, dtype=complex)
         idx = np.ix_(*([self.k_range() % M] * self.n))
-        emb[idx] = self.coeffs
+        np.add.at(emb, idx, self.coeffs)
         return np.fft.ifftn(emb) * (M ** self.n)
 
     # ------------------------------------------------------------------

@@ -1,0 +1,31 @@
+"""Off-grid oracles for annulus maps at arbitrary points z of the annulus.
+
+An `AnnulusMap` z_j -> z_j g_j(z) is evaluated through its torus lift
+theta + f at theta = -i log z, point by point with `eval_many`, so these
+oracles share no grid or FFT code with the residual witnesses of
+`realize_form`.  Both take f itself from `eval_many` rather than from the
+image theta + f, which would round f off at the scale of theta.
+"""
+
+import numpy as np
+
+from torusnf.series import eval_many
+
+
+def apply_z(psi, zpts):
+    """z' = e^{i (theta + f)} = z e^{i f}."""
+    zpts = np.asarray(zpts, dtype=complex)
+    f = eval_many(psi.to_torus_lift().parts, -1j * np.log(zpts))
+    return zpts * np.exp(1j * f.T)
+
+
+def det_jacobian_z(psi, zpts):
+    """det D_z psi = e^{i sum_j f_j} det(I + grad f), from one `eval_many`
+    call over the parts and their first derivatives."""
+    theta = -1j * np.log(np.asarray(zpts, dtype=complex))
+    parts = psi.to_torus_lift().parts
+    n = len(parts)
+    grads = [p.derivative(l) for p in parts for l in range(n)]
+    vals = eval_many(parts + tuple(grads), theta)
+    jac = np.eye(n, dtype=int) + vals[n:].T.reshape(-1, n, n)
+    return np.exp(1j * vals[:n].sum(axis=0)) * np.linalg.det(jac)

@@ -7,6 +7,8 @@ or deleted layer would otherwise only show when the benchmark runs.
 import importlib
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -41,3 +43,21 @@ def test_tracer_reads_flow_and_inverse_counts(monkeypatch):
     assert counts["flows.flow.calls"] == 2
     assert counts["flows.flow.rk4_steps"] > 0
     assert counts["flows.invert_map.iterations"] > 0
+
+
+@pytest.mark.parametrize("name", ["n2-reparam", "n3-seeded", "annulus-realize"])
+def test_first_item_reaches_every_listed_layer(name, monkeypatch):
+    # a traced benchmark run fails on any listed layer that is never called.
+    # The witnesses read their grids by FFT, so only stages after the first
+    # non-affine one reach MapChain.apply and jacobian_det; the warm-up
+    # inputs are seeded normal forms whose chains are affine and reach
+    # neither, so a batch item is traced instead.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    w = workloads.WORKLOADS[name]
+    item = w.make_batch(1)[0]
+    with tracer.LayerTracer() as trace:
+        outcome = w.run(item)
+    assert not outcome.failure
+    assert [layer for layer in w.layers if not trace.calls[layer]] == []

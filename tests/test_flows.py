@@ -12,9 +12,12 @@ from torusnf.flows import (
     compose_maps,
     finite_difference_jacobian_det,
     flow,
+    grid_image,
+    grid_jacobian_det,
     invert_map,
     log_det_jacobian,
 )
+from torusnf.pipeline import shear_lift
 from torusnf.realization import AnnulusFunction, realization_step
 from torusnf.series import PeriodicSeries, coeff_distance, theta_grid
 
@@ -367,3 +370,41 @@ class TestGridNative:
         realization_step(a, 0.5, 0.05)
         compose_maps(phi, shear, phi, N_out=10)
         shear.pullback(h, N_out=20)
+
+
+class TestGridWitness:
+    """`grid_image` and `grid_jacobian_det` read at theta_grid + i shift
+    what `apply` and `jacobian_det` give there point by point."""
+
+    @staticmethod
+    def chain(kind, n):
+        rng = np.random.default_rng(40 + n)
+        first, second = (
+            TorusMapLift(np.eye(n, dtype=int),
+                         [2e-3 * random_series(rng, n, 3, real=False)
+                          for _ in range(n)])
+            for _ in range(2))
+        translation = TorusMapLift.translation(n, rng.uniform(-1.0, 1.0, n))
+        return {"lift": first,
+                "skew": TorusMapLift(shear_lift(n).D, first.parts),
+                "shear": MapChain([shear_lift(n), first, second]),
+                "translation": MapChain([translation, first, second]),
+                "affine": MapChain([shear_lift(n), translation])}[kind]
+
+    @pytest.mark.parametrize(
+        "kind", ["lift", "skew", "shear", "translation", "affine"])
+    @pytest.mark.parametrize("shift", [0.0, -0.5 / 8.0, 0.5 / 8.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_pointwise_evaluation(self, n, shift, kind):
+        phi = self.chain(kind, n)
+        chain = phi if isinstance(phi, MapChain) else MapChain([phi])
+        # 7 points per axis resolve degree 3; 5 alias it
+        for M in (5, 7):
+            pts = theta_grid(n, M) + 1j * shift
+            det = chain.jacobian_det(pts)
+            if kind != "affine":
+                assert np.ptp(np.abs(det)) > 1e-3
+            assert np.max(np.abs(grid_image(phi, M, shift)
+                                 - chain.apply(pts))) < 1e-13
+            assert np.max(np.abs(grid_jacobian_det(phi, M, shift)
+                                 - det)) < 1e-13

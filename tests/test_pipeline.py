@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from torusnf import fibering
+from torusnf import fibering, flows, pipeline, realization, series
 from torusnf.curves import gauss_degree
 from torusnf.errors import HypothesisViolation, NumericalFailure
 from torusnf.fibering import phase_profile_distance
@@ -25,7 +25,7 @@ from torusnf.pipeline import (
     precompose_torus_map,
     shear_lift,
 )
-from torusnf.realization import AnnulusFunction
+from torusnf.realization import AnnulusFunction, realize_form
 from torusnf.series import (
     CHOP_FLOOR,
     PeriodicSeries,
@@ -35,6 +35,7 @@ from torusnf.series import (
 )
 
 from test_flows import stream_field
+from test_realization import random_annulus_function
 from test_series import random_series, sin_series
 
 
@@ -119,7 +120,10 @@ class TestJacobianDensity:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_samples_exact_alias_free_grid(self, n, monkeypatch):
+        # the smallest 7-smooth size at or above 2 N_exact + 1 = 53 and 73
+        size = {2: 54, 3: 75}[n]
         emb = perturbed_embedding() if n == 2 else three_angle_embedding()
+        assert size >= 2 * n * (emb.N + 1) + 1
         sizes = []
         sample = PeriodicSeries.eval_real_grid
 
@@ -129,7 +133,7 @@ class TestJacobianDensity:
 
         monkeypatch.setattr(PeriodicSeries, "eval_real_grid", recording)
         jacobian_density(emb)
-        assert sizes and set(sizes) == {2 * n * (emb.N + 1) + 1}
+        assert sizes and set(sizes) == {size}
 
 
 def inverse_volume_maps(emb, monkeypatch):
@@ -384,3 +388,40 @@ class TestNormalizeEmbedding:
         # the complex mean of the density has modulus close to rho0 at
         # second order in the profile
         assert abs(abs(rep.complex_constant) - rep.rho0) < 1e-5
+
+
+def is_full_grid(pts):
+    """Whether the points are exactly theta_grid(n, M) + i shift for some M
+    and one shift: a witness grid itself rather than its image."""
+    m, n = pts.shape
+    M = round(m ** (1.0 / n))
+    return (M ** n == m and np.array_equal(pts.real, theta_grid(n, M))
+            and np.all(pts.imag == pts.imag[0, 0]))
+
+
+class TestWitnessGrids:
+    def test_no_full_grid_reaches_eval_many(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        seeded, _ = seeded_embedding(1e-3)
+        parts = [2e-5 * random_series(rng, 2, 3), 2e-5 * random_series(rng, 2, 3)]
+        reparam = precompose_torus_map(
+            seeded, TorusMapLift(np.eye(2, dtype=int), parts))
+        density = random_annulus_function(
+            np.random.default_rng(66), 2, 8, 0.5, 1e-4)
+
+        seen = []
+        evaluate = series.eval_many
+
+        def recording(series_list, pts):
+            seen.append(np.asarray(pts))
+            return evaluate(series_list, pts)
+
+        for mod in (series, flows, pipeline, fibering, realization):
+            if hasattr(mod, "eval_many"):
+                monkeypatch.setattr(mod, "eval_many", recording)
+        assert normalize_embedding(seeded).fibering_trace.rows
+        assert len(normalize_embedding(reparam).chain.stages) > 5
+        assert realize_form(density, 0.5).converged
+        # the stages after the first non-affine one still see scattered points
+        assert seen
+        assert not [p.shape for p in seen if is_full_grid(p)]

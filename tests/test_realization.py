@@ -16,6 +16,7 @@ from torusnf.realization import (
 )
 from torusnf.series import PeriodicSeries, theta_grid
 
+from annulus_oracle import apply_z, det_jacobian_z
 from test_series import random_series
 
 
@@ -122,7 +123,7 @@ class TestRealizationStep:
         a = AnnulusFunction.from_terms(1, 4, {(1,): eps})
         step = realization_step(a, 0.5, 0.3)
         z = torus_points(1, 128)
-        psi_vals = step.map.apply_z(z)[:, 0]
+        psi_vals = apply_z(step.map, z)[:, 0]
         exact = z[:, 0] / (1.0 + eps * z[:, 0] / 2.0)
         assert np.max(np.abs(psi_vals - exact)) < 1e-10
         hat_exact = (1.0 + 1.5 * eps * z[:, 0]) / (1.0 + eps * z[:, 0] / 2.0) ** 3 - 1.0
@@ -137,8 +138,8 @@ class TestRealizationStep:
             a = random_annulus_function(rng, 2, 5, 0.5, 1e-4)
             step = realization_step(a, 0.5, 0.05)
             z = torus_points(2, 24)
-            lhs = (1.0 + a.eval_z(step.map.apply_z(z))) \
-                * step.map.det_jacobian_z(z)
+            lhs = (1.0 + a.eval_z(apply_z(step.map, z))) \
+                * det_jacobian_z(step.map, z)
             rhs = 1.0 + step.a_next.eval_z(z)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
@@ -164,7 +165,7 @@ class TestRealizeForm:
         assert res.converged
         assert res.det_residual < 1e-12
         z = torus_points(2, 12)
-        assert np.max(np.abs(res.phi.apply_z(z) - z)) < 1e-12
+        assert np.max(np.abs(apply_z(res.phi, z) - z)) < 1e-12
 
     def test_riccati_full(self):
         eps = 1e-3
@@ -218,5 +219,5 @@ class TestUnimodularFlow:
         assert v.divergence_z().series.coeff_norm(0.5) < 1e-15
         psi = unimodular_flow_map(v, 0.5, 0.2, N_out=10)
         z = torus_points(2, 16)
-        det = psi.det_jacobian_z(z)
+        det = det_jacobian_z(psi, z)
         assert np.max(np.abs(det - 1.0)) < 1e-9

@@ -76,6 +76,15 @@ class TestEval:
         pts_vals = h.eval_points(theta_grid(2, M))
         assert np.max(np.abs(grid_vals - pts_vals)) < 1e-12
 
+    @pytest.mark.parametrize("n, M", [(1, 5), (2, 6), (3, 4)])
+    def test_grid_eval_below_alias_free_size_matches_pointwise(self, n, M):
+        # degree 4 needs 9 points per axis to stay alias-free
+        rng = np.random.default_rng(8)
+        h = random_series(rng, n, 4, real=False)
+        grid_vals = h.eval_real_grid(M).reshape(-1)
+        pts_vals = h.eval_points(theta_grid(n, M))
+        assert np.max(np.abs(grid_vals - pts_vals)) < 1e-12
+
 
 def term_sum(h, pts):
     """sum_k c_k exp(i <k, theta>) over the stored terms, one term at a time."""
