@@ -17,8 +17,7 @@ the failed bound.  The codes and the functions that raise them:
     (branch)       pipeline.modulus_phase_split
     (exact)        pipeline.normal_form_curve
     (embed)        pipeline.normal_form_embedding
-    (degree)       curves.whitney_homotopy
-    (noncritical)  curves.whitney_homotopy, curves.embedding_check
+    (noncritical)  curves.embedding_check
 """
 
 

@@ -194,7 +194,6 @@ def fibering_step(phase, r, delta):
 @dataclasses.dataclass
 class FiberingResult:
     chain: MapChain            # stages in application order (translation first)
-    composite: TorusMapLift    # collapsed single lift
     k: PeriodicSeries          # one-dimensional, zero mean
     trace: KamTrace
     residual: float
@@ -208,9 +207,9 @@ def fibering_normalize(phase, schedule, eps=EPS_SMALLH):
     """Iterate fibering steps until the transverse mass drops to STOP_TOL.
 
     Entry hypothesis: ||h||_{r0} <= eps r0^3 in the coefficient norm.  On
-    success returns the stage chain, its collapsed lift, the normalized
-    one-variable phase k with zero mean, the per-step trace, and the grid
-    residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
+    success returns the stage chain, the normalized one-variable phase k
+    with zero mean, the per-step trace, and the grid residuals
+    sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
     sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness reads
     the translation and the first stage with a non-constant part on that
     grid by FFT (h too, when no step was taken), and the later stages and
@@ -274,7 +273,6 @@ def fibering_normalize(phase, schedule, eps=EPS_SMALLH):
     shift[0] = a
     stages = [TorusMapLift.translation(n, shift)] + stage_maps[::-1]
     chain = MapChain(stages)
-    composite = chain.to_single(max(h0.N + 6, 10))
 
     # mu o Phi is the first component of Phi followed by the lift
     # theta -> (theta_1 + h0(theta), theta_2, ..., theta_n); when every stage
@@ -289,8 +287,8 @@ def fibering_normalize(phase, schedule, eps=EPS_SMALLH):
     residual = float(np.max(np.abs(mu - target)))
     det = grid_jacobian_det(chain, M, 0.0)
     det_residual = float(np.max(np.abs(det - 1.0)))
-    return FiberingResult(chain, composite, k, trace, residual, det_residual,
-                          converged, iterations, lemma42_first_fail)
+    return FiberingResult(chain, k, trace, residual, det_residual, converged,
+                          iterations, lemma42_first_fail)
 
 
 def phase_profile_distance(k, k_hat, allow_half_turn=False):

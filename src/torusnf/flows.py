@@ -53,10 +53,6 @@ from .series import (
     translate,
 )
 
-# A field is divergence-free when its divergence has coefficient norm at or
-# below DIV_FREE_TOL on the strip of half-width DIV_FREE_R.
-DIV_FREE_TOL = 1e-10
-DIV_FREE_R = 0.5
 # A Taylor order or Lie term with grid sup at or below TERM_TOL is round-off
 # next to the angles, and ends the sum; no sum runs past MAX_TERMS, and a Lie
 # series cut there with a last term above FLOW_DEFECT_TOL is refused.
@@ -66,8 +62,6 @@ FLOW_DEFECT_TOL = 1e-8
 # Fixed-point inversion stops once a step is at or below INVERT_TOL.
 INVERT_TOL = 1e-13
 INVERT_MAX_ITER = 200
-# Step of the central differences in `finite_difference_jacobian_det`.
-FD_STEP = 1e-5
 
 
 class PeriodicVectorField:
@@ -105,9 +99,6 @@ class PeriodicVectorField:
         for j, c in enumerate(self.components):
             out = out + c.derivative(j)
         return out
-
-    def is_divergence_free(self):
-        return self.divergence().coeff_norm(DIV_FREE_R) <= DIV_FREE_TOL
 
 
 def _spectral_factors(n, M):
@@ -243,9 +234,6 @@ class TorusMapLift:
     def real(self):
         return all(p.real for p in self.parts)
 
-    def degree(self):
-        return int(round(np.linalg.det(self.D)))
-
     def has_identity_integer_part(self):
         return bool(np.array_equal(self.D, np.eye(self.n, dtype=int)))
 
@@ -346,17 +334,6 @@ def flow(v, t, r1, delta, N_out=None, line_integrand=None):
     acc_series = series_from_real_grid(sums[v.n], N_out,
                                        real=v.real and line_integrand.real)
     return result, acc_series
-
-
-def log_det_jacobian(v, t, r1, delta):
-    """log det of the time-t flow map, via quadrature of the divergence.
-
-    Along the flow, d/ds log det D phi_s = (div p)(phi_s), so the log
-    determinant is the line integral of the divergence; for divergence-free
-    fields it vanishes identically and the flow is volume-preserving.
-    """
-    _, acc = flow(v, t, r1, delta, line_integrand=v.divergence())
-    return acc
 
 
 def compose_maps(*maps, N_out=None):
@@ -587,15 +564,3 @@ def invert_map(phi, r, N_out=None):
     residual = float(np.max(np.abs(round_trip - theta_grid(n, M + 1))))
     return MapInverse(inv, residual, its)
 
-
-def finite_difference_jacobian_det(apply_fn, pts):
-    """Central-difference det of an arbitrary point map, with step FD_STEP;
-    test oracle helper."""
-    pts = np.asarray(pts, dtype=complex)
-    m, n = pts.shape
-    jac = np.empty((m, n, n), dtype=complex)
-    for l in range(n):
-        e = np.zeros(n)
-        e[l] = FD_STEP
-        jac[:, :, l] = (apply_fn(pts + e) - apply_fn(pts - e)) / (2.0 * FD_STEP)
-    return np.linalg.det(jac)

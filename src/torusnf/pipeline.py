@@ -87,10 +87,6 @@ class TorusEmbedding:
             worst = max(worst, (c.series - ident).coeff_norm(self.r0))
         return worst
 
-    def eval_z(self, zpts):
-        zpts = np.asarray(zpts, dtype=complex)
-        return np.stack([c.eval_z(zpts) for c in self.components], axis=-1)
-
 
 def _identity_component(n, N, axis):
     k = [0] * n
@@ -181,7 +177,12 @@ def shear_lift(n):
 
 @dataclasses.dataclass
 class InvariantReport:
-    """The complete unimodular invariant with its verification residuals."""
+    """The complete unimodular invariant with its verification residuals.
+
+    Normal-form gauge: the first component of the normal-form embedding
+    carries an absorbed factor i, so the round curve maps to the identity
+    embedding.
+    """
 
     rho0: float
     k: PeriodicSeries              # one-dimensional, zero mean
@@ -198,9 +199,6 @@ class InvariantReport:
     density_norm: float
     fibering_converged: bool
     fibering_trace: object
-    notes: str = ("normal-form gauge: the embedding first component carries "
-                  "an absorbed factor i so the round curve maps to the "
-                  "identity embedding")
 
 
 def normalize_embedding(emb):
@@ -269,7 +267,9 @@ def normalize_embedding(emb):
     unshear = TorusMapLift(A_inv, shear.parts)
     stages = [shear] + list(fib.chain.stages) + [inv1.map, unshear]
     chain = MapChain(stages)
-    normalizer = chain.to_single(max(fib.composite.N, moser.map.N + 4, 12))
+    # a phase step adds flow stages, which need h3.N + 6 harmonics
+    N_norm = max(h3.N + 6 if fib.iterations else 0, moser.map.N + 4, 12)
+    normalizer = chain.to_single(N_norm)
 
     phase_residual = _normal_form_residual(a, chain, k, rho0, n)
     return InvariantReport(
@@ -362,7 +362,7 @@ def _profile_velocity(k, rho0):
     return series_from_real_grid(rho0 * np.exp(1j * (t + kv)), N_out)
 
 
-def closure_defect(k, rho0=1.0):
+def closure_defect(k, rho0):
     """|integral over a turn of rho0 e^{i(t + k(t))}| = 2 pi |velocity mean|."""
     return 2.0 * np.pi * abs(_profile_velocity(k, rho0).mean())
 
@@ -481,11 +481,10 @@ def postcompose_monomial_shear(emb, target, exponents, eps):
     n = emb.n
     N_out = emb.N * max(1, sum(abs(m) for m in exponents.values())) + 4
     M = grid_size(N_out)
-    vals = np.ones((M ** n,), dtype=complex)
-    z = np.exp(1j * theta_grid(n, M))
+    vals = np.ones((M,) * n, dtype=complex)
     for j, m in exponents.items():
-        vals = vals * emb.components[j].eval_z(z) ** m
-    add = series_from_real_grid(vals.reshape((M,) * n), N_out).chop(CHOP_FLOOR)
+        vals = vals * emb.components[j].series.eval_real_grid(M) ** m
+    add = series_from_real_grid(vals, N_out).chop(CHOP_FLOOR)
     comps = list(emb.components)
     comps[target] = AnnulusFunction(
         comps[target].series.pad_to(max(comps[target].N, add.N))

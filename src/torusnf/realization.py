@@ -18,7 +18,6 @@ import numpy as np
 from .errors import HypothesisViolation
 from .fibering import MAX_ITER, STOP_TOL, KamSchedule, KamTrace
 from .flows import (
-    DIV_FREE_TOL,
     MapChain,
     PeriodicVectorField,
     TorusMapLift,
@@ -35,7 +34,7 @@ from .series import (
 )
 
 MEAN_MONOMIAL_TOL = 1e-12
-EPS_SMALLA = 1e-3  # default constant in the entry hypothesis ||a||_r0 <= eps r0
+EPS_SMALLA = 1e-3  # the entry hypothesis is ||a||_r0 <= EPS_SMALLA r0
 # The step gate keeps the shape ||a||_r <= r delta^2 / C_F4 of the worst-case
 # estimate but with a fitted constant; the flow invoked by the step re-checks
 # its own bound (z1) on the actual conjugated field, which is the condition
@@ -52,10 +51,6 @@ class AnnulusFunction:
         if isinstance(series, AnnulusFunction):
             series = series.series
         self.series = series.with_real_flag(False)
-
-    @classmethod
-    def zeros(cls, n, N):
-        return cls(PeriodicSeries.zeros(n, N, real=False))
 
     @classmethod
     def from_terms(cls, n, N, terms):
@@ -75,10 +70,6 @@ class AnnulusFunction:
     def norm(self, r):
         return self.series.coeff_norm(r)
 
-    def eval_z(self, zpts):
-        zpts = np.asarray(zpts, dtype=complex)
-        return self.series.eval_points(-1j * np.log(zpts))
-
     def z_derivative(self, axis):
         """d/dz_axis at coefficient level: c_I -> (I_axis + 1) c_{I + e_axis}."""
         s = self.series.pad_to(self.series.N + 1)
@@ -94,10 +85,6 @@ class AnnulusFunction:
         s = self.series.pad_to(self.series.N + abs(by))
         rolled = np.roll(np.array(s.coeffs), by, axis=axis)
         return AnnulusFunction(PeriodicSeries(rolled, trunc_mass=s.trunc_mass))
-
-    def __add__(self, other):
-        other = other.series if isinstance(other, AnnulusFunction) else other
-        return AnnulusFunction(self.series + other)
 
     def __mul__(self, scalar):
         return AnnulusFunction(self.series * scalar)
@@ -147,16 +134,6 @@ class HoloVectorField:
 
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(AnnulusFunction(c) for c in self.q))
-
-    @property
-    def n(self):
-        return len(self.q)
-
-    def divergence_z(self):
-        out = AnnulusFunction.zeros(self.n, 1)
-        for j, c in enumerate(self.q):
-            out = out + c.z_derivative(j)
-        return out
 
     def to_theta_field(self):
         """The conjugated angle field p_j = -i z_j^{-1} q_j, as periodic series."""
@@ -287,7 +264,7 @@ class RealizationResult:
     iterations: int
 
 
-def realize_form(a, r0, eps=EPS_SMALLA):
+def realize_form(a, r0):
     """Build the near-identity embedding whose volume density is 1 + a.
 
     Iterates corrective flows on the realization schedule until the
@@ -296,7 +273,7 @@ def realize_form(a, r0, eps=EPS_SMALLA):
     round trip on the torus and on the shells Im theta = +-r0/8, which lie
     inside the half-width strip of r0/2 where the inversion gate (nf) is
     taken.  Entry hypotheses: the all-(-1) monomial of `a` vanishes and
-    ||a||_{r0} <= eps r0.
+    ||a||_{r0} <= EPS_SMALLA r0.
 
     The inverse is read by FFT on each shell grid (`grid_image`) and the
     stage chain at the scattered image points by `eval_many`.  The density
@@ -310,10 +287,10 @@ def realize_form(a, r0, eps=EPS_SMALLA):
         raise HypothesisViolation(
             "(kn)", f"mean monomial coefficient has modulus {defect:.3e}")
     a_norm = a0.norm(r0)
-    if a_norm > eps * r0:
+    if a_norm > EPS_SMALLA * r0:
         raise HypothesisViolation(
-            "(smalla)",
-            f"||a||_r0 = {a_norm:.3e} exceeds eps r0 = {eps * r0:.3e}")
+            "(smalla)", f"||a||_r0 = {a_norm:.3e} exceeds "
+            f"EPS_SMALLA r0 = {EPS_SMALLA * r0:.3e}")
     schedule = KamSchedule(r0, kind="realization", dim=n)
 
     state = a0
@@ -391,26 +368,3 @@ def _verify_density(phi, a0):
     min_phase_gradient = float(np.min(np.max(np.abs(grads), axis=1)))
     return det_residual, min_det, min_phase_gradient
 
-
-def hamiltonian_field(H):
-    """Divergence-free field on the two-dimensional annulus from Laurent data.
-
-    q = (dH/dz_2, -dH/dz_1) satisfies div_z q = 0 exactly; its time-1 flow
-    is a volume-preserving (unimodular) annulus map, handy as a test
-    conjugation.
-    """
-    H = AnnulusFunction(H)
-    if H.n != 2:
-        raise ValueError("the stream construction needs exactly two variables")
-    return HoloVectorField((H.z_derivative(1), -1.0 * H.z_derivative(0)))
-
-
-def unimodular_flow_map(field, r, delta, N_out=None):
-    """Time-1 annulus map of a divergence-free holomorphic field (det = 1)."""
-    worst = field.divergence_z().norm(r)
-    if worst > DIV_FREE_TOL:
-        raise ValueError(f"field divergence {worst:.3e} is not negligible")
-    theta_field = field.to_theta_field()
-    fr = flow(theta_field, 1.0, r, delta,
-              N_out=N_out if N_out is not None else theta_field.N)
-    return AnnulusMap.from_torus_lift(fr.map)

@@ -26,8 +26,6 @@ REAL_TOL = 1e-12
 # Round-off floor of computed coefficients: the per-coefficient chop of
 # computed data and the l1 budget of the tail chop of computed maps.
 CHOP_FLOOR = 1e-15
-# Coefficient distance under which `allclose` calls two series equal.
-CLOSE_TOL = 1e-12
 
 # Oversampling factor for grid-based products, quotients and compositions.
 GRID_MULT = 2
@@ -231,13 +229,6 @@ class PeriodicSeries:
     # ------------------------------------------------------------------
     # evaluation
 
-    def eval(self, theta):
-        """Evaluate at a single point theta in C^n (exact over stored terms)."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=complex))
-        if theta.shape != (self.n,):
-            raise ValueError(f"expected point of length {self.n}, got {theta.shape}")
-        return complex(self.eval_points(theta[None, :])[0])
-
     def eval_points(self, pts):
         """Evaluate at an (m, n) array of complex points."""
         return eval_many([self], pts)[0]
@@ -257,21 +248,7 @@ class PeriodicSeries:
         return np.fft.ifftn(emb) * (M ** self.n)
 
     # ------------------------------------------------------------------
-    # averaging, splitting, calculus
-
-    def average(self, axes):
-        """Zero all terms oscillating in any of the given axes ([.]_j operators)."""
-        axes = [axes] if np.isscalar(axes) else list(axes)
-        out = np.array(self.coeffs)
-        for j in axes:
-            if not 0 <= j < self.n:
-                raise ValueError(f"axis {j} out of range")
-            keep = np.zeros(2 * self.N + 1, dtype=bool)
-            keep[self.N] = True
-            shape = [1] * self.n
-            shape[j] = 2 * self.N + 1
-            out *= keep.reshape(shape)
-        return PeriodicSeries(out, real=self.real, trunc_mass=self.trunc_mass)
+    # splitting and calculus
 
     def leading_axis_map(self):
         """For each stored index, the largest axis with k != 0 (-1 for k = 0)."""
@@ -359,9 +336,6 @@ class PeriodicSeries:
         for _ in range(self.n):
             v = np.tensordot(w, v, axes=(0, 0))
         return float(v)
-
-    def abs_max_coeff(self):
-        return float(np.max(np.abs(self.coeffs)))
 
 
 # ----------------------------------------------------------------------
@@ -464,28 +438,6 @@ def series_from_real_grid(values, N, real=False):
     return PeriodicSeries(kept, real=real, trunc_mass=dropped)
 
 
-def multiply(a, b, N_out=None):
-    """Coefficient-level product (exact linear convolution, then truncation).
-
-    The zero-padded FFT convolution of the two centred blocks has length
-    (2Na+1)+(2Nb+1)-1 = 2(Na+Nb)+1 per axis, with frequency k at position
-    k + Na + Nb, i.e. it is already a centred block of degree Na+Nb.
-    """
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    Nc = a.N + b.N
-    size = 2 * Nc + 1
-    axes = tuple(range(a.n))
-    fa = np.fft.fftn(a.coeffs, s=(size,) * a.n, axes=axes)
-    fb = np.fft.fftn(b.coeffs, s=(size,) * a.n, axes=axes)
-    conv = np.fft.ifftn(fa * fb, axes=axes)
-    prod = PeriodicSeries(conv, real=a.real and b.real,
-                          trunc_mass=a.trunc_mass + b.trunc_mass)
-    if N_out is None or N_out >= Nc:
-        return prod
-    return prod.truncate(N_out)
-
-
 def divide(num, den, N_out=None):
     """Quotient via grid evaluation and re-expansion.
 
@@ -552,12 +504,3 @@ def extract_axis_line(h):
     line = np.array(h.coeffs[(slice(None),) + (h.N,) * (h.n - 1)])
     return PeriodicSeries(line, real=h.real, trunc_mass=h.trunc_mass)
 
-
-def allclose(a, b):
-    """Whether the max coefficient distance is at or below CLOSE_TOL."""
-    return coeff_distance(a, b) <= CLOSE_TOL
-
-
-def coeff_distance(a, b):
-    N = max(a.N, b.N)
-    return float(np.max(np.abs(a.pad_to(N).coeffs - b.pad_to(N).coeffs)))

@@ -1,15 +1,27 @@
-"""Off-grid oracles for annulus maps at arbitrary points z of the annulus.
+"""Off-grid oracles for annulus data at arbitrary points z of the annulus.
 
-An `AnnulusMap` z_j -> z_j g_j(z) is evaluated through its torus lift
-theta + f at theta = -i log z, point by point with `eval_many`, so these
-oracles share no grid or FFT code with the residual witnesses of
-`realize_form`.  Both take f itself from `eval_many` rather than from the
-image theta + f, which would round f off at the scale of theta.
+Laurent data and an `AnnulusMap` z_j -> z_j g_j(z) are evaluated through the
+angles theta = -i log z, point by point with `eval_many`, so these oracles
+share no grid or FFT code with the residual witnesses of `realize_form` or
+the grid reads of the pipeline.  The map oracles take f itself from
+`eval_many` rather than from the image theta + f, which would round f off
+at the scale of theta.
 """
 
 import numpy as np
 
 from torusnf.series import eval_many
+
+
+def eval_z(f, zpts):
+    """Laurent data f (an `AnnulusFunction`) at (m, n) points z."""
+    zpts = np.asarray(zpts, dtype=complex)
+    return f.series.eval_points(-1j * np.log(zpts))
+
+
+def divergence_z(v):
+    """div_z v = sum_j d q_j / d z_j of a `HoloVectorField`, as a series."""
+    return sum(q.z_derivative(j).series for j, q in enumerate(v.q))
 
 
 def apply_z(psi, zpts):

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from torusnf.curves import (
     CurveImmersion,
@@ -7,9 +6,7 @@ from torusnf.curves import (
     embedding_check,
     gauss_degree,
     noncritical_phase,
-    whitney_homotopy,
 )
-from torusnf.errors import HypothesisViolation
 from torusnf.series import PeriodicSeries
 
 
@@ -71,61 +68,6 @@ class TestNoncritical:
         assert flag
 
 
-class TestWhitneyHomotopy:
-    def test_circle_to_circle_is_stationary(self):
-        f = circle()
-        for t in (0.0, 0.37, 1.0):
-            g = whitney_homotopy(f, f, t)
-            M = 256
-            assert np.max(np.abs(g.positions(M) - f.positions(M))) < 1e-10
-
-    def test_circle_to_ellipse_noncritical_throughout(self):
-        f0, f1 = circle(), ellipse()
-        for t in np.linspace(0.0, 1.0, 21):
-            g = whitney_homotopy(f0, f1, float(t))
-            mu_prime, flag = noncritical_phase(g, M=1024)
-            assert flag
-            assert np.min(np.abs(mu_prime)) > 0.1
-            assert gauss_degree(g) == 1
-
-    def test_endpoint_zero_reproduces_centered_circle(self):
-        # the circle's velocity phase is already exactly theta, so the
-        # t = 0 endpoint is the centered circle itself
-        f0, f1 = circle(), ellipse()
-        M = 512
-        g = whitney_homotopy(f0, f1, 0.0)
-        ref = f0.positions(M)
-        ref = ref - ref.mean()
-        assert np.max(np.abs(g.positions(M) - ref)) < 1e-10
-
-    def test_endpoint_one_is_reparametrized_ellipse(self):
-        # same image as the ellipse, traversed with velocity phase exactly
-        # theta
-        f0, f1 = circle(), ellipse()
-        g = whitney_homotopy(f0, f1, 1.0)
-        M = 512
-        v = g.velocity(M)
-        t = 2 * np.pi * np.arange(M) / M
-        assert np.max(np.abs(np.angle(v * np.exp(-1j * t)))) < 1e-6
-        # one-way set distance to a dense sampling of the centered ellipse
-        ref = f1.positions(16384)
-        ref = ref - ref.mean()
-        pos = g.positions(M)
-        gaps = [np.min(np.abs(ref - p)) for p in pos]
-        assert max(gaps) < 1e-3
-
-    def test_degree_mismatch_refused(self):
-        with pytest.raises(HypothesisViolation) as err:
-            whitney_homotopy(circle(), doubled_circle(), 0.5)
-        assert err.value.bound == "(degree)"
-
-    def test_radial_positivity(self):
-        f0, f1 = ellipse(1.0, 2.0), ellipse(2.0, 0.5)
-        for t in np.linspace(0.0, 1.0, 11):
-            g = whitney_homotopy(f0, f1, float(t))
-            assert g.speed_minimum(1024) > 0
-
-
 class TestEmbeddingCheck:
     def test_circle(self):
         chk = embedding_check(circle())
@@ -152,7 +94,7 @@ class TestEmbeddingCheck:
         # for |d| = 1 the normalized velocity visits each direction once
         f = ellipse()
         M = 512
-        v = f.velocity(M)
+        v = f.series.derivative(0).eval_real_grid(M)
         gauss = -1j * v / np.abs(v)
         ang = np.angle(gauss)
         order = np.argsort(ang)

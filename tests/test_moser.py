@@ -8,8 +8,9 @@ from torusnf.moser import (
     admissible_density_bound,
     moser_normalize,
 )
-from torusnf.series import PeriodicSeries, coeff_distance, theta_grid
+from torusnf.series import PeriodicSeries, theta_grid
 
+from oracles import abs_max_coeff, average, coeff_distance
 from test_series import cos_series, random_series, sin_series
 
 
@@ -55,8 +56,8 @@ class TestMoserNormalize:
         d = admissible_density(rng, 3, 4, 0.5)
         res = moser_normalize(d, 0.5, N_out=8)
         for j, f in enumerate(res.map.parts):
-            assert (f - f.restrict_axes(j)).abs_max_coeff() == 0.0
-            assert f.average([j]).abs_max_coeff() == 0.0
+            assert abs_max_coeff(f - f.restrict_axes(j)) == 0.0
+            assert abs_max_coeff(average(f, [j])) == 0.0
 
     def test_volume_balance(self):
         # the Jacobian factor transports the density to its mean:

@@ -29,11 +29,12 @@ from torusnf.realization import AnnulusFunction, realize_form
 from torusnf.series import (
     CHOP_FLOOR,
     PeriodicSeries,
-    coeff_distance,
     pull_back_linear,
     theta_grid,
 )
 
+from annulus_oracle import eval_z
+from oracles import abs_max_coeff, coeff_distance
 from test_flows import stream_field
 from test_realization import random_annulus_function
 from test_series import random_series, sin_series
@@ -83,7 +84,7 @@ def three_angle_embedding():
 class TestJacobianDensity:
     def test_identity(self):
         a = jacobian_density(identity_embedding(2))
-        assert a.series.abs_max_coeff() < 1e-13
+        assert abs_max_coeff(a.series) < 1e-13
 
     def test_linear_scaling(self):
         eps = 1e-3
@@ -100,12 +101,16 @@ class TestJacobianDensity:
         pts = theta_grid(2, 9)
         z = np.exp(1j * pts)
         jac = np.empty((pts.shape[0], 2, 2), dtype=complex)
+
+        def image(w):
+            return np.stack([eval_z(c, w) for c in emb.components], axis=-1)
+
         for l in range(2):
             dz = np.zeros(2)
             dz[l] = h
-            jac[:, :, l] = (emb.eval_z(z + dz) - emb.eval_z(z - dz)) / (2 * h)
+            jac[:, :, l] = (image(z + dz) - image(z - dz)) / (2 * h)
         fd = np.linalg.det(jac)
-        assert np.max(np.abs(fd - 1.0 - a.eval_z(z))) < 1e-8
+        assert np.max(np.abs(fd - 1.0 - eval_z(a, z))) < 1e-8
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_direct_determinant_off_grid(self, n):
@@ -113,10 +118,10 @@ class TestJacobianDensity:
         a = jacobian_density(emb)
         rng = np.random.default_rng(85)
         z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(200, n)))
-        jac = np.stack([np.stack([emb.components[j].z_derivative(l).eval_z(z)
+        jac = np.stack([np.stack([eval_z(emb.components[j].z_derivative(l), z)
                                   for l in range(n)], axis=-1)
                         for j in range(n)], axis=-2)
-        assert np.max(np.abs(np.linalg.det(jac) - 1.0 - a.eval_z(z))) < 1e-13
+        assert np.max(np.abs(np.linalg.det(jac) - 1.0 - eval_z(a, z))) < 1e-13
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_samples_exact_alias_free_grid(self, n, monkeypatch):
@@ -182,16 +187,16 @@ class TestComputedMapChop:
 
 class TestModulusPhaseSplit:
     def test_zero(self):
-        split = modulus_phase_split(AnnulusFunction.zeros(2, 2))
-        assert split.modulus.abs_max_coeff() < 1e-15
-        assert split.phase.abs_max_coeff() < 1e-15
+        split = modulus_phase_split(AnnulusFunction(PeriodicSeries.zeros(2, 2)))
+        assert abs_max_coeff(split.modulus) < 1e-15
+        assert abs_max_coeff(split.phase) < 1e-15
 
     def test_real_constant(self):
         eps = 1e-3
         a = AnnulusFunction.from_terms(2, 1, {(0, 0): eps})
         split = modulus_phase_split(a)
         assert abs(split.modulus.mean() - eps) < 1e-14
-        assert split.phase.abs_max_coeff() < 1e-14
+        assert abs_max_coeff(split.phase) < 1e-14
 
     def test_imaginary_constant(self):
         eps = 1e-3
@@ -228,15 +233,15 @@ class TestNormalFormCurve:
             normal_form_curve(k, 1.0)
         assert err.value.bound == "(exact)"
         expected = 2.0 * np.pi * abs(bessel_j1_quadrature(delta))
-        assert closure_defect(k) == pytest.approx(expected, rel=1e-9)
+        assert closure_defect(k, 1.0) == pytest.approx(expected, rel=1e-9)
 
     def test_pure_sine_correction_collapses(self):
         # closure forces the first harmonic of an exact profile to second
         # order, so correcting a pure sine removes it almost entirely
         delta = 1e-3
         k = exactness_correct(delta * sin_series(1, 2, 0))
-        assert k.abs_max_coeff() < 1e-12
-        assert closure_defect(k) < 1e-12
+        assert abs_max_coeff(k) < 1e-12
+        assert closure_defect(k, 1.0) < 1e-12
 
     def test_rich_profile_correction_keeps_higher_harmonics(self):
         delta = 1e-3
@@ -352,10 +357,14 @@ class TestNormalizeEmbedding:
         assert abs(rep2.rho0 - rep.rho0) <= 1e-7
         assert phase_profile_distance(rep.k, rep2.k) <= 1e-6
 
-    def test_ambient_shear_leaves_density_and_invariants(self):
-        emb, _ = seeded_embedding(1e-3)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ambient_shear_leaves_density_and_invariants(self, n):
+        # w_1 += 2e-4 w_2^2 at n = 2, and w_3 += 1e-4 w_1 w_2 at n = 3
+        emb = seeded_embedding(1e-3)[0] if n == 2 else three_angle_embedding()
+        target, exponents, eps = {2: (0, {1: 2}, 2e-4),
+                                  3: (2, {0: 1, 1: 1}, 1e-4)}[n]
         rep = normalize_embedding(emb)
-        emb2 = postcompose_monomial_shear(emb, 0, {1: 2}, 2e-4)
+        emb2 = postcompose_monomial_shear(emb, target, exponents, eps)
         a1 = jacobian_density(emb)
         a2 = jacobian_density(emb2)
         assert coeff_distance(a1.series.pad_to(a2.N),

@@ -5,18 +5,16 @@ from torusnf import realization
 from torusnf.errors import HypothesisViolation
 from torusnf.realization import (
     AnnulusFunction,
-    AnnulusMap,
-    hamiltonian_field,
     laurent_split,
     mean_zero_check,
     realization_step,
     realize_form,
     solve_divergence,
-    unimodular_flow_map,
 )
 from torusnf.series import PeriodicSeries, theta_grid
 
-from annulus_oracle import apply_z, det_jacobian_z
+from annulus_oracle import apply_z, det_jacobian_z, divergence_z, eval_z
+from oracles import abs_max_coeff
 from test_series import random_series
 
 
@@ -39,13 +37,13 @@ class TestLaurentSplit:
         a = AnnulusFunction.from_terms(1, 2, {(1,): 1e-3})
         pieces = laurent_split(a)
         assert pieces[0].coeff((1,)) == pytest.approx(1e-3)
-        assert pieces[1].series.abs_max_coeff() == 0.0
+        assert abs_max_coeff(pieces[1].series) == 0.0
 
     def test_obstruction_monomial(self):
         a = AnnulusFunction.from_terms(2, 1, {(-1, -1): 2.0})
         pieces = laurent_split(a)
-        assert pieces[0].series.abs_max_coeff() == 0.0
-        assert pieces[1].series.abs_max_coeff() == 0.0
+        assert abs_max_coeff(pieces[0].series) == 0.0
+        assert abs_max_coeff(pieces[1].series) == 0.0
         assert pieces[2].coeff((-1, -1)) == pytest.approx(2.0)
 
     def test_partition_and_norm_bound(self):
@@ -82,21 +80,21 @@ class TestSolveDivergence:
         a = AnnulusFunction.from_terms(1, 2, {(1,): eps})
         v = solve_divergence(a)
         assert v.q[0].coeff((2,)) == pytest.approx(eps / 2)
-        resid = v.divergence_z() + (-1.0 * a)
-        assert resid.series.abs_max_coeff() < 1e-18
+        resid = divergence_z(v) - a.series
+        assert abs_max_coeff(resid) < 1e-18
 
     def test_zero_input(self):
-        a = AnnulusFunction.zeros(2, 3)
+        a = AnnulusFunction(PeriodicSeries.zeros(2, 3))
         v = solve_divergence(a)
-        assert all(c.series.abs_max_coeff() == 0.0 for c in v.q)
+        assert all(abs_max_coeff(c.series) == 0.0 for c in v.q)
 
     def test_random_reconstruction_and_gauge(self):
         rng = np.random.default_rng(63)
         for _ in range(10):
             a = random_annulus_function(rng, 2, 5, 0.5, 1e-3)
             v = solve_divergence(a)
-            resid = v.divergence_z() + (-1.0 * a)
-            assert resid.series.coeff_norm(0.5) <= 1e-12
+            resid = divergence_z(v) - a.series
+            assert resid.coeff_norm(0.5) <= 1e-12
             for j, q in enumerate(v.q):
                 # no exponent-0 monomials in z_j (the uniqueness gauge)
                 plane = np.take(q.series.coeffs, q.series.N, axis=j)
@@ -112,10 +110,10 @@ class TestSolveDivergence:
 
 class TestRealizationStep:
     def test_zero_density(self):
-        a = AnnulusFunction.zeros(2, 3)
+        a = AnnulusFunction(PeriodicSeries.zeros(2, 3))
         step = realization_step(a, 0.5, 0.1)
         assert step.map.log_norm(0.4) < 1e-14
-        assert step.a_next.series.abs_max_coeff() < 1e-14
+        assert abs_max_coeff(step.a_next.series) < 1e-14
 
     def test_riccati_closed_form(self):
         eps = 1e-3
@@ -127,7 +125,7 @@ class TestRealizationStep:
         exact = z[:, 0] / (1.0 + eps * z[:, 0] / 2.0)
         assert np.max(np.abs(psi_vals - exact)) < 1e-10
         hat_exact = (1.0 + 1.5 * eps * z[:, 0]) / (1.0 + eps * z[:, 0] / 2.0) ** 3 - 1.0
-        hat_vals = step.a_next.eval_z(z)
+        hat_vals = eval_z(step.a_next, z)
         assert np.max(np.abs(hat_vals - hat_exact)) < 1e-10
         # leading coefficient -(3/4) eps^2 z^2
         assert step.a_next.coeff((2,)) == pytest.approx(-0.75 * eps ** 2, rel=1e-2)
@@ -138,9 +136,9 @@ class TestRealizationStep:
             a = random_annulus_function(rng, 2, 5, 0.5, 1e-4)
             step = realization_step(a, 0.5, 0.05)
             z = torus_points(2, 24)
-            lhs = (1.0 + a.eval_z(apply_z(step.map, z))) \
+            lhs = (1.0 + eval_z(a, apply_z(step.map, z))) \
                 * det_jacobian_z(step.map, z)
-            rhs = 1.0 + step.a_next.eval_z(z)
+            rhs = 1.0 + eval_z(step.a_next, z)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_contraction_constant(self):
@@ -161,16 +159,18 @@ class TestRealizationStep:
 
 class TestRealizeForm:
     def test_zero_density(self):
-        res = realize_form(AnnulusFunction.zeros(2, 3), 0.5)
+        res = realize_form(AnnulusFunction(PeriodicSeries.zeros(2, 3)), 0.5)
         assert res.converged
         assert res.det_residual < 1e-12
         z = torus_points(2, 12)
         assert np.max(np.abs(apply_z(res.phi, z) - z)) < 1e-12
 
-    def test_riccati_full(self):
+    def test_riccati_full(self, monkeypatch):
+        # ||a||_r0 = 1e-3 e^{1/2} is above EPS_SMALLA r0 = 5e-4
+        monkeypatch.setattr(realization, "EPS_SMALLA", 0.01)
         eps = 1e-3
         a = AnnulusFunction.from_terms(1, 4, {(1,): eps})
-        res = realize_form(a, 0.5, eps=0.01)
+        res = realize_form(a, 0.5)
         assert res.converged
         assert res.det_residual <= 1e-8
         assert res.inverse_residual <= 1e-9
@@ -210,14 +210,3 @@ class TestRealizeForm:
             realize_form(a, 0.5)
         assert err.value.bound == "(smalla)"
 
-
-class TestUnimodularFlow:
-    def test_hamiltonian_flow_is_unimodular(self):
-        rng = np.random.default_rng(67)
-        H = random_annulus_function(rng, 2, 3, 0.5, 2e-3)
-        v = hamiltonian_field(H)
-        assert v.divergence_z().series.coeff_norm(0.5) < 1e-15
-        psi = unimodular_flow_map(v, 0.5, 0.2, N_out=10)
-        z = torus_points(2, 16)
-        det = det_jacobian_z(psi, z)
-        assert np.max(np.abs(det - 1.0)) < 1e-9

@@ -7,16 +7,15 @@ from torusnf.errors import HypothesisViolation
 from torusnf.series import (
     CHOP_FLOOR,
     PeriodicSeries,
-    allclose,
-    coeff_distance,
     divide,
     eval_many,
-    multiply,
     pull_back_linear,
     series_from_real_grid,
     theta_grid,
     translate,
 )
+
+from oracles import abs_max_coeff, allclose, average, coeff_distance, multiply
 
 
 def sin_series(n, N, axis):
@@ -52,21 +51,21 @@ def random_series(rng, n, N, decay=0.7, real=True):
 class TestEval:
     def test_constant(self):
         h = PeriodicSeries.constant(2, 3, 7.5)
-        assert h.eval([0.3, -1.2]) == pytest.approx(7.5)
+        assert h.eval_points([[0.3, -1.2]])[0] == pytest.approx(7.5)
 
     def test_unit_harmonic_at_origin(self):
         h = PeriodicSeries.from_terms(2, 2, {(1, 0): 1.0})
-        assert h.eval([0.0, 0.0]) == pytest.approx(1.0)
+        assert h.eval_points([[0.0, 0.0]])[0] == pytest.approx(1.0)
 
     def test_cosine_continues_to_cosh(self):
         h = cos_series(1, 2, 0)
         r = 0.4
-        assert h.eval([1j * r]) == pytest.approx(np.cosh(r))
+        assert h.eval_points([[1j * r]])[0] == pytest.approx(np.cosh(r))
 
     def test_dimension_mismatch(self):
         h = PeriodicSeries.constant(2, 1, 1.0)
         with pytest.raises(ValueError):
-            h.eval([0.1])
+            h.eval_points([[0.1]])
 
     def test_grid_eval_matches_pointwise(self):
         rng = np.random.default_rng(7)
@@ -102,8 +101,8 @@ class TestEvalMany:
         full = random_series(rng, n, N, real=False)
         inputs = ([PeriodicSeries.zeros(n, N),
                    PeriodicSeries.constant(n, N, 0.7 - 0.2j),
-                   full.average(range(1, n))]      # on axis 0 alone
-                  + [full.average(j) for j in range(n)]  # all but axis j
+                   average(full, range(1, n))]      # on axis 0 alone
+                  + [average(full, j) for j in range(n)]  # all but axis j
                   + [full])
         pts = (rng.uniform(0.0, 2.0 * np.pi, (40, n))
                + 1j * rng.uniform(-0.4, 0.4, (40, n)))
@@ -124,15 +123,15 @@ class TestEvalMany:
 class TestAverage:
     def test_oscillatory_mean_vanishes(self):
         h = PeriodicSeries.from_terms(1, 2, {(1,): 1.0})
-        assert h.average([0]).abs_max_coeff() == 0.0
+        assert abs_max_coeff(average(h, [0])) == 0.0
 
     def test_constant_untouched(self):
         h = PeriodicSeries.constant(3, 2, 2.0 + 0.0j)
-        assert allclose(h.average([1]), h)
+        assert allclose(average(h, [1]), h)
 
     def test_mixed_product_averages_out(self):
         h = multiply(cos_series(2, 2, 0), sin_series(2, 2, 1))
-        assert h.average([1]).abs_max_coeff() < 1e-15
+        assert abs_max_coeff(average(h, [1])) < 1e-15
 
 
 class TestTriangularSplit:
@@ -149,8 +148,8 @@ class TestTriangularSplit:
     def test_pure_second_axis(self):
         h = sin_series(2, 2, 1)
         parts = h.triangular_split()
-        assert parts[0].abs_max_coeff() == 0.0
-        assert parts[1].abs_max_coeff() == 0.0
+        assert abs_max_coeff(parts[0]) == 0.0
+        assert abs_max_coeff(parts[1]) == 0.0
         assert allclose(parts[2], h)
 
     def test_reconstruction_exact(self):
@@ -166,7 +165,7 @@ class TestTriangularSplit:
         parts = h.triangular_split()
         for j in range(3):
             lhs = sum(parts[: j + 1], PeriodicSeries.zeros(3, 3))
-            rhs = h.average(range(j, 3))
+            rhs = average(h, range(j, 3))
             assert coeff_distance(lhs, rhs) == 0.0
 
     def test_norm_bound(self):
@@ -185,7 +184,7 @@ class TestCalculus:
 
     def test_derivative_other_axis_vanishes(self):
         h = sin_series(2, 2, 0)
-        assert h.derivative(1).abs_max_coeff() == 0.0
+        assert abs_max_coeff(h.derivative(1)) == 0.0
 
     def test_derivative_of_harmonic(self):
         h = PeriodicSeries.from_terms(1, 3, {(3,): 1.0})
@@ -213,7 +212,7 @@ class TestCalculus:
             for axis in range(2):
                 g = PeriodicSeries(
                     np.where(h.leading_axis_map() >= -1, h.coeffs, 0.0))
-                g = g - g.average([axis]) + 0.0
+                g = g - average(g, [axis]) + 0.0
                 assert coeff_distance(g.antiderivative(axis).derivative(axis), g) < 1e-14
                 assert coeff_distance(g.derivative(axis).antiderivative(axis), g) < 1e-14
 
@@ -221,7 +220,7 @@ class TestCalculus:
         rng = np.random.default_rng(4)
         for _ in range(25):
             h = random_series(rng, 3, 4)
-            h = h - h.average([1])
+            h = h - average(h, [1])
             r = rng.choice([0.25, 0.5, 0.9])
             assert h.antiderivative(1).coeff_norm(r) <= 2 * np.pi * h.coeff_norm(r)
 
@@ -329,9 +328,9 @@ class TestReality:
         rng = np.random.default_rng(31)
         h = random_series(rng, 2, 4)
         assert h.real and h.is_real_symmetric()
-        for out in [h.average([0]), h.derivative(1), *h.triangular_split()]:
+        for out in [average(h, [0]), h.derivative(1), *h.triangular_split()]:
             assert out.real and out.is_real_symmetric()
-        g = h - h.average([0])
+        g = h - average(h, [0])
         assert g.antiderivative(0).is_real_symmetric()
 
     def test_real_series_has_real_grid_values(self):
