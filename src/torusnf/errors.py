@@ -10,7 +10,8 @@ the failed bound.  The codes and the functions that raise them:
     (na)           moser.moser_normalize
     (p4), (b)      fibering.fibering_step
     (smallh)       fibering.fibering_normalize
-    (kn)           realization.solve_divergence, realization.realize_form
+    (kn)           realization.check_exact, from solve_divergence and
+                   realize_form
     (smalla)       realization.realize_form
     (f4)           realization.realization_step
     (f-id)         pipeline.normalize_embedding
@@ -23,6 +24,10 @@ the failed bound.  The codes and the functions that raise them:
 
 class TorusNFError(Exception):
     """Base class for all package-specific errors."""
+
+    # the `fibering.TraceRow`s of a shrinking-strip run that raised or
+    # exhausted its schedule; None when the error came from elsewhere
+    trace = None
 
 
 class HypothesisViolation(TorusNFError):

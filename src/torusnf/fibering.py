@@ -1,9 +1,21 @@
-"""KAM normalization of the phase mu(theta) = theta_1 + h(theta).
+"""KAM normalization of the phase mu(theta) = theta_1 + h(theta), and the
+shrinking-strip driver it shares with the annulus realization.
 
-Each sweep removes the part of h that couples theta_2..theta_n by flowing
-for time -1 along a divergence-free field built from the triangular split of
-h, so every correction map is volume-preserving and the coupling mass decays
-quadratically on the shrinking-strip schedule.
+`shrinking_strip` is the one loop of both halves of the construction: step
+m works on the strip of radius r_m with loss delta_m, until the defect norm
+of the state is at or below STOP_TOL or MAX_ITER steps are taken, and one
+`TraceRow` per m records the run.  Each caller owns its schedule:
+
+    fibering:     r_m = (1 + 1/(m+1)) r0 / 2,  delta_m = 1/(4 (m+2)^2)
+    realization:  r_{m+1} = (1 - 2 delta_m) r_m,
+                  delta_m = e^{-2} / (2 n (m+2)^2)
+
+Both sequences decrease to a positive limit above r0/2.
+
+Each fibering sweep removes the part of h that couples theta_2..theta_n by
+flowing for time -1 along a divergence-free field built from the triangular
+split of h, so every correction map is volume-preserving and the coupling
+mass decays quadratically on the shrinking-strip schedule.
 
 The worst-case admissibility constants of the underlying estimates are never
 quantified in closed form; the gates below use empirically fitted constants
@@ -19,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .errors import HypothesisViolation, NumericalFailure
+from .errors import HypothesisViolation, NumericalFailure, TorusNFError
 from .flows import (
     MapChain,
     PeriodicVectorField,
@@ -43,8 +55,8 @@ EPS_SMALLH = 1e-3  # default constant in the entry hypothesis ||h||_r <= eps r^3
 # break the iteration: it only changes which gate names the refusal.
 C2 = 0.125   # step gate (b):  b_r <= r^2 delta^2 / (n C2)
 C6 = 27.0    # schedule invariant b_m <= r_m^3 delta_m^3 / C6
-# Both shrinking-strip loops (this one and the annulus realization) stop once
-# the defect norm is at or below STOP_TOL, and give up after MAX_ITER steps.
+# `shrinking_strip` stops once the defect norm is at or below STOP_TOL, and
+# gives up after MAX_ITER steps.
 MAX_ITER = 20
 STOP_TOL = 1e-12
 VERIFY_GRID = 48  # points per axis of the residual witness grids
@@ -63,38 +75,9 @@ class FiberingPhase:
             raise ValueError("phase perturbation must be real on R^n")
 
 
-@dataclasses.dataclass(frozen=True)
-class KamSchedule:
-    """Shrinking-strip schedule r_m, delta_m.
-
-    kind "fibering":     r_m = (1 + 1/(m+1)) r0 / 2,  delta_m = 1/(4 (m+2)^2)
-    kind "realization":  r_{m+1} = (1 - 2 delta_m) r_m,
-                         delta_m = e^{-2} / (2 n (m+2)^2)
-    Both sequences decrease to a positive limit above r0/2.
-    """
-
-    r0: float
-    kind: str = "fibering"
-    dim: int = 2
-
-    def __post_init__(self):
-        if not 0.0 < self.r0 < 1.0:
-            raise ValueError(f"r0 must lie in (0, 1), got {self.r0}")
-        if self.kind not in ("fibering", "realization"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-    def delta(self, m):
-        if self.kind == "fibering":
-            return 1.0 / (4.0 * (m + 2) ** 2)
-        return np.exp(-2.0) / (2.0 * self.dim * (m + 2) ** 2)
-
-    def radius(self, m):
-        if self.kind == "fibering":
-            return 0.5 * (1.0 + 1.0 / (m + 1)) * self.r0
-        r = self.r0
-        for j in range(m):
-            r *= 1.0 - 2.0 * self.delta(j)
-        return r
+def _fibering_schedule(r0, m):
+    """r_m = (1 + 1/(m+1)) r0 / 2 and delta_m = 1/(4 (m+2)^2)."""
+    return 0.5 * (1.0 + 1.0 / (m + 1)) * r0, 1.0 / (4.0 * (m + 2) ** 2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,19 +85,41 @@ class TraceRow:
     m: int
     r: float
     delta: float
-    b: float
-    B: float
+    defect: float    # the defect norm of the state at radius r
     residual: float  # realized contraction constant of the step taken at m
 
 
-@dataclasses.dataclass
-class KamTrace:
-    """Per-iteration record of the shrinking-strip run, one row per step."""
+def shrinking_strip(state, r0, schedule, defect, step, power):
+    """The shrinking-strip iteration shared by both normalizations.
 
-    rows: list
-
-    def append(self, row):
-        self.rows.append(row)
+    At m = 0, 1, ... takes (r_m, delta_m) = schedule(r0, m) and stops once
+    defect(state, r_m) <= STOP_TOL, or after MAX_ITER steps; otherwise
+    step(state, r_m, delta_m) returns the next state and the lift of the
+    step.  One `TraceRow` per m records the defect and the realized
+    contraction constant d_{m+1} (r_m delta_m)^power / d_m^2 of the step.
+    Returns (state, lifts, trace, converged), the lifts in the order they
+    were taken.  An error raised by a step carries the trace so far.
+    """
+    if not 0.0 < r0 < 1.0:
+        raise ValueError(f"r0 must lie in (0, 1), got {r0}")
+    lifts = []
+    trace = []
+    for m in range(MAX_ITER + 1):
+        r_m, d_m = schedule(r0, m)
+        defect_m = defect(state, r_m)
+        if defect_m <= STOP_TOL or m == MAX_ITER:
+            trace.append(TraceRow(m, r_m, d_m, defect_m, 0.0))
+            return state, lifts, trace, defect_m <= STOP_TOL
+        try:
+            state, lift = step(state, r_m, d_m)
+        except TorusNFError as err:
+            err.trace = trace
+            raise
+        defect_next = defect(state, schedule(r0, m + 1)[0])
+        realized = (defect_next * r_m ** power * d_m ** power / defect_m ** 2
+                    if defect_m > 0 else 0.0)
+        trace.append(TraceRow(m, r_m, d_m, defect_m, realized))
+        lifts.append(lift)
 
 
 def leading_bound(h, r):
@@ -135,9 +140,7 @@ def transverse_bound(h, r):
 class FiberingStep:
     map: TorusMapLift
     phase_next: FiberingPhase
-    field: PeriodicVectorField
     b: float
-    B: float
     divergence_defect: float
 
 
@@ -188,14 +191,14 @@ def fibering_step(phase, r, delta):
     fr = flow(field, -1.0, (1.0 - delta) * r, delta, N_out=N_field)
     pulled = fr.map.pullback(h, N_out=N_pull)
     k_next = (fr.map.parts[0].pad_to(N_pull) + pulled).truncate(h.N).symmetrized()
-    return FiberingStep(fr.map, FiberingPhase(k_next), field, b, B, div_defect)
+    return FiberingStep(fr.map, FiberingPhase(k_next), b, div_defect)
 
 
 @dataclasses.dataclass
 class FiberingResult:
     chain: MapChain            # stages in application order (translation first)
     k: PeriodicSeries          # one-dimensional, zero mean
-    trace: KamTrace
+    trace: list                # TraceRow per m, defect = transverse_bound
     residual: float
     det_residual: float
     converged: bool
@@ -203,13 +206,14 @@ class FiberingResult:
     lemma42_first_fail: int    # -1 when the invariant held throughout
 
 
-def fibering_normalize(phase, schedule, eps=EPS_SMALLH):
+def fibering_normalize(phase, r0, eps=EPS_SMALLH):
     """Iterate fibering steps until the transverse mass drops to STOP_TOL.
 
-    Entry hypothesis: ||h||_{r0} <= eps r0^3 in the coefficient norm.  On
-    success returns the stage chain, the normalized one-variable phase k
-    with zero mean, the per-step trace, and the grid residuals
-    sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
+    Runs `shrinking_strip` on the fibering schedule with the transverse
+    bound as defect.  Entry hypothesis: ||h||_{r0} <= eps r0^3 in the
+    coefficient norm.  On success returns the stage chain, the normalized
+    one-variable phase k with zero mean, the per-step trace, and the grid
+    residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
     sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness reads
     the translation and the first stage with a non-constant part on that
     grid by FFT (h too, when no step was taken), and the later stages and
@@ -221,48 +225,26 @@ def fibering_normalize(phase, schedule, eps=EPS_SMALLH):
     """
     h0 = phase.h
     n = h0.n
-    r0 = schedule.r0
     h_norm = h0.coeff_norm(r0)
     if h_norm > eps * r0 ** 3:
         raise HypothesisViolation(
             "(smallh)",
             f"||h||_r0 = {h_norm:.3e} exceeds eps r0^3 = {eps * r0 ** 3:.3e}")
 
-    state = h0
-    stage_maps = []
-    trace = KamTrace(rows=[])
-    converged = False
-    lemma42_first_fail = -1
-    iterations = 0
-    for m in range(MAX_ITER + 1):
-        r_m = schedule.radius(m)
-        d_m = schedule.delta(m)
-        b_m = transverse_bound(state, r_m)
-        B_m = leading_bound(state, r_m)
-        if lemma42_first_fail < 0 and b_m > r_m ** 3 * d_m ** 3 / C6:
-            lemma42_first_fail = m
-            warnings.warn(
-                f"schedule invariant b_m <= r_m^3 delta_m^3/C6 fails at m={m} "
-                f"(b={b_m:.3e}); continuing on fitted-constant gates",
-                RuntimeWarning, stacklevel=2)
-        if b_m <= STOP_TOL:
-            trace.append(TraceRow(m, r_m, d_m, b_m, B_m, 0.0))
-            converged = True
-            break
-        if m == MAX_ITER:
-            trace.append(TraceRow(m, r_m, d_m, b_m, B_m, 0.0))
-            break
-        try:
-            step = fibering_step(FiberingPhase(state), r_m, d_m)
-        except HypothesisViolation as err:
-            err.trace = trace
-            raise
-        state = step.phase_next.h
-        iterations = m + 1
-        b_next = transverse_bound(state, schedule.radius(m + 1))
-        realized = b_next * r_m ** 3 * d_m ** 3 / b_m ** 2 if b_m > 0 else 0.0
-        trace.append(TraceRow(m, r_m, d_m, b_m, B_m, realized))
-        stage_maps.append(step.map)
+    def step(h, r, delta):
+        taken = fibering_step(FiberingPhase(h), r, delta)
+        return taken.phase_next.h, taken.map
+
+    state, stage_maps, trace, converged = shrinking_strip(
+        h0, r0, _fibering_schedule, transverse_bound, step, 3)
+    lemma42_first_fail = next(
+        (row.m for row in trace
+         if row.defect > row.r ** 3 * row.delta ** 3 / C6), -1)
+    if lemma42_first_fail >= 0:
+        warnings.warn(
+            "schedule invariant b_m <= r_m^3 delta_m^3/C6 fails at "
+            f"m={lemma42_first_fail}; the run relied on fitted-constant gates",
+            RuntimeWarning, stacklevel=2)
 
     parts = state.triangular_split()
     k_nd = parts[0] + parts[1]
@@ -288,7 +270,7 @@ def fibering_normalize(phase, schedule, eps=EPS_SMALLH):
     det = grid_jacobian_det(chain, M, 0.0)
     det_residual = float(np.max(np.abs(det - 1.0)))
     return FiberingResult(chain, k, trace, residual, det_residual, converged,
-                          iterations, lemma42_first_fail)
+                          len(stage_maps), lemma42_first_fail)
 
 
 def phase_profile_distance(k, k_hat, allow_half_turn=False):

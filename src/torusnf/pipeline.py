@@ -25,7 +25,6 @@ from .fibering import (
     EPS_SMALLH,
     VERIFY_GRID,
     FiberingPhase,
-    KamSchedule,
     fibering_normalize,
 )
 from .flows import (
@@ -197,8 +196,7 @@ class InvariantReport:
     complex_constant: complex      # 1 + mean of the Jacobian density
     total_volume: float            # (2 pi)^n rho0
     density_norm: float
-    fibering_converged: bool
-    fibering_trace: object
+    fibering_trace: list
 
 
 def normalize_embedding(emb):
@@ -254,8 +252,7 @@ def normalize_embedding(emb):
     # the actual input with margin, then rely on the per-step admissibility
     # checks and the a-posteriori residuals
     eps_fibering = max(EPS_SMALLH, 2.0 * h3.coeff_norm(r) / r ** 3)
-    fib = fibering_normalize(FiberingPhase(h3), KamSchedule(r),
-                             eps=eps_fibering)
+    fib = fibering_normalize(FiberingPhase(h3), r, eps=eps_fibering)
     if not fib.converged:
         err = NumericalFailure(
             "phase normalization exhausted its schedule; trace attached")
@@ -280,7 +277,7 @@ def normalize_embedding(emb):
         complex_constant=1.0 + a.series.mean(),
         total_volume=(2.0 * np.pi) ** n * rho0,
         density_norm=density_norm,
-        fibering_converged=fib.converged, fibering_trace=fib.trace)
+        fibering_trace=fib.trace)
 
 
 def _stage_gate(stage, residual):

@@ -4,8 +4,14 @@ Laurent data a(z) on the annulus is carried by the same coefficient engine
 as the periodic series (exponent = frequency).  The correction maps are
 time-(-1) flows of holomorphic fields v = sum q_j d/dz_j with div v = a,
 computed as Lie series in angle coordinates through the conjugated field
-p_j(theta) = -i e^{-i theta_j} q_j(z); the Jacobian determinant along the
-flow comes from the exact quadrature log det D psi = int a o phi_s ds.
+p_j(theta) = -i e^{-i theta_j} q_j(z), which `solve_divergence` writes
+directly; the Jacobian determinant along the flow comes from the exact
+quadrature log det D psi = int a o phi_s ds.
+
+`realize_form` runs these steps in `fibering.shrinking_strip`, the loop it
+shares with the phase normalization, on the realization schedule
+r_{m+1} = (1 - 2 delta_m) r_m, delta_m = e^{-2} / (2 n (m+2)^2), with the
+density norm ||a||_{r_m} as defect.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import warnings
 import numpy as np
 
 from .errors import HypothesisViolation
-from .fibering import MAX_ITER, STOP_TOL, KamSchedule, KamTrace
+from .fibering import shrinking_strip
 from .flows import (
     MapChain,
     PeriodicVectorField,
@@ -80,12 +86,6 @@ class AnnulusFunction:
         out = rolled * (k + 1).reshape(shape)
         return AnnulusFunction(PeriodicSeries(out, trunc_mass=s.trunc_mass))
 
-    def shift_exponent(self, axis, by):
-        """Multiply by z_axis^by at coefficient level."""
-        s = self.series.pad_to(self.series.N + abs(by))
-        rolled = np.roll(np.array(s.coeffs), by, axis=axis)
-        return AnnulusFunction(PeriodicSeries(rolled, trunc_mass=s.trunc_mass))
-
     def __mul__(self, scalar):
         return AnnulusFunction(self.series * scalar)
 
@@ -95,76 +95,43 @@ class AnnulusFunction:
         return f"AnnulusFunction(n={self.n}, N={self.N})"
 
 
-def laurent_split(a):
-    """Partition the Laurent terms by the first axis whose exponent is not -1.
+def check_exact(a):
+    """Refuse (kn) unless the coefficient of 1/(z_1 ... z_n) vanishes.
 
-    Pieces 0..n-1 collect the terms whose leading exponents are all -1 up to
-    that axis; piece n is the single all-(-1) monomial, the obstruction to
-    solving the divergence equation.  The pieces sum to `a` exactly.
+    That coefficient is zero iff the density integrates to zero over the
+    torus; it must be at most MEAN_MONOMIAL_TOL in modulus.  Returns the
+    modulus.
     """
-    s = a.series
-    n, N = s.n, s.N
-    k = np.arange(-N, N + 1)
-    first = np.full(s.coeffs.shape, n, dtype=int)
-    for j in reversed(range(n)):
-        shape = [1] * n
-        shape[j] = 2 * N + 1
-        first = np.where((k != -1).reshape(shape), j, first)
-    return [AnnulusFunction(PeriodicSeries(np.where(first == j, s.coeffs, 0.0)))
-            for j in range(n + 1)]
-
-
-def mean_monomial(a):
-    """Coefficient of 1/(z_1 ... z_n); zero iff the density integrates to zero."""
-    if a.N < 1:
-        return 0.0 + 0.0j
-    return a.coeff((-1,) * a.n)
-
-
-def mean_zero_check(a):
-    defect = abs(mean_monomial(a))
-    return defect <= MEAN_MONOMIAL_TOL, defect
-
-
-@dataclasses.dataclass(frozen=True)
-class HoloVectorField:
-    """v = sum_j q_j(z) d/dz_j with Laurent component data."""
-
-    q: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", tuple(AnnulusFunction(c) for c in self.q))
-
-    def to_theta_field(self):
-        """The conjugated angle field p_j = -i z_j^{-1} q_j, as periodic series."""
-        comps = [(-1j * c.shift_exponent(j, -1)).series
-                 for j, c in enumerate(self.q)]
-        return PeriodicVectorField(comps)
+    defect = abs(a.coeff((-1,) * a.n)) if a.N >= 1 else 0.0
+    if defect > MEAN_MONOMIAL_TOL:
+        raise HypothesisViolation(
+            "(kn)", f"mean monomial coefficient has modulus {defect:.3e}")
+    return defect
 
 
 def solve_divergence(a):
-    """The canonical field with div v = a and no exponent-0 terms in q_j.
+    """The conjugated angle field p of the canonical solution of div v = a.
 
-    Piece j of the Laurent split integrates in z_j: the coefficient at I
-    moves to I + e_j divided by I_j + 1, which exists because I_j != -1 on
-    that piece.  Requires the all-(-1) monomial of `a` to vanish.
+    v = sum_j q_j d/dz_j has no exponent-0 terms in z_j in q_j, and
+    p_j = -i z_j^{-1} q_j.  The term of `a` at I goes to p_j, for the first
+    axis j with I_j != -1, as -i a_I / (I_j + 1): q_j integrates it in z_j.
+    Requires the all-(-1) monomial of `a` to vanish.
     """
-    ok, defect = mean_zero_check(a)
-    if not ok:
-        raise HypothesisViolation(
-            "(kn)", f"mean monomial coefficient has modulus {defect:.3e}")
-    n = a.n
+    check_exact(a)
+    s = a.series
+    n, N = s.n, s.N
+    k = np.arange(-N, N + 1)
+    den = np.where(k == -1, 1, k + 1).astype(complex)  # -1 never reaches p_j
+    rest = s.coeffs  # the terms that no earlier axis took
     comps = []
     for j in range(n):
-        piece = laurent_split(a)[j].series
-        shifted = np.roll(np.array(piece.pad_to(piece.N + 1).coeffs), 1, axis=j)
-        Np = piece.N + 1
-        k = np.arange(-Np, Np + 1).astype(complex)
-        k[Np] = 1.0  # exponent 0 entries are identically zero after the shift
         shape = [1] * n
-        shape[j] = 2 * Np + 1
-        comps.append(AnnulusFunction(PeriodicSeries(shifted / k.reshape(shape))))
-    return HoloVectorField(tuple(comps))
+        shape[j] = 2 * N + 1
+        lead = (k != -1).reshape(shape)
+        comps.append(-1j * PeriodicSeries(
+            np.where(lead, rest / den.reshape(shape), 0.0)))
+        rest = np.where(lead, 0.0, rest)
+    return PeriodicVectorField(comps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,11 +167,9 @@ class RealizationStep:
     map: AnnulusMap
     a_next: AnnulusFunction
     a_norm: float
-    flow_defect: float
-    log_g_norm: float
 
 
-def realization_step(a, r, delta, warn_f5=True):
+def realization_step(a, r, delta):
     """One corrective sweep: flow for time -1 along the divergence solution.
 
     Returns the multiplicative map psi and the transported density defect
@@ -221,12 +186,11 @@ def realization_step(a, r, delta, warn_f5=True):
             "(f4)", f"||a||_r = {a_norm:.3e} exceeds r delta^2/C_F4 = {gate:.3e}")
     N_pull = 2 * a.N + 4
 
-    field = solve_divergence(a).to_theta_field()
-    fr, acc = flow(field, -1.0, r, delta, N_out=max(a.N + 1, field.N),
+    fr, acc = flow(solve_divergence(a), -1.0, r, delta, N_out=a.N + 2,
                    line_integrand=a.series)
     psi = AnnulusMap.from_torus_lift(fr.map)
     log_norm = psi.log_norm((1.0 - delta) * r)
-    if warn_f5 and log_norm > r * delta * delta:
+    if log_norm > r * delta * delta:
         warnings.warn(
             f"multiplicative part norm {log_norm:.3e} exceeds the worst-case "
             f"budget r delta^2 = {r * delta ** 2:.3e}; composite convergence "
@@ -238,16 +202,7 @@ def realization_step(a, r, delta, warn_f5=True):
     det_vals = np.exp(acc.pad_to(max(acc.N, N_pull)).eval_real_grid(M))
     hat_vals = (1.0 + a_vals) * det_vals - 1.0
     a_next = AnnulusFunction(series_from_real_grid(hat_vals, a.N))
-    return RealizationStep(psi, a_next, a_norm, fr.defect, log_norm)
-
-
-@dataclasses.dataclass(frozen=True)
-class RealizationTraceRow:
-    m: int
-    r: float
-    delta: float
-    a: float
-    residual: float  # realized contraction constant of the step taken at m
+    return RealizationStep(psi, a_next, a_norm)
 
 
 @dataclasses.dataclass
@@ -255,7 +210,7 @@ class RealizationResult:
     phi: AnnulusMap              # the realizing embedding perturbation
     psi: AnnulusMap              # collapsed composite of the corrective maps
     chain: MapChain              # psi stage chain in application order
-    trace: KamTrace
+    trace: list                  # TraceRow per m, defect = ||a_m||_{r_m}
     det_residual: float          # sup |det D phi - (1 + a)| on the torus grid
     inverse_residual: float      # sup |psi(phi(theta)) - theta| near the torus
     min_det: float               # totally-real witness: min |det D phi|
@@ -264,12 +219,16 @@ class RealizationResult:
     iterations: int
 
 
+def _realization_delta(n, m):
+    return np.exp(-2.0) / (2.0 * n * (m + 2) ** 2)
+
+
 def realize_form(a, r0):
     """Build the near-identity embedding whose volume density is 1 + a.
 
-    Iterates corrective flows on the realization schedule until the
-    transported density defect is at or below STOP_TOL, or MAX_ITER steps
-    are taken, then inverts the stage chain with `invert_map` and checks the
+    Runs corrective flows in `shrinking_strip` on the realization schedule
+    until the transported density defect is at or below STOP_TOL, or
+    MAX_ITER steps are taken, then inverts the stage chain with `invert_map` and checks the
     round trip on the torus and on the shells Im theta = +-r0/8, which lie
     inside the half-width strip of r0/2 where the inversion gate (nf) is
     taken.  Entry hypotheses: the all-(-1) monomial of `a` vanishes and
@@ -282,44 +241,25 @@ def realize_form(a, r0):
     """
     a0 = AnnulusFunction(a)
     n = a0.n
-    ok, defect = mean_zero_check(a0)
-    if not ok:
-        raise HypothesisViolation(
-            "(kn)", f"mean monomial coefficient has modulus {defect:.3e}")
+    check_exact(a0)
     a_norm = a0.norm(r0)
     if a_norm > EPS_SMALLA * r0:
         raise HypothesisViolation(
             "(smalla)", f"||a||_r0 = {a_norm:.3e} exceeds "
             f"EPS_SMALLA r0 = {EPS_SMALLA * r0:.3e}")
-    schedule = KamSchedule(r0, kind="realization", dim=n)
 
-    state = a0
-    stage_maps = []
-    trace = KamTrace(rows=[])
-    converged = False
-    iterations = 0
-    for m in range(MAX_ITER + 1):
-        r_m = schedule.radius(m)
-        d_m = schedule.delta(m)
-        a_m = state.norm(r_m)
-        if a_m <= STOP_TOL:
-            trace.append(RealizationTraceRow(m, r_m, d_m, a_m, 0.0))
-            converged = True
-            break
-        if m == MAX_ITER:
-            trace.append(RealizationTraceRow(m, r_m, d_m, a_m, 0.0))
-            break
-        try:
-            step = realization_step(state, r_m, d_m, warn_f5=(m == 0))
-        except HypothesisViolation as err:
-            err.trace = trace
-            raise
-        state = step.a_next
-        iterations = m + 1
-        a_next = state.norm(schedule.radius(m + 1))
-        realized = a_next * r_m * d_m / a_m ** 2 if a_m > 0 else 0.0
-        trace.append(RealizationTraceRow(m, r_m, d_m, a_m, realized))
-        stage_maps.append(step.map.to_torus_lift())
+    def schedule(r, m):
+        for j in range(m):
+            r *= 1.0 - 2.0 * _realization_delta(n, j)
+        return r, _realization_delta(n, m)
+
+    def step(a_m, r, delta):
+        taken = realization_step(a_m, r, delta)
+        return taken.a_next, taken.map.to_torus_lift()
+
+    _, stage_maps, trace, converged = shrinking_strip(
+        a0, r0, schedule, AnnulusFunction.norm, step, 1)
+    iterations = len(stage_maps)
 
     N_comp = max(2 * a0.N + 4, 8)
     if not stage_maps:

@@ -10,7 +10,8 @@ at the scale of theta.
 
 import numpy as np
 
-from torusnf.series import eval_many
+from torusnf.realization import AnnulusFunction
+from torusnf.series import PeriodicSeries, eval_many
 
 
 def eval_z(f, zpts):
@@ -19,9 +20,17 @@ def eval_z(f, zpts):
     return f.series.eval_points(-1j * np.log(zpts))
 
 
-def divergence_z(v):
-    """div_z v = sum_j d q_j / d z_j of a `HoloVectorField`, as a series."""
-    return sum(q.z_derivative(j).series for j, q in enumerate(v.q))
+def holo_components(p):
+    """q_j = i z_j p_j: the Laurent components of the holomorphic field
+    v = sum_j q_j d/dz_j whose conjugated angle field is p."""
+    return [AnnulusFunction(1j * PeriodicSeries(
+                np.roll(c.pad_to(c.N + 1).coeffs, 1, axis=j)))
+            for j, c in enumerate(p.components)]
+
+
+def divergence_z(q):
+    """div_z v = sum_j d q_j / d z_j of v = sum_j q_j d/dz_j, as a series."""
+    return sum(q_j.z_derivative(j).series for j, q_j in enumerate(q))
 
 
 def apply_z(psi, zpts):

@@ -1,4 +1,5 @@
-"""Every public function of the package has a caller outside the tests.
+"""Every public function of the package has a caller outside the tests, and
+the number of settable values does not grow.
 
 The scan parses `src/torusnf` and the benchmark under `perfbench/` with
 `ast` and collects every name they reference: plain names, attribute names
@@ -7,6 +8,9 @@ layers by string).  A public function or method of the package whose name is
 referenced nowhere outside its own body has only test callers.  Matching is
 by bare name, so a method shares its references with every other definition
 of that name; the scan can miss dead code but never flags live code.
+
+A settable value is a keyword option with a default or a dataclass field
+with a default, private helpers included.
 """
 
 import ast
@@ -26,6 +30,7 @@ ALLOWED = {
     "postcompose_monomial_shear",
     "half_turn_profile",
 }
+MAX_SETTABLE_VALUES = 24
 
 
 def referenced_names(node):
@@ -54,3 +59,25 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert dead == []
     # an allowlisted function that gains a caller leaves the list
     assert sorted(name for name in ALLOWED if everywhere[name]) == []
+
+
+def is_dataclass(node):
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def settable_values(tree):
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    total = sum(settable_values(ast.parse(path.read_text()))
+                for path in SOURCES)
+    assert total <= MAX_SETTABLE_VALUES

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from torusnf import fibering
-from torusnf.errors import HypothesisViolation
+from torusnf import fibering, realization
+from torusnf.errors import HypothesisViolation, NumericalFailure
 from torusnf.fibering import (
     STOP_TOL,
     FiberingPhase,
-    KamSchedule,
     fibering_normalize,
     fibering_step,
     leading_bound,
@@ -14,10 +13,12 @@ from torusnf.fibering import (
     transverse_bound,
 )
 from torusnf.flows import flow
+from torusnf.realization import realize_form
 from torusnf.series import PeriodicSeries
 
 from oracles import abs_max_coeff, coeff_distance, multiply
 from test_flows import stream_field
+from test_realization import random_annulus_function
 from test_series import cos_series, random_series, sin_series
 
 
@@ -83,7 +84,7 @@ class TestStep:
 class TestNormalize:
     def test_zero_phase(self):
         h = PeriodicSeries.zeros(2, 4)
-        res = fibering_normalize(FiberingPhase(h), KamSchedule(0.5))
+        res = fibering_normalize(FiberingPhase(h), 0.5)
         assert res.converged
         assert abs_max_coeff(res.k) == 0.0
         assert res.chain.to_single(10).part_norm(0.25) < 1e-13
@@ -92,7 +93,7 @@ class TestNormalize:
     def test_skew_case_converges_in_one_step(self):
         eps = 1e-3
         h = eps * sin_series(2, 4, 1)
-        res = fibering_normalize(FiberingPhase(h), KamSchedule(0.5), eps=0.02)
+        res = fibering_normalize(FiberingPhase(h), 0.5, eps=0.02)
         assert res.converged and res.iterations == 1
         assert res.k.coeff_norm(0.25) < 1e-12
         assert coeff_distance(res.chain.to_single(10).parts[0],
@@ -104,7 +105,7 @@ class TestNormalize:
         eps = 1e-3
         h = eps * (sin_series(2, 6, 0)
                    + multiply(cos_series(2, 6, 0), sin_series(2, 6, 1)).truncate(6))
-        res = fibering_normalize(FiberingPhase(h), KamSchedule(0.5), eps=0.05)
+        res = fibering_normalize(FiberingPhase(h), 0.5, eps=0.05)
         assert res.converged
         assert res.residual <= 1e-8
         target = eps * sin_series(1, res.k.N, 0)
@@ -113,7 +114,7 @@ class TestNormalize:
     def test_mean_is_removed(self):
         eps = 1e-3
         h = eps * (PeriodicSeries.constant(2, 4, 0.5) + sin_series(2, 4, 1))
-        res = fibering_normalize(FiberingPhase(h), KamSchedule(0.5), eps=0.02)
+        res = fibering_normalize(FiberingPhase(h), 0.5, eps=0.02)
         assert res.converged
         assert abs(res.k.mean()) < 1e-15
         assert res.residual < 1e-9
@@ -121,18 +122,18 @@ class TestNormalize:
     def test_refuses_oversized_phase(self):
         h = 0.1 * sin_series(2, 4, 1)
         with pytest.raises(HypothesisViolation) as err:
-            fibering_normalize(FiberingPhase(h), KamSchedule(0.5))
+            fibering_normalize(FiberingPhase(h), 0.5)
         assert err.value.bound == "(smallh)"
 
     def test_random_admissible_full_run(self):
         rng = np.random.default_rng(53)
         h = admissible_phase(rng)
         with pytest.warns(RuntimeWarning):
-            res = fibering_normalize(FiberingPhase(h), KamSchedule(0.5))
+            res = fibering_normalize(FiberingPhase(h), 0.5)
         assert res.converged
         assert res.residual <= 1e-8
         assert res.det_residual <= 1e-8
-        bs = [row.b for row in res.trace.rows if row.b > 0]
+        bs = [row.defect for row in res.trace if row.defect > 0]
         assert all(b2 < b1 for b1, b2 in zip(bs[1:], bs[2:]))  # after first step
 
     def test_exhausted_schedule_is_not_converged(self, monkeypatch):
@@ -140,22 +141,60 @@ class TestNormalize:
         monkeypatch.setattr(fibering, "MAX_ITER", 1)
         h = admissible_phase(np.random.default_rng(53))
         with pytest.warns(RuntimeWarning):
-            res = fibering_normalize(FiberingPhase(h), KamSchedule(0.5))
+            res = fibering_normalize(FiberingPhase(h), 0.5)
         assert not res.converged
         assert res.iterations == 1
-        assert [row.m for row in res.trace.rows] == [0, 1]
-        assert res.trace.rows[-1].b > STOP_TOL
+        assert [row.m for row in res.trace] == [0, 1]
+        assert res.trace[-1].defect > STOP_TOL
 
     def test_uniqueness_under_volume_preserving_conjugation(self):
         rng = np.random.default_rng(54)
         h = admissible_phase(rng, eps=0.7e-3)
-        res = fibering_normalize(FiberingPhase(h), KamSchedule(0.5))
+        res = fibering_normalize(FiberingPhase(h), 0.5)
         psi = flow(stream_field(rng, N=2, norm=1e-5), 1.0, 0.5, 0.2, N_out=10).map
         conj = (psi.parts[0].pad_to(10) + psi.pullback(h, N_out=10))
         conj = conj.truncate(6).symmetrized()
-        res2 = fibering_normalize(FiberingPhase(conj), KamSchedule(0.5))
+        res2 = fibering_normalize(FiberingPhase(conj), 0.5)
         assert res2.converged
         assert phase_profile_distance(res.k, res2.k) <= 1e-6
+
+
+def two_step_phase_run():
+    h = admissible_phase(np.random.default_rng(53))
+    return fibering_normalize(FiberingPhase(h), 0.5)
+
+
+def two_step_density_run():
+    a = random_annulus_function(np.random.default_rng(66), 2, 8, 0.5, 1e-4)
+    return realize_form(a, 0.5)
+
+
+class TestShrinkingStrip:
+    @pytest.mark.parametrize("error", [
+        lambda: HypothesisViolation("(b)", "injected step refusal"),
+        lambda: NumericalFailure("injected step failure"),
+    ], ids=["HypothesisViolation", "NumericalFailure"])
+    @pytest.mark.parametrize("module, step, run", [
+        (fibering, "fibering_step", two_step_phase_run),
+        (realization, "realization_step", two_step_density_run),
+    ], ids=["fibering", "realization"])
+    def test_step_error_keeps_partial_trace(self, monkeypatch, module, step,
+                                            run, error):
+        # both runs take two steps; the second one raises
+        original = getattr(module, step)
+        calls = []
+
+        def second_call_raises(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise error()
+            return original(*args)
+
+        monkeypatch.setattr(module, step, second_call_raises)
+        with pytest.raises((HypothesisViolation, NumericalFailure)) as err:
+            run()
+        assert "injected" in str(err.value)
+        assert [row.m for row in err.value.trace] == [0]
 
 
 class TestProfileDistance:

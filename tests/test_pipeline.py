@@ -382,7 +382,7 @@ class TestNormalizeEmbedding:
             emb, TorusMapLift(np.eye(2, dtype=int), parts))
         with pytest.raises(NumericalFailure, match="exhausted") as err:
             normalize_embedding(emb2)
-        assert err.value.trace.rows
+        assert err.value.trace
 
     def test_refuses_far_from_identity(self):
         comps = (AnnulusFunction.from_terms(2, 1, {(1, 0): 1.0, (0, 0): 0.4}),
@@ -428,7 +428,7 @@ class TestWitnessGrids:
         for mod in (series, flows, pipeline, fibering, realization):
             if hasattr(mod, "eval_many"):
                 monkeypatch.setattr(mod, "eval_many", recording)
-        assert normalize_embedding(seeded).fibering_trace.rows
+        assert normalize_embedding(seeded).fibering_trace
         assert len(normalize_embedding(reparam).chain.stages) > 5
         assert realize_form(density, 0.5).converged
         # the stages after the first non-affine one still see scattered points

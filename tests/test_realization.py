@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
-from torusnf import realization
+from torusnf import fibering, realization
 from torusnf.errors import HypothesisViolation
 from torusnf.realization import (
+    MEAN_MONOMIAL_TOL,
     AnnulusFunction,
-    laurent_split,
-    mean_zero_check,
+    check_exact,
     realization_step,
     realize_form,
     solve_divergence,
 )
 from torusnf.series import PeriodicSeries, theta_grid
 
-from annulus_oracle import apply_z, det_jacobian_z, divergence_z, eval_z
+from annulus_oracle import (
+    apply_z,
+    det_jacobian_z,
+    divergence_z,
+    eval_z,
+    holo_components,
+)
 from oracles import abs_max_coeff
 from test_series import random_series
 
@@ -33,73 +39,73 @@ def torus_points(n, M):
 
 
 class TestLaurentSplit:
+    """The Laurent terms split among the components of `solve_divergence`:
+    each term goes to the first axis whose exponent is not -1."""
+
     def test_one_dim_positive_power(self):
         a = AnnulusFunction.from_terms(1, 2, {(1,): 1e-3})
-        pieces = laurent_split(a)
-        assert pieces[0].coeff((1,)) == pytest.approx(1e-3)
-        assert abs_max_coeff(pieces[1].series) == 0.0
-
-    def test_obstruction_monomial(self):
-        a = AnnulusFunction.from_terms(2, 1, {(-1, -1): 2.0})
-        pieces = laurent_split(a)
-        assert abs_max_coeff(pieces[0].series) == 0.0
-        assert abs_max_coeff(pieces[1].series) == 0.0
-        assert pieces[2].coeff((-1, -1)) == pytest.approx(2.0)
+        (p,) = solve_divergence(a).components
+        assert p.coeff((1,)) == pytest.approx(-0.5e-3j)
+        assert np.count_nonzero(p.coeffs) == 1
 
     def test_partition_and_norm_bound(self):
         rng = np.random.default_rng(61)
         a = random_annulus_function(rng, 2, 5, 0.5, 1e-3)
-        pieces = laurent_split(a)
-        total = sum((p.series for p in pieces), PeriodicSeries.zeros(2, 5))
-        assert np.max(np.abs(total.coeffs - a.series.coeffs)) == 0.0
-        for j, p in enumerate(pieces):
-            assert p.norm(0.5) <= 2 * np.e ** (j + 1) * a.norm(0.5)
+        p = solve_divergence(a).components
+        # every nonzero term lands in exactly one component
+        owners = sum((c.coeffs != 0).astype(int) for c in p)
+        assert np.array_equal(owners, (a.series.coeffs != 0).astype(int))
+        k = np.arange(-5, 6)
+        axis_1_only = (k == -1)[:, None] & (k != -1)[None, :]
+        assert np.array_equal(p[1].coeffs != 0,
+                              axis_1_only & (a.series.coeffs != 0))
+        for j, c in enumerate(p):
+            assert c.coeff_norm(0.5) <= 2 * np.e ** (j + 1) * a.norm(0.5)
 
 
 class TestMeanCheck:
     def test_positive_power_passes(self):
         a = AnnulusFunction.from_terms(1, 2, {(1,): 1e-3})
-        ok, defect = mean_zero_check(a)
-        assert ok and defect == 0.0
+        assert check_exact(a) == 0.0
 
     def test_obstruction_fails(self):
         a = AnnulusFunction.from_terms(2, 1, {(-1, -1): 1.0})
-        ok, defect = mean_zero_check(a)
-        assert not ok and defect == pytest.approx(1.0)
+        with pytest.raises(HypothesisViolation, match="1.000e[+]00") as err:
+            check_exact(a)
+        assert err.value.bound == "(kn)"
 
     def test_zeroed_coefficient_passes(self):
         rng = np.random.default_rng(62)
         a = random_annulus_function(rng, 2, 4, 0.5, 1e-3)
-        ok, _ = mean_zero_check(a)
-        assert ok
+        assert check_exact(a) <= MEAN_MONOMIAL_TOL
 
 
 class TestSolveDivergence:
     def test_one_dim_quadratic(self):
         eps = 1e-3
         a = AnnulusFunction.from_terms(1, 2, {(1,): eps})
-        v = solve_divergence(a)
-        assert v.q[0].coeff((2,)) == pytest.approx(eps / 2)
-        resid = divergence_z(v) - a.series
+        q = holo_components(solve_divergence(a))
+        assert q[0].coeff((2,)) == pytest.approx(eps / 2)
+        resid = divergence_z(q) - a.series
         assert abs_max_coeff(resid) < 1e-18
 
     def test_zero_input(self):
         a = AnnulusFunction(PeriodicSeries.zeros(2, 3))
-        v = solve_divergence(a)
-        assert all(abs_max_coeff(c.series) == 0.0 for c in v.q)
+        p = solve_divergence(a)
+        assert all(abs_max_coeff(c) == 0.0 for c in p.components)
 
     def test_random_reconstruction_and_gauge(self):
         rng = np.random.default_rng(63)
         for _ in range(10):
             a = random_annulus_function(rng, 2, 5, 0.5, 1e-3)
-            v = solve_divergence(a)
-            resid = divergence_z(v) - a.series
+            q = holo_components(solve_divergence(a))
+            resid = divergence_z(q) - a.series
             assert resid.coeff_norm(0.5) <= 1e-12
-            for j, q in enumerate(v.q):
+            for j, q_j in enumerate(q):
                 # no exponent-0 monomials in z_j (the uniqueness gauge)
-                plane = np.take(q.series.coeffs, q.series.N, axis=j)
+                plane = np.take(q_j.series.coeffs, q_j.series.N, axis=j)
                 assert np.max(np.abs(plane)) == 0.0
-                assert q.norm(0.5) <= 4 * np.pi * np.e ** (j + 2) * a.norm(0.5)
+                assert q_j.norm(0.5) <= 4 * np.pi * np.e ** (j + 2) * a.norm(0.5)
 
     def test_refuses_obstructed_input(self):
         a = AnnulusFunction.from_terms(2, 1, {(-1, -1): 1e-3})
@@ -184,19 +190,19 @@ class TestRealizeForm:
         assert res.converged
         assert res.det_residual <= 1e-7
         assert res.inverse_residual <= 1e-9
-        decays = [row.residual for row in res.trace.rows if row.residual > 0]
+        decays = [row.residual for row in res.trace if row.residual > 0]
         assert all(c <= 1e3 for c in decays)
 
     def test_exhausted_schedule_is_not_converged(self, monkeypatch):
         # the random density needs two corrective steps; allow only one
-        monkeypatch.setattr(realization, "MAX_ITER", 1)
+        monkeypatch.setattr(fibering, "MAX_ITER", 1)
         rng = np.random.default_rng(66)
         a = random_annulus_function(rng, 2, 8, 0.5, 1e-4)
         with pytest.warns(RuntimeWarning):
             res = realize_form(a, 0.5)
         assert not res.converged
         assert res.iterations == 1
-        assert [row.m for row in res.trace.rows] == [0, 1]
+        assert [row.m for row in res.trace] == [0, 1]
 
     def test_refuses_obstructed_density(self):
         a = AnnulusFunction.from_terms(2, 2, {(-1, -1): 1e-3, (1, 0): 1e-3})
