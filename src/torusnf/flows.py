@@ -49,6 +49,7 @@ from .series import (
     eval_many,
     grid_size,
     series_from_real_grid,
+    stacked_det,
     theta_grid,
     translate,
 )
@@ -412,7 +413,7 @@ class MapChain:
         for s in self.stages:
             pts, jac = s._image_and_jacobian(pts)
             # a degree-0 stage is affine, with the constant Jacobian D
-            det = det * np.linalg.det(jac if s.N else s.D)
+            det = det * (stacked_det(jac) if s.N else np.linalg.det(s.D))
         return det
 
     def to_single(self, N_out):
@@ -504,7 +505,7 @@ def grid_jacobian_det(phi, M, shift):
     for j, p in enumerate(stage.parts):
         for l in range(n):
             jac[:, j, l] = stage.D[j, l] + read(p.derivative(l))
-    det *= np.linalg.det(jac)
+    det *= stacked_det(jac)
     del jac   # freed before the later stages allocate their own
     if rest is not None:
         det *= rest.jacobian_det(_stage_image(stage, pts, read))
@@ -526,10 +527,12 @@ def invert_map(phi, r, N_out=None):
     theta + W, and sets U <- U - W: for one lift theta + f, the contraction
     U <- -f(theta + U).  Requires an identity integer part and the bound
     (nf) ||f||_r <= r/(4n), on the summed stage norms for a chain, which
-    makes the iteration contract on the half-width strip.  The residual is
-    the witness sup |phi(phi^{-1}(theta)) - theta| on a second grid, of
-    M + 1 points per axis: phi^{-1} is read there by FFT (`grid_image`), and
-    phi at the scattered image points by `eval_many`.
+    makes the iteration contract on the half-width strip.  The iteration
+    runs on the M = grid_size(N_out, phi.N) grid, a 7-smooth size.  The
+    residual is the witness sup |phi(phi^{-1}(theta)) - theta| on a second
+    grid, of M + 1 points per axis, which shares only the origin with the
+    compute grid: phi^{-1} is read there by FFT (`grid_image`), and phi at
+    the scattered image points by `eval_many`.
     """
     if not phi.has_identity_integer_part():
         raise ValueError("invert_map requires an identity integer part")

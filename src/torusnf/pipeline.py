@@ -42,6 +42,8 @@ from .series import (
     grid_size,
     pull_back_linear,
     series_from_real_grid,
+    seven_smooth,
+    stacked_det,
     theta_grid,
     translate,
 )
@@ -103,37 +105,26 @@ def jacobian_density(emb):
 
     The derivative entries are exact coefficient operations, so the
     determinant is a Laurent polynomial of degree at most N_exact = n(N+1)
-    per axis.  It is sampled on the smallest 7-smooth number M of points per
-    axis at or above the alias-free 2 N_exact + 1, which reproduces every
-    coefficient up to round-off while keeping the FFTs off prime sizes, and
-    the re-expansion is chopped at CHOP_FLOOR with the dropped mass recorded.
+    per axis.  It is sampled on M = seven_smooth(2 N_exact + 1) points per
+    axis, the alias-free size rounded up by the helper `grid_size` uses, which
+    reproduces every coefficient up to round-off while keeping the FFTs off
+    prime sizes.  The determinant stack goes through `stacked_det`, and the
+    re-expansion is chopped at CHOP_FLOOR with the dropped mass recorded.
     """
     n = emb.n
     N_exact = n * (emb.N + 1)
-    M = _seven_smooth(2 * N_exact + 1)
+    M = seven_smooth(2 * N_exact + 1)
     mat = np.empty((M ** n, n, n), dtype=complex)
     for j in range(n):
         for l in range(n):
             d = emb.components[j].z_derivative(l)
             mat[:, j, l] = d.series.eval_real_grid(M).reshape(-1)
-    det = np.linalg.det(mat)
+    det = stacked_det(mat)
     if float(np.min(np.abs(det))) <= 1e-12:
         raise NumericalFailure(
             "Jacobian determinant vanishes on the torus grid: not totally real")
     a = series_from_real_grid((det - 1.0).reshape((M,) * n), N_exact)
     return AnnulusFunction(a.chop(CHOP_FLOOR))
-
-
-def _seven_smooth(m):
-    """The smallest integer at or above m with no prime factor above 7."""
-    while True:
-        rest = m
-        for p in (2, 3, 5, 7):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return m
-        m += 1
 
 
 @dataclasses.dataclass(frozen=True)

@@ -228,8 +228,10 @@ def realize_form(a, r0):
 
     Runs corrective flows in `shrinking_strip` on the realization schedule
     until the transported density defect is at or below STOP_TOL, or
-    MAX_ITER steps are taken, then inverts the stage chain with `invert_map` and checks the
-    round trip on the torus and on the shells Im theta = +-r0/8, which lie
+    MAX_ITER steps are taken, then inverts the stage chain with
+    `invert_map`.  `inverse_residual` is the worst round trip
+    sup |psi(phi(theta)) - theta| over the torus, as `invert_map` witnesses
+    it on its own grid, and over the shells Im theta = +-r0/8, which lie
     inside the half-width strip of r0/2 where the inversion gate (nf) is
     taken.  Entry hypotheses: the all-(-1) monomial of `a` vanishes and
     ||a||_{r0} <= EPS_SMALLA r0.
@@ -267,13 +269,13 @@ def realize_form(a, r0):
     chain = MapChain(stage_maps[::-1])
     psi_single = AnnulusMap.from_torus_lift(chain.to_single(N_comp))
 
-    inv = invert_map(chain, r0 / 2.0, N_out=N_comp).map
-    phi = AnnulusMap.from_torus_lift(inv)
+    inverse = invert_map(chain, r0 / 2.0, N_out=N_comp)
+    phi = AnnulusMap.from_torus_lift(inverse.map)
     M = max(2 * N_comp + 3, 33)
     base = theta_grid(n, M)
-    round_trip = MapChain((inv,) + chain.stages)
-    inverse_residual = 0.0
-    for shift in (0.0, -r0 / 8.0, r0 / 8.0):
+    round_trip = MapChain((inverse.map,) + chain.stages)
+    inverse_residual = inverse.residual
+    for shift in (-r0 / 8.0, r0 / 8.0):
         inverse_residual = max(inverse_residual, float(np.max(np.abs(
             grid_image(round_trip, M, shift) - (base + 1j * shift)))))
     det_residual, min_det, min_phase_gradient = _verify_density(phi, a0)

@@ -16,6 +16,8 @@ are marked read-only so instances can be shared freely between threads.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalFailure
@@ -398,13 +400,58 @@ def eval_many(series_list, pts):
     return out
 
 
-def grid_size(N_out, *N_in):
-    """Points per axis of a re-expansion grid.
+def seven_smooth(m):
+    """The smallest integer at or above m with no prime factor above 7."""
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
-    Oversamples the output degree by GRID_MULT and never drops below the
-    alias-free size of any input degree that is sampled on the grid.
+
+def grid_size(N_out, *N_in):
+    """Points per axis of a compute grid.
+
+    The smallest 7-smooth integer at or above the bound
+    max(GRID_MULT (2 N_out + 1), 2 N + 1 for N in N_in): the bound
+    oversamples the output degree by GRID_MULT and never drops below the
+    alias-free size of any input degree sampled on the grid.  It is rounded
+    up because mixed-radix FFTs are fastest on sizes whose prime factors are
+    all small: the bare bound is often twice a prime, and an 82 = 2 * 41
+    grid transforms over twice as slowly as an 84 = 2^2 * 3 * 7 one.
+    Rounding only grows the grid, so it only lowers aliasing.
     """
-    return max([GRID_MULT * (2 * N_out + 1)] + [2 * N + 1 for N in N_in])
+    return seven_smooth(max([GRID_MULT * (2 * N_out + 1)]
+                            + [2 * N + 1 for N in N_in]))
+
+
+def stacked_det(mat):
+    """Determinants of an (m, n, n) stack of matrices, as an (m,) array.
+
+    Laplace expansion along the rows, over column views of the stack: the
+    minors on the last k rows, one per set of k columns, are built from
+    those on the last k - 1 rows.  For the n <= 4 Jacobian stacks here this
+    is several times faster than `np.linalg.det`, which factors the
+    matrices one by one, and agrees with it to round-off.
+    """
+    n = mat.shape[-1]
+    minors = {(c,): mat[:, n - 1, c] for c in range(n)}
+    for size in range(2, n + 1):
+        row = n - size
+        below, minors = minors, {}
+        for cols in itertools.combinations(range(n), size):
+            out = mat[:, row, cols[0]] * below[cols[1:]]
+            for i in range(1, size):
+                term = mat[:, row, cols[i]] * below[cols[:i] + cols[i + 1:]]
+                if i % 2:
+                    out -= term
+                else:
+                    out += term
+            minors[cols] = out
+    return minors[tuple(range(n))]
 
 
 def theta_grid(n, M):

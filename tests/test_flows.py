@@ -17,7 +17,7 @@ from torusnf.flows import (
 )
 from torusnf.pipeline import shear_lift
 from torusnf.realization import AnnulusFunction, realization_step
-from torusnf.series import PeriodicSeries, theta_grid
+from torusnf.series import PeriodicSeries, grid_size, theta_grid
 
 from oracles import (
     abs_max_coeff,
@@ -372,6 +372,32 @@ class TestGridNative:
         realization_step(a, 0.5, 0.05)
         compose_maps(phi, shear, phi, N_out=10)
         shear.pullback(h, N_out=20)
+
+
+class TestSmoothGrids:
+    """The map algebra on grids that `grid_size` rounds up to a 7-smooth
+    size, against the direct sum `eval_points` at off-grid points."""
+
+    @pytest.mark.parametrize("n, N, M, eps", [(2, 20, 84, 1e-3),
+                                              (3, 14, 60, 1e-5)])
+    def test_matches_direct_sum_off_grid(self, n, N, M, eps):
+        # 2 (2N + 1) is 82 = 2 * 41 and 58 = 2 * 29
+        assert grid_size(N, N) == M != 2 * (2 * N + 1)
+        rng = np.random.default_rng(60 + n)
+        phi, psi = (TorusMapLift(np.eye(n, dtype=int),
+                                 [eps * random_series(rng, n, N, decay=2.0)
+                                  for _ in range(n)])
+                    for _ in range(2))
+        h = random_series(rng, n, 3)
+        pts = rng.uniform(0, 2 * np.pi, size=(50, n)) + 0.05j
+        comp = phi.pullback(h, N_out=N)
+        assert np.max(np.abs(comp.eval_points(pts)
+                             - h.eval_points(phi.apply(pts)))) < 1e-13
+        both = compose_maps(phi, psi, N_out=N)
+        assert np.max(np.abs(both.apply(pts) - phi.apply(psi.apply(pts)))) < 1e-13
+        inv = invert_map(phi, 0.5, N_out=N)
+        assert inv.residual < 1e-13
+        assert np.max(np.abs(phi.apply(inv.map.apply(pts)) - pts)) < 1e-13
 
 
 class TestGridWitness:

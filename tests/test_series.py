@@ -6,11 +6,15 @@ import pytest
 from torusnf.errors import HypothesisViolation
 from torusnf.series import (
     CHOP_FLOOR,
+    GRID_MULT,
     PeriodicSeries,
     divide,
     eval_many,
+    grid_size,
     pull_back_linear,
     series_from_real_grid,
+    seven_smooth,
+    stacked_det,
     theta_grid,
     translate,
 )
@@ -295,6 +299,56 @@ class TestAlgebra:
         g = pull_back_linear(f, A)
         pts = rng.uniform(0, 2 * np.pi, size=(20, 2))
         assert np.max(np.abs(g.eval_points(pts) - f.eval_points(pts @ A.T))) < 1e-12
+
+
+def largest_prime_factor(m):
+    """By trial division; 1 for m = 1."""
+    largest, p = 1, 2
+    while p * p <= m:
+        while m % p == 0:
+            largest, m = p, m // p
+        p += 1
+    return max(largest, m)
+
+
+class TestGridRule:
+    def test_seven_smooth_is_the_next_smooth_integer(self):
+        for m in range(1, 1001):
+            M = seven_smooth(m)
+            assert M >= m
+            assert largest_prime_factor(M) <= 7
+            assert all(largest_prime_factor(j) > 7 for j in range(m, M))
+
+    def test_grid_size_is_smooth_and_meets_both_bounds(self):
+        for N_out, N_in in itertools.product(range(61), repeat=2):
+            M = grid_size(N_out, N_in)
+            assert largest_prime_factor(M) <= 7
+            assert M >= GRID_MULT * (2 * N_out + 1)
+            assert M >= 2 * N_in + 1
+
+    def test_twice_a_prime_rounds_up(self):
+        # compute grids of the benchmark workloads: 82, 78, 58, 38 and 22
+        # round up, while 50 and 42 are 7-smooth already
+        assert [grid_size(N) for N in (20, 19, 14, 9, 5)] == [84, 80, 60, 40, 24]
+        assert [grid_size(N) for N in (12, 10)] == [50, 42]
+
+
+class TestStackedDet:
+    @pytest.mark.parametrize("near_identity", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_linalg_det(self, n, near_identity):
+        rng = np.random.default_rng(50 + n)
+        mat = (rng.standard_normal((2000, n, n))
+               + 1j * rng.standard_normal((2000, n, n)))
+        if near_identity:
+            mat = np.eye(n) + 1e-2 * mat
+        ref = np.linalg.det(mat)
+        # Hadamard's bound |det| <= prod of row norms is the scale of the
+        # round-off of either method
+        scale = np.prod(np.linalg.norm(mat, axis=2), axis=1)
+        assert np.max(np.abs(stacked_det(mat) - ref) / scale) < 1e-13
+        if near_identity:
+            assert np.max(np.abs(stacked_det(mat) / ref - 1.0)) < 1e-13
 
 
 class TestChopTail:
