@@ -5,13 +5,14 @@ and f small.  It is computed on a uniform real grid and re-expanded as a
 Fourier series, whose coefficient norms then bound it on the strip.
 Holomorphic (non-real) data are allowed throughout.
 
-One grid kernel composes a series h with such a map: h(D theta + U) is the
-Taylor sum of on-grid derivatives of h times powers of U, one order at a
-time until an order is below round-off.  `TorusMapLift.pullback`,
-`compose_maps` (stage by stage) and `invert_map` all go through it.  Flows
-are Lie series, sum_k t^k/k! L^{k-1} p with L g = sum_i p_i d_i g, every
-product taken on the grid.  `compose_maps` is the one place a composite is
-collapsed and `invert_map` the one fixed-point inverter.
+One grid kernel, `taylor_on_grid`, composes a series h with such a map:
+h(D theta + U) is the Taylor sum of the derivatives of h, read on the grid
+from their coefficients, times powers of U, one order at a time until an
+order is below round-off.  `TorusMapLift.pullback`, `compose_maps` and
+`invert_map` (stage by stage) and the normal-form witness all go through it.
+Flows are Lie series, sum_k t^k/k! L^{k-1} p with L g = sum_i p_i d_i g,
+every product taken on the grid.  `compose_maps` is the one place a
+composite is collapsed and `invert_map` the one fixed-point inverter.
 
 `_lift_from_grid` is the one place a computed map is re-expanded, and it
 chops each part by one rule: the smallest coefficients are dropped for as
@@ -32,12 +33,15 @@ part is then read on that grid by `eval_real_grid`, with its first
 derivatives when a determinant is wanted.  Only the later stages see
 scattered image points, and only they go through `MapChain.apply` /
 `jacobian_det` and `eval_many`, which takes a stage's image and Jacobian from
-one call and contracts each series only over the axes it depends on.
+one call and contracts each series only over the axes it depends on.  A
+series read at the image, as the density in the normal-form witness, goes
+through the grid kernel at the image's displacement from D theta.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -130,34 +134,33 @@ def _grid_index(D, M):
     return tuple(np.tensordot(D, np.indices((M,) * n), axes=(1, 0)) % M)
 
 
-def _taylor_on_grid(series_list, D, U, M):
+def taylor_on_grid(series_list, D, U, M):
     """Values of each series at D theta + U(theta) on the M^n grid.
 
     U holds one grid per component.  The Taylor sum over multi-indices a of
     (d^a h)(D theta) U^a / a! runs one order |a| at a time until an order is
-    below TERM_TOL; each derivative is one inverse FFT, and D only re-indexes
-    grid points.  Derivatives along axes h does not depend on, and powers of
-    vanishing components of U, are skipped.
+    below TERM_TOL.  Each derivative is taken on the coefficients and read by
+    `eval_real_grid`, exact for every M; D only re-indexes grid points.  A
+    constant is read as its value, and no derivative is built along an axis h
+    does not depend on or where U vanishes.
     """
     n = len(U)
     index = _grid_index(D, M)
-    vals = [h.eval_real_grid(M) for h in series_list]
-    out = [v[index] for v in vals]
-    spectra = [np.fft.fftn(v) for v in vals]
     deps = [set(h.dependent_axes()) for h in series_list]
-    active = [j for j in range(n) if np.any(U[j])]
-    ik = _spectral_factors(n, M)
+    out = [h.eval_real_grid(M)[index] if dep else np.full((M,) * n, h.mean())
+           for h, dep in zip(series_list, deps)]
+    active = [j for j in sorted(set().union(*deps)) if np.any(U[j])]
     for order in range(1, MAX_TERMS + 1):
-        terms = [0.0] * len(spectra)
+        terms = [0.0] * len(series_list)
         for axes in itertools.combinations_with_replacement(active, order):
-            weight, fac = 1.0, 1.0
+            weight = 1.0
             for j in set(axes):
                 a = axes.count(j)
                 weight = weight * U[j] ** a / math.factorial(a)
-                fac = fac * ik[j] ** a
-            for i, s in enumerate(spectra):
+            for i, h in enumerate(series_list):
                 if deps[i].issuperset(axes):
-                    terms[i] = terms[i] + weight * np.fft.ifftn(s * fac)[index]
+                    d = functools.reduce(PeriodicSeries.derivative, axes, h)
+                    terms[i] = terms[i] + weight * d.eval_real_grid(M)[index]
         for acc, term in zip(out, terms):
             acc += term
         if _sup(terms) <= TERM_TOL:
@@ -175,7 +178,7 @@ def _apply_on_grid(stages, M, U=None):
         U = [np.zeros((M,) * n, dtype=complex) for _ in range(n)]
     D = np.eye(n, dtype=int)
     for s in stages:
-        f = _taylor_on_grid(s.parts, D, U, M)
+        f = taylor_on_grid(s.parts, D, U, M)
         U = [sum(s.D[j, l] * U[l] for l in range(n)) + f[j] for j in range(n)]
         D = s.D @ D
     return D, U
@@ -256,7 +259,9 @@ class TorusMapLift:
         vals = eval_many(self.parts + tuple(grads), pts)
         image = pts @ self.D.T.astype(float)
         image += vals[:n].T
-        return image, self.D + vals[n:].T.reshape(-1, n, n)
+        jac = vals[n:].T.reshape(-1, n, n)   # vals is not read again
+        jac += self.D
+        return image, jac
 
     def pullback(self, h, N_out=None):
         """h composed with this lift by the grid kernel, re-expanded at N_out.
@@ -275,7 +280,7 @@ class TorusMapLift:
                 f"output degree {N_out} below input degree {h.N}: grid too coarse")
         M = grid_size(N_out, self.N)
         U = [p.eval_real_grid(M) for p in self.parts]
-        vals = _taylor_on_grid([h], self.D, U, M)[0]
+        vals = taylor_on_grid([h], self.D, U, M)[0]
         return series_from_real_grid(vals, N_out, real=h.real and self.real)
 
 

@@ -33,6 +33,7 @@ from .flows import (
     grid_image,
     grid_jacobian_det,
     invert_map,
+    taylor_on_grid,
 )
 from .moser import VolumeDensity, moser_normalize
 from .realization import AnnulusFunction
@@ -201,9 +202,9 @@ def normalize_embedding(emb):
     phase iteration and of the normal form, sample VERIFY_GRID points per
     axis.  The normal-form witness reads the shear and the first stage with
     a non-constant part (a fibering stage, or the inverse volume map) on
-    that grid by FFT, and the later stages and the density at the scattered
-    image points by `eval_many`.  Raises NumericalFailure when the phase
-    iteration exhausts its schedule.
+    that grid by FFT, the later stages at the scattered image points by
+    `eval_many`, and the density on the moved grid by the grid kernel.
+    Raises NumericalFailure when the phase iteration exhausts its schedule.
     """
     n = emb.n
     if n < 2:
@@ -282,13 +283,17 @@ def _normal_form_residual(a, chain, k, rho0, n):
 
     (1 + a(pi(Phi theta))) e^{i sum Phi_j} det D Phi
         = rho0 e^{i (sum theta_j + k(sum theta_j))}.
+
+    a is read at Phi theta = D theta + U(theta) by `taylor_on_grid` at (D, U).
     """
-    moved = grid_image(chain, VERIFY_GRID, 0.0)
-    det = grid_jacobian_det(chain, VERIFY_GRID, 0.0)
-    lhs = (1.0 + a.series.eval_points(moved)) \
+    M = VERIFY_GRID
+    moved = grid_image(chain, M, 0.0)
+    det = grid_jacobian_det(chain, M, 0.0)
+    theta = theta_grid(n, M)
+    U = [u.reshape((M,) * n) for u in (moved - theta @ chain.D.T).T]
+    lhs = (1.0 + taylor_on_grid([a.series], chain.D, U, M)[0].reshape(-1)) \
         * np.exp(1j * moved.sum(axis=1)) * det
-    s = theta_grid(n, VERIFY_GRID).sum(axis=1)
-    rhs = rho0 * np.exp(1j * (s + _on_grid_sums(k, n, VERIFY_GRID)))
+    rhs = rho0 * np.exp(1j * (theta.sum(axis=1) + _on_grid_sums(k, n, M)))
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -231,22 +231,22 @@ class PeriodicSeries:
     # ------------------------------------------------------------------
     # evaluation
 
-    def eval_points(self, pts):
-        """Evaluate at an (m, n) array of complex points."""
-        return eval_many([self], pts)[0]
-
     def eval_real_grid(self, M):
         """Values on the uniform real grid theta_j = 2 pi m / M, by one
         inverse FFT: the points of `theta_grid(n, M)`, as an (M,)*n array.
 
         Exact for every M: on the grid exp(i k theta) = exp(i k' theta)
-        whenever k = k' (mod M), so such coefficients are added into one
-        FFT bin.  No off-grid point is read here; scattered points go
-        through `eval_many`.
+        whenever k = k' (mod M), so below the alias-free M = 2N + 1 such
+        coefficients are added into one FFT bin; from there on every bin
+        holds one coefficient and is assigned.  No off-grid point is read
+        here; scattered points go through `eval_many`.
         """
         emb = np.zeros((M,) * self.n, dtype=complex)
         idx = np.ix_(*([self.k_range() % M] * self.n))
-        np.add.at(emb, idx, self.coeffs)
+        if M > 2 * self.N:
+            emb[idx] = self.coeffs
+        else:
+            np.add.at(emb, idx, self.coeffs)
         return np.fft.ifftn(emb) * (M ** self.n)
 
     # ------------------------------------------------------------------

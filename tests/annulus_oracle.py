@@ -13,11 +13,13 @@ import numpy as np
 from torusnf.realization import AnnulusFunction
 from torusnf.series import PeriodicSeries, eval_many
 
+from oracles import eval_points
+
 
 def eval_z(f, zpts):
     """Laurent data f (an `AnnulusFunction`) at (m, n) points z."""
     zpts = np.asarray(zpts, dtype=complex)
-    return f.series.eval_points(-1j * np.log(zpts))
+    return eval_points(f.series, -1j * np.log(zpts))
 
 
 def holo_components(p):

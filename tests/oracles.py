@@ -7,7 +7,7 @@ central-difference determinant check results against an independent route.
 
 import numpy as np
 
-from torusnf.series import PeriodicSeries
+from torusnf.series import PeriodicSeries, eval_many
 
 # Coefficient distance under which `allclose` calls two series equal.
 CLOSE_TOL = 1e-12
@@ -50,6 +50,11 @@ def average(h, axes):
         shape[j] = 2 * h.N + 1
         out *= keep.reshape(shape)
     return PeriodicSeries(out, real=h.real, trunc_mass=h.trunc_mass)
+
+
+def eval_points(h, pts):
+    """h at an (m, n) array of complex points, by the direct sum."""
+    return eval_many([h], pts)[0]
 
 
 def abs_max_coeff(h):

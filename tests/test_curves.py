@@ -9,6 +9,8 @@ from torusnf.curves import (
 )
 from torusnf.series import PeriodicSeries
 
+from oracles import eval_points
+
 
 def ellipse(a=1.0, b=2.0, N=4):
     # cos t + i b sin t = ((a+b)/2) e^{it} + ((a-b)/2) e^{-it}
@@ -42,7 +44,8 @@ class TestGaussDegree:
         f = ellipse()
         M = 1024
         t = 2 * np.pi * np.arange(M) / M
-        warped = f.series.eval_points((t + 0.3 * np.sin(t)).astype(complex)[:, None])
+        warped = eval_points(f.series,
+                             (t + 0.3 * np.sin(t)).astype(complex)[:, None])
         g = CurveImmersion(series_from_real_grid(warped, 64))
         assert gauss_degree(g) == 1
 

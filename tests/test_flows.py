@@ -14,15 +14,17 @@ from torusnf.flows import (
     grid_image,
     grid_jacobian_det,
     invert_map,
+    taylor_on_grid,
 )
 from torusnf.pipeline import shear_lift
 from torusnf.realization import AnnulusFunction, realization_step
-from torusnf.series import PeriodicSeries, grid_size, theta_grid
+from torusnf.series import PeriodicSeries, eval_many, grid_size, theta_grid
 
 from oracles import (
     abs_max_coeff,
     average,
     coeff_distance,
+    eval_points,
     finite_difference_jacobian_det,
 )
 from test_series import random_series, sin_series
@@ -48,9 +50,9 @@ def rk4_oracle(v, pts, t, steps=200, g=None):
     n = v.n
 
     def rhs(y):
-        vals = [c.eval_points(y[:, :n]) for c in v.components]
+        vals = [eval_points(c, y[:, :n]) for c in v.components]
         if g is not None:
-            vals.append(g.eval_points(y[:, :n]))
+            vals.append(eval_points(g, y[:, :n]))
         return np.stack(vals, axis=-1)
 
     y = np.asarray(pts, dtype=complex)
@@ -86,7 +88,7 @@ class TestFlow:
         pts = rng.uniform(0, 2 * np.pi, size=(40, 2))
         end, integral = rk4_oracle(v, pts, -1.0, g=g)
         assert np.max(np.abs(fr.map.apply(pts) - end)) < 1e-10
-        assert np.max(np.abs(acc.eval_points(pts) - integral)) < 1e-10
+        assert np.max(np.abs(eval_points(acc, pts) - integral)) < 1e-10
 
     def test_zero_field_gives_identity(self):
         v = PeriodicVectorField([PeriodicSeries.zeros(2, 2) for _ in range(2)])
@@ -187,7 +189,7 @@ class TestLogDet:
         fr, ld = flow(v, t, r1, delta, line_integrand=v.divergence())
         pts = theta_grid(2, 7)
         fd = finite_difference_jacobian_det(fr.map.apply, pts)
-        assert np.max(np.abs(np.log(fd) - ld.eval_points(pts))) < 1e-6
+        assert np.max(np.abs(np.log(fd) - eval_points(ld, pts))) < 1e-6
 
     def test_volume_preservation_on_grid(self):
         rng = np.random.default_rng(18)
@@ -235,8 +237,8 @@ class TestMapAlgebra:
         pts = rng.uniform(0, 2 * np.pi, size=(30, 2))
         for lift, N_out in ((phi, 16), (sheared, 24)):
             comp = lift.pullback(h, N_out=N_out)
-            lhs = comp.eval_points(pts)
-            rhs = h.eval_points(lift.apply(pts))
+            lhs = eval_points(comp, pts)
+            rhs = eval_points(h, lift.apply(pts))
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_pullback_refuses_coarse_degree(self):
@@ -348,6 +350,57 @@ class TestStageJacobian:
         assert calls == [3 + 9] * len(chain.stages)
 
 
+class TestTaylorKernel:
+    """`taylor_on_grid` reads h(D theta + U(theta)) on the M^n grid: against
+    the direct sum at the displaced points."""
+
+    N = 5
+
+    @staticmethod
+    def displacement(rng, n, M, eps):
+        return [eps * random_series(rng, n, 3, real=False).eval_real_grid(M)
+                for _ in range(n)]
+
+    # 12 points per axis resolve degree 5; 7 alias it, and there a spectral
+    # derivative of the grid values (FFT of the values times i k) is wrong,
+    # while one read from the coefficients is exact
+    @pytest.mark.parametrize("M", [12, 7])
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    @pytest.mark.parametrize("shear", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_direct_sum_at_displaced_points(self, n, shear, eps, M):
+        rng = np.random.default_rng(70 + n)
+        D = shear_lift(n).D if shear else np.eye(n, dtype=int)
+        series = [random_series(rng, n, self.N, decay=1.0, real=False),
+                  PeriodicSeries.constant(n, self.N, 0.3 - 0.2j),
+                  PeriodicSeries.zeros(n, self.N)]
+        U = self.displacement(rng, n, M, eps)
+        pts = theta_grid(n, M) @ D.T + np.stack([u.reshape(-1) for u in U], -1)
+        want = eval_many(series, pts)
+        for got, ref in zip(taylor_on_grid(series, D, U, M), want):
+            assert np.max(np.abs(got.reshape(-1) - ref)) < 1e-13
+
+    def test_constant_costs_no_transform(self, monkeypatch):
+        calls = []
+        read = PeriodicSeries.eval_real_grid
+
+        def counting(h, M):
+            calls.append(h.N)
+            return read(h, M)
+
+        rng = np.random.default_rng(73)
+        n, M, D = 3, 12, shear_lift(3).D
+        U = self.displacement(rng, n, M, 1e-4)
+        monkeypatch.setattr(PeriodicSeries, "eval_real_grid", counting)
+        taylor_on_grid([PeriodicSeries.constant(n, self.N, 2.0),
+                        PeriodicSeries.zeros(n, self.N)], D, U, M)
+        assert calls == []
+        # with U = 0 a series costs its values alone
+        h = random_series(rng, n, self.N)
+        taylor_on_grid([h], D, [np.zeros((M,) * n)] * n, M)
+        assert calls == [self.N]
+
+
 class TestGridNative:
     def test_compute_path_makes_no_off_grid_evaluation(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -391,8 +444,8 @@ class TestSmoothGrids:
         h = random_series(rng, n, 3)
         pts = rng.uniform(0, 2 * np.pi, size=(50, n)) + 0.05j
         comp = phi.pullback(h, N_out=N)
-        assert np.max(np.abs(comp.eval_points(pts)
-                             - h.eval_points(phi.apply(pts)))) < 1e-13
+        assert np.max(np.abs(eval_points(comp, pts)
+                             - eval_points(h, phi.apply(pts)))) < 1e-13
         both = compose_maps(phi, psi, N_out=N)
         assert np.max(np.abs(both.apply(pts) - phi.apply(psi.apply(pts)))) < 1e-13
         inv = invert_map(phi, 0.5, N_out=N)

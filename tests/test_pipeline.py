@@ -409,12 +409,16 @@ def is_full_grid(pts):
 
 
 class TestWitnessGrids:
-    def test_no_full_grid_reaches_eval_many(self, monkeypatch):
+    @staticmethod
+    def reparametrized():
         rng = np.random.default_rng(84)
         seeded, _ = seeded_embedding(1e-3)
         parts = [2e-5 * random_series(rng, 2, 3), 2e-5 * random_series(rng, 2, 3)]
-        reparam = precompose_torus_map(
+        return seeded, precompose_torus_map(
             seeded, TorusMapLift(np.eye(2, dtype=int), parts))
+
+    def test_no_full_grid_reaches_eval_many(self, monkeypatch):
+        seeded, reparam = self.reparametrized()
         density = random_annulus_function(
             np.random.default_rng(66), 2, 8, 0.5, 1e-4)
 
@@ -434,3 +438,32 @@ class TestWitnessGrids:
         # the stages after the first non-affine one still see scattered points
         assert seen
         assert not [p.shape for p in seen if is_full_grid(p)]
+
+    def test_density_is_read_on_the_moved_grid(self, monkeypatch):
+        _, emb = self.reparametrized()
+        a = jacobian_density(emb).series
+        seen = []
+        evaluate = series.eval_many
+
+        def recording(series_list, pts):
+            seen.extend(s.coeffs for s in series_list)
+            return evaluate(series_list, pts)
+
+        for mod in (series, flows, pipeline):
+            if hasattr(mod, "eval_many"):
+                monkeypatch.setattr(mod, "eval_many", recording)
+        rep = normalize_embedding(emb)
+        monkeypatch.undo()
+        assert len(rep.chain.stages) > 5 and seen
+        assert not [c for c in seen
+                    if c.shape == a.coeffs.shape and np.array_equal(c, a.coeffs)]
+
+        # the defining identity, every value by the direct sum
+        pts = theta_grid(2, fibering.VERIFY_GRID)
+        moved = rep.chain.apply(pts)
+        lhs = (1.0 + series.eval_many([a], moved)[0]) \
+            * np.exp(1j * moved.sum(axis=1)) * rep.chain.jacobian_det(pts)
+        s = pts.sum(axis=1)
+        rhs = rep.rho0 * np.exp(
+            1j * (s + series.eval_many([rep.k], s[:, None])[0]))
+        assert abs(np.max(np.abs(lhs - rhs)) - rep.phase_residual) < 1e-14
