@@ -7,14 +7,9 @@ the failed bound.  The codes and the functions that raise them:
     (i2)           series.PeriodicSeries.antiderivative
     (z1)           flows.flow
     (nf)           flows.invert_map
-    (na)           moser.moser_normalize
-    (p4), (b)      fibering.fibering_step
-    (smallh)       fibering.fibering_normalize
+    (p4)           fibering.fibering_step
     (kn)           realization.check_exact, from solve_divergence and
                    realize_form
-    (smalla)       realization.realize_form
-    (f4)           realization.realization_step
-    (f-id)         pipeline.normalize_embedding
     (branch)       pipeline.modulus_phase_split
     (exact)        pipeline.normal_form_curve
     (embed)        pipeline.normal_form_embedding
@@ -36,7 +31,7 @@ class HypothesisViolation(TorusNFError):
     Attributes
     ----------
     bound : str
-        Condition code of the violated bound, e.g. "(na)".
+        Condition code of the violated bound, e.g. "(z1)".
     """
 
     def __init__(self, bound, message):

@@ -16,18 +16,11 @@ Each fibering sweep removes the part of h that couples theta_2..theta_n by
 flowing for time -1 along a divergence-free field built from the triangular
 split of h, so every correction map is volume-preserving and the coupling
 mass decays quadratically on the shrinking-strip schedule.
-
-The worst-case admissibility constants of the underlying estimates are never
-quantified in closed form; the gates below use empirically fitted constants
-(with a safety factor) so that inputs which demonstrably converge at desk
-scale are not refused.  The classical schedule invariant is still monitored
-and reported when it first fails.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
@@ -47,14 +40,6 @@ from .series import (
     translate,
 )
 
-EPS_SMALLH = 1e-3  # default constant in the entry hypothesis ||h||_r <= eps r^3
-# Fitted admissibility constants.  The measured step norms run at c2 ~ 0.03
-# on admissible desk-scale data; C2 keeps a factor ~4 of headroom while still
-# admitting every input that demonstrably converges.  The flow re-checks its
-# own admissibility bound (z1) directly, so a too-generous C2 cannot silently
-# break the iteration: it only changes which gate names the refusal.
-C2 = 0.125   # step gate (b):  b_r <= r^2 delta^2 / (n C2)
-C6 = 27.0    # schedule invariant b_m <= r_m^3 delta_m^3 / C6
 # `shrinking_strip` stops once the defect norm is at or below STOP_TOL, and
 # gives up after MAX_ITER steps.
 MAX_ITER = 20
@@ -166,10 +151,6 @@ def fibering_step(phase, r, delta):
     b = transverse_bound(h, r)
     if B > 0.5:
         raise HypothesisViolation("(p4)", f"B_r = {B:.3e} exceeds 1/2")
-    b_max = r * r * delta * delta / (n * C2)
-    if b > b_max:
-        raise HypothesisViolation(
-            "(b)", f"b_r = {b:.3e} exceeds r^2 delta^2/(n C2) = {b_max:.3e}")
     N_field = h.N + 4
     N_pull = 2 * h.N + 4
 
@@ -203,15 +184,13 @@ class FiberingResult:
     det_residual: float
     converged: bool
     iterations: int
-    lemma42_first_fail: int    # -1 when the invariant held throughout
 
 
-def fibering_normalize(phase, r0, eps=EPS_SMALLH):
+def fibering_normalize(phase, r0):
     """Iterate fibering steps until the transverse mass drops to STOP_TOL.
 
     Runs `shrinking_strip` on the fibering schedule with the transverse
-    bound as defect.  Entry hypothesis: ||h||_{r0} <= eps r0^3 in the
-    coefficient norm.  On success returns the stage chain, the normalized
+    bound as defect.  On success returns the stage chain, the normalized
     one-variable phase k with zero mean, the per-step trace, and the grid
     residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
     sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness reads
@@ -225,11 +204,6 @@ def fibering_normalize(phase, r0, eps=EPS_SMALLH):
     """
     h0 = phase.h
     n = h0.n
-    h_norm = h0.coeff_norm(r0)
-    if h_norm > eps * r0 ** 3:
-        raise HypothesisViolation(
-            "(smallh)",
-            f"||h||_r0 = {h_norm:.3e} exceeds eps r0^3 = {eps * r0 ** 3:.3e}")
 
     def step(h, r, delta):
         taken = fibering_step(FiberingPhase(h), r, delta)
@@ -237,14 +211,6 @@ def fibering_normalize(phase, r0, eps=EPS_SMALLH):
 
     state, stage_maps, trace, converged = shrinking_strip(
         h0, r0, _fibering_schedule, transverse_bound, step, 3)
-    lemma42_first_fail = next(
-        (row.m for row in trace
-         if row.defect > row.r ** 3 * row.delta ** 3 / C6), -1)
-    if lemma42_first_fail >= 0:
-        warnings.warn(
-            "schedule invariant b_m <= r_m^3 delta_m^3/C6 fails at "
-            f"m={lemma42_first_fail}; the run relied on fitted-constant gates",
-            RuntimeWarning, stacklevel=2)
 
     parts = state.triangular_split()
     k_nd = parts[0] + parts[1]
@@ -270,7 +236,7 @@ def fibering_normalize(phase, r0, eps=EPS_SMALLH):
     det = grid_jacobian_det(chain, M, 0.0)
     det_residual = float(np.max(np.abs(det - 1.0)))
     return FiberingResult(chain, k, trace, residual, det_residual, converged,
-                          len(stage_maps), lemma42_first_fail)
+                          len(stage_maps))
 
 
 def phase_profile_distance(k, k_hat, allow_half_turn=False):

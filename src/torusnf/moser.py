@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import HypothesisViolation, NumericalFailure
+from .errors import NumericalFailure
 from .flows import TorusMapLift
 from .series import (
     PeriodicSeries,
@@ -45,11 +45,6 @@ class MoserResult:
     f_norm: float
 
 
-def admissible_density_bound(n, r):
-    """Smallness threshold (na) under which the triangular solve is valid."""
-    return r / (32.0 * n * np.pi)
-
-
 def moser_normalize(density, r, N_out=None):
     """Map the density (1+b) d theta to its mean multiple of d theta.
 
@@ -62,11 +57,6 @@ def moser_normalize(density, r, N_out=None):
     n = b.n
     if not 0.0 < r < 1.0:
         raise ValueError(f"strip half-width must lie in (0, 1), got {r}")
-    b_norm = b.coeff_norm(r)
-    bound = admissible_density_bound(n, r)
-    if b_norm > bound:
-        raise HypothesisViolation(
-            "(na)", f"||b||_r = {b_norm:.3e} exceeds r/(32 n pi) = {bound:.3e}")
     if density.min_on_grid() <= 0.0:
         raise NumericalFailure("density 1 + b vanishes on the real grid")
     if N_out is None:

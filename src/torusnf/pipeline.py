@@ -21,12 +21,7 @@ import numpy as np
 
 from .curves import CurveImmersion, embedding_check, gauss_degree
 from .errors import HypothesisViolation, NumericalFailure
-from .fibering import (
-    EPS_SMALLH,
-    VERIFY_GRID,
-    FiberingPhase,
-    fibering_normalize,
-)
+from .fibering import VERIFY_GRID, FiberingPhase, fibering_normalize
 from .flows import (
     MapChain,
     TorusMapLift,
@@ -49,7 +44,6 @@ from .series import (
     translate,
 )
 
-EPS0 = 0.2         # entry gate (f-id): ||phi - Id||_r0 <= EPS0 r0^4
 # Every stage residual of the normalization, the closure defect of a normal
 # form and the normal-form embedding check must land at or below STAGE_TOL.
 STAGE_TOL = 1e-8
@@ -80,14 +74,6 @@ class TorusEmbedding:
     @property
     def N(self):
         return max(c.N for c in self.components)
-
-    def closeness(self):
-        """max_j || phi_j - z_j ||_{r0} in the coefficient norm."""
-        worst = 0.0
-        for j, c in enumerate(self.components):
-            ident = _identity_component(self.n, c.N, j)
-            worst = max(worst, (c.series - ident).coeff_norm(self.r0))
-        return worst
 
 
 def _identity_component(n, N, axis):
@@ -209,15 +195,8 @@ def normalize_embedding(emb):
     n = emb.n
     if n < 2:
         raise ValueError("the normal form machinery needs n >= 2")
-    r0 = emb.r0
-    close = emb.closeness()
-    if close > EPS0 * r0 ** 4:
-        raise HypothesisViolation(
-            "(f-id)", f"||phi - Id||_r0 = {close:.3e} exceeds "
-            f"EPS0 r0^4 = {EPS0 * r0 ** 4:.3e}")
-
     a = jacobian_density(emb)
-    r = r0 / 2.0
+    r = emb.r0 / 2.0
     density_norm = a.norm(r)
     split = modulus_phase_split(a)
     _stage_gate("modulus/phase factorization", split.residual)
@@ -240,11 +219,7 @@ def normalize_embedding(emb):
     if h3.N > FIB_DEGREE:
         h3 = h3.truncate(FIB_DEGREE)
 
-    # staged gates replace the single unquantified entry threshold: admit
-    # the actual input with margin, then rely on the per-step admissibility
-    # checks and the a-posteriori residuals
-    eps_fibering = max(EPS_SMALLH, 2.0 * h3.coeff_norm(r) / r ** 3)
-    fib = fibering_normalize(FiberingPhase(h3), r, eps=eps_fibering)
+    fib = fibering_normalize(FiberingPhase(h3), r)
     if not fib.converged:
         err = NumericalFailure(
             "phase normalization exhausted its schedule; trace attached")
@@ -389,8 +364,8 @@ def curve_from_profile(k, rho0):
     nearby exact one the normalization extracts.  This is how a synthetic
     profile is \"closure-corrected through the pipeline\": build the curve,
     embed, normalize, and read the corrected profile off the report.  The
-    curve is chopped at CHOP_FLOOR, so that its round-off coefficients cannot
-    dominate the weighted (f-id) closeness of the embedding.
+    curve is chopped at CHOP_FLOOR, so that its round-off coefficients do not
+    raise the degree of the embedding built from it.
     """
     vel = _profile_velocity(k, rho0)
     vel = vel - vel.mean()

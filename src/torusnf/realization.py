@@ -17,7 +17,6 @@ density norm ||a||_{r_m} as defect.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
@@ -40,12 +39,6 @@ from .series import (
 )
 
 MEAN_MONOMIAL_TOL = 1e-12
-EPS_SMALLA = 1e-3  # the entry hypothesis is ||a||_r0 <= EPS_SMALLA r0
-# The step gate keeps the shape ||a||_r <= r delta^2 / C_F4 of the worst-case
-# estimate but with a fitted constant; the flow invoked by the step re-checks
-# its own bound (z1) on the actual conjugated field, which is the condition
-# the construction genuinely needs.
-C_F4 = 0.05
 
 
 class AnnulusFunction:
@@ -158,9 +151,6 @@ class AnnulusMap:
         return TorusMapLift(np.eye(self.n, dtype=int),
                             [(-1j * lg.series) for lg in self.log_g])
 
-    def log_norm(self, r):
-        return max(lg.series.coeff_norm(r) for lg in self.log_g)
-
 
 @dataclasses.dataclass(frozen=True)
 class RealizationStep:
@@ -180,22 +170,11 @@ def realization_step(a, r, delta):
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     a_norm = a.norm(r)
-    gate = r * delta * delta / C_F4
-    if a_norm > gate:
-        raise HypothesisViolation(
-            "(f4)", f"||a||_r = {a_norm:.3e} exceeds r delta^2/C_F4 = {gate:.3e}")
     N_pull = 2 * a.N + 4
 
     fr, acc = flow(solve_divergence(a), -1.0, r, delta, N_out=a.N + 2,
                    line_integrand=a.series)
     psi = AnnulusMap.from_torus_lift(fr.map)
-    log_norm = psi.log_norm((1.0 - delta) * r)
-    if log_norm > r * delta * delta:
-        warnings.warn(
-            f"multiplicative part norm {log_norm:.3e} exceeds the worst-case "
-            f"budget r delta^2 = {r * delta ** 2:.3e}; composite convergence "
-            "is monitored through the trace instead",
-            RuntimeWarning, stacklevel=2)
 
     M = grid_size(N_pull)
     a_vals = fr.map.pullback(a.series, N_out=N_pull).eval_real_grid(M)
@@ -233,8 +212,7 @@ def realize_form(a, r0):
     sup |psi(phi(theta)) - theta| over the torus, as `invert_map` witnesses
     it on its own grid, and over the shells Im theta = +-r0/8, which lie
     inside the half-width strip of r0/2 where the inversion gate (nf) is
-    taken.  Entry hypotheses: the all-(-1) monomial of `a` vanishes and
-    ||a||_{r0} <= EPS_SMALLA r0.
+    taken.  Entry hypothesis: the all-(-1) monomial of `a` vanishes.
 
     The inverse is read by FFT on each shell grid (`grid_image`) and the
     stage chain at the scattered image points by `eval_many`.  The density
@@ -244,11 +222,6 @@ def realize_form(a, r0):
     a0 = AnnulusFunction(a)
     n = a0.n
     check_exact(a0)
-    a_norm = a0.norm(r0)
-    if a_norm > EPS_SMALLA * r0:
-        raise HypothesisViolation(
-            "(smalla)", f"||a||_r0 = {a_norm:.3e} exceeds "
-            f"EPS_SMALLA r0 = {EPS_SMALLA * r0:.3e}")
 
     def schedule(r, m):
         for j in range(m):

@@ -30,7 +30,7 @@ ALLOWED = {
     "postcompose_monomial_shear",
     "half_turn_profile",
 }
-MAX_SETTABLE_VALUES = 24
+MAX_SETTABLE_VALUES = 23
 
 
 def referenced_names(node):

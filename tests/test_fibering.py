@@ -78,7 +78,7 @@ class TestStep:
         h = 0.3 * sin_series(2, 4, 1)
         with pytest.raises(HypothesisViolation) as err:
             fibering_step(FiberingPhase(h), 0.5, 1.0 / 16.0)
-        assert err.value.bound == "(b)"
+        assert err.value.bound == "(z1)"
 
 
 class TestNormalize:
@@ -93,7 +93,7 @@ class TestNormalize:
     def test_skew_case_converges_in_one_step(self):
         eps = 1e-3
         h = eps * sin_series(2, 4, 1)
-        res = fibering_normalize(FiberingPhase(h), 0.5, eps=0.02)
+        res = fibering_normalize(FiberingPhase(h), 0.5)
         assert res.converged and res.iterations == 1
         assert res.k.coeff_norm(0.25) < 1e-12
         assert coeff_distance(res.chain.to_single(10).parts[0],
@@ -105,7 +105,7 @@ class TestNormalize:
         eps = 1e-3
         h = eps * (sin_series(2, 6, 0)
                    + multiply(cos_series(2, 6, 0), sin_series(2, 6, 1)).truncate(6))
-        res = fibering_normalize(FiberingPhase(h), 0.5, eps=0.05)
+        res = fibering_normalize(FiberingPhase(h), 0.5)
         assert res.converged
         assert res.residual <= 1e-8
         target = eps * sin_series(1, res.k.N, 0)
@@ -114,7 +114,7 @@ class TestNormalize:
     def test_mean_is_removed(self):
         eps = 1e-3
         h = eps * (PeriodicSeries.constant(2, 4, 0.5) + sin_series(2, 4, 1))
-        res = fibering_normalize(FiberingPhase(h), 0.5, eps=0.02)
+        res = fibering_normalize(FiberingPhase(h), 0.5)
         assert res.converged
         assert abs(res.k.mean()) < 1e-15
         assert res.residual < 1e-9
@@ -123,13 +123,12 @@ class TestNormalize:
         h = 0.1 * sin_series(2, 4, 1)
         with pytest.raises(HypothesisViolation) as err:
             fibering_normalize(FiberingPhase(h), 0.5)
-        assert err.value.bound == "(smallh)"
+        assert err.value.bound == "(z1)"
 
     def test_random_admissible_full_run(self):
         rng = np.random.default_rng(53)
         h = admissible_phase(rng)
-        with pytest.warns(RuntimeWarning):
-            res = fibering_normalize(FiberingPhase(h), 0.5)
+        res = fibering_normalize(FiberingPhase(h), 0.5)
         assert res.converged
         assert res.residual <= 1e-8
         assert res.det_residual <= 1e-8
@@ -140,8 +139,7 @@ class TestNormalize:
         # the random admissible phase needs two steps; allow only one
         monkeypatch.setattr(fibering, "MAX_ITER", 1)
         h = admissible_phase(np.random.default_rng(53))
-        with pytest.warns(RuntimeWarning):
-            res = fibering_normalize(FiberingPhase(h), 0.5)
+        res = fibering_normalize(FiberingPhase(h), 0.5)
         assert not res.converged
         assert res.iterations == 1
         assert [row.m for row in res.trace] == [0, 1]
@@ -171,7 +169,7 @@ def two_step_density_run():
 
 class TestShrinkingStrip:
     @pytest.mark.parametrize("error", [
-        lambda: HypothesisViolation("(b)", "injected step refusal"),
+        lambda: HypothesisViolation("(z1)", "injected step refusal"),
         lambda: NumericalFailure("injected step failure"),
     ], ids=["HypothesisViolation", "NumericalFailure"])
     @pytest.mark.parametrize("module, step, run", [
