@@ -30,13 +30,14 @@ from .flows import (
     PeriodicVectorField,
     TorusMapLift,
     flow,
-    grid_image,
     grid_jacobian_det,
+    taylor_on_grid,
 )
 from .series import (
     PeriodicSeries,
     divide,
     extract_axis_line,
+    theta_grid,
     translate,
 )
 
@@ -79,9 +80,9 @@ def shrinking_strip(state, r0, schedule, defect, step, power):
 
     At m = 0, 1, ... takes (r_m, delta_m) = schedule(r0, m) and stops once
     defect(state, r_m) <= STOP_TOL, or after MAX_ITER steps; otherwise
-    step(state, r_m, delta_m) returns the next state and the lift of the
-    step.  One `TraceRow` per m records the defect and the realized
-    contraction constant d_{m+1} (r_m delta_m)^power / d_m^2 of the step.
+    step(state, r_m, delta_m) returns the pair (next state, lift of the
+    step), taken as it is.  One `TraceRow` per m records the defect and the
+    realized contraction constant d_{m+1} (r_m delta_m)^power / d_m^2.
     Returns (state, lifts, trace, converged), the lifts in the order they
     were taken.  An error raised by a step carries the trace so far.
     """
@@ -121,34 +122,25 @@ def transverse_bound(h, r):
     return max(parts[p].coeff_norm(r) for p in range(2, h.n + 1))
 
 
-@dataclasses.dataclass(frozen=True)
-class FiberingStep:
-    map: TorusMapLift
-    phase_next: FiberingPhase
-    b: float
-    divergence_defect: float
-
-
-def fibering_step(phase, r, delta):
+def fibering_step(h, r, delta):
     """One volume-preserving sweep reducing the transverse part of h.
 
     Builds the divergence-free field whose first component cancels the
     transverse sum against the stretched theta_1 direction, flows for time
-    -1, and pulls the phase through the flow map.
+    -1, and pulls the phase through the flow map.  Returns the next phase
+    and the flow map.
 
     The field and its flow only need a few extra harmonics beyond the state
     degree (the quotient tail decays geometrically in the leading bound),
     while the pulled-back phase is resolved at roughly twice the state
     degree before truncating back.
     """
-    h = phase.h
     n = h.n
     if n < 2:
         raise ValueError("a fibering step needs at least two angles")
     if not 0.0 < delta < 0.25:
         raise ValueError(f"delta must lie in (0, 1/4), got {delta}")
     B = leading_bound(h, r)
-    b = transverse_bound(h, r)
     if B > 0.5:
         raise HypothesisViolation("(p4)", f"B_r = {B:.3e} exceeds 1/2")
     N_field = h.N + 4
@@ -172,7 +164,7 @@ def fibering_step(phase, r, delta):
     fr = flow(field, -1.0, (1.0 - delta) * r, delta, N_out=N_field)
     pulled = fr.map.pullback(h, N_out=N_pull)
     k_next = (fr.map.parts[0].pad_to(N_pull) + pulled).truncate(h.N).symmetrized()
-    return FiberingStep(fr.map, FiberingPhase(k_next), b, div_defect)
+    return k_next, fr.map
 
 
 @dataclasses.dataclass
@@ -193,10 +185,9 @@ def fibering_normalize(phase, r0):
     bound as defect.  On success returns the stage chain, the normalized
     one-variable phase k with zero mean, the per-step trace, and the grid
     residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
-    sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness reads
-    the translation and the first stage with a non-constant part on that
-    grid by FFT (h too, when no step was taken), and the later stages and
-    h at the scattered image points by `eval_many`.
+    sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness takes
+    image and determinant from one `grid_jacobian_det` walk of the chain,
+    and reads h at the image by the grid kernel, not at scattered points.
 
     Schedule exhaustion (MAX_ITER steps) returns a non-converged result
     with its trace; a step refusal mid-run raises, with the partial trace
@@ -204,13 +195,8 @@ def fibering_normalize(phase, r0):
     """
     h0 = phase.h
     n = h0.n
-
-    def step(h, r, delta):
-        taken = fibering_step(FiberingPhase(h), r, delta)
-        return taken.phase_next.h, taken.map
-
     state, stage_maps, trace, converged = shrinking_strip(
-        h0, r0, _fibering_schedule, transverse_bound, step, 3)
+        h0, r0, _fibering_schedule, transverse_bound, fibering_step, 3)
 
     parts = state.triangular_split()
     k_nd = parts[0] + parts[1]
@@ -222,18 +208,16 @@ def fibering_normalize(phase, r0):
     stages = [TorusMapLift.translation(n, shift)] + stage_maps[::-1]
     chain = MapChain(stages)
 
-    # mu o Phi is the first component of Phi followed by the lift
-    # theta -> (theta_1 + h0(theta), theta_2, ..., theta_n); when every stage
-    # of Phi is affine, h0 is then read on the grid too
+    # mu o Phi = Phi_1 + h0(Phi), h0 read by the grid kernel at
+    # Phi theta = D theta + U(theta)
     M = VERIFY_GRID
-    mu_lift = TorusMapLift(np.eye(n, dtype=int),
-                           [h0] + [PeriodicSeries.zeros(n, 0)] * (n - 1))
-    mu = grid_image(MapChain(chain.stages + (mu_lift,)), M, 0.0)[:, 0]
+    image, det = grid_jacobian_det(chain, M, 0.0)
+    U = [u.reshape((M,) * n) for u in (image - theta_grid(n, M) @ chain.D.T).T]
+    mu = image[:, 0] + taylor_on_grid([h0], chain.D, U, M)[0].reshape(-1)
     t = 2.0 * np.pi * np.arange(M) / M
     # theta_1 is the slowest axis of theta_grid
     target = np.repeat(t + k.eval_real_grid(M), M ** (n - 1))
     residual = float(np.max(np.abs(mu - target)))
-    det = grid_jacobian_det(chain, M, 0.0)
     det_residual = float(np.max(np.abs(det - 1.0)))
     return FiberingResult(chain, k, trace, residual, det_residual, converged,
                           len(stage_maps))

@@ -33,9 +33,11 @@ part is then read on that grid by `eval_real_grid`, with its first
 derivatives when a determinant is wanted.  Only the later stages see
 scattered image points, and only they go through `MapChain.apply` /
 `jacobian_det` and `eval_many`, which takes a stage's image and Jacobian from
-one call and contracts each series only over the axes it depends on.  A
-series read at the image, as the density in the normal-form witness, goes
-through the grid kernel at the image's displacement from D theta.
+one call and contracts each series only over the axes it depends on.
+`grid_jacobian_det` returns the image with the determinant, so a witness
+walks its chain once.  A series read at the image, as the density or the
+phase in the normal-form and fibering witnesses, goes through the grid
+kernel at the image's displacement from D theta.
 """
 
 from __future__ import annotations
@@ -412,14 +414,15 @@ class MapChain:
         return pts
 
     def jacobian_det(self, pts):
-        """Determinant of the chain Jacobian at each point (chain rule)."""
+        """(image, det): the chain at each point and the determinant of its
+        Jacobian there (chain rule), from one pass through the stages."""
         pts = np.asarray(pts, dtype=complex)
         det = np.ones(pts.shape[0], dtype=complex)
         for s in self.stages:
             pts, jac = s._image_and_jacobian(pts)
             # a degree-0 stage is affine, with the constant Jacobian D
             det = det * (stacked_det(jac) if s.N else np.linalg.det(s.D))
-        return det
+        return pts, det
 
     def to_single(self, N_out):
         """The chain collapsed by `compose_maps` into one lift of degree N_out.
@@ -480,7 +483,8 @@ def _stage_image(stage, pts, read):
 
 def grid_image(phi, M, shift):
     """A lift or MapChain at the points theta_grid(n, M) + i shift, as an
-    (M^n, n) array: the grid counterpart of `MapChain.apply`.
+    (M^n, n) array: the grid counterpart of `MapChain.apply`, for the
+    round-trip witnesses, which need no determinant.
 
     The leading affine stages and the first stage with a non-constant part
     are read on the grid by FFT (see `_grid_head`); the later stages see
@@ -493,8 +497,8 @@ def grid_image(phi, M, shift):
 
 
 def grid_jacobian_det(phi, M, shift):
-    """det D phi at the points theta_grid(n, M) + i shift: the grid
-    counterpart of `MapChain.jacobian_det`.
+    """(image, det D phi) at the points theta_grid(n, M) + i shift: the grid
+    counterpart of `MapChain.jacobian_det`, the image equal to `grid_image`.
 
     The first non-affine stage's Jacobian D + grad f is read on the grid,
     one first derivative of each part at a time, into one preallocated
@@ -504,7 +508,7 @@ def grid_jacobian_det(phi, M, shift):
     pts, D, read, stage, rest = _grid_head(phi, M, shift)
     det = np.full(pts.shape[0], np.linalg.det(D), dtype=complex)
     if stage is None:
-        return det
+        return pts, det
     n = stage.n
     jac = np.empty((pts.shape[0], n, n), dtype=complex)
     for j, p in enumerate(stage.parts):
@@ -512,9 +516,11 @@ def grid_jacobian_det(phi, M, shift):
             jac[:, j, l] = stage.D[j, l] + read(p.derivative(l))
     det *= stacked_det(jac)
     del jac   # freed before the later stages allocate their own
+    pts = _stage_image(stage, pts, read)
     if rest is not None:
-        det *= rest.jacobian_det(_stage_image(stage, pts, read))
-    return det
+        pts, rest_det = rest.jacobian_det(pts)
+        det *= rest_det
+    return pts, det
 
 
 @dataclasses.dataclass(frozen=True)

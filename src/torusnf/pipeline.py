@@ -25,7 +25,6 @@ from .fibering import VERIFY_GRID, FiberingPhase, fibering_normalize
 from .flows import (
     MapChain,
     TorusMapLift,
-    grid_image,
     grid_jacobian_det,
     invert_map,
     taylor_on_grid,
@@ -186,9 +185,10 @@ def normalize_embedding(emb):
     map, and the volume-preserving phase iteration.  Each stage must land
     under STAGE_TOL before the next runs.  Both residual witnesses, of the
     phase iteration and of the normal form, sample VERIFY_GRID points per
-    axis.  The normal-form witness reads the shear and the first stage with
-    a non-constant part (a fibering stage, or the inverse volume map) on
-    that grid by FFT, the later stages at the scattered image points by
+    axis and take image and determinant from one `grid_jacobian_det` walk of
+    their stage chain.  The normal-form one reads the shear and the first
+    non-affine stage (a fibering stage, or the inverse volume map) on that
+    grid by FFT, the later stages at the scattered image points by
     `eval_many`, and the density on the moved grid by the grid kernel.
     Raises NumericalFailure when the phase iteration exhausts its schedule.
     """
@@ -262,8 +262,7 @@ def _normal_form_residual(a, chain, k, rho0, n):
     a is read at Phi theta = D theta + U(theta) by `taylor_on_grid` at (D, U).
     """
     M = VERIFY_GRID
-    moved = grid_image(chain, M, 0.0)
-    det = grid_jacobian_det(chain, M, 0.0)
+    moved, det = grid_jacobian_det(chain, M, 0.0)
     theta = theta_grid(n, M)
     U = [u.reshape((M,) * n) for u in (moved - theta @ chain.D.T).T]
     lhs = (1.0 + taylor_on_grid([a.series], chain.D, U, M)[0].reshape(-1)) \

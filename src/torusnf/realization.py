@@ -152,36 +152,27 @@ class AnnulusMap:
                             [(-1j * lg.series) for lg in self.log_g])
 
 
-@dataclasses.dataclass(frozen=True)
-class RealizationStep:
-    map: AnnulusMap
-    a_next: AnnulusFunction
-    a_norm: float
-
-
 def realization_step(a, r, delta):
     """One corrective sweep: flow for time -1 along the divergence solution.
 
-    Returns the multiplicative map psi and the transported density defect
-    a_hat with 1 + a_hat = (1 + a o psi) det D psi, computed on a grid from
-    the pullback of a through psi and the exact log-determinant quadrature.
+    Returns the transported density defect a_hat, with
+    1 + a_hat = (1 + a o psi) det D psi, and the lift of the flow map psi.
+    a_hat is computed on a grid from the pullback of a through psi and the
+    exact log-determinant quadrature.
     """
     a = AnnulusFunction(a)
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    a_norm = a.norm(r)
     N_pull = 2 * a.N + 4
 
     fr, acc = flow(solve_divergence(a), -1.0, r, delta, N_out=a.N + 2,
                    line_integrand=a.series)
-    psi = AnnulusMap.from_torus_lift(fr.map)
 
     M = grid_size(N_pull)
     a_vals = fr.map.pullback(a.series, N_out=N_pull).eval_real_grid(M)
     det_vals = np.exp(acc.pad_to(max(acc.N, N_pull)).eval_real_grid(M))
     hat_vals = (1.0 + a_vals) * det_vals - 1.0
-    a_next = AnnulusFunction(series_from_real_grid(hat_vals, a.N))
-    return RealizationStep(psi, a_next, a_norm)
+    return AnnulusFunction(series_from_real_grid(hat_vals, a.N)), fr.map
 
 
 @dataclasses.dataclass
@@ -228,12 +219,8 @@ def realize_form(a, r0):
             r *= 1.0 - 2.0 * _realization_delta(n, j)
         return r, _realization_delta(n, m)
 
-    def step(a_m, r, delta):
-        taken = realization_step(a_m, r, delta)
-        return taken.a_next, taken.map.to_torus_lift()
-
     _, stage_maps, trace, converged = shrinking_strip(
-        a0, r0, schedule, AnnulusFunction.norm, step, 1)
+        a0, r0, schedule, AnnulusFunction.norm, realization_step, 1)
     iterations = len(stage_maps)
 
     N_comp = max(2 * a0.N + 4, 8)
@@ -269,7 +256,7 @@ def _verify_density(phi, a0):
     M = max(4 * (phi.log_g[0].N + 1), 32)
     log_g = sum(lg.series for lg in phi.log_g)
     det = np.exp(log_g.eval_real_grid(M).reshape(-1)) \
-        * grid_jacobian_det(phi.to_torus_lift(), M, 0.0)
+        * grid_jacobian_det(phi.to_torus_lift(), M, 0.0)[1]
     target = 1.0 + a0.series.eval_real_grid(M).reshape(-1)
     det_residual = float(np.max(np.abs(det - target)))
     min_det = float(np.min(np.abs(det)))

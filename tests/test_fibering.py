@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torusnf import fibering, realization
+from torusnf import fibering, flows, realization, series
 from torusnf.errors import HypothesisViolation, NumericalFailure
 from torusnf.fibering import (
     STOP_TOL,
@@ -14,7 +14,7 @@ from torusnf.fibering import (
 )
 from torusnf.flows import flow
 from torusnf.realization import realize_form
-from torusnf.series import PeriodicSeries
+from torusnf.series import PeriodicSeries, theta_grid
 
 from oracles import abs_max_coeff, coeff_distance, multiply
 from test_flows import stream_field
@@ -39,45 +39,60 @@ class TestBounds:
         assert transverse_bound(h, r) == pytest.approx(eps * np.exp(2 * r))
 
 
+def record_fields(monkeypatch):
+    """Rebinds `fibering.flow` to record the field each step flows along."""
+    fields = []
+
+    def recording(v, *args, **kwargs):
+        fields.append(v)
+        return flow(v, *args, **kwargs)
+
+    monkeypatch.setattr(fibering, "flow", recording)
+    return fields
+
+
 class TestStep:
-    def test_exact_skew_case(self):
+    def test_exact_skew_case(self, monkeypatch):
         eps = 1e-3
         h = eps * sin_series(2, 4, 1)
-        step = fibering_step(FiberingPhase(h), 0.5, 1.0 / 16.0)
-        assert coeff_distance(step.map.parts[0], -eps * sin_series(2, 4, 1)) < 1e-13
-        assert abs_max_coeff(step.map.parts[1]) < 1e-14
-        assert step.phase_next.h.coeff_norm(0.5) < 1e-12
-        assert step.divergence_defect < 1e-14
+        fields = record_fields(monkeypatch)
+        h_next, lift = fibering_step(h, 0.5, 1.0 / 16.0)
+        assert coeff_distance(lift.parts[0], -eps * sin_series(2, 4, 1)) < 1e-13
+        assert abs_max_coeff(lift.parts[1]) < 1e-14
+        assert h_next.coeff_norm(0.5) < 1e-12
+        assert fields[0].divergence().coeff_norm(0.5) < 1e-14
 
     def test_theta1_only_phase_is_fixed(self):
         eps = 1e-3
         h = eps * sin_series(2, 4, 0)
-        step = fibering_step(FiberingPhase(h), 0.5, 1.0 / 16.0)
-        assert step.b == 0.0
-        assert step.map.part_norm(0.5) < 1e-14
-        assert coeff_distance(step.phase_next.h, h) < 1e-14
+        h_next, lift = fibering_step(h, 0.5, 1.0 / 16.0)
+        assert transverse_bound(h, 0.5) == 0.0
+        assert lift.part_norm(0.5) < 1e-14
+        assert coeff_distance(h_next, h) < 1e-14
 
-    def test_divergence_free_construction(self):
+    def test_divergence_free_construction(self, monkeypatch):
         rng = np.random.default_rng(51)
+        fields = record_fields(monkeypatch)
         for _ in range(10):
             h = admissible_phase(rng)
-            step = fibering_step(FiberingPhase(h), 0.5, 1.0 / 16.0)
-            assert step.divergence_defect <= 1e-10
+            fibering_step(h, 0.5, 1.0 / 16.0)
+            assert fields[-1].divergence().coeff_norm(0.5) <= 1e-10
+        assert len(fields) == 10
 
     def test_contraction_constant_moderate(self):
         rng = np.random.default_rng(52)
         r, delta = 0.5, 1.0 / 16.0
         for _ in range(10):
             h = admissible_phase(rng)
-            step = fibering_step(FiberingPhase(h), r, delta)
-            b_new = transverse_bound(step.phase_next.h, (1 - 4 * delta) * r)
-            c4 = b_new * r ** 3 * delta ** 3 / step.b ** 2
+            h_next, _ = fibering_step(h, r, delta)
+            b_new = transverse_bound(h_next, (1 - 4 * delta) * r)
+            c4 = b_new * r ** 3 * delta ** 3 / transverse_bound(h, r) ** 2
             assert c4 <= 1e4
 
     def test_refuses_large_transverse_part(self):
         h = 0.3 * sin_series(2, 4, 1)
         with pytest.raises(HypothesisViolation) as err:
-            fibering_step(FiberingPhase(h), 0.5, 1.0 / 16.0)
+            fibering_step(h, 0.5, 1.0 / 16.0)
         assert err.value.bound == "(z1)"
 
 
@@ -118,6 +133,10 @@ class TestNormalize:
         assert res.converged
         assert abs(res.k.mean()) < 1e-15
         assert res.residual < 1e-9
+
+    def test_refuses_complex_phase(self):
+        with pytest.raises(ValueError, match="real"):
+            FiberingPhase(1j * sin_series(2, 4, 1))
 
     def test_refuses_oversized_phase(self):
         h = 0.1 * sin_series(2, 4, 1)
@@ -160,6 +179,33 @@ class TestNormalize:
 def two_step_phase_run():
     h = admissible_phase(np.random.default_rng(53))
     return fibering_normalize(FiberingPhase(h), 0.5)
+
+
+class TestWitness:
+    def test_phase_is_read_on_the_moved_grid(self, monkeypatch):
+        h0 = admissible_phase(np.random.default_rng(53))
+        seen = []
+        evaluate = series.eval_many
+
+        def recording(series_list, pts):
+            seen.extend(s.coeffs for s in series_list)
+            return evaluate(series_list, pts)
+
+        for mod in (series, flows):
+            monkeypatch.setattr(mod, "eval_many", recording)
+        res = two_step_phase_run()
+        monkeypatch.undo()
+        assert res.iterations == 2 and seen
+        assert not [c for c in seen
+                    if c.shape == h0.coeffs.shape and np.array_equal(c, h0.coeffs)]
+
+        # mu o Phi - theta_1 - k(theta_1), every value by the direct sum
+        pts = theta_grid(2, fibering.VERIFY_GRID)
+        moved = res.chain.apply(pts)
+        mu = moved[:, 0] + series.eval_many([h0], moved)[0]
+        t1 = pts[:, :1]
+        target = t1[:, 0] + series.eval_many([res.k], t1)[0]
+        assert abs(np.max(np.abs(mu - target)) - res.residual) < 1e-14
 
 
 def two_step_density_run():

@@ -4,7 +4,7 @@ import pytest
 import torusnf.flows
 import torusnf.series
 from torusnf.errors import HypothesisViolation
-from torusnf.fibering import FiberingPhase, fibering_step
+from torusnf.fibering import fibering_step
 from torusnf.flows import (
     MapChain,
     PeriodicVectorField,
@@ -332,7 +332,8 @@ class TestStageJacobian:
     def test_determinant_matches_finite_difference(self):
         chain = self.three_angle_chain()
         pts = theta_grid(3, 5) + 0.05j
-        det = chain.jacobian_det(pts)
+        image, det = chain.jacobian_det(pts)
+        assert np.array_equal(image, chain.apply(pts))
         fd = finite_difference_jacobian_det(chain.apply, pts)
         assert np.max(np.abs(det - 1.0)) > 1e-2
         assert np.max(np.abs(det - fd)) < 1e-8
@@ -421,7 +422,7 @@ class TestGridNative:
         monkeypatch.setattr(torusnf.flows, "eval_many", refuse)
         with pytest.raises(AssertionError):
             phi.apply(theta_grid(2, 3))
-        fibering_step(FiberingPhase(h), 0.5, 1.0 / 16.0)
+        fibering_step(h, 0.5, 1.0 / 16.0)
         realization_step(a, 0.5, 0.05)
         compose_maps(phi, shear, phi, N_out=10)
         shear.pullback(h, N_out=20)
@@ -482,10 +483,11 @@ class TestGridWitness:
         # 7 points per axis resolve degree 3; 5 alias it
         for M in (5, 7):
             pts = theta_grid(n, M) + 1j * shift
-            det = chain.jacobian_det(pts)
+            _, det = chain.jacobian_det(pts)
             if kind != "affine":
                 assert np.ptp(np.abs(det)) > 1e-3
-            assert np.max(np.abs(grid_image(phi, M, shift)
-                                 - chain.apply(pts))) < 1e-13
-            assert np.max(np.abs(grid_jacobian_det(phi, M, shift)
-                                 - det)) < 1e-13
+            moved = grid_image(phi, M, shift)
+            assert np.max(np.abs(moved - chain.apply(pts))) < 1e-13
+            image, grid_det = grid_jacobian_det(phi, M, shift)
+            assert np.array_equal(image, moved)
+            assert np.max(np.abs(grid_det - det)) < 1e-13

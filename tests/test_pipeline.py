@@ -365,6 +365,14 @@ class TestNormalizeEmbedding:
             assert abs(rep2.rho0 - rep.rho0) <= 1e-7
             assert phase_profile_distance(rep.k, rep2.k) <= 1e-6
 
+    def test_refuses_complex_reparametrization(self):
+        emb, _ = seeded_embedding(1e-3)
+        lift = TorusMapLift(np.eye(2, dtype=int),
+                            [1e-5j * sin_series(2, 3, 1),
+                             PeriodicSeries.zeros(2, 3)])
+        with pytest.raises(ValueError, match="real"):
+            precompose_torus_map(emb, lift)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_ambient_shear_leaves_density_and_invariants(self, n):
         # w_1 += 2e-4 w_2^2 at n = 2, and w_3 += 1e-4 w_1 w_2 at n = 3
@@ -449,6 +457,22 @@ class TestWitnessGrids:
         assert seen
         assert not [p.shape for p in seen if is_full_grid(p)]
 
+    def test_each_witness_walks_its_chain_once(self, monkeypatch):
+        _, emb = self.reparametrized()
+        walks = []
+        head = flows._grid_head
+
+        def counting(phi, M, shift):
+            walks.append(M)
+            return head(phi, M, shift)
+
+        monkeypatch.setattr(flows, "_grid_head", counting)
+        assert len(normalize_embedding(emb).chain.stages) > 5
+        # the round trip of invert_map, then the fibering and the normal-form
+        # witnesses, which read image and determinant from one walk each
+        assert len(walks) == 3
+        assert walks[1:] == [fibering.VERIFY_GRID] * 2
+
     def test_density_is_read_on_the_moved_grid(self, monkeypatch):
         _, emb = self.reparametrized()
         a = jacobian_density(emb).series
@@ -471,8 +495,9 @@ class TestWitnessGrids:
         # the defining identity, every value by the direct sum
         pts = theta_grid(2, fibering.VERIFY_GRID)
         moved = rep.chain.apply(pts)
+        _, det = rep.chain.jacobian_det(pts)
         lhs = (1.0 + series.eval_many([a], moved)[0]) \
-            * np.exp(1j * moved.sum(axis=1)) * rep.chain.jacobian_det(pts)
+            * np.exp(1j * moved.sum(axis=1)) * det
         s = pts.sum(axis=1)
         rhs = rep.rho0 * np.exp(
             1j * (s + series.eval_many([rep.k], s[:, None])[0]))
