@@ -58,6 +58,7 @@ from .series import (
     stacked_det,
     theta_grid,
     translate,
+    witness_grid_size,
 )
 
 # A Taylor order or Lie term with grid sup at or below TERM_TOL is round-off
@@ -142,15 +143,13 @@ def taylor_on_grid(series_list, D, U, M):
     U holds one grid per component.  The Taylor sum over multi-indices a of
     (d^a h)(D theta) U^a / a! runs one order |a| at a time until an order is
     below TERM_TOL.  Each derivative is taken on the coefficients and read by
-    `eval_real_grid`, exact for every M; D only re-indexes grid points.  A
-    constant is read as its value, and no derivative is built along an axis h
+    `eval_real_grid`, exact for every M and with no FFT for a constant; D
+    only re-indexes grid points.  No derivative is built along an axis h
     does not depend on or where U vanishes.
     """
-    n = len(U)
     index = _grid_index(D, M)
     deps = [set(h.dependent_axes()) for h in series_list]
-    out = [h.eval_real_grid(M)[index] if dep else np.full((M,) * n, h.mean())
-           for h, dep in zip(series_list, deps)]
+    out = [h.eval_real_grid(M)[index] for h in series_list]
     active = [j for j in sorted(set().union(*deps)) if np.any(U[j])]
     for order in range(1, MAX_TERMS + 1):
         terms = [0.0] * len(series_list)
@@ -348,7 +347,7 @@ def compose_maps(*maps, N_out=None):
     """The lift of the composite of `maps`, outermost first.
 
     compose_maps(phi, psi) is theta -> phi(psi(theta)).  Integer parts
-    multiply; the maps are applied in turn on one oversampled grid by the
+    multiply; the maps are applied in turn on one `grid_size` grid by the
     grid kernel and the periodic part of the composite is re-expanded once,
     at the requested degree bound (default: the largest input degree).
     """
@@ -437,13 +436,11 @@ class MapChain:
 def _grid_reader(M, D, c):
     """Reads a series at the points D theta + c over theta_grid(n, M), as a
     flat (M^n,) array: there h equals translate(h, c) on the grid, read by
-    one inverse FFT and re-indexed by the integer matrix D.  A constant is
+    `eval_real_grid` and re-indexed by the integer matrix D.  A constant is
     read exactly as its value, as `eval_many` reads it, with no transform."""
     index = _grid_index(D, M)
 
     def read(h):
-        if not h.dependent_axes():
-            return np.full(M ** h.n, h.mean())
         return translate(h, c).eval_real_grid(M)[index].reshape(-1)
 
     return read
@@ -539,10 +536,11 @@ def invert_map(phi, r, N_out=None):
     U <- -f(theta + U).  Requires an identity integer part and the bound
     (nf) ||f||_r <= r/(4n), on the summed stage norms for a chain, which
     makes the iteration contract on the half-width strip.  The iteration
-    runs on the M = grid_size(N_out, phi.N) grid, a 7-smooth size.  The
-    residual is the witness sup |phi(phi^{-1}(theta)) - theta| on a second
-    grid, of M + 1 points per axis, which shares only the origin with the
-    compute grid: phi^{-1} is read there by FFT (`grid_image`), and phi at
+    runs on the M = grid_size(N_out, phi.N) grid.  The residual is the
+    witness sup |phi(phi^{-1}(theta)) - theta| on a second grid, of
+    witness_grid_size(N_out, phi.N) + 1 points per axis: finer than the
+    compute grid, so that it checks the inverse between the points it was
+    computed on.  phi^{-1} is read there by FFT (`grid_image`), and phi at
     the scattered image points by `eval_many`.
     """
     if not phi.has_identity_integer_part():
@@ -574,7 +572,8 @@ def invert_map(phi, r, N_out=None):
             f"fixed-point iteration did not reach {INVERT_TOL:.1e} "
             f"in {INVERT_MAX_ITER} steps")
     inv = _lift_from_grid(np.eye(n, dtype=int), U, N_out, phi.real)
-    round_trip = grid_image(MapChain((inv,) + stages), M + 1, 0.0)
-    residual = float(np.max(np.abs(round_trip - theta_grid(n, M + 1))))
+    M_w = witness_grid_size(N_out, phi.N) + 1
+    round_trip = grid_image(MapChain((inv,) + stages), M_w, 0.0)
+    residual = float(np.max(np.abs(round_trip - theta_grid(n, M_w))))
     return MapInverse(inv, residual, its)
 

@@ -17,7 +17,7 @@ from .flows import TorusMapLift
 from .series import (
     PeriodicSeries,
     divide,
-    grid_size,
+    witness_grid_size,
 )
 
 
@@ -32,7 +32,7 @@ class VolumeDensity:
             raise ValueError("volume density perturbation must be real on R^n")
 
     def min_on_grid(self):
-        M = max(grid_size(self.b.N), 16)
+        M = max(witness_grid_size(self.b.N), 16)
         vals = 1.0 + self.b.eval_real_grid(M).real
         return float(np.min(vals))
 
@@ -77,7 +77,7 @@ def moser_normalize(density, r, N_out=None):
         partial = partial + parts[p]
     phi = TorusMapLift(np.eye(n, dtype=int), fs)
 
-    M = grid_size(max(N_out, b.N))
+    M = witness_grid_size(max(N_out, b.N))
     det = np.ones((M,) * n, dtype=complex)
     for p in range(1, n + 1):
         det *= 1.0 + fs[p - 1].derivative(p - 1).eval_real_grid(M)

@@ -29,8 +29,6 @@ REAL_TOL = 1e-12
 # computed data and the l1 budget of the tail chop of computed maps.
 CHOP_FLOOR = 1e-15
 
-# Oversampling factor for grid-based products, quotients and compositions.
-GRID_MULT = 2
 # A quotient is refused where the denominator's modulus drops below MIN_DEN.
 MIN_DEN = 1e-8
 # Points per block of off-grid evaluation, which bounds the memory of the
@@ -110,9 +108,15 @@ class PeriodicSeries:
         return complex(self.coeffs[(self.N,) * self.n])
 
     def dependent_axes(self):
-        """The axes some stored term oscillates in; () for a constant."""
+        """The axes some stored term oscillates in; () for a constant.
+
+        One pass builds the nonzero mask; axis j is dependent when its
+        k_j = 0 plane holds fewer nonzero terms than the whole block."""
+        mask = self.coeffs != 0
+        total = np.count_nonzero(mask)
         return tuple(j for j in range(self.n)
-                     if np.any(np.delete(self.coeffs, self.N, axis=j)))
+                     if np.count_nonzero(mask[(slice(None),) * j + (self.N,)])
+                     < total)
 
     def is_real_symmetric(self):
         flipped = np.conj(self.coeffs[(slice(None, None, -1),) * self.n])
@@ -232,22 +236,34 @@ class PeriodicSeries:
     # evaluation
 
     def eval_real_grid(self, M):
-        """Values on the uniform real grid theta_j = 2 pi m / M, by one
-        inverse FFT: the points of `theta_grid(n, M)`, as an (M,)*n array.
+        """Values on the uniform real grid theta_j = 2 pi m / M: the points
+        of `theta_grid(n, M)`, as a writable (M,)*n array.
 
-        Exact for every M: on the grid exp(i k theta) = exp(i k' theta)
-        whenever k = k' (mod M), so below the alias-free M = 2N + 1 such
-        coefficients are added into one FFT bin; from there on every bin
-        holds one coefficient and is assigned.  No off-grid point is read
-        here; scattered points go through `eval_many`.
+        Only the dependent axes are transformed: the block is cut to the
+        k = 0 plane of every other axis, that lower-dimensional block goes
+        through one inverse FFT, and its values are broadcast along the
+        other axes.  A constant costs no FFT at all.  Exact for every M: on
+        the grid exp(i k theta) = exp(i k' theta) whenever k = k' (mod M),
+        so below the alias-free M = 2N + 1 such coefficients are added into
+        one FFT bin; from there on every bin holds one coefficient and is
+        assigned.  No off-grid point is read here; scattered points go
+        through `eval_many`.
         """
-        emb = np.zeros((M,) * self.n, dtype=complex)
-        idx = np.ix_(*([self.k_range() % M] * self.n))
-        if M > 2 * self.N:
-            emb[idx] = self.coeffs
-        else:
-            np.add.at(emb, idx, self.coeffs)
-        return np.fft.ifftn(emb) * (M ** self.n)
+        axes = self.dependent_axes()
+        vals = self.coeffs[tuple(slice(None) if j in axes else self.N
+                                 for j in range(self.n))]
+        if axes:
+            d = len(axes)
+            emb = np.zeros((M,) * d, dtype=complex)
+            idx = np.ix_(*([self.k_range() % M] * d))
+            if M > 2 * self.N:
+                emb[idx] = vals
+            else:
+                np.add.at(emb, idx, vals)
+            vals = np.fft.ifftn(emb) * (M ** d)
+        out = np.empty((M,) * self.n, dtype=complex)
+        out[...] = vals.reshape([M if j in axes else 1 for j in range(self.n)])
+        return out
 
     # ------------------------------------------------------------------
     # splitting and calculus
@@ -413,19 +429,31 @@ def seven_smooth(m):
 
 
 def grid_size(N_out, *N_in):
-    """Points per axis of a compute grid.
+    """Points per axis of a compute grid: the smallest 7-smooth
+    M >= max(3 N_out + 1, 2 N + 1 for N in N_in).
 
-    The smallest 7-smooth integer at or above the bound
-    max(GRID_MULT (2 N_out + 1), 2 N + 1 for N in N_in): the bound
-    oversamples the output degree by GRID_MULT and never drops below the
-    alias-free size of any input degree sampled on the grid.  It is rounded
-    up because mixed-radix FFTs are fastest on sizes whose prime factors are
-    all small: the bare bound is often twice a prime, and an 82 = 2 * 41
-    grid transforms over twice as slowly as an 84 = 2^2 * 3 * 7 one.
-    Rounding only grows the grid, so it only lowers aliasing.
+    This is the 3/2 dealiasing rule (Orszag 1971).  A product of two
+    degree-N_out series has frequencies up to 2 N_out, which fold on the
+    grid onto |k| >= M - 2 N_out > N_out, so its re-expansion at N_out
+    keeps every coefficient exact; and every input of degree N sampled on
+    the grid is alias-free.  M is rounded up because mixed-radix FFTs are
+    fastest on sizes whose prime factors are all small: the bare bound is
+    often a prime, and with numpy's FFT on one core a 61-point grid
+    transforms two to three times as slowly as a 63 = 3^2 * 7 one at n = 2
+    and 3.  Rounding only grows the grid, so it only lowers aliasing.
     """
-    return seven_smooth(max([GRID_MULT * (2 * N_out + 1)]
-                            + [2 * N + 1 for N in N_in]))
+    return seven_smooth(max([3 * N_out + 1] + [2 * N + 1 for N in N_in]))
+
+
+def witness_grid_size(N_out, *N_in):
+    """Points per axis of a residual witness grid: the smallest 7-smooth
+    M >= max(4 N_out + 2, 2 N + 1 for N in N_in).
+
+    A witness checks values the computation did not sample, so its grid
+    is finer than the `grid_size` grid of the same degrees, about 4/3 of it
+    per axis.
+    """
+    return seven_smooth(max([4 * N_out + 2] + [2 * N + 1 for N in N_in]))
 
 
 def stacked_det(mat):

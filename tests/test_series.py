@@ -6,7 +6,6 @@ import pytest
 from torusnf.errors import HypothesisViolation
 from torusnf.series import (
     CHOP_FLOOR,
-    GRID_MULT,
     PeriodicSeries,
     divide,
     eval_many,
@@ -17,6 +16,7 @@ from torusnf.series import (
     stacked_det,
     theta_grid,
     translate,
+    witness_grid_size,
 )
 
 from oracles import (
@@ -105,6 +105,29 @@ class TestEval:
         grid_vals = h.eval_real_grid(M).reshape(-1)
         pts_vals = eval_many([h], theta_grid(n, M))[0]
         assert np.max(np.abs(grid_vals - pts_vals)) < 1e-13
+
+    # degree 4: 13 points per axis resolve it, 7 alias it
+    @pytest.mark.parametrize("M", [13, 7])
+    @pytest.mark.parametrize("n, axes, kind", [
+        (2, (1,), "subset"), (3, (0, 2), "subset"), (3, (1,), "subset"),
+        (2, (), "constant"), (3, (), "constant"),
+        (2, (), "zero"), (3, (), "zero")])
+    def test_grid_eval_on_the_dependent_axes(self, n, axes, kind, M):
+        rng = np.random.default_rng(10 + n)
+        if kind == "subset":
+            c = np.array(random_series(rng, n, 4, real=False).coeffs)
+            for j in set(range(n)) - set(axes):
+                np.moveaxis(c, j, 0)[np.arange(-4, 5) != 0] = 0.0
+            h = PeriodicSeries(c)
+        elif kind == "constant":
+            h = PeriodicSeries.constant(n, 4, 0.3 - 0.2j)
+        else:
+            h = PeriodicSeries.zeros(n, 4)
+        assert h.dependent_axes() == axes
+        vals = h.eval_real_grid(M)
+        assert vals.shape == (M,) * n and vals.flags.writeable
+        pts_vals = eval_many([h], theta_grid(n, M))[0]
+        assert np.max(np.abs(vals.reshape(-1) - pts_vals)) < 1e-13
 
 
 def term_sum(h, pts):
@@ -340,15 +363,41 @@ class TestGridRule:
     def test_grid_size_is_smooth_and_meets_both_bounds(self):
         for N_out, N_in in itertools.product(range(61), repeat=2):
             M = grid_size(N_out, N_in)
+            bound = max(3 * N_out + 1, 2 * N_in + 1)
             assert largest_prime_factor(M) <= 7
-            assert M >= GRID_MULT * (2 * N_out + 1)
+            assert M >= 3 * N_out + 1
             assert M >= 2 * N_in + 1
+            assert M == seven_smooth(bound)
+
+    def test_witness_grids_stay_finer_than_compute_grids(self):
+        # the residual witnesses keep the size of the former twice
+        # oversampled compute rule, 2 (2 N_out + 1)
+        for N_out, N_in in itertools.product(range(61), repeat=2):
+            W = witness_grid_size(N_out, N_in)
+            assert W == seven_smooth(max(2 * (2 * N_out + 1), 2 * N_in + 1))
+            assert W >= grid_size(N_out, N_in)
 
     def test_twice_a_prime_rounds_up(self):
-        # compute grids of the benchmark workloads: 82, 78, 58, 38 and 22
-        # round up, while 50 and 42 are 7-smooth already
-        assert [grid_size(N) for N in (20, 19, 14, 9, 5)] == [84, 80, 60, 40, 24]
-        assert [grid_size(N) for N in (12, 10)] == [50, 42]
+        # compute grids of the benchmark workloads: 61, 58 and 43 round up,
+        # while 28 and 16 are 7-smooth already
+        assert [grid_size(N) for N in (20, 19, 14, 9, 5)] == [63, 60, 45, 28, 16]
+        assert [grid_size(N) for N in (12, 10)] == [40, 32]
+
+    @pytest.mark.parametrize("n, N", [(1, 12), (2, 8), (3, 5)])
+    def test_products_re_expand_without_aliasing(self, n, N):
+        # the aliases of a product of two degree-N series fold onto
+        # |k| >= M - 2N > N on the grid_size(N) grid, and into the kept band
+        # on the bare 2N + 1 grid
+        rng = np.random.default_rng(90 + n)
+        a, b = (random_series(rng, n, N, real=False) for _ in range(2))
+        exact = multiply(a, b, N_out=N)
+
+        def product_on(M):
+            vals = a.eval_real_grid(M) * b.eval_real_grid(M)
+            return series_from_real_grid(vals, N)
+
+        assert coeff_distance(product_on(grid_size(N)), exact) < 1e-14
+        assert coeff_distance(product_on(2 * N + 1), exact) > 1e-6
 
 
 class TestStackedDet:
