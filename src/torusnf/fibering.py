@@ -82,7 +82,9 @@ def shrinking_strip(state, r0, schedule, defect, step, power):
     defect(state, r_m) <= STOP_TOL, or after MAX_ITER steps; otherwise
     step(state, r_m, delta_m) returns the pair (next state, lift of the
     step), taken as it is.  One `TraceRow` per m records the defect and the
-    realized contraction constant d_{m+1} (r_m delta_m)^power / d_m^2.
+    realized contraction constant d_{m+1} (r_m delta_m)^power / d_m^2; the
+    defect d_{m+1} taken after a step is carried to m + 1, so each defect
+    is computed once.
     Returns (state, lifts, trace, converged), the lifts in the order they
     were taken.  An error raised by a step carries the trace so far.
     """
@@ -90,9 +92,9 @@ def shrinking_strip(state, r0, schedule, defect, step, power):
         raise ValueError(f"r0 must lie in (0, 1), got {r0}")
     lifts = []
     trace = []
+    defect_m = defect(state, schedule(r0, 0)[0])
     for m in range(MAX_ITER + 1):
         r_m, d_m = schedule(r0, m)
-        defect_m = defect(state, r_m)
         if defect_m <= STOP_TOL or m == MAX_ITER:
             trace.append(TraceRow(m, r_m, d_m, defect_m, 0.0))
             return state, lifts, trace, defect_m <= STOP_TOL
@@ -106,6 +108,7 @@ def shrinking_strip(state, r0, schedule, defect, step, power):
                     if defect_m > 0 else 0.0)
         trace.append(TraceRow(m, r_m, d_m, defect_m, realized))
         lifts.append(lift)
+        defect_m = defect_next
 
 
 def leading_bound(h, r):
@@ -153,7 +156,7 @@ def fibering_step(h, r, delta):
     for p in range(2, n + 1):
         axis = p - 1
         u = divide(parts[p], denom, N_out=N_field)
-        u = u.restrict_axes(axis, require_oscillating=axis).symmetrized()
+        u = u.restrict_axes(axis).symmetrized()
         comps.append((-1.0 * u).derivative(0).antiderivative(axis))
     field = PeriodicVectorField(comps)
     div_defect = field.divergence().coeff_norm(r)
@@ -163,7 +166,7 @@ def fibering_step(h, r, delta):
 
     fr = flow(field, -1.0, (1.0 - delta) * r, delta, N_out=N_field)
     pulled = fr.map.pullback(h, N_out=N_pull)
-    k_next = (fr.map.parts[0].pad_to(N_pull) + pulled).truncate(h.N).symmetrized()
+    k_next = (fr.map.parts[0] + pulled).truncate(h.N).symmetrized()
     return k_next, fr.map
 
 

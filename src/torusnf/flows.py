@@ -218,14 +218,16 @@ class TorusMapLift:
         self.parts = tuple(p.pad_to(N) for p in parts)
 
     @classmethod
-    def identity(cls, n, N=0):
+    def identity(cls, n):
+        """The identity lift, of degree 0."""
         return cls(np.eye(n, dtype=int),
-                   [PeriodicSeries.zeros(n, N) for _ in range(n)])
+                   [PeriodicSeries.zeros(n, 0) for _ in range(n)])
 
     @classmethod
-    def translation(cls, n, shift, N=0):
+    def translation(cls, n, shift):
+        """theta -> theta + shift, of degree 0."""
         return cls(np.eye(n, dtype=int),
-                   [PeriodicSeries.constant(n, N, shift[j]) for j in range(n)])
+                   [PeriodicSeries.constant(n, 0, shift[j]) for j in range(n)])
 
     @property
     def n(self):
@@ -264,7 +266,7 @@ class TorusMapLift:
         jac += self.D
         return image, jac
 
-    def pullback(self, h, N_out=None):
+    def pullback(self, h, N_out):
         """h composed with this lift by the grid kernel, re-expanded at N_out.
 
         Refuses when the requested degree bound cannot hold the input
@@ -274,8 +276,6 @@ class TorusMapLift:
         """
         if h.n != self.n:
             raise ValueError("dimension mismatch")
-        if N_out is None:
-            N_out = h.N
         if N_out < h.N:
             raise ValueError(
                 f"output degree {N_out} below input degree {h.N}: grid too coarse")
@@ -289,22 +289,26 @@ class TorusMapLift:
 class FlowResult:
     """Time-t map of a field.  `step_count` Lie-series terms were summed
     (the benchmark tracer reads it as flows.flow.rk4_steps); `defect` is the
-    grid sup of the last term, over the displacement and line integral."""
+    grid sup of the last term, over the displacement and line integral;
+    `integral` is the line integral, None when no integrand was given."""
 
     map: TorusMapLift
     t: float
     step_count: int
     defect: float
+    integral: PeriodicSeries | None
 
 
-def flow(v, t, r1, delta, N_out=None, line_integrand=None):
-    """Time-t map of the field as a near-identity lift, by its Lie series.
+def flow(v, t, r1, delta, N_out, line_integrand=None):
+    """Time-t map of the field as a near-identity lift, by its Lie series,
+    re-expanded at degree N_out.
 
     The displacement is sum_{k >= 1} t^k/k! L^{k-1} p with L g = sum_i p_i
     d_i g, products and spectral derivatives taken on the grid, summed up to
     the first term at or below TERM_TOL.  Requires |t| <= 1, 0 < delta < 1/2
-    and the bound (z1) ||p||_{r1} <= r1 delta.  With `line_integrand` g, also
-    returns int_0^t g(theta(s)) ds = sum_{k >= 1} t^k/k! L^{k-1} g.
+    and the bound (z1) ||p||_{r1} <= r1 delta.  With `line_integrand` g, the
+    result's `integral` is int_0^t g(theta(s)) ds = sum_{k >= 1} t^k/k!
+    L^{k-1} g.
     """
     if abs(t) > 1.0 + 1e-15:
         raise ValueError("flows are only taken for |t| <= 1")
@@ -314,8 +318,6 @@ def flow(v, t, r1, delta, N_out=None, line_integrand=None):
     if p_norm > r1 * delta:
         raise HypothesisViolation(
             "(z1)", f"||p||_r1 = {p_norm:.3e} exceeds r1*delta = {r1 * delta:.3e}")
-    if N_out is None:
-        N_out = v.N
     fields = list(v.components) + ([] if line_integrand is None
                                    else [line_integrand])
     M = grid_size(N_out, *(g.N for g in fields))
@@ -333,27 +335,22 @@ def flow(v, t, r1, delta, N_out=None, line_integrand=None):
     if defect > FLOW_DEFECT_TOL:
         raise NumericalFailure(f"Lie series defect {defect:.3e} above "
                                f"{FLOW_DEFECT_TOL:.1e} after {MAX_TERMS} terms")
-    result = FlowResult(
+    integral = None if line_integrand is None else series_from_real_grid(
+        sums[v.n], N_out, real=v.real and line_integrand.real)
+    return FlowResult(
         _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], N_out, v.real),
-        float(t), k, defect)
-    if line_integrand is None:
-        return result
-    acc_series = series_from_real_grid(sums[v.n], N_out,
-                                       real=v.real and line_integrand.real)
-    return result, acc_series
+        float(t), k, defect, integral)
 
 
-def compose_maps(*maps, N_out=None):
+def compose_maps(*maps, N_out):
     """The lift of the composite of `maps`, outermost first.
 
     compose_maps(phi, psi) is theta -> phi(psi(theta)).  Integer parts
     multiply; the maps are applied in turn on one `grid_size` grid by the
     grid kernel and the periodic part of the composite is re-expanded once,
-    at the requested degree bound (default: the largest input degree).
+    at the degree bound N_out.
     """
     chain = MapChain(maps[::-1])
-    if N_out is None:
-        N_out = chain.N
     M = grid_size(N_out, chain.N)
     D, disp = _apply_on_grid(chain.stages, M)
     return _lift_from_grid(D, disp, N_out, chain.real)
@@ -527,8 +524,9 @@ class MapInverse:
     iterations: int
 
 
-def invert_map(phi, r, N_out=None):
-    """Inverse of a near-identity lift or MapChain by fixed-point iteration.
+def invert_map(phi, r, N_out):
+    """Inverse of a near-identity lift or MapChain by fixed-point iteration,
+    re-expanded at degree N_out.
 
     The inverse is theta + U on the grid.  Each iteration applies phi to
     theta + U by the grid kernel, stage by stage for a chain, giving
@@ -550,8 +548,6 @@ def invert_map(phi, r, N_out=None):
     if f_norm > r / (4.0 * n):
         raise HypothesisViolation(
             "(nf)", f"||f||_r = {f_norm:.3e} exceeds r/(4n) = {r / (4 * n):.3e}")
-    if N_out is None:
-        N_out = phi.N
     stages = phi.stages if isinstance(phi, MapChain) else (phi,)
     M = grid_size(N_out, phi.N)
     U = [np.zeros((M,) * n, dtype=complex) for _ in range(n)]

@@ -45,10 +45,10 @@ class MoserResult:
     f_norm: float
 
 
-def moser_normalize(density, r, N_out=None):
+def moser_normalize(density, r, N_out):
     """Map the density (1+b) d theta to its mean multiple of d theta.
 
-    Returns the triangular near-identity lift phi with
+    Returns the triangular near-identity lift phi, of degree N_out, with
     (1 + [b]) phi^* d theta = (1 + b) d theta, together with the mean [b],
     the grid residual of that identity, and the coefficient norm of the
     perturbation (which obeys ||f||_r <= 8 pi ||b||_r).
@@ -59,8 +59,6 @@ def moser_normalize(density, r, N_out=None):
         raise ValueError(f"strip half-width must lie in (0, 1), got {r}")
     if density.min_on_grid() <= 0.0:
         raise NumericalFailure("density 1 + b vanishes on the real grid")
-    if N_out is None:
-        N_out = b.N
 
     parts = b.triangular_split()
     mean = parts[0].mean().real
@@ -72,7 +70,7 @@ def moser_normalize(density, r, N_out=None):
         f_p = divide(num, partial, N_out=N_out)
         # the quotient lives on axes <= axis and keeps a zero axis-average;
         # re-impose both exactly against grid round-off
-        f_p = f_p.restrict_axes(axis, require_oscillating=axis)
+        f_p = f_p.restrict_axes(axis)
         fs.append(f_p.symmetrized())
         partial = partial + parts[p]
     phi = TorusMapLift(np.eye(n, dtype=int), fs)

@@ -172,7 +172,6 @@ class InvariantReport:
     split_residual: float
     complex_constant: complex      # 1 + mean of the Jacobian density
     total_volume: float            # (2 pi)^n rho0
-    density_norm: float
     fibering_trace: list
 
 
@@ -197,7 +196,6 @@ def normalize_embedding(emb):
         raise ValueError("the normal form machinery needs n >= 2")
     a = jacobian_density(emb)
     r = emb.r0 / 2.0
-    density_norm = a.norm(r)
     split = modulus_phase_split(a)
     _stage_gate("modulus/phase factorization", split.residual)
 
@@ -212,8 +210,7 @@ def normalize_embedding(emb):
     inv1 = invert_map(moser.map, r, N_out=moser.map.N + 4)
     _stage_gate("volume map inversion", inv1.residual)
 
-    h2s = h2.pad_to(max(h2.N, moser.map.N))
-    carried = h2s - moser.map.parts[0].pad_to(h2s.N)
+    carried = h2 - moser.map.parts[0]
     h3 = inv1.map.pullback(carried, N_out=carried.N + 4)
     h3 = h3.symmetrized().chop(CHOP_FLOOR)
     if h3.N > FIB_DEGREE:
@@ -243,7 +240,6 @@ def normalize_embedding(emb):
         split_residual=split.residual,
         complex_constant=1.0 + a.series.mean(),
         total_volume=(2.0 * np.pi) ** n * rho0,
-        density_norm=density_norm,
         fibering_trace=fib.trace)
 
 
@@ -314,7 +310,7 @@ def exactness_correct(k):
     corr = PeriodicSeries.from_terms(
         1, 1, {(1,): 0.5 * (alpha - 1j * beta),
                (-1,): 0.5 * (alpha + 1j * beta)})
-    return (k + corr.pad_to(k.N)).symmetrized()
+    return (k + corr).symmetrized()
 
 
 def _profile_velocity(k, rho0):
@@ -374,7 +370,7 @@ def curve_from_profile(k, rho0):
     return curve
 
 
-def normal_form_embedding(g, n, r0=0.5):
+def normal_form_embedding(g, n, r0):
     """The model embedding built from a generating curve.
 
     First component i g(z_1 ... z_n) / (z_2 ... z_n), remaining components
@@ -453,9 +449,7 @@ def postcompose_monomial_shear(emb, target, exponents, eps):
         vals = vals * emb.components[j].series.eval_real_grid(M) ** m
     add = series_from_real_grid(vals, N_out).chop(CHOP_FLOOR)
     comps = list(emb.components)
-    comps[target] = AnnulusFunction(
-        comps[target].series.pad_to(max(comps[target].N, add.N))
-        + (eps * add).pad_to(max(comps[target].N, add.N)))
+    comps[target] = AnnulusFunction(comps[target].series + eps * add)
     return TorusEmbedding(tuple(comps), emb.r0)
 
 

@@ -165,12 +165,12 @@ def realization_step(a, r, delta):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     N_pull = 2 * a.N + 4
 
-    fr, acc = flow(solve_divergence(a), -1.0, r, delta, N_out=a.N + 2,
-                   line_integrand=a.series)
+    fr = flow(solve_divergence(a), -1.0, r, delta, N_out=a.N + 2,
+              line_integrand=a.series)
 
     M = grid_size(N_pull)
     a_vals = fr.map.pullback(a.series, N_out=N_pull).eval_real_grid(M)
-    det_vals = np.exp(acc.pad_to(max(acc.N, N_pull)).eval_real_grid(M))
+    det_vals = np.exp(fr.integral.eval_real_grid(M))
     hat_vals = (1.0 + a_vals) * det_vals - 1.0
     return AnnulusFunction(series_from_real_grid(hat_vals, a.N)), fr.map
 
@@ -225,7 +225,7 @@ def realize_form(a, r0):
 
     N_comp = max(2 * a0.N + 4, 8)
     if not stage_maps:
-        stage_maps = [TorusMapLift.identity(n, 0)]
+        stage_maps = [TorusMapLift.identity(n)]
     chain = MapChain(stage_maps[::-1])
     psi_single = AnnulusMap.from_torus_lift(chain.to_single(N_comp))
 

@@ -327,21 +327,13 @@ class PeriodicSeries:
         out[tuple(idx)] = 0.0
         return PeriodicSeries(out, real=self.real, trunc_mass=self.trunc_mass)
 
-    def restrict_axes(self, last_axis, require_oscillating=None):
-        """Keep only terms supported on axes 0..last_axis.
-
-        With require_oscillating set, additionally drop the terms constant
-        along that axis.  Used to re-impose triangular structure that holds
-        exactly in the underlying algebra but may be blurred by grid
-        round-off.
+    def restrict_axes(self, axis):
+        """Keep only the terms whose last oscillating axis is `axis`: they
+        depend on axes 0..axis only and have zero average along `axis`.
+        Used to re-impose triangular structure that holds exactly in the
+        underlying algebra but may be blurred by grid round-off.
         """
-        lead = self.leading_axis_map()
-        c = np.where(lead <= last_axis, self.coeffs, 0.0)
-        if require_oscillating is not None:
-            idx = [slice(None)] * self.n
-            idx[require_oscillating] = self.N
-            c = np.array(c)
-            c[tuple(idx)] = 0.0
+        c = np.where(self.leading_axis_map() == axis, self.coeffs, 0.0)
         return PeriodicSeries(c, real=self.real, trunc_mass=self.trunc_mass)
 
     # ------------------------------------------------------------------
@@ -513,8 +505,8 @@ def series_from_real_grid(values, N, real=False):
     return PeriodicSeries(kept, real=real, trunc_mass=dropped)
 
 
-def divide(num, den, N_out=None):
-    """Quotient via grid evaluation and re-expansion.
+def divide(num, den, N_out):
+    """Quotient via grid evaluation and re-expansion at degree N_out.
 
     The denominator must stay away from zero on the real grid (its modulus
     is checked against MIN_DEN).  Truncation mass is recorded on the
@@ -522,8 +514,6 @@ def divide(num, den, N_out=None):
     """
     if num.n != den.n:
         raise ValueError("dimension mismatch")
-    if N_out is None:
-        N_out = num.N
     M = grid_size(N_out, num.N, den.N)
     dv = den.eval_real_grid(M)
     worst = float(np.min(np.abs(dv)))
@@ -549,11 +539,11 @@ def translate(h, shift):
     return PeriodicSeries(out, real=real, trunc_mass=h.trunc_mass)
 
 
-def pull_back_linear(h, A, N_out=None):
+def pull_back_linear(h, A):
     """h(A theta) for an integer matrix A, as an exact coefficient re-indexing.
 
-    The coefficient at k moves to A^T k.  The output degree defaults to the
-    smallest bound containing all moved indices.
+    The coefficient at k moves to A^T k.  The output degree is the smallest
+    bound containing all moved indices.
     """
     A = np.asarray(A, dtype=int)
     if A.shape != (h.n, h.n):
@@ -564,13 +554,9 @@ def pull_back_linear(h, A, N_out=None):
     nz = vals != 0.0
     ks, vals = ks[nz], vals[nz]
     moved = ks @ A
-    need = int(np.max(np.abs(moved))) if moved.size else 0
-    if N_out is None:
-        N_out = need
-    elif need > N_out:
-        raise ValueError(f"degree bound {N_out} too small; need {need}")
-    c = np.zeros((2 * N_out + 1,) * h.n, dtype=complex)
-    np.add.at(c, tuple((moved + N_out).T), vals)
+    N = int(np.max(np.abs(moved))) if moved.size else 0
+    c = np.zeros((2 * N + 1,) * h.n, dtype=complex)
+    np.add.at(c, tuple((moved + N).T), vals)
     return PeriodicSeries(c, real=h.real, trunc_mass=h.trunc_mass)
 
 

@@ -36,9 +36,9 @@ def test_tracer_reads_flow_and_inverse_counts(monkeypatch):
     c = series.PeriodicSeries.from_terms(2, 1, {(0, 1): 1e-3, (0, -1): 1e-3})
     v = flows.PeriodicVectorField([c, series.PeriodicSeries.zeros(2, 1)])
     with tracer.LayerTracer() as trace:
-        fr = flows.flow(v, 1.0, 0.5, 0.2)
-        flows.flow(v, -1.0, 0.5, 0.2, line_integrand=c)
-        flows.invert_map(fr.map, 0.5)
+        fr = flows.flow(v, 1.0, 0.5, 0.2, N_out=1)
+        flows.flow(v, -1.0, 0.5, 0.2, N_out=1, line_integrand=c)
+        flows.invert_map(fr.map, 0.5, N_out=1)
     counts = trace.exact_counts()
     assert counts["flows.flow.calls"] == 2
     assert counts["flows.flow.rk4_steps"] > 0

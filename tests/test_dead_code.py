@@ -1,5 +1,6 @@
-"""Every public function of the package has a caller outside the tests, and
-the number of settable values does not grow.
+"""Every public function of the package has a caller outside the tests,
+every default is both taken and overridden by production code, and the
+number of settable values does not grow.
 
 The scan parses `src/torusnf` and the benchmark under `perfbench/` with
 `ast` and collects every name they reference: plain names, attribute names
@@ -10,7 +11,13 @@ by bare name, so a method shares its references with every other definition
 of that name; the scan can miss dead code but never flags live code.
 
 A settable value is a keyword option with a default or a dataclass field
-with a default, private helpers included.
+with a default, private helpers included.  A default is live when some call
+in `src/torusnf` or `perfbench/` leaves it out and some call passes it; a
+default with only one production configuration is a constant or a required
+argument in disguise.  Calls are matched by bare name.  A call with `*args`
+counts as both leaving out and passing each positional parameter it could
+fill, and a call with `**kwargs` as both for every parameter, so this scan
+too can miss a dead default but never flags one that calls set both ways.
 """
 
 import ast
@@ -30,7 +37,7 @@ ALLOWED = {
     "postcompose_monomial_shear",
     "half_turn_profile",
 }
-MAX_SETTABLE_VALUES = 23
+MAX_SETTABLE_VALUES = 12
 
 
 def referenced_names(node):
@@ -81,3 +88,53 @@ def test_settable_values_do_not_grow():
     total = sum(settable_values(ast.parse(path.read_text()))
                 for path in SOURCES)
     assert total <= MAX_SETTABLE_VALUES
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, positional index or None) for each default of
+    a function outside ALLOWED, dunder methods left out.  The index counts
+    from the first argument a call passes, so it skips a method's `self`."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if (not isinstance(node, ast.FunctionDef) or node.name in ALLOWED
+                or node.name.startswith("__")):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = id(node) in methods and not any(
+            "staticmethod" in ast.unparse(d) for d in node.decorator_list)
+        first = len(positional) - len(args.defaults)
+        for i in range(first, len(positional)):
+            yield node.name, positional[i].arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def call_name(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    return getattr(call.func, "attr", None)
+
+
+def test_every_default_has_two_production_configurations():
+    calls = [node for path in CALLERS
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    one_way = []
+    for path in SOURCES:
+        for name, param, index in defaulted_parameters(
+                ast.parse(path.read_text())):
+            left_out = passed = False
+            for call in (c for c in calls if call_name(c) == name):
+                n_pos = sum(not isinstance(a, ast.Starred) for a in call.args)
+                explicit = (any(k.arg == param for k in call.keywords)
+                            or index is not None and index < n_pos)
+                unknown = (any(k.arg is None for k in call.keywords)
+                           or index is not None and n_pos < len(call.args))
+                left_out = left_out or not explicit
+                passed = passed or explicit or unknown
+            if not (left_out and passed):
+                one_way.append(f"{path.stem}.{name}({param})")
+    assert one_way == []

@@ -240,6 +240,25 @@ class TestShrinkingStrip:
         assert "injected" in str(err.value)
         assert [row.m for row in err.value.trace] == [0]
 
+    @pytest.mark.parametrize("module, run", [
+        (fibering, two_step_phase_run),
+        (realization, two_step_density_run),
+    ], ids=["fibering", "realization"])
+    def test_each_defect_is_computed_once(self, monkeypatch, module, run):
+        original = fibering.shrinking_strip
+        radii = []
+
+        def counting(state, r0, schedule, defect, step, power):
+            def counted(state, r):
+                radii.append(r)
+                return defect(state, r)
+            return original(state, r0, schedule, counted, step, power)
+
+        monkeypatch.setattr(module, "shrinking_strip", counting)
+        res = run()
+        assert res.iterations == 2
+        assert radii == [row.r for row in res.trace]
+
 
 class TestProfileDistance:
     def test_identical(self):

@@ -84,15 +84,15 @@ class TestFlow:
         v = PeriodicVectorField([c * (1e-2 / v.coeff_norm(0.5))
                                  for c in v.components])
         g = 1e-3 * random_series(rng, 2, 3, real=False)
-        fr, acc = flow(v, -1.0, 0.5, 0.2, N_out=16, line_integrand=g)
+        fr = flow(v, -1.0, 0.5, 0.2, N_out=16, line_integrand=g)
         pts = rng.uniform(0, 2 * np.pi, size=(40, 2))
         end, integral = rk4_oracle(v, pts, -1.0, g=g)
         assert np.max(np.abs(fr.map.apply(pts) - end)) < 1e-10
-        assert np.max(np.abs(eval_points(acc, pts) - integral)) < 1e-10
+        assert np.max(np.abs(eval_points(fr.integral, pts) - integral)) < 1e-10
 
     def test_zero_field_gives_identity(self):
         v = PeriodicVectorField([PeriodicSeries.zeros(2, 2) for _ in range(2)])
-        fr = flow(v, 1.0, 0.5, 0.25)
+        fr = flow(v, 1.0, 0.5, 0.25, N_out=2)
         assert fr.map.part_norm(0.5) == 0.0
         assert fr.defect < 1e-14
 
@@ -100,7 +100,7 @@ class TestFlow:
         c = 0.03
         v = PeriodicVectorField([PeriodicSeries.constant(2, 1, c),
                                  PeriodicSeries.zeros(2, 1)])
-        fr = flow(v, 0.7, 0.5, 0.25)
+        fr = flow(v, 0.7, 0.5, 0.25, N_out=1)
         assert abs(fr.map.parts[0].mean() - c * 0.7) < 1e-14
         f = fr.map.parts[0]
         assert abs_max_coeff(f - average(f, [0, 1])) < 1e-14
@@ -109,14 +109,14 @@ class TestFlow:
         eps = 1e-3
         v = PeriodicVectorField([eps * sin_series(2, 2, 1),
                                  PeriodicSeries.zeros(2, 2)])
-        fr = flow(v, -1.0, 0.5, 0.25)
+        fr = flow(v, -1.0, 0.5, 0.25, N_out=2)
         assert coeff_distance(fr.map.parts[0], -eps * sin_series(2, 2, 1)) < 1e-13
         assert abs_max_coeff(fr.map.parts[1]) < 1e-14
 
     def test_hypothesis_z1_checked(self):
         v = PeriodicVectorField([sin_series(2, 2, 0), PeriodicSeries.zeros(2, 2)])
         with pytest.raises(HypothesisViolation) as err:
-            flow(v, 1.0, 0.25, 0.1)
+            flow(v, 1.0, 0.25, 0.1, N_out=2)
         assert err.value.bound == "(z1)"
 
     def test_displacement_bound_z2(self):
@@ -125,7 +125,7 @@ class TestFlow:
         for _ in range(8):
             v = stream_field(rng, N=4)
             assert v.coeff_norm(r1) <= r1 * delta
-            fr = flow(v, 1.0, r1, delta)
+            fr = flow(v, 1.0, r1, delta, N_out=4)
             assert fr.map.part_norm((1 - delta) * r1) <= v.coeff_norm(r1) * (1 + 1e-9)
 
     def test_linearization_bound_z3(self):
@@ -133,7 +133,7 @@ class TestFlow:
         r1, delta = 0.5, 0.2
         for _ in range(5):
             v = stream_field(rng, N=4)
-            fr = flow(v, 1.0, r1, delta)
+            fr = flow(v, 1.0, r1, delta, N_out=4)
             bound = 2 * v.coeff_norm(r1) ** 2 / (r1 * delta)
             for j in range(2):
                 dev = fr.map.parts[j] - 1.0 * v.components[j]
@@ -173,23 +173,26 @@ class TestLogDet:
     def test_divergence_free_flow_has_unit_jacobian(self):
         rng = np.random.default_rng(16)
         v = stream_field(rng)
-        _, ld = flow(v, 1.0, 0.5, 0.2, line_integrand=v.divergence())
+        ld = flow(v, 1.0, 0.5, 0.2, N_out=4,
+                  line_integrand=v.divergence()).integral
         assert ld.coeff_norm(0.4) < 1e-10
 
     def test_zero_time(self):
         rng = np.random.default_rng(17)
         v = stream_field(rng)
-        _, ld = flow(v, 0.0, 0.5, 0.2, line_integrand=v.divergence())
+        ld = flow(v, 0.0, 0.5, 0.2, N_out=4,
+                  line_integrand=v.divergence()).integral
         assert abs_max_coeff(ld) < 1e-14
 
     def test_matches_finite_difference_determinant(self):
         v = PeriodicVectorField([0.05 * sin_series(2, 3, 0),
                                  PeriodicSeries.zeros(2, 3)])
         t, r1, delta = 1.0, 0.5, 0.3
-        fr, ld = flow(v, t, r1, delta, line_integrand=v.divergence())
+        fr = flow(v, t, r1, delta, N_out=3, line_integrand=v.divergence())
         pts = theta_grid(2, 7)
         fd = finite_difference_jacobian_det(fr.map.apply, pts)
-        assert np.max(np.abs(np.log(fd) - eval_points(ld, pts))) < 1e-6
+        ld = eval_points(fr.integral, pts)
+        assert np.max(np.abs(np.log(fd) - ld)) < 1e-6
 
     def test_volume_preservation_on_grid(self):
         rng = np.random.default_rng(18)
@@ -203,8 +206,8 @@ class TestLogDet:
 class TestMapAlgebra:
     def test_compose_with_identity(self):
         rng = np.random.default_rng(19)
-        phi = flow(stream_field(rng), 1.0, 0.5, 0.2).map
-        out = compose_maps(phi, TorusMapLift.identity(2, phi.N))
+        phi = flow(stream_field(rng), 1.0, 0.5, 0.2, N_out=4).map
+        out = compose_maps(phi, TorusMapLift.identity(2), N_out=phi.N)
         pts = theta_grid(2, 9)
         assert np.max(np.abs(out.apply(pts) - phi.apply(pts))) < 1e-12
 
@@ -213,13 +216,14 @@ class TestMapAlgebra:
         shear = TorusMapLift(A, [PeriodicSeries.zeros(2, 0)] * 2)
         unshear = TorusMapLift(np.linalg.inv(A).astype(int),
                                [PeriodicSeries.zeros(2, 0)] * 2)
-        out = compose_maps(shear, unshear)
+        out = compose_maps(shear, unshear, N_out=0)
         assert np.array_equal(out.D, np.eye(2, dtype=int))
         assert all(abs_max_coeff(p) < 1e-13 for p in out.parts)
 
     def test_associativity_pointwise(self):
         rng = np.random.default_rng(20)
-        maps = [flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2).map
+        maps = [flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2,
+                     N_out=4).map
                 for _ in range(3)]
         a, b, c = maps
         left = compose_maps(compose_maps(a, b, N_out=10), c, N_out=10)
@@ -244,32 +248,32 @@ class TestMapAlgebra:
     def test_pullback_refuses_coarse_degree(self):
         rng = np.random.default_rng(24)
         h = random_series(rng, 2, 4)
-        phi = TorusMapLift.identity(2, 2)
         with pytest.raises(ValueError):
-            phi.pullback(h, N_out=2)
+            TorusMapLift.identity(2).pullback(h, N_out=2)
 
     def test_pullback_with_identity_is_exact(self):
         rng = np.random.default_rng(25)
         h = random_series(rng, 2, 4)
-        assert coeff_distance(TorusMapLift.identity(2).pullback(h), h) < 1e-13
+        assert coeff_distance(TorusMapLift.identity(2).pullback(h, N_out=4),
+                              h) < 1e-13
 
 
 class TestInverse:
     def test_identity(self):
-        inv = invert_map(TorusMapLift.identity(2, 2), 0.5)
+        inv = invert_map(TorusMapLift.identity(2), 0.5, N_out=2)
         assert inv.residual < 1e-13
 
     def test_translation(self):
         c = 0.02
         phi = TorusMapLift.translation(2, [c, 0.0])
-        inv = invert_map(phi, 0.5)
+        inv = invert_map(phi, 0.5, N_out=0)
         assert abs(inv.map.parts[0].mean() + c) < 1e-12
         assert inv.residual < 1e-12
 
     def test_random_small_round_trip(self):
         rng = np.random.default_rng(26)
         for _ in range(5):
-            phi = flow(stream_field(rng), 1.0, 0.5, 0.2).map
+            phi = flow(stream_field(rng), 1.0, 0.5, 0.2, N_out=4).map
             inv = invert_map(phi, 0.5, N_out=10)
             assert inv.residual < 1e-10
             pts = theta_grid(2, 9)
@@ -278,13 +282,13 @@ class TestInverse:
     def test_hypothesis_nf_checked(self):
         phi = TorusMapLift.translation(2, [0.4, 0.0])
         with pytest.raises(HypothesisViolation) as err:
-            invert_map(phi, 0.5)
+            invert_map(phi, 0.5, N_out=0)
         assert err.value.bound == "(nf)"
 
     def test_invert_compose_round_trip(self):
         rng = np.random.default_rng(27)
-        a = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2).map
-        b = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2).map
+        a = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2, N_out=4).map
+        b = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2, N_out=4).map
         ab = compose_maps(a, b, N_out=10)
         inv = invert_map(ab, 0.5, N_out=10)
         out = compose_maps(ab, inv.map, N_out=10)
@@ -293,8 +297,8 @@ class TestInverse:
 
     def test_chain_round_trip(self):
         rng = np.random.default_rng(28)
-        a = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2).map
-        b = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2).map
+        a = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2, N_out=4).map
+        b = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2, N_out=4).map
         chain = MapChain([b, a])
         inv = invert_map(chain, 0.5, N_out=10)
         pts = theta_grid(2, 9)
@@ -303,9 +307,9 @@ class TestInverse:
     def test_chain_nf_gate_sums_stages(self):
         # each stage alone passes ||f||_r <= r/(4n) = 0.0625, the chain does not
         phi = TorusMapLift.translation(2, [0.04, 0.0])
-        assert invert_map(phi, 0.5).residual < 1e-12
+        assert invert_map(phi, 0.5, N_out=0).residual < 1e-12
         with pytest.raises(HypothesisViolation) as err:
-            invert_map(MapChain([phi, phi]), 0.5)
+            invert_map(MapChain([phi, phi]), 0.5, N_out=0)
         assert err.value.bound == "(nf)"
 
 
@@ -320,7 +324,7 @@ class TestStageJacobian:
                                  PeriodicSeries.zeros(3, 3)])
         v = PeriodicVectorField([(3e-3 / v.coeff_norm(0.5)) * c
                                  for c in v.components])
-        phi = flow(v, 1.0, 0.5, 0.2).map
+        phi = flow(v, 1.0, 0.5, 0.2, N_out=3).map
         assert phi.parts[2].dependent_axes() == ()
         bump = 0.05 * sin_series(3, phi.N, 0)
         shear = TorusMapLift([[1, 1, 0], [0, 1, 0], [0, 0, 1]],

@@ -19,7 +19,7 @@ def admissible_density(rng, n, N, r, frac=0.5):
 class TestMoserNormalize:
     def test_zero_density(self):
         d = VolumeDensity(PeriodicSeries.zeros(2, 3))
-        res = moser_normalize(d, 0.5)
+        res = moser_normalize(d, 0.5, N_out=3)
         assert res.mean == 0.0
         assert res.map.part_norm(0.5) == 0.0
         assert res.residual < 1e-14
@@ -31,7 +31,7 @@ class TestMoserNormalize:
     def test_one_dimensional_cosine(self):
         eps = 1e-3
         d = VolumeDensity(eps * cos_series(1, 4, 0))
-        res = moser_normalize(d, 0.5)
+        res = moser_normalize(d, 0.5, N_out=4)
         assert res.mean == pytest.approx(0.0, abs=1e-15)
         assert coeff_distance(res.map.parts[0], eps * sin_series(1, 4, 0)) < 1e-12
 
@@ -49,7 +49,7 @@ class TestMoserNormalize:
         # 1 + cos theta_1 reaches 0
         d = VolumeDensity(cos_series(2, 3, 0))
         with pytest.raises(NumericalFailure, match="vanishes"):
-            moser_normalize(d, 0.5)
+            moser_normalize(d, 0.5, N_out=3)
 
     def test_triangularity(self):
         rng = np.random.default_rng(42)
@@ -81,14 +81,14 @@ class TestMoserNormalize:
         # phi maps the half strip into the full strip
         assert res.map.part_norm(r / 2) <= r / 2
         # and the contraction inverse is admissible on the quarter strip
-        inv = invert_map(res.map, r)
+        inv = invert_map(res.map, r, N_out=12)
         assert inv.residual < 1e-10
         assert inv.map.part_norm(r / 4) <= r / 4
 
     def test_reality_of_map(self):
         rng = np.random.default_rng(45)
         d = admissible_density(rng, 2, 5, 0.5)
-        res = moser_normalize(d, 0.5)
+        res = moser_normalize(d, 0.5, N_out=5)
         assert all(p.real and p.is_real_symmetric() for p in res.map.parts)
 
     def test_pullback_identity_on_grid(self):

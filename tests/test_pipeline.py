@@ -243,6 +243,13 @@ class TestNormalFormCurve:
         assert abs_max_coeff(k) < 1e-12
         assert closure_defect(k, 1.0) < 1e-12
 
+    def test_flat_profile_is_already_exact(self):
+        # the invariant of the standard torus; its degree 0 is below the
+        # degree 1 of the correction
+        k = exactness_correct(PeriodicSeries.zeros(1, 0))
+        assert abs_max_coeff(k) == 0.0
+        assert closure_defect(k, 1.0) < 1e-12
+
     def test_rich_profile_correction_keeps_higher_harmonics(self):
         delta = 1e-3
         seed = rich_profile(delta)
@@ -262,7 +269,7 @@ class TestNormalFormCurve:
 class TestNormalFormEmbedding:
     def test_flat_profile_gives_identity(self):
         g, _ = normal_form_curve(PeriodicSeries.zeros(1, 2), 1.0)
-        emb = normal_form_embedding(g, 2)
+        emb = normal_form_embedding(g, 2, 0.5)
         ident = identity_embedding(2)
         for c, i in zip(emb.components, ident.components):
             assert coeff_distance(c.series, i.series) < 1e-13
@@ -270,7 +277,7 @@ class TestNormalFormEmbedding:
     def test_needs_two_angles(self):
         g, _ = normal_form_curve(PeriodicSeries.zeros(1, 2), 1.0)
         with pytest.raises(ValueError):
-            normal_form_embedding(g, 1)
+            normal_form_embedding(g, 1, 0.5)
 
 
 class TestNormalizeEmbedding:
@@ -329,7 +336,7 @@ class TestNormalizeEmbedding:
         rep = normalize_embedding(emb)
         k_hat = half_turn_profile(rep.k)
         g_hat, _ = normal_form_curve(k_hat, rep.rho0)
-        emb_hat = normal_form_embedding(g_hat, 2)
+        emb_hat = normal_form_embedding(g_hat, 2, 0.5)
         rep_hat = normalize_embedding(emb_hat)
         # the half-turned profile is recovered on the nose...
         assert coeff_distance(rep_hat.k, k_hat) <= 1e-8

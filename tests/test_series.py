@@ -213,6 +213,15 @@ class TestTriangularSplit:
             rhs = average(h, range(j, 3))
             assert coeff_distance(lhs, rhs) == 0.0
 
+    def test_restrict_axes_keeps_one_piece(self):
+        rng = np.random.default_rng(7)
+        h = random_series(rng, 3, 4).truncate(3)
+        parts = h.triangular_split()
+        for j in range(3):
+            kept = h.restrict_axes(j)
+            assert coeff_distance(kept, parts[j + 1]) == 0.0
+            assert kept.trunc_mass == h.trunc_mass > 0.0
+
     def test_norm_bound(self):
         # coefficient-majorant norms make the classical factor-2 bound easy
         rng = np.random.default_rng(11)
