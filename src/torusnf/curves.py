@@ -42,12 +42,6 @@ class CurveImmersion:
         return self.series.derivative(0).eval_real_grid(DEFAULT_GRID)
 
 
-def circle(radius=1.0, N=4):
-    """The unit-speed round circle, f(e^{i t}) = -i radius e^{i t}."""
-    return CurveImmersion(
-        PeriodicSeries.from_terms(1, N, {(1,): -1j * radius}))
-
-
 def _check_immersion(velocity):
     low = float(np.min(np.abs(velocity)))
     if low <= IMMERSION_TOL:

@@ -46,8 +46,6 @@ from .series import (
 MAX_ITER = 20
 STOP_TOL = 1e-12
 VERIFY_GRID = 48  # points per axis of the residual witness grids
-PROFILE_GRID = 4096
-PROFILE_MEAN_TOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,26 +223,3 @@ def fibering_normalize(phase, r0):
     return FiberingResult(chain, k, trace, residual, det_residual, converged,
                           len(stage_maps))
 
-
-def phase_profile_distance(k, k_hat, allow_half_turn=False):
-    """Sup-grid distance between two one-variable phase profiles.
-
-    Minimizes over the allowed reparametrizations: no shift, or additionally
-    the half-turn theta_1 -> theta_1 + pi when `allow_half_turn` is set.
-    Both profiles must have zero mean; the distance is sampled on
-    PROFILE_GRID points.
-    """
-    for name, s in (("k", k), ("k_hat", k_hat)):
-        if s.n != 1:
-            raise ValueError(f"{name} must be a one-dimensional series")
-        if abs(s.mean()) > PROFILE_MEAN_TOL:
-            raise ValueError(f"{name} must have zero mean, got {s.mean():.3e}")
-    N = max(k.N, k_hat.N)
-    k, k_hat = k.pad_to(N), k_hat.pad_to(N)
-    base = k.eval_real_grid(PROFILE_GRID)
-    shifts = [0.0, np.pi] if allow_half_turn else [0.0]
-    best = np.inf
-    for s in shifts:
-        shifted = translate(k_hat, [s]).eval_real_grid(PROFILE_GRID)
-        best = min(best, float(np.max(np.abs(shifted - base))))
-    return best

@@ -33,7 +33,11 @@ part is then read on that grid by `eval_real_grid`, with its first
 derivatives when a determinant is wanted.  Only the later stages see
 scattered image points, and only they go through `MapChain.apply` /
 `jacobian_det` and `eval_many`, which takes a stage's image and Jacobian from
-one call and contracts each series only over the axes it depends on.
+one call and contracts each series only over the axes it depends on;
+`jacobian_det` evaluates no affine stage, whose image is D theta + c and
+whose determinant is det D.  Every determinant goes to `stacked_det` entry
+by entry; on the grid a constant entry is a scalar, and no (M^n, n, n) stack
+is built.
 `grid_jacobian_det` returns the image with the determinant, so a witness
 walks its chain once.  A series read at the image, as the density or the
 phase in the normal-form and fibering witnesses, goes through the grid
@@ -411,13 +415,22 @@ class MapChain:
 
     def jacobian_det(self, pts):
         """(image, det): the chain at each point and the determinant of its
-        Jacobian there (chain rule), from one pass through the stages."""
+        Jacobian there (chain rule), from one pass through the stages.
+
+        An affine stage (see `_is_affine`) is not evaluated: its image is
+        D pts + c and its Jacobian the constant D.  Any other stage takes
+        image and Jacobian from one `eval_many` call, and the determinant
+        is read from the column views of that Jacobian stack."""
         pts = np.asarray(pts, dtype=complex)
         det = np.ones(pts.shape[0], dtype=complex)
         for s in self.stages:
-            pts, jac = s._image_and_jacobian(pts)
-            # a degree-0 stage is affine, with the constant Jacobian D
-            det = det * (stacked_det(jac) if s.N else np.linalg.det(s.D))
+            if _is_affine(s):
+                pts = _affine_image(s, pts)
+                det = det * np.linalg.det(s.D)
+            else:
+                pts, jac = s._image_and_jacobian(pts)
+                det = det * stacked_det([[jac[:, j, l] for l in range(s.n)]
+                                         for j in range(s.n)])
         return pts, det
 
     def to_single(self, N_out):
@@ -434,10 +447,12 @@ def _grid_reader(M, D, c):
     """Reads a series at the points D theta + c over theta_grid(n, M), as a
     flat (M^n,) array: there h equals translate(h, c) on the grid, read by
     `eval_real_grid` and re-indexed by the integer matrix D.  A constant is
-    read exactly as its value, as `eval_many` reads it, with no transform."""
+    read as its value, a scalar, exactly as `eval_many` reads it."""
     index = _grid_index(D, M)
 
     def read(h):
+        if not h.dependent_axes():
+            return h.mean()
         return translate(h, c).eval_real_grid(M)[index].reshape(-1)
 
     return read
@@ -459,13 +474,23 @@ def _grid_head(phi, M, shift):
     pts = theta_grid(n, M) + 1j * shift
     D, c = np.eye(n, dtype=int), np.full(n, 1j * shift)
     for i, s in enumerate(stages):
-        if any(p.dependent_axes() for p in s.parts):
+        if not _is_affine(s):
             rest = MapChain(stages[i + 1:]) if i + 1 < len(stages) else None
             return pts, D, _grid_reader(M, D, c), s, rest
-        const = np.array([p.mean() for p in s.parts])
-        pts = pts @ s.D.T.astype(float) + const
-        D, c = s.D @ D, s.D @ c + const
+        pts = _affine_image(s, pts)
+        D, c = s.D @ D, s.D @ c + [p.mean() for p in s.parts]
     return pts, D, None, None, None
+
+
+def _is_affine(stage):
+    """Whether every part of the lift is constant: theta -> D theta + c."""
+    return not any(p.dependent_axes() for p in stage.parts)
+
+
+def _affine_image(stage, pts):
+    """An affine lift at (m, n) points, summed as `TorusMapLift.apply` sums
+    it."""
+    return pts @ stage.D.T.astype(float) + [p.mean() for p in stage.parts]
 
 
 def _stage_image(stage, pts, read):
@@ -494,22 +519,19 @@ def grid_jacobian_det(phi, M, shift):
     """(image, det D phi) at the points theta_grid(n, M) + i shift: the grid
     counterpart of `MapChain.jacobian_det`, the image equal to `grid_image`.
 
-    The first non-affine stage's Jacobian D + grad f is read on the grid,
-    one first derivative of each part at a time, into one preallocated
-    (M^n, n, n) stack; the later stages go through `MapChain.jacobian_det`
-    at that stage's image.
+    The first non-affine stage's Jacobian D + grad f goes to `stacked_det`
+    entry by entry: a derivative that varies is read on the grid, and a
+    constant one is the scalar D_jl + its value.  The later stages go
+    through `MapChain.jacobian_det` at that stage's image.
     """
     pts, D, read, stage, rest = _grid_head(phi, M, shift)
     det = np.full(pts.shape[0], np.linalg.det(D), dtype=complex)
     if stage is None:
         return pts, det
-    n = stage.n
-    jac = np.empty((pts.shape[0], n, n), dtype=complex)
-    for j, p in enumerate(stage.parts):
-        for l in range(n):
-            jac[:, j, l] = stage.D[j, l] + read(p.derivative(l))
-    det *= stacked_det(jac)
-    del jac   # freed before the later stages allocate their own
+    rows = [[stage.D[j, l] + read(p.derivative(l)) for l in range(stage.n)]
+            for j, p in enumerate(stage.parts)]
+    det *= stacked_det(rows)
+    del rows   # freed before the later stages allocate their own
     pts = _stage_image(stage, pts, read)
     if rest is not None:
         pts, rest_det = rest.jacobian_det(pts)

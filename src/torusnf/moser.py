@@ -42,21 +42,18 @@ class MoserResult:
     map: TorusMapLift
     mean: float
     residual: float
-    f_norm: float
 
 
-def moser_normalize(density, r, N_out):
+def moser_normalize(density, N_out):
     """Map the density (1+b) d theta to its mean multiple of d theta.
 
     Returns the triangular near-identity lift phi, of degree N_out, with
-    (1 + [b]) phi^* d theta = (1 + b) d theta, together with the mean [b],
-    the grid residual of that identity, and the coefficient norm of the
-    perturbation (which obeys ||f||_r <= 8 pi ||b||_r).
+    (1 + [b]) phi^* d theta = (1 + b) d theta, together with the mean [b]
+    and the grid residual of that identity.  The perturbation obeys
+    ||f||_r <= 8 pi ||b||_r.
     """
     b = density.b
     n = b.n
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"strip half-width must lie in (0, 1), got {r}")
     if density.min_on_grid() <= 0.0:
         raise NumericalFailure("density 1 + b vanishes on the real grid")
 
@@ -82,6 +79,5 @@ def moser_normalize(density, r, N_out):
     lhs = (1.0 + mean) * det
     rhs = 1.0 + b.eval_real_grid(M)
     residual = float(np.max(np.abs(lhs - rhs)))
-    f_norm = phi.part_norm(r)
-    return MoserResult(phi, mean, residual, f_norm)
+    return MoserResult(phi, mean, residual)
 

@@ -40,7 +40,6 @@ from .series import (
     seven_smooth,
     stacked_det,
     theta_grid,
-    translate,
 )
 
 # Every stage residual of the normalization, the closure defect of a normal
@@ -81,35 +80,40 @@ def _identity_component(n, N, axis):
     return PeriodicSeries.from_terms(n, max(N, 1), {tuple(k): 1.0})
 
 
-def identity_embedding(n, N=1, r0=0.5):
-    comps = [AnnulusFunction(_identity_component(n, N, j)) for j in range(n)]
-    return TorusEmbedding(tuple(comps), r0)
-
-
 def jacobian_density(emb):
     """det of the embedding Jacobian minus one, as Laurent data.
 
-    The derivative entries are exact coefficient operations, so the
-    determinant is a Laurent polynomial of degree at most N_exact = n(N+1)
-    per axis.  It is sampled on M = seven_smooth(2 N_exact + 1) points per
-    axis, the alias-free size rounded up by the helper `grid_size` uses, which
-    reproduces every coefficient up to round-off while keeping the FFTs off
-    prime sizes.  The determinant stack goes through `stacked_det`, and the
-    re-expansion is chopped at CHOP_FLOOR with the dropped mass recorded.
+    The derivative entries are exact coefficient operations of degree at
+    most N + 1 per axis, and a row of constant entries has degree 0.  So the
+    determinant, a sum of products of one entry per row, is a Laurent
+    polynomial of degree at most N_exact = k (N + 1) per axis, k the number
+    of rows with a varying entry.  It is sampled on
+    M = seven_smooth(2 N_exact + 1) points per axis, the alias-free size
+    rounded up by the helper `grid_size` uses, which reproduces every
+    coefficient up to round-off while keeping the FFTs off prime sizes.  The
+    entries go to `stacked_det` one by one, a constant one as a scalar with
+    no transform, and the re-expansion is chopped at CHOP_FLOOR with the
+    dropped mass recorded.
+
+    The non-vanishing check reads the determinant on the grid of k = n,
+    seven_smooth(2 n (N + 1) + 1): the sampled values when every row varies,
+    and 1 + a read there otherwise, since a coarser grid can miss a zero.
     """
     n = emb.n
-    N_exact = n * (emb.N + 1)
+    rows = [[c.z_derivative(l).series for l in range(n)]
+            for c in emb.components]
+    varying = sum(any(d.dependent_axes() for d in row) for row in rows)
+    N_exact = varying * (emb.N + 1)
     M = seven_smooth(2 * N_exact + 1)
-    mat = np.empty((M ** n, n, n), dtype=complex)
-    for j in range(n):
-        for l in range(n):
-            d = emb.components[j].z_derivative(l)
-            mat[:, j, l] = d.series.eval_real_grid(M).reshape(-1)
-    det = stacked_det(mat)
-    if float(np.min(np.abs(det))) <= 1e-12:
+    det = stacked_det([[d.eval_real_grid(M).reshape(-1) if d.dependent_axes()
+                        else d.mean() for d in row] for row in rows])
+    det = np.broadcast_to(det, (M ** n,))   # a scalar if no entry varies
+    a = series_from_real_grid((det - 1.0).reshape((M,) * n), N_exact)
+    M_check = seven_smooth(2 * n * (emb.N + 1) + 1)
+    vals = det if M == M_check else 1.0 + a.eval_real_grid(M_check)
+    if float(np.min(np.abs(vals))) <= 1e-12:
         raise NumericalFailure(
             "Jacobian determinant vanishes on the torus grid: not totally real")
-    a = series_from_real_grid((det - 1.0).reshape((M,) * n), N_exact)
     return AnnulusFunction(a.chop(CHOP_FLOOR))
 
 
@@ -187,8 +191,9 @@ def normalize_embedding(emb):
     axis and take image and determinant from one `grid_jacobian_det` walk of
     their stage chain.  The normal-form one reads the shear and the first
     non-affine stage (a fibering stage, or the inverse volume map) on that
-    grid by FFT, the later stages at the scattered image points by
-    `eval_many`, and the density on the moved grid by the grid kernel.
+    grid by FFT, and the density on the moved grid by the grid kernel.  The
+    later non-affine stages are read at the scattered image points by
+    `eval_many`; the closing unshear is affine and is not evaluated.
     Raises NumericalFailure when the phase iteration exhausts its schedule.
     """
     n = emb.n
@@ -204,7 +209,7 @@ def normalize_embedding(emb):
     b2 = pull_back_linear(split.modulus, A_inv)
     h2 = pull_back_linear(split.phase, A_inv)
 
-    moser = moser_normalize(VolumeDensity(b2), r, N_out=b2.N + 4)
+    moser = moser_normalize(VolumeDensity(b2), N_out=b2.N + 4)
     _stage_gate("volume normalization", moser.residual)
     rho0 = 1.0 + moser.mean
     inv1 = invert_map(moser.map, r, N_out=moser.map.N + 4)
@@ -414,7 +419,7 @@ def normal_form_embedding(g, n, r0):
 
 
 # ----------------------------------------------------------------------
-# test conjugations
+# reparametrization
 
 
 def precompose_torus_map(emb, lift):
@@ -429,30 +434,3 @@ def precompose_torus_map(emb, lift):
         c.series, N_out=c.N + lift.N + 4).chop(CHOP_FLOOR))
         for c in emb.components]
     return TorusEmbedding(tuple(comps), emb.r0)
-
-
-def postcompose_monomial_shear(emb, target, exponents, eps):
-    """Apply the ambient unimodular shear w_target += eps prod w_j^{m_j}.
-
-    The exponent map must not involve the target coordinate, which makes the
-    ambient map triangular with unit Jacobian; images are unimodularly
-    equivalent, leaving the invariants fixed.
-    """
-    exponents = dict(exponents)
-    if target in exponents:
-        raise ValueError("a shear cannot feed a coordinate into itself")
-    n = emb.n
-    N_out = emb.N * max(1, sum(abs(m) for m in exponents.values())) + 4
-    M = grid_size(N_out)
-    vals = np.ones((M,) * n, dtype=complex)
-    for j, m in exponents.items():
-        vals = vals * emb.components[j].series.eval_real_grid(M) ** m
-    add = series_from_real_grid(vals, N_out).chop(CHOP_FLOOR)
-    comps = list(emb.components)
-    comps[target] = AnnulusFunction(comps[target].series + eps * add)
-    return TorusEmbedding(tuple(comps), emb.r0)
-
-
-def half_turn_profile(k):
-    """The equally valid representative k(t + pi) of the invariant profile."""
-    return translate(k, [np.pi]).symmetrized()

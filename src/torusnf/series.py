@@ -448,30 +448,39 @@ def witness_grid_size(N_out, *N_in):
     return seven_smooth(max([4 * N_out + 2] + [2 * N + 1 for N in N_in]))
 
 
-def stacked_det(mat):
-    """Determinants of an (m, n, n) stack of matrices, as an (m,) array.
+def stacked_det(rows):
+    """Determinants of an n x n matrix, given entry by entry, at m points.
 
-    Laplace expansion along the rows, over column views of the stack: the
-    minors on the last k rows, one per set of k columns, are built from
-    those on the last k - 1 rows.  For the n <= 4 Jacobian stacks here this
-    is several times faster than `np.linalg.det`, which factors the
-    matrices one by one, and agrees with it to round-off.
+    `rows[j][l]` is an (m,) complex array, or a scalar for an entry that is
+    the same at every point; a zero scalar adds no term, so no (m, n, n)
+    stack is built.  Laplace expansion along the rows: the minors on the
+    last k rows, one per set of k columns, are built from those on the last
+    k - 1 rows.  For the n <= 4 Jacobians here this is several times faster
+    than `np.linalg.det`, which factors the matrices one by one, and agrees
+    with it to round-off.  Returns an (m,) array, or a scalar when every
+    entry is one.
     """
-    n = mat.shape[-1]
-    minors = {(c,): mat[:, n - 1, c] for c in range(n)}
+    n = len(rows)
+    minors = {(c,): rows[n - 1][c] for c in range(n)}
     for size in range(2, n + 1):
-        row = n - size
+        row = rows[n - size]
         below, minors = minors, {}
         for cols in itertools.combinations(range(n), size):
-            out = mat[:, row, cols[0]] * below[cols[1:]]
-            for i in range(1, size):
-                term = mat[:, row, cols[i]] * below[cols[:i] + cols[i + 1:]]
+            out = 0
+            for i, c in enumerate(cols):
+                entry, minor = row[c], below[cols[:i] + cols[i + 1:]]
+                if _is_zero(entry) or _is_zero(minor):
+                    continue
                 if i % 2:
-                    out -= term
+                    out -= entry * minor
                 else:
-                    out += term
+                    out += entry * minor
             minors[cols] = out
     return minors[tuple(range(n))]
+
+
+def _is_zero(entry):
+    return np.ndim(entry) == 0 and entry == 0
 
 
 def theta_grid(n, M):

@@ -1,18 +1,32 @@
-"""Coefficient-level builders and oracles for the tests.
+"""Builders, model data and oracles for the tests.
 
-None of these is on a computation path of the package: products and
-averages build test inputs, and the coefficient distances and the
+None of these is on a computation path of the package: products, averages,
+the round circle, the identity embedding, the ambient shear and the half
+turn build test inputs, and the coefficient and profile distances and the
 central-difference determinant check results against an independent route.
 """
 
 import numpy as np
 
-from torusnf.series import PeriodicSeries, eval_many
+from torusnf.curves import CurveImmersion
+from torusnf.pipeline import TorusEmbedding
+from torusnf.realization import AnnulusFunction
+from torusnf.series import (
+    CHOP_FLOOR,
+    PeriodicSeries,
+    eval_many,
+    grid_size,
+    series_from_real_grid,
+    translate,
+)
 
 # Coefficient distance under which `allclose` calls two series equal.
 CLOSE_TOL = 1e-12
 # Step of the central differences in `finite_difference_jacobian_det`.
 FD_STEP = 1e-5
+# Samples of `phase_profile_distance`, and the mean it accepts as zero.
+PROFILE_GRID = 4096
+PROFILE_MEAN_TOL = 1e-10
 
 
 def multiply(a, b, N_out=None):
@@ -81,3 +95,68 @@ def finite_difference_jacobian_det(apply_fn, pts):
         e[l] = FD_STEP
         jac[:, :, l] = (apply_fn(pts + e) - apply_fn(pts - e)) / (2.0 * FD_STEP)
     return np.linalg.det(jac)
+
+
+def circle(radius=1.0, N=4):
+    """The unit-speed round circle, f(e^{i t}) = -i radius e^{i t}."""
+    return CurveImmersion(
+        PeriodicSeries.from_terms(1, N, {(1,): -1j * radius}))
+
+
+def identity_embedding(n, N=1, r0=0.5):
+    """z -> z on the annulus of half-width r0, at degree bound N."""
+    comps = [AnnulusFunction.from_terms(
+        n, max(N, 1), {tuple(int(i == j) for i in range(n)): 1.0})
+        for j in range(n)]
+    return TorusEmbedding(tuple(comps), r0)
+
+
+def postcompose_monomial_shear(emb, target, exponents, eps):
+    """Apply the ambient unimodular shear w_target += eps prod w_j^{m_j}.
+
+    The exponent map must not involve the target coordinate, which makes the
+    ambient map triangular with unit Jacobian; images are unimodularly
+    equivalent, leaving the invariants fixed.
+    """
+    exponents = dict(exponents)
+    if target in exponents:
+        raise ValueError("a shear cannot feed a coordinate into itself")
+    n = emb.n
+    N_out = emb.N * max(1, sum(abs(m) for m in exponents.values())) + 4
+    M = grid_size(N_out)
+    vals = np.ones((M,) * n, dtype=complex)
+    for j, m in exponents.items():
+        vals = vals * emb.components[j].series.eval_real_grid(M) ** m
+    add = series_from_real_grid(vals, N_out).chop(CHOP_FLOOR)
+    comps = list(emb.components)
+    comps[target] = AnnulusFunction(comps[target].series + eps * add)
+    return TorusEmbedding(tuple(comps), emb.r0)
+
+
+def half_turn_profile(k):
+    """The equally valid representative k(t + pi) of the invariant profile."""
+    return translate(k, [np.pi]).symmetrized()
+
+
+def phase_profile_distance(k, k_hat, allow_half_turn=False):
+    """Sup-grid distance between two one-variable phase profiles.
+
+    Minimizes over the allowed reparametrizations: no shift, or additionally
+    the half-turn theta_1 -> theta_1 + pi when `allow_half_turn` is set.
+    Both profiles must have zero mean; the distance is sampled on
+    PROFILE_GRID points.
+    """
+    for name, s in (("k", k), ("k_hat", k_hat)):
+        if s.n != 1:
+            raise ValueError(f"{name} must be a one-dimensional series")
+        if abs(s.mean()) > PROFILE_MEAN_TOL:
+            raise ValueError(f"{name} must have zero mean, got {s.mean():.3e}")
+    N = max(k.N, k_hat.N)
+    k, k_hat = k.pad_to(N), k_hat.pad_to(N)
+    base = k.eval_real_grid(PROFILE_GRID)
+    shifts = [0.0, np.pi] if allow_half_turn else [0.0]
+    best = np.inf
+    for s in shifts:
+        shifted = translate(k_hat, [s]).eval_real_grid(PROFILE_GRID)
+        best = min(best, float(np.max(np.abs(shifted - base))))
+    return best

@@ -2,14 +2,13 @@ import numpy as np
 
 from torusnf.curves import (
     CurveImmersion,
-    circle,
     embedding_check,
     gauss_degree,
     noncritical_phase,
 )
 from torusnf.series import PeriodicSeries
 
-from oracles import eval_points
+from oracles import circle, eval_points
 
 
 def ellipse(a=1.0, b=2.0, N=4):

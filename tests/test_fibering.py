@@ -9,14 +9,18 @@ from torusnf.fibering import (
     fibering_normalize,
     fibering_step,
     leading_bound,
-    phase_profile_distance,
     transverse_bound,
 )
 from torusnf.flows import flow
 from torusnf.realization import realize_form
 from torusnf.series import PeriodicSeries, theta_grid
 
-from oracles import abs_max_coeff, coeff_distance, multiply
+from oracles import (
+    abs_max_coeff,
+    coeff_distance,
+    multiply,
+    phase_profile_distance,
+)
 from test_flows import stream_field
 from test_realization import random_annulus_function
 from test_series import cos_series, random_series, sin_series

@@ -343,7 +343,13 @@ class TestStageJacobian:
         assert np.max(np.abs(det - fd)) < 1e-8
 
     def test_one_evaluation_per_stage(self, monkeypatch):
-        chain = self.three_angle_chain()
+        # the leading translation and a trailing integer shear with a
+        # constant part are affine: D theta + c, with the Jacobian D
+        unshear = TorusMapLift([[1, -1, 0], [0, 1, 0], [0, 0, 1]],
+                               [PeriodicSeries.constant(3, 0, c)
+                                for c in (0.2, 0.0, -0.1)])
+        chain = MapChain(self.three_angle_chain().stages + (unshear,))
+        pts = theta_grid(3, 4) + 0.05j
         calls = []
 
         def counting(series_list, pts):
@@ -351,8 +357,12 @@ class TestStageJacobian:
             return torusnf.series.eval_many(series_list, pts)
 
         monkeypatch.setattr(torusnf.flows, "eval_many", counting)
-        chain.jacobian_det(theta_grid(3, 4))
-        assert calls == [3 + 9] * len(chain.stages)
+        image, det = chain.jacobian_det(pts)
+        assert calls == [3 + 9] * 2   # the flow and the shear only
+        assert np.array_equal(image, chain.apply(pts))
+        _, inner = MapChain(chain.stages[1:3]).jacobian_det(
+            chain.stages[0].apply(pts))
+        assert np.array_equal(det, inner)
 
 
 class TestTaylorKernel:

@@ -1,12 +1,12 @@
 import functools
 
+import mpmath
 import numpy as np
 import pytest
 
 from torusnf import fibering, flows, pipeline, realization, series
 from torusnf.curves import gauss_degree
 from torusnf.errors import HypothesisViolation, NumericalFailure
-from torusnf.fibering import phase_profile_distance
 from torusnf.flows import TorusMapLift, flow, invert_map
 from torusnf.moser import VolumeDensity, moser_normalize
 from torusnf.pipeline import (
@@ -14,14 +14,11 @@ from torusnf.pipeline import (
     closure_defect,
     curve_from_profile,
     exactness_correct,
-    half_turn_profile,
-    identity_embedding,
     jacobian_density,
     modulus_phase_split,
     normal_form_curve,
     normal_form_embedding,
     normalize_embedding,
-    postcompose_monomial_shear,
     precompose_torus_map,
     shear_lift,
 )
@@ -34,16 +31,17 @@ from torusnf.series import (
 )
 
 from annulus_oracle import eval_z
-from oracles import abs_max_coeff, coeff_distance
+from oracles import (
+    abs_max_coeff,
+    coeff_distance,
+    half_turn_profile,
+    identity_embedding,
+    phase_profile_distance,
+    postcompose_monomial_shear,
+)
 from test_flows import stream_field
 from test_realization import random_annulus_function
 from test_series import random_series, sin_series
-
-
-def bessel_j1_quadrature(x, M=20000):
-    """J_1 by the integral representation (independent oracle)."""
-    tau = np.pi * (np.arange(M) + 0.5) / M
-    return float(np.mean(np.cos(tau - x * np.sin(tau))))
 
 
 def rich_profile(delta=1e-3, N=4):
@@ -81,6 +79,17 @@ def three_angle_embedding():
     return seeded_embedding(1e-4, n=3)[0]
 
 
+def top_degree_embedding():
+    """(z1 + z1^-1 / 2, z2 + z1^-1 z2^-1 / 2) at degree N = 1.
+
+    Its determinant (1 - z1^-2 / 2)(1 - z1^-1 z2^-2 / 2) has the coefficient
+    1/4 at z1^-3 z2^-2, the top degree n N + 1 = 3 of axis 1, which a grid of
+    fewer than 7 points folds onto another coefficient."""
+    comps = (AnnulusFunction.from_terms(2, 1, {(1, 0): 1.0, (-1, 0): 0.5}),
+             AnnulusFunction.from_terms(2, 1, {(0, 1): 1.0, (-1, -1): 0.5}))
+    return TorusEmbedding(comps, 0.5)
+
+
 class TestJacobianDensity:
     def test_identity(self):
         a = jacobian_density(identity_embedding(2))
@@ -112,10 +121,12 @@ class TestJacobianDensity:
         fd = np.linalg.det(jac)
         assert np.max(np.abs(fd - 1.0 - eval_z(a, z))) < 1e-8
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_direct_determinant_off_grid(self, n):
-        emb = perturbed_embedding() if n == 2 else three_angle_embedding()
+    @pytest.mark.parametrize("case", [2, 3, "top-degree"])
+    def test_matches_direct_determinant_off_grid(self, case):
+        emb = {2: perturbed_embedding, 3: three_angle_embedding,
+               "top-degree": top_degree_embedding}[case]()
         a = jacobian_density(emb)
+        n = emb.n
         rng = np.random.default_rng(85)
         z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(200, n)))
         jac = np.stack([np.stack([eval_z(emb.components[j].z_derivative(l), z)
@@ -125,10 +136,14 @@ class TestJacobianDensity:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_samples_exact_alias_free_grid(self, n, monkeypatch):
-        # the smallest 7-smooth size at or above 2 N_exact + 1 = 53 and 73
-        size = {2: 54, 3: 75}[n]
+        # the smallest 7-smooth size at or above 2 N_exact + 1, with
+        # N_exact = k (N + 1) for the k rows that vary: 2 (12 + 1) and
+        # 1 (11 + 1), as rows 2 and 3 of the n = 3 input are constant.  The
+        # zero check reads the size at or above 2 n (N + 1) + 1 = 53 and 73,
+        # which at n = 2 is the density grid itself
+        density, check = {2: (54, 54), 3: (25, 75)}[n]
         emb = perturbed_embedding() if n == 2 else three_angle_embedding()
-        assert size >= 2 * n * (emb.N + 1) + 1
+        assert check >= 2 * n * (emb.N + 1) + 1
         sizes = []
         sample = PeriodicSeries.eval_real_grid
 
@@ -138,7 +153,16 @@ class TestJacobianDensity:
 
         monkeypatch.setattr(PeriodicSeries, "eval_real_grid", recording)
         jacobian_density(emb)
-        assert sizes and set(sizes) == {size}
+        assert set(sizes[:-1]) == {density} and sizes[-1] == check
+
+    def test_refuses_a_vanishing_determinant(self):
+        # det = 1 + z1 vanishes at theta_1 = pi.  Only row 1 varies, so the
+        # density grid has 7 points, which miss pi; the 14-point check grid
+        # holds it
+        comps = (AnnulusFunction.from_terms(2, 2, {(1, 0): 1.0, (2, 0): 0.5}),
+                 AnnulusFunction.from_terms(2, 2, {(0, 1): 1.0}))
+        with pytest.raises(NumericalFailure, match="not totally real"):
+            jacobian_density(TorusEmbedding(comps, 0.5))
 
 
 def inverse_volume_maps(emb, monkeypatch):
@@ -148,7 +172,7 @@ def inverse_volume_maps(emb, monkeypatch):
     r = emb.r0 / 2.0
     A_inv = np.linalg.inv(shear_lift(emb.n).D).astype(int)
     b2 = pull_back_linear(modulus_phase_split(a).modulus, A_inv)
-    moser = moser_normalize(VolumeDensity(b2), r, N_out=b2.N + 4)
+    moser = moser_normalize(VolumeDensity(b2), N_out=b2.N + 4)
     inv = invert_map(moser.map, r, N_out=moser.map.N + 4).map
     with monkeypatch.context() as m:
         m.setattr(PeriodicSeries, "chop_tail", lambda self: self)
@@ -232,7 +256,7 @@ class TestNormalFormCurve:
         with pytest.raises(HypothesisViolation) as err:
             normal_form_curve(k, 1.0)
         assert err.value.bound == "(exact)"
-        expected = 2.0 * np.pi * abs(bessel_j1_quadrature(delta))
+        expected = 2.0 * np.pi * abs(float(mpmath.besselj(1, delta)))
         assert closure_defect(k, 1.0) == pytest.approx(expected, rel=1e-9)
 
     def test_pure_sine_correction_collapses(self):

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusnf.errors import HypothesisViolation, NumericalFailure
-from torusnf.fibering import phase_profile_distance
 from torusnf.flows import TorusMapLift
 from torusnf.pipeline import normalize_embedding, precompose_torus_map
 from torusnf.realization import realize_form
 
 from annulus_oracle import det_jacobian_z, eval_z
+from oracles import phase_profile_distance
 from test_pipeline import seeded_embedding
 from test_realization import random_annulus_function, torus_points
 from test_series import random_series

@@ -410,21 +410,39 @@ class TestGridRule:
 
 
 class TestStackedDet:
-    @pytest.mark.parametrize("near_identity", [True, False])
+    @pytest.mark.parametrize(
+        "near_identity, entries",
+        [(True, "arrays"), (False, "arrays"),
+         (True, "scalars and zeros"), (False, "scalars and zeros")],
+        ids=["True", "False", "True-scalars-and-zeros",
+             "False-scalars-and-zeros"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_linalg_det(self, n, near_identity):
+    def test_matches_linalg_det(self, n, near_identity, entries):
         rng = np.random.default_rng(50 + n)
         mat = (rng.standard_normal((2000, n, n))
                + 1j * rng.standard_normal((2000, n, n)))
         if near_identity:
             mat = np.eye(n) + 1e-2 * mat
+        rows = [[mat[:, j, l] for l in range(n)] for j in range(n)]
+        if entries == "scalars and zeros":
+            # entry (0, 0) is a scalar, entry (n - 1, 0) a zero, and each
+            # other one an array, a scalar or (off the diagonal) a zero
+            kind = rng.integers(0, 3, size=(n, n))
+            kind[np.diag_indices(n)] %= 2
+            kind[0, 0] = 1
+            if n > 1:
+                kind[n - 1, 0] = 2
+            for j, l in zip(*np.nonzero(kind)):
+                mat[:, j, l] = 0.0 if kind[j, l] == 2 else mat[0, j, l]
+                rows[j][l] = 0 if kind[j, l] == 2 else complex(mat[0, j, l])
         ref = np.linalg.det(mat)
+        det = stacked_det(rows)
         # Hadamard's bound |det| <= prod of row norms is the scale of the
         # round-off of either method
         scale = np.prod(np.linalg.norm(mat, axis=2), axis=1)
-        assert np.max(np.abs(stacked_det(mat) - ref) / scale) < 1e-13
+        assert np.max(np.abs(det - ref) / scale) < 1e-13
         if near_identity:
-            assert np.max(np.abs(stacked_det(mat) / ref - 1.0)) < 1e-13
+            assert np.max(np.abs(det / ref - 1.0)) < 1e-13
 
 
 class TestChopTail:
