@@ -8,8 +8,10 @@ Holomorphic (non-real) data are allowed throughout.
 One grid kernel, `taylor_on_grid`, composes a series h with such a map:
 h(D theta + U) is the Taylor sum of the derivatives of h, read on the grid
 from their coefficients, times powers of U, one order at a time until an
-order is below round-off.  `TorusMapLift.pullback`, `compose_maps` and
-`invert_map` (stage by stage) and the normal-form witness all go through it.
+order is below round-off.  A displacement c that is the same at every point
+is read exactly as translate(h, c), and D only re-indexes the grid, so an
+affine stage costs no grid work.  `TorusMapLift.pullback`, `compose_maps`,
+`invert_map` (stage by stage) and the witnesses all go through it.
 Flows are Lie series, sum_k t^k/k! L^{k-1} p with L g = sum_i p_i d_i g,
 every product taken on the grid.  `compose_maps` is the one place a
 composite is collapsed and `invert_map` the one fixed-point inverter.
@@ -25,13 +27,12 @@ mass.
 
 Witnesses read the grid by FFT.  A residual witness samples a uniform grid
 theta_grid(n, M) + i shift.  `grid_image` and `grid_jacobian_det`, the grid
-counterparts of `MapChain.apply` and `jacobian_det`, read a lift or MapChain
-there stage by stage.  Leading affine stages (parts constant, D theta + c)
-keep the points a grid: D re-indexes it as in the grid kernel, and c is
-folded into the offset by `translate`.  The first stage with a non-constant
-part is then read on that grid by `eval_real_grid`, with its first
-derivatives when a determinant is wanted.  Only the later stages see
-scattered image points, and only they go through `MapChain.apply` /
+counterparts of `MapChain.apply` and `jacobian_det`, fold the leading
+affine stages of a lift or MapChain (parts constant) into one map
+D theta + c and build its points once.  The first stage with a non-constant
+part is read there by the grid kernel at the scalar displacement c, with
+its first derivatives when a determinant is wanted.  Only the later stages
+see scattered image points, and only they go through `MapChain.apply` /
 `jacobian_det` and `eval_many`, which takes a stage's image and Jacobian from
 one call and contracts each series only over the axes it depends on;
 `jacobian_det` evaluates no affine stage, whose image is D theta + c and
@@ -133,28 +134,47 @@ def _sup(grids):
 
 
 def _grid_index(D, M):
-    """Index taking values on the M^n grid at theta to values at D theta,
-    for an integer matrix D: the grid points are only re-indexed."""
-    n = D.shape[0]
+    """Flat index, for `np.take`, taking values on the M^n grid at theta to
+    values at D theta, D an integer matrix with n columns; None for the
+    identity.  The flat position of (D m) mod M is built row by row of D,
+    each row a sum of broadcast aranges, one per axis."""
+    n = D.shape[1]
     if np.array_equal(D, np.eye(n, dtype=int)):
-        return Ellipsis
-    return tuple(np.tensordot(D, np.indices((M,) * n), axes=(1, 0)) % M)
+        return None
+    axes = [np.arange(M).reshape((M,) + (1,) * (n - 1 - l)) for l in range(n)]
+    flat = 0
+    for row in D:
+        flat = flat * M + sum(d * k for d, k in zip(row, axes) if d) % M
+    return np.broadcast_to(flat, (M,) * n)
 
 
 def taylor_on_grid(series_list, D, U, M):
     """Values of each series at D theta + U(theta) on the M^n grid.
 
-    U holds one grid per component.  The Taylor sum over multi-indices a of
+    U holds one entry per component: a grid, or a scalar where the
+    displacement is the same at every point.  D only re-indexes grid points
+    (`_grid_index`), and a constant series comes back as a read-only
+    broadcast of its value.  When every entry is a scalar, U = c, the value
+    h(D theta + c) is translate(h, c) read by `eval_real_grid`: exact, with
+    no Taylor order.  Otherwise the Taylor sum over multi-indices a of
     (d^a h)(D theta) U^a / a! runs one order |a| at a time until an order is
     below TERM_TOL.  Each derivative is taken on the coefficients and read by
-    `eval_real_grid`, exact for every M and with no FFT for a constant; D
-    only re-indexes grid points.  No derivative is built along an axis h
-    does not depend on or where U vanishes.
+    `eval_real_grid`, exact for every M.  No derivative is built along an
+    axis h does not depend on or where U vanishes.
     """
     index = _grid_index(D, M)
+    scalar = all(np.ndim(u) == 0 for u in U)
     deps = [set(h.dependent_axes()) for h in series_list]
-    out = [h.eval_real_grid(M)[index] for h in series_list]
-    active = [j for j in sorted(set().union(*deps)) if np.any(U[j])]
+
+    def read(h):
+        vals = h.eval_real_grid(M)
+        return vals if index is None else np.take(vals, index)
+
+    out = [read(translate(h, U) if scalar else h) if dep
+           else np.broadcast_to(h.mean(), (M,) * len(U))
+           for h, dep in zip(series_list, deps)]
+    active = [] if scalar else [
+        j for j in sorted(set().union(*deps)) if np.any(U[j])]
     for order in range(1, MAX_TERMS + 1):
         terms = [0.0] * len(series_list)
         for axes in itertools.combinations_with_replacement(active, order):
@@ -165,28 +185,32 @@ def taylor_on_grid(series_list, D, U, M):
             for i, h in enumerate(series_list):
                 if deps[i].issuperset(axes):
                     d = functools.reduce(PeriodicSeries.derivative, axes, h)
-                    terms[i] = terms[i] + weight * d.eval_real_grid(M)[index]
+                    terms[i] = terms[i] + weight * read(d)
         for acc, term in zip(out, terms):
-            acc += term
+            if np.ndim(term):
+                acc += term
         if _sup(terms) <= TERM_TOL:
             return out
     raise NumericalFailure(
         f"Taylor composition not below {TERM_TOL:.0e} after {MAX_TERMS} orders")
 
 
-def _apply_on_grid(stages, M, U=None):
+def _apply_on_grid(stages, M, U):
     """The lifts `stages`, first-applied first, applied to theta + U(theta)
-    (default theta) on the M^n grid, as D theta + W(theta): returns D and
-    the displacement W, one grid per component."""
+    on the M^n grid, as D theta + W(theta): returns D and the displacement
+    W, one (M,)*n grid per component.  U holds a grid or a scalar per
+    component, as in `taylor_on_grid`.  An affine stage reads no grid, so a
+    scalar stays scalar through it; a zero entry of a stage's D adds no
+    term, and only the returned W is broadcast to grids."""
     n = stages[0].n
-    if U is None:
-        U = [np.zeros((M,) * n, dtype=complex) for _ in range(n)]
     D = np.eye(n, dtype=int)
     for s in stages:
-        f = taylor_on_grid(s.parts, D, U, M)
-        U = [sum(s.D[j, l] * U[l] for l in range(n)) + f[j] for j in range(n)]
+        f = ([p.mean() for p in s.parts] if _is_affine(s)
+             else taylor_on_grid(s.parts, D, U, M))
+        U = [sum(s.D[j, l] * U[l] for l in range(n) if s.D[j, l]) + f[j]
+             for j in range(n)]
         D = s.D @ D
-    return D, U
+    return D, [np.broadcast_to(u, (M,) * n) for u in U]
 
 
 def _lift_from_grid(D, disp, N_out, real):
@@ -356,7 +380,7 @@ def compose_maps(*maps, N_out):
     """
     chain = MapChain(maps[::-1])
     M = grid_size(N_out, chain.N)
-    D, disp = _apply_on_grid(chain.stages, M)
+    D, disp = _apply_on_grid(chain.stages, M, [0.0] * chain.n)
     return _lift_from_grid(D, disp, N_out, chain.real)
 
 
@@ -425,8 +449,8 @@ class MapChain:
         det = np.ones(pts.shape[0], dtype=complex)
         for s in self.stages:
             if _is_affine(s):
-                pts = _affine_image(s, pts)
-                det = det * np.linalg.det(s.D)
+                pts = pts @ s.D.T.astype(float) + [p.mean() for p in s.parts]
+                det = det * round(np.linalg.det(s.D))
             else:
                 pts, jac = s._image_and_jacobian(pts)
                 det = det * stacked_det([[jac[:, j, l] for l in range(s.n)]
@@ -443,43 +467,37 @@ class MapChain:
         return compose_maps(*self.stages[::-1], N_out=N_out)
 
 
-def _grid_reader(M, D, c):
-    """Reads a series at the points D theta + c over theta_grid(n, M), as a
-    flat (M^n,) array: there h equals translate(h, c) on the grid, read by
-    `eval_real_grid` and re-indexed by the integer matrix D.  A constant is
-    read as its value, a scalar, exactly as `eval_many` reads it."""
-    index = _grid_index(D, M)
-
-    def read(h):
-        if not h.dependent_axes():
-            return h.mean()
-        return translate(h, c).eval_real_grid(M)[index].reshape(-1)
-
-    return read
+def _grid_read(series_list, M, D, c):
+    """The series at the points D theta + c over theta_grid(n, M), each a
+    flat (M^n,) array read by `taylor_on_grid` at the scalar displacement
+    c.  A constant is read as its value, a scalar, exactly as `eval_many`
+    reads it, so that `stacked_det` skips its zeros."""
+    vals = taylor_on_grid(series_list, D, c, M)
+    return [v.reshape(-1) if h.dependent_axes() else h.mean()
+            for h, v in zip(series_list, vals)]
 
 
 def _grid_head(phi, M, shift):
     """phi at theta_grid(n, M) + i shift, split where its points stop being
     a grid.
 
-    Returns (pts, D, read, stage, rest): the image of the grid under the
-    leading affine stages, summed as `TorusMapLift.apply` sums it, and D,
-    the product of their integer parts; a `_grid_reader` of series at those
-    points; the first stage with a non-constant part (None when every stage
-    is affine); and the later stages as a MapChain (None when there are
-    none).
+    The leading affine stages fold into one map D theta + c, D the product
+    of their integer parts, and the points are built once from it.  Returns
+    (pts, D, c, stage, rest): those points; D and c, at which `_grid_read`
+    reads a series there; the first stage with a non-constant part (None
+    when every stage is affine); and the later stages as a MapChain (None
+    when there are none).
     """
     stages = phi.stages if isinstance(phi, MapChain) else (phi,)
     n = stages[0].n
-    pts = theta_grid(n, M) + 1j * shift
     D, c = np.eye(n, dtype=int), np.full(n, 1j * shift)
-    for i, s in enumerate(stages):
-        if not _is_affine(s):
-            rest = MapChain(stages[i + 1:]) if i + 1 < len(stages) else None
-            return pts, D, _grid_reader(M, D, c), s, rest
-        pts = _affine_image(s, pts)
+    i = 0
+    for i, s in enumerate(itertools.takewhile(_is_affine, stages), 1):
         D, c = s.D @ D, s.D @ c + [p.mean() for p in s.parts]
-    return pts, D, None, None, None
+    pts = theta_grid(n, M) @ D.T.astype(float) + c
+    stage = stages[i] if i < len(stages) else None
+    rest = MapChain(stages[i + 1:]) if i + 1 < len(stages) else None
+    return pts, D, c, stage, rest
 
 
 def _is_affine(stage):
@@ -487,16 +505,10 @@ def _is_affine(stage):
     return not any(p.dependent_axes() for p in stage.parts)
 
 
-def _affine_image(stage, pts):
-    """An affine lift at (m, n) points, summed as `TorusMapLift.apply` sums
-    it."""
-    return pts @ stage.D.T.astype(float) + [p.mean() for p in stage.parts]
-
-
-def _stage_image(stage, pts, read):
+def _stage_image(stage, pts, parts):
     out = pts @ stage.D.T.astype(float)
-    for j, p in enumerate(stage.parts):
-        out[:, j] += read(p)
+    for j, v in enumerate(parts):
+        out[:, j] += v
     return out
 
 
@@ -509,9 +521,9 @@ def grid_image(phi, M, shift):
     are read on the grid by FFT (see `_grid_head`); the later stages see
     scattered points and go through `MapChain.apply`.
     """
-    pts, _, read, stage, rest = _grid_head(phi, M, shift)
+    pts, D, c, stage, rest = _grid_head(phi, M, shift)
     if stage is not None:
-        pts = _stage_image(stage, pts, read)
+        pts = _stage_image(stage, pts, _grid_read(stage.parts, M, D, c))
     return pts if rest is None else rest.apply(pts)
 
 
@@ -524,15 +536,17 @@ def grid_jacobian_det(phi, M, shift):
     constant one is the scalar D_jl + its value.  The later stages go
     through `MapChain.jacobian_det` at that stage's image.
     """
-    pts, D, read, stage, rest = _grid_head(phi, M, shift)
-    det = np.full(pts.shape[0], np.linalg.det(D), dtype=complex)
+    pts, D, c, stage, rest = _grid_head(phi, M, shift)
+    det = np.full(pts.shape[0], round(np.linalg.det(D)), dtype=complex)
     if stage is None:
         return pts, det
-    rows = [[stage.D[j, l] + read(p.derivative(l)) for l in range(stage.n)]
-            for j, p in enumerate(stage.parts)]
-    det *= stacked_det(rows)
-    del rows   # freed before the later stages allocate their own
-    pts = _stage_image(stage, pts, read)
+    n = stage.n
+    grads = _grid_read([p.derivative(l) for p in stage.parts
+                        for l in range(n)], M, D, c)
+    det *= stacked_det([[stage.D[j, l] + grads[n * j + l] for l in range(n)]
+                        for j in range(n)])
+    del grads   # freed before the later stages allocate their own
+    pts = _stage_image(stage, pts, _grid_read(stage.parts, M, D, c))
     if rest is not None:
         pts, rest_det = rest.jacobian_det(pts)
         det *= rest_det
@@ -572,7 +586,7 @@ def invert_map(phi, r, N_out):
             "(nf)", f"||f||_r = {f_norm:.3e} exceeds r/(4n) = {r / (4 * n):.3e}")
     stages = phi.stages if isinstance(phi, MapChain) else (phi,)
     M = grid_size(N_out, phi.N)
-    U = [np.zeros((M,) * n, dtype=complex) for _ in range(n)]
+    U = [0.0] * n
     prev_delta = np.inf
     for its in range(1, INVERT_MAX_ITER + 1):
         _, W = _apply_on_grid(stages, M, U)

@@ -25,6 +25,7 @@ from .fibering import VERIFY_GRID, FiberingPhase, fibering_normalize
 from .flows import (
     MapChain,
     TorusMapLift,
+    _grid_index,
     grid_jacobian_det,
     invert_map,
     taylor_on_grid,
@@ -40,6 +41,7 @@ from .series import (
     seven_smooth,
     stacked_det,
     theta_grid,
+    unimodular_inverse,
 )
 
 # Every stage residual of the normalization, the closure defect of a normal
@@ -205,7 +207,7 @@ def normalize_embedding(emb):
     _stage_gate("modulus/phase factorization", split.residual)
 
     shear = shear_lift(n)
-    A_inv = np.linalg.inv(shear.D).astype(int)
+    A_inv = unimodular_inverse(shear.D)
     b2 = pull_back_linear(split.modulus, A_inv)
     h2 = pull_back_linear(split.phase, A_inv)
 
@@ -274,10 +276,10 @@ def _normal_form_residual(a, chain, k, rho0, n):
 
 def _on_grid_sums(line, n, M):
     """A one-angle series at the sums theta_1 + ... + theta_n over
-    theta_grid(n, M), flat: its M-point grid values at the index
+    theta_grid(n, M), flat: its M-point grid values at the flat index
     (m_1 + ... + m_n) mod M."""
-    index = np.indices((M,) * n).sum(axis=0).reshape(-1) % M
-    return line.eval_real_grid(M)[index]
+    index = _grid_index(np.ones((1, n), dtype=int), M)
+    return np.take(line.eval_real_grid(M), index).reshape(-1)
 
 
 def exactness_correct(k):

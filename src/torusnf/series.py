@@ -484,10 +484,13 @@ def _is_zero(entry):
 
 
 def theta_grid(n, M):
-    """(M^n, n) array of uniform real grid points on [0, 2 pi)^n."""
+    """(M^n, n) array of uniform real grid points on [0, 2 pi)^n, the last
+    axis fastest, each coordinate broadcast into one preallocated array."""
     t = 2.0 * np.pi * np.arange(M) / M
-    mesh = np.meshgrid(*([t] * n), indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    out = np.empty((M,) * n + (n,))
+    for j in range(n):
+        out[..., j] = t.reshape((M,) + (1,) * (n - 1 - j))
+    return out.reshape(-1, n)
 
 
 def series_from_real_grid(values, N, real=False):
@@ -546,6 +549,16 @@ def translate(h, shift):
         out *= np.exp(1j * k * shift[j]).reshape(shape)
     real = h.real and bool(np.max(np.abs(shift.imag)) <= REAL_TOL)
     return PeriodicSeries(out, real=real, trunc_mass=h.trunc_mass)
+
+
+def unimodular_inverse(A):
+    """The inverse of a unimodular integer matrix: the float inverse rounded,
+    not truncated toward zero, and checked."""
+    A = np.asarray(A, dtype=int)
+    A_inv = np.rint(np.linalg.inv(A)).astype(int)
+    if not np.array_equal(A_inv @ A, np.eye(len(A), dtype=int)):
+        raise ValueError("the integer matrix is not unimodular")
+    return A_inv
 
 
 def pull_back_linear(h, A):

@@ -9,6 +9,7 @@ from torusnf.flows import (
     MapChain,
     PeriodicVectorField,
     TorusMapLift,
+    _grid_index,
     compose_maps,
     flow,
     grid_image,
@@ -18,7 +19,14 @@ from torusnf.flows import (
 )
 from torusnf.pipeline import shear_lift
 from torusnf.realization import AnnulusFunction, realization_step
-from torusnf.series import PeriodicSeries, eval_many, grid_size, theta_grid
+from torusnf.series import (
+    PeriodicSeries,
+    eval_many,
+    grid_size,
+    theta_grid,
+    translate,
+    unimodular_inverse,
+)
 
 from oracles import (
     abs_max_coeff,
@@ -214,7 +222,7 @@ class TestMapAlgebra:
     def test_integer_shear_round_trip(self):
         A = np.array([[1, 1], [0, 1]])
         shear = TorusMapLift(A, [PeriodicSeries.zeros(2, 0)] * 2)
-        unshear = TorusMapLift(np.linalg.inv(A).astype(int),
+        unshear = TorusMapLift(unimodular_inverse(A),
                                [PeriodicSeries.zeros(2, 0)] * 2)
         out = compose_maps(shear, unshear, N_out=0)
         assert np.array_equal(out.D, np.eye(2, dtype=int))
@@ -232,6 +240,24 @@ class TestMapAlgebra:
         pts = theta_grid(2, 9)
         assert np.max(np.abs(left.apply(pts) - right.apply(pts))) < 1e-10
         assert np.max(np.abs(flat.apply(pts) - right.apply(pts))) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_normalizer_shaped_chain_matches_stage_by_stage(self, n):
+        # the chain a normalizer collapses: integer shear, translation,
+        # near-identity lift, unshear; its displacement stays a scalar
+        # through the two leading affine stages
+        rng = np.random.default_rng(90 + n)
+        shear = shear_lift(n)
+        unshear = TorusMapLift(unimodular_inverse(shear.D), shear.parts)
+        translation = TorusMapLift.translation(n, rng.uniform(-1.0, 1.0, n))
+        lift = TorusMapLift(np.eye(n, dtype=int),
+                            [1e-3 * random_series(rng, n, 3) for _ in range(n)])
+        chain = MapChain([shear, translation, lift, unshear])
+        # the lift read at the shear has degree at most 2 * 3 per axis
+        single = compose_maps(unshear, lift, translation, shear, N_out=6)
+        assert np.array_equal(single.D, np.eye(n, dtype=int))
+        pts = rng.uniform(0, 2 * np.pi, size=(40, n)) + 0.05j
+        assert np.max(np.abs(single.apply(pts) - chain.apply(pts))) < 1e-13
 
     def test_pullback_matches_pointwise(self):
         rng = np.random.default_rng(22)
@@ -395,6 +421,22 @@ class TestTaylorKernel:
         for got, ref in zip(taylor_on_grid(series, D, U, M), want):
             assert np.max(np.abs(got.reshape(-1) - ref)) < 1e-13
 
+    @pytest.mark.parametrize("c", [[0.7, -1.3, 2.1], [0.3 + 0.05j, 0.0, -0.02j]])
+    @pytest.mark.parametrize("shear", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scalar_displacement_is_an_exact_translation(self, n, shear, c):
+        rng = np.random.default_rng(74 + n)
+        M, c = 12, np.array(c[:n])
+        D = shear_lift(n).D if shear else np.eye(n, dtype=int)
+        index = tuple(np.tensordot(D, np.indices((M,) * n), axes=(1, 0)) % M)
+        h = random_series(rng, n, self.N, decay=1.0, real=False)
+        const = PeriodicSeries.constant(n, self.N, 0.3 - 0.2j)
+        got, flat = taylor_on_grid([h, const], D, list(c), M)
+        assert np.array_equal(got, translate(h, c).eval_real_grid(M)[index])
+        assert not flat.flags.writeable and np.all(flat == 0.3 - 0.2j)
+        pts = theta_grid(n, M) @ D.T + c
+        assert np.max(np.abs(got.reshape(-1) - eval_many([h], pts)[0])) < 1e-13
+
     def test_constant_costs_no_transform(self, monkeypatch):
         calls = []
         ifftn = np.fft.ifftn
@@ -410,10 +452,57 @@ class TestTaylorKernel:
         taylor_on_grid([PeriodicSeries.constant(n, self.N, 2.0),
                         PeriodicSeries.zeros(n, self.N)], D, U, M)
         assert calls == []
+        taylor_on_grid([PeriodicSeries.constant(n, self.N, 2.0)], D,
+                       [0.1, 0.0, -0.2j], M)
+        shear = shear_lift(n)
+        affine = [shear, TorusMapLift.translation(n, [0.1, 0.2, 0.3]),
+                  TorusMapLift(unimodular_inverse(shear.D), shear.parts)]
+        compose_maps(*affine[::-1], N_out=2)
+        assert calls == []
+        # nor a grid: the displacement stays a scalar until it is returned
+        _, W = torusnf.flows._apply_on_grid(affine, M, [0.0] * n)
+        assert [w.strides for w in W] == [(0,) * n] * n
         # with U = 0 a series costs its values alone
         h = random_series(rng, n, self.N)
         taylor_on_grid([h], D, [np.zeros((M,) * n)] * n, M)
         assert calls == [(M,) * n]
+
+
+class TestGridIndex:
+    @pytest.mark.parametrize("M", [7, 12, 48])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flat_index_matches_tuple_index(self, n, M):
+        rng = np.random.default_rng(80 + n + M)
+        vals = rng.standard_normal((M,) * n) + 1j * rng.standard_normal((M,) * n)
+        for D in [shear_lift(n).D] + [rng.integers(-4, 5, size=(n, n))
+                                       for _ in range(4)]:
+            old = tuple(np.tensordot(D, np.indices((M,) * n), axes=(1, 0)) % M)
+            assert np.array_equal(np.take(vals, _grid_index(D, M)), vals[old])
+        assert _grid_index(np.eye(n, dtype=int), M) is None
+
+
+class TestUnimodular:
+    # a truncating integer inverse gives [[0, -1], [0, 2]] for the first,
+    # and np.linalg.det gives 0.9999999999999964 for the second
+    MATRICES = [[[3, 2], [1, 1]], [[1, 2, 3], [0, 1, 4], [5, 6, 0]]]
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_inverse_and_determinant_are_exact(self, A):
+        A = np.array(A)
+        n = len(A)
+        A_inv = unimodular_inverse(A)
+        assert np.array_equal(A_inv @ A, np.eye(n, dtype=int))
+        assert np.array_equal(A @ A_inv, np.eye(n, dtype=int))
+        phi = TorusMapLift(A, [PeriodicSeries.constant(n, 0, 0.1)] * n)
+        pts = theta_grid(n, 5) + 0.05j
+        image, det = MapChain([phi]).jacobian_det(pts)
+        assert np.all(det == 1.0)
+        assert np.array_equal(image, phi.apply(pts))
+        assert np.all(grid_jacobian_det(phi, 5, 0.05)[1] == 1.0)
+
+    def test_inverse_refuses_a_non_unimodular_matrix(self):
+        with pytest.raises(ValueError):
+            unimodular_inverse([[2, 0], [0, 1]])
 
 
 class TestGridNative:

@@ -28,6 +28,7 @@ from torusnf.series import (
     PeriodicSeries,
     pull_back_linear,
     theta_grid,
+    unimodular_inverse,
 )
 
 from annulus_oracle import eval_z
@@ -170,7 +171,7 @@ def inverse_volume_maps(emb, monkeypatch):
     stage, and the same map computed without the tail chop."""
     a = jacobian_density(emb)
     r = emb.r0 / 2.0
-    A_inv = np.linalg.inv(shear_lift(emb.n).D).astype(int)
+    A_inv = unimodular_inverse(shear_lift(emb.n).D)
     b2 = pull_back_linear(modulus_phase_split(a).modulus, A_inv)
     moser = moser_normalize(VolumeDensity(b2), N_out=b2.N + 4)
     inv = invert_map(moser.map, r, N_out=moser.map.N + 4).map
