@@ -30,14 +30,13 @@ from .flows import (
     PeriodicVectorField,
     TorusMapLift,
     flow,
-    grid_jacobian_det,
+    grid_walk,
     taylor_on_grid,
 )
 from .series import (
     PeriodicSeries,
     divide,
     extract_axis_line,
-    theta_grid,
     translate,
 )
 
@@ -187,8 +186,9 @@ def fibering_normalize(phase, r0):
     one-variable phase k with zero mean, the per-step trace, and the grid
     residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
     sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness takes
-    image and determinant from one `grid_jacobian_det` walk of the chain,
-    and reads h at the image by the grid kernel, not at scattered points.
+    the displacement U and the determinant from one `grid_walk` of the
+    chain, and reads h at the image by the grid kernel, not at scattered
+    points.
 
     Schedule exhaustion (MAX_ITER steps) returns a non-converged result
     with its trace; a step refusal mid-run raises, with the partial trace
@@ -209,15 +209,12 @@ def fibering_normalize(phase, r0):
     stages = [TorusMapLift.translation(n, shift)] + stage_maps[::-1]
     chain = MapChain(stages)
 
-    # mu o Phi = Phi_1 + h0(Phi), h0 read by the grid kernel at
-    # Phi theta = D theta + U(theta)
+    # every stage has D = I, so Phi theta = theta + U(theta) and
+    # mu o Phi - theta_1 = U_1 + h0(theta + U), h0 read by the grid kernel
     M = VERIFY_GRID
-    image, det = grid_jacobian_det(chain, M, 0.0)
-    U = [u.reshape((M,) * n) for u in (image - theta_grid(n, M) @ chain.D.T).T]
-    mu = image[:, 0] + taylor_on_grid([h0], chain.D, U, M)[0].reshape(-1)
-    t = 2.0 * np.pi * np.arange(M) / M
-    # theta_1 is the slowest axis of theta_grid
-    target = np.repeat(t + k.eval_real_grid(M), M ** (n - 1))
+    D, U, det = grid_walk(chain, M, 0.0, 1.0)
+    mu = U[0] + taylor_on_grid([h0], D, U, M)[0]
+    target = k.eval_real_grid(M).reshape((M,) + (1,) * (n - 1))
     residual = float(np.max(np.abs(mu - target)))
     det_residual = float(np.max(np.abs(det - 1.0)))
     return FiberingResult(chain, k, trace, residual, det_residual, converged,

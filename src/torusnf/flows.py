@@ -26,23 +26,21 @@ identity up to rounding, say) keeps only the few coefficients that carry its
 mass.
 
 Witnesses read the grid by FFT.  A residual witness samples a uniform grid
-theta_grid(n, M) + i shift.  `grid_image` and `grid_jacobian_det`, the grid
-counterparts of `MapChain.apply` and `jacobian_det`, fold the leading
-affine stages of a lift or MapChain (parts constant) into one map
-D theta + c and build its points once.  The first stage with a non-constant
-part is read there by the grid kernel at the scalar displacement c, with
-its first derivatives when a determinant is wanted.  Only the later stages
-see scattered image points, and only they go through `MapChain.apply` /
-`jacobian_det` and `eval_many`, which takes a stage's image and Jacobian from
-one call and contracts each series only over the axes it depends on;
-`jacobian_det` evaluates no affine stage, whose image is D theta + c and
-whose determinant is det D.  Every determinant goes to `stacked_det` entry
-by entry; on the grid a constant entry is a scalar, and no (M^n, n, n) stack
-is built.
-`grid_jacobian_det` returns the image with the determinant, so a witness
-walks its chain once.  A series read at the image, as the density or the
-phase in the normal-form and fibering witnesses, goes through the grid
-kernel at the image's displacement from D theta.
+theta_grid(n, M) + i shift through `grid_walk`, which returns the image of
+a lift or MapChain as D theta + U, U one grid per component, with its
+Jacobian determinant when one is wanted.  The leading affine stages (parts
+constant) and the first stage with a non-constant part go through
+`_apply_on_grid` at the scalar displacement i shift, as `compose_maps`
+does at 0: an affine stage costs no grid work and its determinant is
+det D, and a non-affine one reads its first derivatives there.  Only the
+later stages see scattered image points, and only they go through
+`MapChain.apply` / `jacobian_det` and `eval_many`, which takes a stage's
+image and Jacobian from one call and contracts each series only over the
+axes it depends on; `jacobian_det` evaluates no affine stage.  Every
+determinant goes to `stacked_det` entry by entry; on the grid a constant
+entry is a scalar, and no (M^n, n, n) stack is built.  A series read at the
+image, as the density or the phase in the normal-form and fibering
+witnesses, goes through the grid kernel at the returned (D, U).
 """
 
 from __future__ import annotations
@@ -195,22 +193,42 @@ def taylor_on_grid(series_list, D, U, M):
         f"Taylor composition not below {TERM_TOL:.0e} after {MAX_TERMS} orders")
 
 
-def _apply_on_grid(stages, M, U):
+def _apply_on_grid(stages, M, U, det):
     """The lifts `stages`, first-applied first, applied to theta + U(theta)
-    on the M^n grid, as D theta + W(theta): returns D and the displacement
-    W, one (M,)*n grid per component.  U holds a grid or a scalar per
+    on the M^n grid, as D theta + W(theta): returns D, the displacement W,
+    one (M,)*n grid per component, and det times the Jacobian determinant
+    of the stages (None when det is None).  U holds a grid or a scalar per
     component, as in `taylor_on_grid`.  An affine stage reads no grid, so a
-    scalar stays scalar through it; a zero entry of a stage's D adds no
-    term, and only the returned W is broadcast to grids."""
+    scalar stays scalar through it, and its determinant is det s.D; a zero
+    entry of a stage's D adds no term, and only the returned W is broadcast
+    to grids."""
     n = stages[0].n
     D = np.eye(n, dtype=int)
     for s in stages:
-        f = ([p.mean() for p in s.parts] if _is_affine(s)
-             else taylor_on_grid(s.parts, D, U, M))
+        if _is_affine(s):
+            f = [p.mean() for p in s.parts]
+            if det is not None:
+                det = det * round(np.linalg.det(s.D))
+        else:
+            if det is not None:
+                det = det * _stage_det(s, D, U, M)
+            f = taylor_on_grid(s.parts, D, U, M)
         U = [sum(s.D[j, l] * U[l] for l in range(n) if s.D[j, l]) + f[j]
              for j in range(n)]
         D = s.D @ D
-    return D, [np.broadcast_to(u, (M,) * n) for u in U]
+    return D, [np.broadcast_to(u, (M,) * n) for u in U], det
+
+
+def _stage_det(stage, D, U, M):
+    """det(stage.D + grad f) at D theta + U on the M^n grid, entry by entry:
+    a derivative that varies is read by `taylor_on_grid`, and a constant one
+    is the scalar D_jl + its value, so that `stacked_det` skips its zeros."""
+    n = stage.n
+    grads = [p.derivative(l) for p in stage.parts for l in range(n)]
+    vals = [v if g.dependent_axes() else g.mean()
+            for g, v in zip(grads, taylor_on_grid(grads, D, U, M))]
+    return stacked_det([[stage.D[j, l] + vals[n * j + l] for l in range(n)]
+                        for j in range(n)])
 
 
 def _lift_from_grid(D, disp, N_out, real):
@@ -380,7 +398,7 @@ def compose_maps(*maps, N_out):
     """
     chain = MapChain(maps[::-1])
     M = grid_size(N_out, chain.N)
-    D, disp = _apply_on_grid(chain.stages, M, [0.0] * chain.n)
+    D, disp, _ = _apply_on_grid(chain.stages, M, [0.0] * chain.n, None)
     return _lift_from_grid(D, disp, N_out, chain.real)
 
 
@@ -467,90 +485,41 @@ class MapChain:
         return compose_maps(*self.stages[::-1], N_out=N_out)
 
 
-def _grid_read(series_list, M, D, c):
-    """The series at the points D theta + c over theta_grid(n, M), each a
-    flat (M^n,) array read by `taylor_on_grid` at the scalar displacement
-    c.  A constant is read as its value, a scalar, exactly as `eval_many`
-    reads it, so that `stacked_det` skips its zeros."""
-    vals = taylor_on_grid(series_list, D, c, M)
-    return [v.reshape(-1) if h.dependent_axes() else h.mean()
-            for h, v in zip(series_list, vals)]
-
-
-def _grid_head(phi, M, shift):
-    """phi at theta_grid(n, M) + i shift, split where its points stop being
-    a grid.
-
-    The leading affine stages fold into one map D theta + c, D the product
-    of their integer parts, and the points are built once from it.  Returns
-    (pts, D, c, stage, rest): those points; D and c, at which `_grid_read`
-    reads a series there; the first stage with a non-constant part (None
-    when every stage is affine); and the later stages as a MapChain (None
-    when there are none).
-    """
-    stages = phi.stages if isinstance(phi, MapChain) else (phi,)
-    n = stages[0].n
-    D, c = np.eye(n, dtype=int), np.full(n, 1j * shift)
-    i = 0
-    for i, s in enumerate(itertools.takewhile(_is_affine, stages), 1):
-        D, c = s.D @ D, s.D @ c + [p.mean() for p in s.parts]
-    pts = theta_grid(n, M) @ D.T.astype(float) + c
-    stage = stages[i] if i < len(stages) else None
-    rest = MapChain(stages[i + 1:]) if i + 1 < len(stages) else None
-    return pts, D, c, stage, rest
-
-
 def _is_affine(stage):
     """Whether every part of the lift is constant: theta -> D theta + c."""
     return not any(p.dependent_axes() for p in stage.parts)
 
 
-def _stage_image(stage, pts, parts):
-    out = pts @ stage.D.T.astype(float)
-    for j, v in enumerate(parts):
-        out[:, j] += v
-    return out
-
-
-def grid_image(phi, M, shift):
-    """A lift or MapChain at the points theta_grid(n, M) + i shift, as an
-    (M^n, n) array: the grid counterpart of `MapChain.apply`, for the
-    round-trip witnesses, which need no determinant.
+def grid_walk(phi, M, shift, det):
+    """A lift or MapChain at theta_grid(n, M) + i shift, as (D, U, det): the
+    image is D theta + U, U one (M,)*n grid per component, and det is det
+    times det D phi there, an (M,)*n grid (None when det is None).
 
     The leading affine stages and the first stage with a non-constant part
-    are read on the grid by FFT (see `_grid_head`); the later stages see
-    scattered points and go through `MapChain.apply`.
+    go through `_apply_on_grid` at the scalar displacement i shift, so they
+    are read on the grid by FFT.  The later stages see scattered points and
+    go through `MapChain.apply`, or `MapChain.jacobian_det` when a
+    determinant is wanted; U is then the image less theta D^T.
     """
-    pts, D, c, stage, rest = _grid_head(phi, M, shift)
-    if stage is not None:
-        pts = _stage_image(stage, pts, _grid_read(stage.parts, M, D, c))
-    return pts if rest is None else rest.apply(pts)
-
-
-def grid_jacobian_det(phi, M, shift):
-    """(image, det D phi) at the points theta_grid(n, M) + i shift: the grid
-    counterpart of `MapChain.jacobian_det`, the image equal to `grid_image`.
-
-    The first non-affine stage's Jacobian D + grad f goes to `stacked_det`
-    entry by entry: a derivative that varies is read on the grid, and a
-    constant one is the scalar D_jl + its value.  The later stages go
-    through `MapChain.jacobian_det` at that stage's image.
-    """
-    pts, D, c, stage, rest = _grid_head(phi, M, shift)
-    det = np.full(pts.shape[0], round(np.linalg.det(D)), dtype=complex)
-    if stage is None:
-        return pts, det
-    n = stage.n
-    grads = _grid_read([p.derivative(l) for p in stage.parts
-                        for l in range(n)], M, D, c)
-    det *= stacked_det([[stage.D[j, l] + grads[n * j + l] for l in range(n)]
-                        for j in range(n)])
-    del grads   # freed before the later stages allocate their own
-    pts = _stage_image(stage, pts, _grid_read(stage.parts, M, D, c))
-    if rest is not None:
-        pts, rest_det = rest.jacobian_det(pts)
-        det *= rest_det
-    return pts, det
+    stages = phi.stages if isinstance(phi, MapChain) else (phi,)
+    n = stages[0].n
+    head = 1 + sum(1 for _ in itertools.takewhile(_is_affine, stages))
+    D, U, det = _apply_on_grid(stages[:head], M, [1j * shift] * n, det)
+    if head < len(stages):
+        rest = MapChain(stages[head:])
+        pts = theta_grid(n, M) @ D.T.astype(float) + 0j
+        for j in range(n):
+            pts.reshape((M,) * n + (n,))[..., j] += U[j]
+        del U   # freed before the later stages allocate their own
+        if det is None:
+            pts = rest.apply(pts)
+        else:
+            pts, rest_det = rest.jacobian_det(pts)
+            det = det * rest_det.reshape((M,) * n)
+        D = rest.D @ D
+        pts -= theta_grid(n, M) @ D.T
+        U = list(np.moveaxis(pts.reshape((M,) * n + (n,)), -1, 0))
+    return D, U, None if det is None else np.broadcast_to(det, (M,) * n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -574,8 +543,9 @@ def invert_map(phi, r, N_out):
     witness sup |phi(phi^{-1}(theta)) - theta| on a second grid, of
     witness_grid_size(N_out, phi.N) + 1 points per axis: finer than the
     compute grid, so that it checks the inverse between the points it was
-    computed on.  phi^{-1} is read there by FFT (`grid_image`), and phi at
-    the scattered image points by `eval_many`.
+    computed on.  `grid_walk` reads phi^{-1} there by FFT and phi at the
+    scattered image points by `eval_many`; the round trip has D = I, so
+    the residual is sup |U|.
     """
     if not phi.has_identity_integer_part():
         raise ValueError("invert_map requires an identity integer part")
@@ -589,7 +559,7 @@ def invert_map(phi, r, N_out):
     U = [0.0] * n
     prev_delta = np.inf
     for its in range(1, INVERT_MAX_ITER + 1):
-        _, W = _apply_on_grid(stages, M, U)
+        _, W, _ = _apply_on_grid(stages, M, U, None)
         U = [u - w for u, w in zip(U, W)]
         delta = _sup(W)
         if delta <= INVERT_TOL:
@@ -605,7 +575,6 @@ def invert_map(phi, r, N_out):
             f"in {INVERT_MAX_ITER} steps")
     inv = _lift_from_grid(np.eye(n, dtype=int), U, N_out, phi.real)
     M_w = witness_grid_size(N_out, phi.N) + 1
-    round_trip = grid_image(MapChain((inv,) + stages), M_w, 0.0)
-    residual = float(np.max(np.abs(round_trip - theta_grid(n, M_w))))
+    residual = _sup(grid_walk(MapChain((inv,) + stages), M_w, 0.0, None)[1])
     return MapInverse(inv, residual, its)
 

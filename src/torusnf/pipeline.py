@@ -26,7 +26,7 @@ from .flows import (
     MapChain,
     TorusMapLift,
     _grid_index,
-    grid_jacobian_det,
+    grid_walk,
     invert_map,
     taylor_on_grid,
 )
@@ -188,13 +188,14 @@ def normalize_embedding(emb):
     shear that concentrates the phase on the first angle, volume
     normalization of the modulus, phase transport through the inverse volume
     map, and the volume-preserving phase iteration.  Each stage must land
-    under STAGE_TOL before the next runs.  Both residual witnesses, of the
-    phase iteration and of the normal form, sample VERIFY_GRID points per
-    axis and take image and determinant from one `grid_jacobian_det` walk of
-    their stage chain.  The normal-form one reads the shear and the first
-    non-affine stage (a fibering stage, or the inverse volume map) on that
-    grid by FFT, and the density on the moved grid by the grid kernel.  The
-    later non-affine stages are read at the scattered image points by
+    under STAGE_TOL before the next runs, the phase iteration's witness
+    included.  Both residual witnesses, of the phase iteration and of the
+    normal form, sample VERIFY_GRID points per axis and take the
+    displacement U and the determinant from one `grid_walk` of their stage
+    chain.  The normal-form one reads the shear and the first non-affine
+    stage (a fibering stage, or the inverse volume map) on that grid by FFT,
+    and the density at the displaced grid by the grid kernel.  The later
+    non-affine stages are read at the scattered image points by
     `eval_many`; the closing unshear is affine and is not evaluated.
     Raises NumericalFailure when the phase iteration exhausts its schedule.
     """
@@ -229,6 +230,7 @@ def normalize_embedding(emb):
             "phase normalization exhausted its schedule; trace attached")
         err.trace = fib.trace
         raise err
+    _stage_gate("phase normalization", fib.residual)
     k = fib.k
 
     g, exactness_defect = normal_form_curve(k, rho0)
@@ -262,24 +264,25 @@ def _normal_form_residual(a, chain, k, rho0, n):
     (1 + a(pi(Phi theta))) e^{i sum Phi_j} det D Phi
         = rho0 e^{i (sum theta_j + k(sum theta_j))}.
 
-    a is read at Phi theta = D theta + U(theta) by `taylor_on_grid` at (D, U).
+    The shear and the unshear cancel, so Phi theta = theta + U(theta) and
+    the common factor e^{i sum theta_j} drops out: the witness compares
+    (1 + a(theta + U)) e^{i sum U_j} det D Phi with rho0 e^{i k(sum theta_j)},
+    a read by `taylor_on_grid` at (D, U).
     """
     M = VERIFY_GRID
-    moved, det = grid_jacobian_det(chain, M, 0.0)
-    theta = theta_grid(n, M)
-    U = [u.reshape((M,) * n) for u in (moved - theta @ chain.D.T).T]
-    lhs = (1.0 + taylor_on_grid([a.series], chain.D, U, M)[0].reshape(-1)) \
-        * np.exp(1j * moved.sum(axis=1)) * det
-    rhs = rho0 * np.exp(1j * (theta.sum(axis=1) + _on_grid_sums(k, n, M)))
+    D, U, det = grid_walk(chain, M, 0.0, 1.0)
+    lhs = (1.0 + taylor_on_grid([a.series], D, U, M)[0]) \
+        * np.exp(1j * sum(U)) * det
+    rhs = rho0 * np.exp(1j * _on_grid_sums(k, n, M))
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def _on_grid_sums(line, n, M):
     """A one-angle series at the sums theta_1 + ... + theta_n over
-    theta_grid(n, M), flat: its M-point grid values at the flat index
-    (m_1 + ... + m_n) mod M."""
+    theta_grid(n, M), as an (M,)*n grid: its M-point grid values at the
+    index (m_1 + ... + m_n) mod M."""
     index = _grid_index(np.ones((1, n), dtype=int), M)
-    return np.take(line.eval_real_grid(M), index).reshape(-1)
+    return np.take(line.eval_real_grid(M), index)
 
 
 def exactness_correct(k):
@@ -410,8 +413,8 @@ def normal_form_embedding(g, n, r0):
 
     # det D psi(e^{i theta}) must equal e^{-i s} d/ds g(e^{i s}) at s = sum theta
     M = 4 * (N_emb + 1)
-    s = theta_grid(n, M).sum(axis=1)
-    det = first.z_derivative(0).series.eval_real_grid(M).reshape(-1)
+    s = theta_grid(n, M).sum(axis=1).reshape((M,) * n)
+    det = first.z_derivative(0).series.eval_real_grid(M)
     target = np.exp(-1j * s) * _on_grid_sums(line.derivative(0), n, M)
     worst = float(np.max(np.abs(det - target)))
     if worst > STAGE_TOL:

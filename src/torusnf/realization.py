@@ -27,15 +27,13 @@ from .flows import (
     PeriodicVectorField,
     TorusMapLift,
     flow,
-    grid_image,
-    grid_jacobian_det,
+    grid_walk,
     invert_map,
 )
 from .series import (
     PeriodicSeries,
     grid_size,
     series_from_real_grid,
-    theta_grid,
 )
 
 MEAN_MONOMIAL_TOL = 1e-12
@@ -179,7 +177,6 @@ def realization_step(a, r, delta):
 class RealizationResult:
     phi: AnnulusMap              # the realizing embedding perturbation
     psi: AnnulusMap              # collapsed composite of the corrective maps
-    chain: MapChain              # psi stage chain in application order
     trace: list                  # TraceRow per m, defect = ||a_m||_{r_m}
     det_residual: float          # sup |det D phi - (1 + a)| on the torus grid
     inverse_residual: float      # sup |psi(phi(theta)) - theta| near the torus
@@ -205,10 +202,11 @@ def realize_form(a, r0):
     inside the half-width strip of r0/2 where the inversion gate (nf) is
     taken.  Entry hypothesis: the all-(-1) monomial of `a` vanishes.
 
-    The inverse is read by FFT on each shell grid (`grid_image`) and the
-    stage chain at the scattered image points by `eval_many`.  The density
-    check reads phi, its Jacobian and `a` on its own uniform grid, all by
-    FFT.
+    `grid_walk` reads the inverse by FFT on each shell grid and the stage
+    chain at the scattered image points by `eval_many`; the round trip has
+    D = I, so its defect on the shell Im theta = s is sup |U - i s|.  The
+    density check reads phi, its Jacobian and `a` on its own uniform grid,
+    all by FFT.
     """
     a0 = AnnulusFunction(a)
     n = a0.n
@@ -232,14 +230,14 @@ def realize_form(a, r0):
     inverse = invert_map(chain, r0 / 2.0, N_out=N_comp)
     phi = AnnulusMap.from_torus_lift(inverse.map)
     M = max(2 * N_comp + 3, 33)
-    base = theta_grid(n, M)
     round_trip = MapChain((inverse.map,) + chain.stages)
     inverse_residual = inverse.residual
     for shift in (-r0 / 8.0, r0 / 8.0):
-        inverse_residual = max(inverse_residual, float(np.max(np.abs(
-            grid_image(round_trip, M, shift) - (base + 1j * shift)))))
+        U = grid_walk(round_trip, M, shift, None)[1]
+        inverse_residual = max([inverse_residual] + [
+            float(np.max(np.abs(u - 1j * shift))) for u in U])
     det_residual, min_det, min_phase_gradient = _verify_density(phi, a0)
-    return RealizationResult(phi, psi_single, chain, trace, det_residual,
+    return RealizationResult(phi, psi_single, trace, det_residual,
                              inverse_residual, min_det, min_phase_gradient,
                              converged, iterations)
 
@@ -250,23 +248,22 @@ def _verify_density(phi, a0):
     With phi_j = z_j g_j and theta + f the torus lift, det D_z phi is
     prod_j g_j det(I + grad f), and prod_j g_j = exp(sum_j log g_j) is read
     from the summed series rather than from theta + f, which would round f
-    off at the scale of theta.
+    off at the scale of theta; `grid_walk` multiplies it by det(I + grad f).
     """
     n = a0.n
     M = max(4 * (phi.log_g[0].N + 1), 32)
     log_g = sum(lg.series for lg in phi.log_g)
-    det = np.exp(log_g.eval_real_grid(M).reshape(-1)) \
-        * grid_jacobian_det(phi.to_torus_lift(), M, 0.0)[1]
-    target = 1.0 + a0.series.eval_real_grid(M).reshape(-1)
+    det = grid_walk(phi.to_torus_lift(), M, 0.0,
+                    np.exp(log_g.eval_real_grid(M)))[2]
+    target = 1.0 + a0.series.eval_real_grid(M)
     det_residual = float(np.max(np.abs(det - target)))
     min_det = float(np.min(np.abs(det)))
     # the toroidal phase of the realized volume form is
     # mu = sum theta_j + Im log det D phi + const; the form is non-critical
     # when grad mu never vanishes
-    log_det = series_from_real_grid(np.log(det).reshape((M,) * n), M // 4)
-    grads = np.stack([
-        1.0 + log_det.derivative(j).eval_real_grid(M).reshape(-1).imag
-        for j in range(n)], axis=-1)
-    min_phase_gradient = float(np.min(np.max(np.abs(grads), axis=1)))
+    log_det = series_from_real_grid(np.log(det), M // 4)
+    grads = np.stack([1.0 + log_det.derivative(j).eval_real_grid(M).imag
+                      for j in range(n)], axis=-1)
+    min_phase_gradient = float(np.min(np.max(np.abs(grads), axis=-1)))
     return det_residual, min_det, min_phase_gradient
 

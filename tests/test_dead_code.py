@@ -1,7 +1,8 @@
 """Every public function of the package has a caller outside the tests,
-every default is both taken and overridden by production code, the number
-of settable values does not grow, and no `np.linalg` result is truncated to
-integers.
+every private one is referenced outside its own body, every name imported
+from the package is used, every default is both taken and overridden by
+production code, the number of settable values does not grow, and no
+`np.linalg` result is truncated to integers.
 
 The scan parses `src/torusnf` and the benchmark under `perfbench/` with
 `ast` and collects every name they reference: plain names, attribute names
@@ -61,6 +62,33 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert dead == []
     # an allowlisted function that gains a caller leaves the list
     assert sorted(name for name in ALLOWED if everywhere[name]) == []
+
+
+def test_every_private_function_is_referenced():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(referenced_names(tree))
+    dead = [f"{path.stem}.{node.name}"
+            for path in SOURCES for node in ast.walk(trees[path])
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and everywhere[node.name] == referenced_names(node)[node.name]]
+    assert dead == []
+
+
+def test_every_name_imported_from_the_package_is_used():
+    unused = []
+    for path in CALLERS:
+        tree = ast.parse(path.read_text())
+        used = referenced_names(tree)
+        unused += [f"{path.stem}.{alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level or node.module.split(".")[0] == "torusnf")
+                   for alias in node.names
+                   if not used[alias.asname or alias.name]]
+    assert unused == []
 
 
 def is_dataclass(node):

@@ -12,8 +12,7 @@ from torusnf.flows import (
     _grid_index,
     compose_maps,
     flow,
-    grid_image,
-    grid_jacobian_det,
+    grid_walk,
     invert_map,
     taylor_on_grid,
 )
@@ -460,7 +459,7 @@ class TestTaylorKernel:
         compose_maps(*affine[::-1], N_out=2)
         assert calls == []
         # nor a grid: the displacement stays a scalar until it is returned
-        _, W = torusnf.flows._apply_on_grid(affine, M, [0.0] * n)
+        _, W, _ = torusnf.flows._apply_on_grid(affine, M, [0.0] * n, None)
         assert [w.strides for w in W] == [(0,) * n] * n
         # with U = 0 a series costs its values alone
         h = random_series(rng, n, self.N)
@@ -498,7 +497,7 @@ class TestUnimodular:
         image, det = MapChain([phi]).jacobian_det(pts)
         assert np.all(det == 1.0)
         assert np.array_equal(image, phi.apply(pts))
-        assert np.all(grid_jacobian_det(phi, 5, 0.05)[1] == 1.0)
+        assert np.all(grid_walk(phi, 5, 0.05, 1.0)[2] == 1.0)
 
     def test_inverse_refuses_a_non_unimodular_matrix(self):
         with pytest.raises(ValueError):
@@ -558,8 +557,8 @@ class TestSmoothGrids:
 
 
 class TestGridWitness:
-    """`grid_image` and `grid_jacobian_det` read at theta_grid + i shift
-    what `apply` and `jacobian_det` give there point by point."""
+    """`grid_walk` reads at theta_grid + i shift what `apply` and
+    `jacobian_det` give there point by point."""
 
     @staticmethod
     def chain(kind, n):
@@ -570,14 +569,18 @@ class TestGridWitness:
                           for _ in range(n)])
             for _ in range(2))
         translation = TorusMapLift.translation(n, rng.uniform(-1.0, 1.0, n))
+        shear = shear_lift(n)
+        # the normal-form shape: an affine stage after non-affine ones
+        unshear = TorusMapLift(unimodular_inverse(shear.D), shear.parts)
         return {"lift": first,
-                "skew": TorusMapLift(shear_lift(n).D, first.parts),
-                "shear": MapChain([shear_lift(n), first, second]),
+                "skew": TorusMapLift(shear.D, first.parts),
+                "shear": MapChain([shear, first, second]),
                 "translation": MapChain([translation, first, second]),
-                "affine": MapChain([shear_lift(n), translation])}[kind]
+                "affine": MapChain([shear, translation]),
+                "unshear": MapChain([shear, first, second, unshear])}[kind]
 
     @pytest.mark.parametrize(
-        "kind", ["lift", "skew", "shear", "translation", "affine"])
+        "kind", ["lift", "skew", "shear", "translation", "affine", "unshear"])
     @pytest.mark.parametrize("shift", [0.0, -0.5 / 8.0, 0.5 / 8.0])
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_pointwise_evaluation(self, n, shift, kind):
@@ -589,8 +592,16 @@ class TestGridWitness:
             _, det = chain.jacobian_det(pts)
             if kind != "affine":
                 assert np.ptp(np.abs(det)) > 1e-3
-            moved = grid_image(phi, M, shift)
+            D, U, none = grid_walk(phi, M, shift, None)
+            assert none is None and np.array_equal(D, chain.D)
+            if kind == "unshear":
+                assert np.array_equal(D, np.eye(n, dtype=int))
+            U = np.stack([u.reshape(-1) for u in U], -1)
+            moved = theta_grid(n, M) @ D.T + U
             assert np.max(np.abs(moved - chain.apply(pts))) < 1e-13
-            image, grid_det = grid_jacobian_det(phi, M, shift)
-            assert np.array_equal(image, moved)
-            assert np.max(np.abs(grid_det - det)) < 1e-13
+            D_det, U_det, grid_det = grid_walk(phi, M, shift, 1.0)
+            assert np.array_equal(D_det, D)
+            assert np.array_equal(
+                np.stack([u.reshape(-1) for u in U_det], -1), U)
+            assert grid_det.shape == (M,) * n
+            assert np.max(np.abs(grid_det.reshape(-1) - det)) < 1e-13

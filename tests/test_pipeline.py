@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import mpmath
@@ -432,6 +433,17 @@ class TestNormalizeEmbedding:
             normalize_embedding(emb2)
         assert err.value.trace
 
+    def test_refuses_a_phase_witness_above_tolerance(self, monkeypatch):
+        emb, _ = seeded_embedding(1e-3)
+        normalize = pipeline.fibering_normalize
+
+        def off(phase, r0):
+            return dataclasses.replace(normalize(phase, r0), residual=1e-6)
+
+        monkeypatch.setattr(pipeline, "fibering_normalize", off)
+        with pytest.raises(NumericalFailure, match="phase normalization"):
+            normalize_embedding(emb)
+
     def test_ambient_translation_is_standard(self):
         # z_1 + 0.4 is the standard torus moved by an ambient translation,
         # a unimodular map, so its invariants are those of the standard torus
@@ -492,13 +504,14 @@ class TestWitnessGrids:
     def test_each_witness_walks_its_chain_once(self, monkeypatch):
         _, emb = self.reparametrized()
         walks = []
-        head = flows._grid_head
+        walk = flows.grid_walk
 
-        def counting(phi, M, shift):
+        def counting(phi, M, shift, det):
             walks.append(M)
-            return head(phi, M, shift)
+            return walk(phi, M, shift, det)
 
-        monkeypatch.setattr(flows, "_grid_head", counting)
+        for mod in (flows, fibering, pipeline):
+            monkeypatch.setattr(mod, "grid_walk", counting)
         assert len(normalize_embedding(emb).chain.stages) > 5
         # the round trip of invert_map, then the fibering and the normal-form
         # witnesses, which read image and determinant from one walk each
