@@ -5,7 +5,7 @@ lift theta -> f(e^{i theta}).  The turning number is read off the winding of
 the derivative; "non-critical" means the derivative's phase is itself an
 immersion of the circle (strict local convexity).  The generating curve of a
 normal form must be a non-critical embedding, which `embedding_check`
-decides from the turning number and cross-checks on a grid.
+decides from the turning number.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .series import PeriodicSeries
 DEFAULT_GRID = 4096  # samples per turn of the velocity and phase checks
 IMMERSION_TOL = 1e-9
 NONCRITICAL_TOL = 1e-6  # margin of the phase derivative from zero
-EMBED_GRID = 512
-SEPARATION_FRACTION = 0.02  # of a turn, between compared embedding samples
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,34 +91,17 @@ def noncritical_phase(curve):
 class EmbeddingCheck:
     is_embedding: bool
     self_intersection_index: int
-    min_separated_gap: float
-    grid_injective: bool
 
 
 def embedding_check(curve):
-    """Embeddedness by turning number, cross-checked by grid injectivity.
+    """Embeddedness by turning number.
 
     A non-critical immersion is an embedding exactly when its turning
-    number is +-1; the index d - sign(d) counts signed double points.  The
-    grid check reports the smallest distance between images of parameters
-    separated by at least SEPARATION_FRACTION of a turn.
+    number is +-1; the index d - sign(d) counts signed double points.
     """
-    mu_prime, flag = noncritical_phase(curve)
+    _, flag = noncritical_phase(curve)
     if not flag:
         raise HypothesisViolation(
             "(noncritical)", "embedding criterion needs a non-critical curve")
     d = gauss_degree(curve)
-    index = d - int(np.sign(d))
-    is_embedding = abs(d) == 1
-
-    M = EMBED_GRID
-    pos = curve.series.eval_real_grid(M)
-    sep = max(2, int(np.ceil(SEPARATION_FRACTION * M)))
-    diff = np.abs(pos[None, :] - pos[:, None])
-    idx = np.arange(M)
-    ring = np.minimum(np.abs(idx[None, :] - idx[:, None]),
-                      M - np.abs(idx[None, :] - idx[:, None]))
-    gaps = diff[ring >= sep]
-    min_gap = float(np.min(gaps))
-    gap_tol = 1e-6 * float(np.max(np.abs(pos - pos.mean())))
-    return EmbeddingCheck(is_embedding, index, min_gap, bool(min_gap > gap_tol))
+    return EmbeddingCheck(abs(d) == 1, d - int(np.sign(d)))

@@ -25,22 +25,21 @@ of an angle near 2 pi, while a map that is round-off (the inverse of an
 identity up to rounding, say) keeps only the few coefficients that carry its
 mass.
 
-Witnesses read the grid by FFT.  A residual witness samples a uniform grid
-theta_grid(n, M) + i shift through `grid_walk`, which returns the image of
-a lift or MapChain as D theta + U, U one grid per component, with its
-Jacobian determinant when one is wanted.  The leading affine stages (parts
-constant) and the first stage with a non-constant part go through
-`_apply_on_grid` at the scalar displacement i shift, as `compose_maps`
-does at 0: an affine stage costs no grid work and its determinant is
-det D, and a non-affine one reads its first derivatives there.  Only the
-later stages see scattered image points, and only they go through
-`MapChain.apply` / `jacobian_det` and `eval_many`, which takes a stage's
-image and Jacobian from one call and contracts each series only over the
-axes it depends on; `jacobian_det` evaluates no affine stage.  Every
-determinant goes to `stacked_det` entry by entry; on the grid a constant
-entry is a scalar, and no (M^n, n, n) stack is built.  A series read at the
-image, as the density or the phase in the normal-form and fibering
-witnesses, goes through the grid kernel at the returned (D, U).
+One loop, `_walk`, applies a chain of lifts, with its Jacobian determinant
+when one is wanted.  An affine stage (parts constant) adds its constants
+and multiplies the determinant by det D, with nothing read.  A non-affine
+stage reads its parts, and its n^2 first derivatives for a determinant,
+through a reader: on the grid `taylor_on_grid` at the current (D, U), at
+scattered points `eval_many` at the points U carries whole (D = 0).  Every
+determinant goes to `stacked_det` entry by entry, a constant entry as a
+scalar, so no (m, n, n) stack is built.  A residual witness samples
+theta_grid(n, M) + i shift through `grid_walk`, which returns the image
+as D theta + U, U one grid per component.  Its leading affine stages and
+first non-affine stage are walked on the grid; the later stages see
+scattered image points, through `MapChain.apply` / `jacobian_det`.  A
+series read at the image, as the density or the phase in the normal-form
+and fibering witnesses, goes through the grid kernel at the returned
+(D, U).
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -193,47 +193,54 @@ def taylor_on_grid(series_list, D, U, M):
         f"Taylor composition not below {TERM_TOL:.0e} after {MAX_TERMS} orders")
 
 
-def _apply_on_grid(stages, M, U, det):
-    """The lifts `stages`, first-applied first, applied to theta + U(theta)
-    on the M^n grid, as D theta + W(theta): returns D, the displacement W,
-    one (M,)*n grid per component, and det times the Jacobian determinant
-    of the stages (None when det is None).  U holds a grid or a scalar per
-    component, as in `taylor_on_grid`.  An affine stage reads no grid, so a
-    scalar stays scalar through it, and its determinant is det s.D; a zero
-    entry of a stage's D adds no term, and only the returned W is broadcast
-    to grids."""
-    n = stages[0].n
-    D = np.eye(n, dtype=int)
+def _walk(stages, read, D, U, det):
+    """The lifts `stages`, first-applied first, applied to D theta + U, as
+    (D, U, det): the new D and U, and det times the Jacobian determinant of
+    the stages (None when det is None).
+
+    Each stage maps U to s.D U + f, a zero of s.D adding no term and a one
+    no product.  An affine stage reads nothing: f is its constants, so a
+    scalar entry of U stays scalar, and det is multiplied by det s.D.  Any
+    other stage makes one call read(series, D, U) for the values of its
+    parts at D theta + U, and of their n^2 first derivatives when det is
+    wanted; a derivative that is constant goes to `stacked_det` as the
+    scalar s.D_jl + its value, so that the zeros add no term.  On the grid
+    the reader is `taylor_on_grid` with D = I at the start; at scattered
+    points it is `_read_points`, the points carried whole in U with D = 0.
+    """
+    n = len(U)
     for s in stages:
         if _is_affine(s):
             f = [p.mean() for p in s.parts]
             if det is not None:
                 det = det * round(np.linalg.det(s.D))
         else:
+            grads = () if det is None else tuple(
+                p.derivative(l) for p in s.parts for l in range(n))
+            vals = read(s.parts + grads, D, U)
+            f = vals[:n]
             if det is not None:
-                det = det * _stage_det(s, D, U, M)
-            f = taylor_on_grid(s.parts, D, U, M)
-        U = [sum(s.D[j, l] * U[l] for l in range(n) if s.D[j, l]) + f[j]
-             for j in range(n)]
+                jac = [v if g.dependent_axes() else g.mean()
+                       for g, v in zip(grads, vals[n:])]
+                det = det * stacked_det([[s.D[j, l] + jac[n * j + l]
+                                          for l in range(n)]
+                                         for j in range(n)])
+        U = [functools.reduce(operator.add, [u if d == 1 else d * u
+                                             for d, u in zip(row, U) if d])
+             + f_j for row, f_j in zip(s.D, f)]
         D = s.D @ D
-    return D, [np.broadcast_to(u, (M,) * n) for u in U], det
+    return D, U, det
 
 
-def _stage_det(stage, D, U, M):
-    """det(stage.D + grad f) at D theta + U on the M^n grid, entry by entry:
-    a derivative that varies is read by `taylor_on_grid`, and a constant one
-    is the scalar D_jl + its value, so that `stacked_det` skips its zeros."""
-    n = stage.n
-    grads = [p.derivative(l) for p in stage.parts for l in range(n)]
-    vals = [v if g.dependent_axes() else g.mean()
-            for g, v in zip(grads, taylor_on_grid(grads, D, U, M))]
-    return stacked_det([[stage.D[j, l] + vals[n * j + l] for l in range(n)]
-                        for j in range(n)])
+def _read_points(series_list, D, U):
+    """The scattered-point reader of `_walk`: the series at the points whose
+    coordinates U carries whole, by `eval_many`; D is 0 and not read."""
+    return eval_many(series_list, np.stack(U, axis=-1))
 
 
-def _lift_from_grid(D, disp, N_out, real):
-    """The lift D theta + f(theta), f re-expanded at N_out from the grids
-    `disp`, one per component.
+def _lift_from_grid(D, disp, M, N_out, real):
+    """The lift D theta + f(theta), f re-expanded at N_out from `disp`, one
+    (M,)*n grid per component, or a scalar for a constant one.
 
     Each part is tail-chopped: its smallest coefficients are zeroed while
     their summed modulus stays at or below CHOP_FLOOR, so the part moves by
@@ -241,8 +248,8 @@ def _lift_from_grid(D, disp, N_out, real):
     its `trunc_mass` next to the aliasing mass of the re-expansion.
     """
     return TorusMapLift(
-        D, [series_from_real_grid(g, N_out, real=real).chop_tail()
-            for g in disp])
+        D, [series_from_real_grid(np.broadcast_to(g, (M,) * len(disp)), N_out,
+                                  real=real).chop_tail() for g in disp])
 
 
 class TorusMapLift:
@@ -287,30 +294,8 @@ class TorusMapLift:
     def real(self):
         return all(p.real for p in self.parts)
 
-    def has_identity_integer_part(self):
-        return bool(np.array_equal(self.D, np.eye(self.n, dtype=int)))
-
     def part_norm(self, r):
         return max(p.coeff_norm(r) for p in self.parts)
-
-    def apply(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        out = pts @ self.D.T.astype(float)
-        out += eval_many(self.parts, pts).T
-        return out
-
-    def _image_and_jacobian(self, pts):
-        """The image and the Jacobian at each point, from one `eval_many`
-        call over the parts and their n^2 first derivatives."""
-        pts = np.asarray(pts, dtype=complex)
-        n = self.n
-        grads = [p.derivative(l) for p in self.parts for l in range(n)]
-        vals = eval_many(self.parts + tuple(grads), pts)
-        image = pts @ self.D.T.astype(float)
-        image += vals[:n].T
-        jac = vals[n:].T.reshape(-1, n, n)   # vals is not read again
-        jac += self.D
-        return image, jac
 
     def pullback(self, h, N_out):
         """h composed with this lift by the grid kernel, re-expanded at N_out.
@@ -384,7 +369,7 @@ def flow(v, t, r1, delta, N_out, line_integrand=None):
     integral = None if line_integrand is None else series_from_real_grid(
         sums[v.n], N_out, real=v.real and line_integrand.real)
     return FlowResult(
-        _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], N_out, v.real),
+        _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], M, N_out, v.real),
         float(t), k, defect, integral)
 
 
@@ -397,9 +382,10 @@ def compose_maps(*maps, N_out):
     at the degree bound N_out.
     """
     chain = MapChain(maps[::-1])
-    M = grid_size(N_out, chain.N)
-    D, disp, _ = _apply_on_grid(chain.stages, M, [0.0] * chain.n, None)
-    return _lift_from_grid(D, disp, N_out, chain.real)
+    n, M = chain.n, grid_size(N_out, chain.N)
+    D, U, _ = _walk(chain.stages, functools.partial(taylor_on_grid, M=M),
+                    np.eye(n, dtype=int), [0.0] * n, None)
+    return _lift_from_grid(D, U, M, N_out, chain.real)
 
 
 class MapChain:
@@ -407,9 +393,11 @@ class MapChain:
 
     Evaluating through the stages avoids the re-expansion error of collapsing
     the chain into a single truncated lift.  A chain has the lift-shaped
-    members `D`, `N`, `real`, `has_identity_integer_part` and `part_norm`,
-    so `invert_map` inverts it without collapsing it first; `to_single`
-    collapses it in one pass when a serializable map is wanted.
+    members `D`, `N`, `real` and `part_norm`, so `invert_map` inverts it
+    without collapsing it first; `to_single` collapses it in one pass when a
+    serializable map is wanted.  `apply` and `jacobian_det` read it at
+    scattered points, by `_walk` with the point reader; wrap a single lift
+    as MapChain([lift]) to read it there.
     """
 
     __slots__ = ("stages",)
@@ -442,38 +430,21 @@ class MapChain:
             D = s.D @ D
         return D
 
-    def has_identity_integer_part(self):
-        return bool(np.array_equal(self.D, np.eye(self.n, dtype=int)))
-
     def part_norm(self, r):
         """Sum of the stage part norms: what `invert_map` gates for a chain."""
         return sum(s.part_norm(r) for s in self.stages)
 
     def apply(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        for s in self.stages:
-            pts = s.apply(pts)
-        return pts
+        """The chain at each of the (m, n) points."""
+        return np.stack(_walk(self.stages, _read_points, *_points(pts),
+                              None)[1], axis=-1)
 
     def jacobian_det(self, pts):
-        """(image, det): the chain at each point and the determinant of its
-        Jacobian there (chain rule), from one pass through the stages.
-
-        An affine stage (see `_is_affine`) is not evaluated: its image is
-        D pts + c and its Jacobian the constant D.  Any other stage takes
-        image and Jacobian from one `eval_many` call, and the determinant
-        is read from the column views of that Jacobian stack."""
-        pts = np.asarray(pts, dtype=complex)
-        det = np.ones(pts.shape[0], dtype=complex)
-        for s in self.stages:
-            if _is_affine(s):
-                pts = pts @ s.D.T.astype(float) + [p.mean() for p in s.parts]
-                det = det * round(np.linalg.det(s.D))
-            else:
-                pts, jac = s._image_and_jacobian(pts)
-                det = det * stacked_det([[jac[:, j, l] for l in range(s.n)]
-                                         for j in range(s.n)])
-        return pts, det
+        """(image, det): the chain at each of the (m, n) points and the
+        determinant of its Jacobian there, from one `_walk` of the stages."""
+        _, U, det = _walk(self.stages, _read_points, *_points(pts),
+                          np.ones(len(pts), dtype=complex))
+        return np.stack(U, axis=-1), det
 
     def to_single(self, N_out):
         """The chain collapsed by `compose_maps` into one lift of degree N_out.
@@ -485,9 +456,21 @@ class MapChain:
         return compose_maps(*self.stages[::-1], N_out=N_out)
 
 
+def _points(pts):
+    """(D, U) that start `_walk` at the (m, n) points: D = 0, and U the
+    point coordinates, one (m,) array per component."""
+    pts = np.asarray(pts, dtype=complex)
+    return np.zeros((pts.shape[1],) * 2, dtype=int), list(pts.T)
+
+
 def _is_affine(stage):
     """Whether every part of the lift is constant: theta -> D theta + c."""
     return not any(p.dependent_axes() for p in stage.parts)
+
+
+def has_identity_integer_part(phi):
+    """Whether a lift or MapChain has integer part I: a near-identity map."""
+    return bool(np.array_equal(phi.D, np.eye(phi.n, dtype=int)))
 
 
 def grid_walk(phi, M, shift, det):
@@ -496,15 +479,17 @@ def grid_walk(phi, M, shift, det):
     times det D phi there, an (M,)*n grid (None when det is None).
 
     The leading affine stages and the first stage with a non-constant part
-    go through `_apply_on_grid` at the scalar displacement i shift, so they
-    are read on the grid by FFT.  The later stages see scattered points and
-    go through `MapChain.apply`, or `MapChain.jacobian_det` when a
-    determinant is wanted; U is then the image less theta D^T.
+    are walked on the grid (`_walk` with `taylor_on_grid`) from the scalar
+    displacement i shift, so they are read by FFT.  The later stages see
+    scattered points and go through `MapChain.apply`, or
+    `MapChain.jacobian_det` when a determinant is wanted; U is then the
+    image less theta D^T.
     """
     stages = phi.stages if isinstance(phi, MapChain) else (phi,)
     n = stages[0].n
     head = 1 + sum(1 for _ in itertools.takewhile(_is_affine, stages))
-    D, U, det = _apply_on_grid(stages[:head], M, [1j * shift] * n, det)
+    D, U, det = _walk(stages[:head], functools.partial(taylor_on_grid, M=M),
+                      np.eye(n, dtype=int), [1j * shift] * n, det)
     if head < len(stages):
         rest = MapChain(stages[head:])
         pts = theta_grid(n, M) @ D.T.astype(float) + 0j
@@ -519,7 +504,8 @@ def grid_walk(phi, M, shift, det):
         D = rest.D @ D
         pts -= theta_grid(n, M) @ D.T
         U = list(np.moveaxis(pts.reshape((M,) * n + (n,)), -1, 0))
-    return D, U, None if det is None else np.broadcast_to(det, (M,) * n)
+    return (D, [np.broadcast_to(u, (M,) * n) for u in U],
+            None if det is None else np.broadcast_to(det, (M,) * n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -543,11 +529,10 @@ def invert_map(phi, r, N_out):
     witness sup |phi(phi^{-1}(theta)) - theta| on a second grid, of
     witness_grid_size(N_out, phi.N) + 1 points per axis: finer than the
     compute grid, so that it checks the inverse between the points it was
-    computed on.  `grid_walk` reads phi^{-1} there by FFT and phi at the
-    scattered image points by `eval_many`; the round trip has D = I, so
-    the residual is sup |U|.
+    computed on, by `grid_walk` of the round trip; it has D = I, so the
+    residual is sup |U|.
     """
-    if not phi.has_identity_integer_part():
+    if not has_identity_integer_part(phi):
         raise ValueError("invert_map requires an identity integer part")
     n = phi.n
     f_norm = phi.part_norm(r)
@@ -556,10 +541,11 @@ def invert_map(phi, r, N_out):
             "(nf)", f"||f||_r = {f_norm:.3e} exceeds r/(4n) = {r / (4 * n):.3e}")
     stages = phi.stages if isinstance(phi, MapChain) else (phi,)
     M = grid_size(N_out, phi.N)
+    read = functools.partial(taylor_on_grid, M=M)
     U = [0.0] * n
     prev_delta = np.inf
     for its in range(1, INVERT_MAX_ITER + 1):
-        _, W, _ = _apply_on_grid(stages, M, U, None)
+        _, W, _ = _walk(stages, read, np.eye(n, dtype=int), U, None)
         U = [u - w for u, w in zip(U, W)]
         delta = _sup(W)
         if delta <= INVERT_TOL:
@@ -573,7 +559,7 @@ def invert_map(phi, r, N_out):
         raise NumericalFailure(
             f"fixed-point iteration did not reach {INVERT_TOL:.1e} "
             f"in {INVERT_MAX_ITER} steps")
-    inv = _lift_from_grid(np.eye(n, dtype=int), U, N_out, phi.real)
+    inv = _lift_from_grid(np.eye(n, dtype=int), U, M, N_out, phi.real)
     M_w = witness_grid_size(N_out, phi.N) + 1
     residual = _sup(grid_walk(MapChain((inv,) + stages), M_w, 0.0, None)[1])
     return MapInverse(inv, residual, its)

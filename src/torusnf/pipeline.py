@@ -192,11 +192,9 @@ def normalize_embedding(emb):
     included.  Both residual witnesses, of the phase iteration and of the
     normal form, sample VERIFY_GRID points per axis and take the
     displacement U and the determinant from one `grid_walk` of their stage
-    chain.  The normal-form one reads the shear and the first non-affine
-    stage (a fibering stage, or the inverse volume map) on that grid by FFT,
-    and the density at the displaced grid by the grid kernel.  The later
-    non-affine stages are read at the scattered image points by
-    `eval_many`; the closing unshear is affine and is not evaluated.
+    chain, and read the density or phase at the displaced grid by the grid
+    kernel.  In the normal-form chain the shear and the closing unshear are
+    affine and read nothing.
     Raises NumericalFailure when the phase iteration exhausts its schedule.
     """
     n = emb.n

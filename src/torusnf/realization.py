@@ -28,6 +28,7 @@ from .flows import (
     TorusMapLift,
     flow,
     grid_walk,
+    has_identity_integer_part,
     invert_map,
 )
 from .series import (
@@ -137,7 +138,7 @@ class AnnulusMap:
 
     @classmethod
     def from_torus_lift(cls, lift):
-        if not lift.has_identity_integer_part():
+        if not has_identity_integer_part(lift):
             raise ValueError("only near-identity lifts define annulus maps")
         return cls(tuple(AnnulusFunction(1j * p) for p in lift.parts))
 
@@ -202,11 +203,10 @@ def realize_form(a, r0):
     inside the half-width strip of r0/2 where the inversion gate (nf) is
     taken.  Entry hypothesis: the all-(-1) monomial of `a` vanishes.
 
-    `grid_walk` reads the inverse by FFT on each shell grid and the stage
-    chain at the scattered image points by `eval_many`; the round trip has
-    D = I, so its defect on the shell Im theta = s is sup |U - i s|.  The
-    density check reads phi, its Jacobian and `a` on its own uniform grid,
-    all by FFT.
+    Each shell is read by `grid_walk` of the round trip; it has D = I, so
+    its defect on the shell Im theta = s is sup |U - i s|.  The density
+    check reads phi, its Jacobian and `a` on its own uniform grid, all by
+    FFT.
     """
     a0 = AnnulusFunction(a)
     n = a0.n

@@ -74,13 +74,11 @@ class TestEmbeddingCheck:
     def test_circle(self):
         chk = embedding_check(circle())
         assert chk.is_embedding and chk.self_intersection_index == 0
-        assert chk.grid_injective
 
     def test_doubled_circle(self):
         chk = embedding_check(doubled_circle())
         assert not chk.is_embedding
         assert chk.self_intersection_index == 1
-        assert not chk.grid_injective
 
     def test_perturbed_circle(self):
         rng = np.random.default_rng(71)
@@ -90,7 +88,6 @@ class TestEmbeddingCheck:
                            + PeriodicSeries.from_terms(1, 4, pert, real=False))
         chk = embedding_check(f)
         assert chk.is_embedding and chk.self_intersection_index == 0
-        assert chk.grid_injective
 
     def test_gauss_map_injectivity_for_unit_turning(self):
         # for |d| = 1 the normalized velocity visits each direction once

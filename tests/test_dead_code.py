@@ -1,8 +1,9 @@
 """Every public function of the package has a caller outside the tests,
 every private one is referenced outside its own body, every name imported
 from the package is used, every default is both taken and overridden by
-production code, the number of settable values does not grow, and no
-`np.linalg` result is truncated to integers.
+production code, the number of settable values does not grow, no
+`np.linalg` result is truncated to integers, and outside `series` one
+function, the point reader in `flows`, references `eval_many`.
 
 The scan parses `src/torusnf` and the benchmark under `perfbench/` with
 `ast` and collects every name they reference: plain names, attribute names
@@ -161,6 +162,26 @@ def test_every_default_has_two_production_configurations():
             if not (left_out and passed):
                 one_way.append(f"{path.stem}.{name}({param})")
     assert one_way == []
+
+
+def test_eval_many_has_one_reader_in_flows():
+    """Scattered points are read in one place: outside `series`, the only
+    function that references `eval_many` is the point reader of the stage
+    walk, so retiring scattered evaluation is a change at one site."""
+    readers, loose = [], []
+    for path in SOURCES:
+        if path.stem == "series":
+            continue
+        tree = ast.parse(path.read_text())
+        found = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and referenced_names(node)["eval_many"]]
+        readers += [f"{path.stem}.{node.name}" for node in found]
+        if referenced_names(tree)["eval_many"] != sum(
+                referenced_names(node)["eval_many"] for node in found):
+            loose.append(path.stem)
+    assert readers == ["flows._read_points"]
+    assert loose == []
 
 
 def is_linalg_call(node):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ class TestFlow:
         fr = flow(v, 1.0, 0.5, 0.2, N_out=16)
         pts = rng.uniform(0, 2 * np.pi, size=(40, 2))
         end, _ = rk4_oracle(v, pts, 1.0)
-        assert np.max(np.abs(fr.map.apply(pts) - end)) < 1e-10
+        assert np.max(np.abs(MapChain([fr.map]).apply(pts) - end)) < 1e-10
 
     def test_matches_rk4_oracle_complex_field_with_integral(self):
         rng = np.random.default_rng(31)
@@ -94,7 +96,7 @@ class TestFlow:
         fr = flow(v, -1.0, 0.5, 0.2, N_out=16, line_integrand=g)
         pts = rng.uniform(0, 2 * np.pi, size=(40, 2))
         end, integral = rk4_oracle(v, pts, -1.0, g=g)
-        assert np.max(np.abs(fr.map.apply(pts) - end)) < 1e-10
+        assert np.max(np.abs(MapChain([fr.map]).apply(pts) - end)) < 1e-10
         assert np.max(np.abs(eval_points(fr.integral, pts) - integral)) < 1e-10
 
     def test_zero_field_gives_identity(self):
@@ -153,7 +155,8 @@ class TestFlow:
         b = flow(v, 0.5, 0.5, 0.2, N_out=12).map
         c = flow(v, 0.9, 0.5, 0.2, N_out=12).map
         pts = theta_grid(2, 9)
-        assert np.max(np.abs(a.apply(b.apply(pts)) - c.apply(pts))) < 1e-9
+        assert np.max(np.abs(MapChain([b, a]).apply(pts)
+                             - MapChain([c]).apply(pts))) < 1e-9
 
 
 class TestDivergence:
@@ -197,7 +200,7 @@ class TestLogDet:
         t, r1, delta = 1.0, 0.5, 0.3
         fr = flow(v, t, r1, delta, N_out=3, line_integrand=v.divergence())
         pts = theta_grid(2, 7)
-        fd = finite_difference_jacobian_det(fr.map.apply, pts)
+        fd = finite_difference_jacobian_det(MapChain([fr.map]).apply, pts)
         ld = eval_points(fr.integral, pts)
         assert np.max(np.abs(np.log(fd) - ld)) < 1e-6
 
@@ -206,7 +209,7 @@ class TestLogDet:
         v = stream_field(rng, N=2, norm=5e-3)
         fr = flow(v, -1.0, 0.5, 0.2, N_out=12)
         pts = theta_grid(2, 8)
-        fd = finite_difference_jacobian_det(fr.map.apply, pts)
+        fd = finite_difference_jacobian_det(MapChain([fr.map]).apply, pts)
         assert np.max(np.abs(fd - 1.0)) < 1e-8
 
 
@@ -216,7 +219,8 @@ class TestMapAlgebra:
         phi = flow(stream_field(rng), 1.0, 0.5, 0.2, N_out=4).map
         out = compose_maps(phi, TorusMapLift.identity(2), N_out=phi.N)
         pts = theta_grid(2, 9)
-        assert np.max(np.abs(out.apply(pts) - phi.apply(pts))) < 1e-12
+        assert np.max(np.abs(MapChain([out]).apply(pts)
+                             - MapChain([phi]).apply(pts))) < 1e-12
 
     def test_integer_shear_round_trip(self):
         A = np.array([[1, 1], [0, 1]])
@@ -237,8 +241,10 @@ class TestMapAlgebra:
         right = compose_maps(a, compose_maps(b, c, N_out=10), N_out=10)
         flat = compose_maps(a, b, c, N_out=10)
         pts = theta_grid(2, 9)
-        assert np.max(np.abs(left.apply(pts) - right.apply(pts))) < 1e-10
-        assert np.max(np.abs(flat.apply(pts) - right.apply(pts))) < 1e-10
+        assert np.max(np.abs(MapChain([left]).apply(pts)
+                             - MapChain([right]).apply(pts))) < 1e-10
+        assert np.max(np.abs(MapChain([flat]).apply(pts)
+                             - MapChain([right]).apply(pts))) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_normalizer_shaped_chain_matches_stage_by_stage(self, n):
@@ -256,7 +262,8 @@ class TestMapAlgebra:
         single = compose_maps(unshear, lift, translation, shear, N_out=6)
         assert np.array_equal(single.D, np.eye(n, dtype=int))
         pts = rng.uniform(0, 2 * np.pi, size=(40, n)) + 0.05j
-        assert np.max(np.abs(single.apply(pts) - chain.apply(pts))) < 1e-13
+        assert np.max(np.abs(MapChain([single]).apply(pts)
+                             - chain.apply(pts))) < 1e-13
 
     def test_pullback_matches_pointwise(self):
         rng = np.random.default_rng(22)
@@ -267,7 +274,7 @@ class TestMapAlgebra:
         for lift, N_out in ((phi, 16), (sheared, 24)):
             comp = lift.pullback(h, N_out=N_out)
             lhs = eval_points(comp, pts)
-            rhs = eval_points(h, lift.apply(pts))
+            rhs = eval_points(h, MapChain([lift]).apply(pts))
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_pullback_refuses_coarse_degree(self):
@@ -302,7 +309,8 @@ class TestInverse:
             inv = invert_map(phi, 0.5, N_out=10)
             assert inv.residual < 1e-10
             pts = theta_grid(2, 9)
-            assert np.max(np.abs(inv.map.apply(phi.apply(pts)) - pts)) < 1e-9
+            round_trip = MapChain([phi, inv.map]).apply(pts)
+            assert np.max(np.abs(round_trip - pts)) < 1e-9
 
     def test_hypothesis_nf_checked(self):
         phi = TorusMapLift.translation(2, [0.4, 0.0])
@@ -318,7 +326,7 @@ class TestInverse:
         inv = invert_map(ab, 0.5, N_out=10)
         out = compose_maps(ab, inv.map, N_out=10)
         pts = theta_grid(2, 9)
-        assert np.max(np.abs(out.apply(pts) - pts)) < 1e-9
+        assert np.max(np.abs(MapChain([out]).apply(pts) - pts)) < 1e-9
 
     def test_chain_round_trip(self):
         rng = np.random.default_rng(28)
@@ -327,7 +335,8 @@ class TestInverse:
         chain = MapChain([b, a])
         inv = invert_map(chain, 0.5, N_out=10)
         pts = theta_grid(2, 9)
-        assert np.max(np.abs(chain.apply(inv.map.apply(pts)) - pts)) < 1e-9
+        assert np.max(np.abs(MapChain((inv.map,) + chain.stages).apply(pts)
+                             - pts)) < 1e-9
 
     def test_chain_nf_gate_sums_stages(self):
         # each stage alone passes ||f||_r <= r/(4n) = 0.0625, the chain does not
@@ -386,8 +395,28 @@ class TestStageJacobian:
         assert calls == [3 + 9] * 2   # the flow and the shear only
         assert np.array_equal(image, chain.apply(pts))
         _, inner = MapChain(chain.stages[1:3]).jacobian_det(
-            chain.stages[0].apply(pts))
+            MapChain(chain.stages[:1]).apply(pts))
         assert np.array_equal(det, inner)
+
+    def test_constant_entries_reach_stacked_det_as_scalars(self, monkeypatch):
+        # the flow's third part and the shear's last two parts are
+        # constant, and so is the bump's derivative along axes 1 and 2
+        chain = self.three_angle_chain()
+        pts = theta_grid(3, 4) + 0.05j
+        seen = []
+
+        def recording(rows):
+            seen.append([[np.ndim(e) == 0 for e in row] for row in rows])
+            return torusnf.series.stacked_det(rows)
+
+        monkeypatch.setattr(torusnf.flows, "stacked_det", recording)
+        _, det = chain.jacobian_det(pts)
+        want = [[[not p.derivative(l).dependent_axes() for l in range(3)]
+                 for p in s.parts] for s in chain.stages[1:]]
+        assert seen == want
+        assert want[0][2] == [True] * 3 and want[1][0] == [False, True, True]
+        fd = finite_difference_jacobian_det(chain.apply, pts)
+        assert np.max(np.abs(det - fd)) < 1e-8
 
 
 class TestTaylorKernel:
@@ -458,9 +487,11 @@ class TestTaylorKernel:
                   TorusMapLift(unimodular_inverse(shear.D), shear.parts)]
         compose_maps(*affine[::-1], N_out=2)
         assert calls == []
-        # nor a grid: the displacement stays a scalar until it is returned
-        _, W, _ = torusnf.flows._apply_on_grid(affine, M, [0.0] * n, None)
-        assert [w.strides for w in W] == [(0,) * n] * n
+        # nor a grid: through affine stages the displacement stays a scalar
+        _, W, _ = torusnf.flows._walk(
+            affine, functools.partial(taylor_on_grid, M=M),
+            np.eye(n, dtype=int), [0.0] * n, None)
+        assert [np.ndim(w) for w in W] == [0] * n
         # with U = 0 a series costs its values alone
         h = random_series(rng, n, self.N)
         taylor_on_grid([h], D, [np.zeros((M,) * n)] * n, M)
@@ -496,7 +527,7 @@ class TestUnimodular:
         pts = theta_grid(n, 5) + 0.05j
         image, det = MapChain([phi]).jacobian_det(pts)
         assert np.all(det == 1.0)
-        assert np.array_equal(image, phi.apply(pts))
+        assert np.array_equal(image, MapChain([phi]).apply(pts))
         assert np.all(grid_walk(phi, 5, 0.05, 1.0)[2] == 1.0)
 
     def test_inverse_refuses_a_non_unimodular_matrix(self):
@@ -523,7 +554,7 @@ class TestGridNative:
         monkeypatch.setattr(torusnf.series, "eval_many", refuse)
         monkeypatch.setattr(torusnf.flows, "eval_many", refuse)
         with pytest.raises(AssertionError):
-            phi.apply(theta_grid(2, 3))
+            MapChain([phi]).apply(theta_grid(2, 3))
         fibering_step(h, 0.5, 1.0 / 16.0)
         realization_step(a, 0.5, 0.05)
         compose_maps(phi, shear, phi, N_out=10)
@@ -547,13 +578,15 @@ class TestSmoothGrids:
         h = random_series(rng, n, 3)
         pts = rng.uniform(0, 2 * np.pi, size=(50, n)) + 0.05j
         comp = phi.pullback(h, N_out=N)
+        moved = MapChain([phi]).apply(pts)
         assert np.max(np.abs(eval_points(comp, pts)
-                             - eval_points(h, phi.apply(pts)))) < 1e-13
+                             - eval_points(h, moved))) < 1e-13
         both = compose_maps(phi, psi, N_out=N)
-        assert np.max(np.abs(both.apply(pts) - phi.apply(psi.apply(pts)))) < 1e-13
+        assert np.max(np.abs(MapChain([both]).apply(pts)
+                             - MapChain([psi, phi]).apply(pts))) < 1e-13
         inv = invert_map(phi, 0.5, N_out=N)
         assert inv.residual < 1e-13
-        assert np.max(np.abs(phi.apply(inv.map.apply(pts)) - pts)) < 1e-13
+        assert np.max(np.abs(MapChain([inv.map, phi]).apply(pts) - pts)) < 1e-13
 
 
 class TestGridWitness:
