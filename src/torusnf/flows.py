@@ -36,10 +36,11 @@ scalar, so no (m, n, n) stack is built.  A residual witness samples
 theta_grid(n, M) + i shift through `grid_walk`, which returns the image
 as D theta + U, U one grid per component.  Its leading affine stages and
 first non-affine stage are walked on the grid; the later stages see
-scattered image points, through `MapChain.apply` / `jacobian_det`.  A
-series read at the image, as the density or the phase in the normal-form
-and fibering witnesses, goes through the grid kernel at the returned
-(D, U).
+scattered image points, through `MapChain.apply` / `jacobian_det`, which
+take and return one coordinate grid per component, so no (M^n, n) array
+of points is built.  A series read at the image, as the density or the
+phase in the normal-form and fibering witnesses, goes through the grid
+kernel at the returned (D, U).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .series import (
     grid_size,
     series_from_real_grid,
     stacked_det,
-    theta_grid,
     translate,
     witness_grid_size,
 )
@@ -234,22 +234,28 @@ def _walk(stages, read, D, U, det):
 
 def _read_points(series_list, D, U):
     """The scattered-point reader of `_walk`: the series at the points whose
-    coordinates U carries whole, by `eval_many`; D is 0 and not read."""
-    return eval_many(series_list, np.stack(U, axis=-1))
+    coordinates U carries whole, one array per component, by `eval_many` on
+    the (m, n) array of the points; D is 0 and not read.  Returns one array
+    of the coordinates' common shape per series."""
+    vals = eval_many(series_list, np.stack([u.reshape(-1) for u in U], -1))
+    return list(vals.reshape((len(series_list),) + U[0].shape))
 
 
-def _lift_from_grid(D, disp, M, N_out, real):
+def _lift_from_grid(D, disp, N_out, real):
     """The lift D theta + f(theta), f re-expanded at N_out from `disp`, one
-    (M,)*n grid per component, or a scalar for a constant one.
+    (M,)*n grid per component, or a scalar for a constant one, which is
+    taken as it is, with no transform (its real part for a real lift).
 
     Each part is tail-chopped: its smallest coefficients are zeroed while
     their summed modulus stays at or below CHOP_FLOOR, so the part moves by
     at most CHOP_FLOOR on the real torus, and the dropped mass is added to
     its `trunc_mass` next to the aliasing mass of the re-expansion.
     """
-    return TorusMapLift(
-        D, [series_from_real_grid(np.broadcast_to(g, (M,) * len(disp)), N_out,
-                                  real=real).chop_tail() for g in disp])
+    n = len(disp)
+    parts = [series_from_real_grid(g, N_out, real=real) if np.ndim(g)
+             else PeriodicSeries.constant(n, N_out, g.real if real else g)
+             .with_real_flag(real) for g in disp]
+    return TorusMapLift(D, [p.chop_tail() for p in parts])
 
 
 class TorusMapLift:
@@ -369,7 +375,7 @@ def flow(v, t, r1, delta, N_out, line_integrand=None):
     integral = None if line_integrand is None else series_from_real_grid(
         sums[v.n], N_out, real=v.real and line_integrand.real)
     return FlowResult(
-        _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], M, N_out, v.real),
+        _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], N_out, v.real),
         float(t), k, defect, integral)
 
 
@@ -385,7 +391,7 @@ def compose_maps(*maps, N_out):
     n, M = chain.n, grid_size(N_out, chain.N)
     D, U, _ = _walk(chain.stages, functools.partial(taylor_on_grid, M=M),
                     np.eye(n, dtype=int), [0.0] * n, None)
-    return _lift_from_grid(D, U, M, N_out, chain.real)
+    return _lift_from_grid(D, U, N_out, chain.real)
 
 
 class MapChain:
@@ -396,8 +402,9 @@ class MapChain:
     members `D`, `N`, `real` and `part_norm`, so `invert_map` inverts it
     without collapsing it first; `to_single` collapses it in one pass when a
     serializable map is wanted.  `apply` and `jacobian_det` read it at
-    scattered points, by `_walk` with the point reader; wrap a single lift
-    as MapChain([lift]) to read it there.
+    scattered points, given as one coordinate array per component, by
+    `_walk` with the point reader; wrap a single lift as MapChain([lift]) to
+    read it there.
     """
 
     __slots__ = ("stages",)
@@ -434,17 +441,20 @@ class MapChain:
         """Sum of the stage part norms: what `invert_map` gates for a chain."""
         return sum(s.part_norm(r) for s in self.stages)
 
-    def apply(self, pts):
-        """The chain at each of the (m, n) points."""
-        return np.stack(_walk(self.stages, _read_points, *_points(pts),
-                              None)[1], axis=-1)
+    def apply(self, coords):
+        """The image of the points whose coordinates `coords` holds, one
+        array per component, as one array per component."""
+        return _walk(self.stages, _read_points,
+                     np.zeros((self.n,) * 2, dtype=int), list(coords), None)[1]
 
-    def jacobian_det(self, pts):
-        """(image, det): the chain at each of the (m, n) points and the
-        determinant of its Jacobian there, from one `_walk` of the stages."""
-        _, U, det = _walk(self.stages, _read_points, *_points(pts),
-                          np.ones(len(pts), dtype=complex))
-        return np.stack(U, axis=-1), det
+    def jacobian_det(self, coords):
+        """(image, det): the image of the points whose coordinates `coords`
+        holds, one array per component, and the determinant of the Jacobian
+        there, from one `_walk` of the stages.  det is a scalar when every
+        stage is affine."""
+        _, U, det = _walk(self.stages, _read_points,
+                          np.zeros((self.n,) * 2, dtype=int), list(coords), 1.0)
+        return U, det
 
     def to_single(self, N_out):
         """The chain collapsed by `compose_maps` into one lift of degree N_out.
@@ -454,13 +464,6 @@ class MapChain:
         if len(self.stages) == 1:
             return self.stages[0]
         return compose_maps(*self.stages[::-1], N_out=N_out)
-
-
-def _points(pts):
-    """(D, U) that start `_walk` at the (m, n) points: D = 0, and U the
-    point coordinates, one (m,) array per component."""
-    pts = np.asarray(pts, dtype=complex)
-    return np.zeros((pts.shape[1],) * 2, dtype=int), list(pts.T)
 
 
 def _is_affine(stage):
@@ -482,8 +485,10 @@ def grid_walk(phi, M, shift, det):
     are walked on the grid (`_walk` with `taylor_on_grid`) from the scalar
     displacement i shift, so they are read by FFT.  The later stages see
     scattered points and go through `MapChain.apply`, or
-    `MapChain.jacobian_det` when a determinant is wanted; U is then the
-    image less theta D^T.
+    `MapChain.jacobian_det` when a determinant is wanted, on the image
+    coordinates D theta + U, one grid per component; U is then the image
+    less D theta.  Each component of D theta is a sum of broadcast aranges,
+    one per axis its row of D holds.
     """
     stages = phi.stages if isinstance(phi, MapChain) else (phi,)
     n = stages[0].n
@@ -492,20 +497,29 @@ def grid_walk(phi, M, shift, det):
                       np.eye(n, dtype=int), [1j * shift] * n, det)
     if head < len(stages):
         rest = MapChain(stages[head:])
-        pts = theta_grid(n, M) @ D.T.astype(float) + 0j
-        for j in range(n):
-            pts.reshape((M,) * n + (n,))[..., j] += U[j]
+        coords = [t + u for t, u in zip(_grid_rows(D, M), U)]
         del U   # freed before the later stages allocate their own
         if det is None:
-            pts = rest.apply(pts)
+            coords = rest.apply(coords)
         else:
-            pts, rest_det = rest.jacobian_det(pts)
-            det = det * rest_det.reshape((M,) * n)
+            coords, rest_det = rest.jacobian_det(coords)
+            det = det * rest_det
         D = rest.D @ D
-        pts -= theta_grid(n, M) @ D.T
-        U = list(np.moveaxis(pts.reshape((M,) * n + (n,)), -1, 0))
+        U = [c - t for c, t in zip(coords, _grid_rows(D, M))]
     return (D, [np.broadcast_to(u, (M,) * n) for u in U],
             None if det is None else np.broadcast_to(det, (M,) * n))
+
+
+def _grid_rows(D, M):
+    """D theta at the points of theta_grid(n, M), one broadcast array per
+    row of D: the sum of the aranges 2 pi m / M of the axes the row holds,
+    each times its entry."""
+    n = D.shape[1]
+    t = 2.0 * np.pi * np.arange(M) / M
+    axes = [t.reshape((M,) + (1,) * (n - 1 - l)) for l in range(n)]
+    return [functools.reduce(operator.add, [a if d == 1 else d * a
+                                            for d, a in zip(row, axes) if d])
+            for row in D]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -559,7 +573,7 @@ def invert_map(phi, r, N_out):
         raise NumericalFailure(
             f"fixed-point iteration did not reach {INVERT_TOL:.1e} "
             f"in {INVERT_MAX_ITER} steps")
-    inv = _lift_from_grid(np.eye(n, dtype=int), U, M, N_out, phi.real)
+    inv = _lift_from_grid(np.eye(n, dtype=int), U, N_out, phi.real)
     M_w = witness_grid_size(N_out, phi.N) + 1
     residual = _sup(grid_walk(MapChain((inv,) + stages), M_w, 0.0, None)[1])
     return MapInverse(inv, residual, its)

@@ -50,6 +50,9 @@ STAGE_TOL = 1e-8
 FIB_DEGREE = 16    # the transported phase is truncated to this degree
 CLOSURE_MAX_ITER = 30  # damped Newton steps of the closure correction
 CLOSURE_TOL = 1e-13    # closure integral at which the correction stops
+# An embedding whose Jacobian determinant reaches MIN_JACOBIAN in modulus on
+# the torus is refused as not totally real.
+MIN_JACOBIAN = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,9 +100,14 @@ def jacobian_density(emb):
     no transform, and the re-expansion is chopped at CHOP_FLOOR with the
     dropped mass recorded.
 
-    The non-vanishing check reads the determinant on the grid of k = n,
-    seven_smooth(2 n (N + 1) + 1): the sampled values when every row varies,
-    and 1 + a read there otherwise, since a coarser grid can miss a zero.
+    The non-vanishing check is settled on the samples when every row varies,
+    as M is then the grid of k = n, M_check = seven_smooth(2 n (N + 1) + 1).
+    Otherwise it is first certified on them: every point of the torus lies
+    within pi/M per axis of a sample, so |1 + a| is at least the sample
+    minimum less (pi/M) sum_l sum_k |k_l| |a_k| everywhere.  Only when that
+    bound is not above MIN_JACOBIAN is 1 + a read on the M_check grid, as a
+    coarser grid can miss a zero; a certificate alone would refuse
+    determinants that vanish nowhere.
     """
     n = emb.n
     rows = [[c.z_derivative(l).series for l in range(n)]
@@ -112,11 +120,22 @@ def jacobian_density(emb):
     det = np.broadcast_to(det, (M ** n,))   # a scalar if no entry varies
     a = series_from_real_grid((det - 1.0).reshape((M,) * n), N_exact)
     M_check = seven_smooth(2 * n * (emb.N + 1) + 1)
-    vals = det if M == M_check else 1.0 + a.eval_real_grid(M_check)
-    if float(np.min(np.abs(vals))) <= 1e-12:
+    low = float(np.min(np.abs(det)))
+    if M < M_check and low - np.pi / M * _slope_mass(a) <= MIN_JACOBIAN:
+        low = float(np.min(np.abs(1.0 + a.eval_real_grid(M_check))))
+    if low <= MIN_JACOBIAN:
         raise NumericalFailure(
             "Jacobian determinant vanishes on the torus grid: not totally real")
     return AnnulusFunction(a.chop(CHOP_FLOOR))
+
+
+def _slope_mass(h):
+    """sum_l sum_k |k_l| |c_k|: a bound on the sum over the axes of the sup
+    of |d h / d theta_l| on the real torus."""
+    k = np.abs(h.k_range())
+    weight = sum(k.reshape([-1 if j == l else 1 for j in range(h.n)])
+                 for l in range(h.n))
+    return float(np.sum(weight * np.abs(h.coeffs)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,22 +284,22 @@ def _normal_form_residual(a, chain, k, rho0, n):
     The shear and the unshear cancel, so Phi theta = theta + U(theta) and
     the common factor e^{i sum theta_j} drops out: the witness compares
     (1 + a(theta + U)) e^{i sum U_j} det D Phi with rho0 e^{i k(sum theta_j)},
-    a read by `taylor_on_grid` at (D, U).
+    a read by `taylor_on_grid` at (D, U).  The right side is exponentiated
+    on the M-point line of k and only then spread over the grid.
     """
     M = VERIFY_GRID
     D, U, det = grid_walk(chain, M, 0.0, 1.0)
     lhs = (1.0 + taylor_on_grid([a.series], D, U, M)[0]) \
         * np.exp(1j * sum(U)) * det
-    rhs = rho0 * np.exp(1j * _on_grid_sums(k, n, M))
+    rhs = _on_grid_sums(rho0 * np.exp(1j * k.eval_real_grid(M)), n)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _on_grid_sums(line, n, M):
-    """A one-angle series at the sums theta_1 + ... + theta_n over
-    theta_grid(n, M), as an (M,)*n grid: its M-point grid values at the
-    index (m_1 + ... + m_n) mod M."""
-    index = _grid_index(np.ones((1, n), dtype=int), M)
-    return np.take(line.eval_real_grid(M), index)
+def _on_grid_sums(line, n):
+    """Values of a function of one angle, given on its M-point grid, at the
+    sums theta_1 + ... + theta_n over theta_grid(n, M), as an (M,)*n grid:
+    the line values at the index (m_1 + ... + m_n) mod M."""
+    return np.take(line, _grid_index(np.ones((1, n), dtype=int), len(line)))
 
 
 def exactness_correct(k):
@@ -413,7 +432,8 @@ def normal_form_embedding(g, n, r0):
     M = 4 * (N_emb + 1)
     s = theta_grid(n, M).sum(axis=1).reshape((M,) * n)
     det = first.z_derivative(0).series.eval_real_grid(M)
-    target = np.exp(-1j * s) * _on_grid_sums(line.derivative(0), n, M)
+    target = np.exp(-1j * s) * _on_grid_sums(
+        line.derivative(0).eval_real_grid(M), n)
     worst = float(np.max(np.abs(det - target)))
     if worst > STAGE_TOL:
         raise NumericalFailure(

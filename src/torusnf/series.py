@@ -9,6 +9,12 @@ The same coefficient block doubles as Laurent data on the annulus
 e^{-r} < |z_j| < e^r through z_j = e^{i theta_j} (Laurent exponent = Fourier
 frequency), which is how the annulus-side modules reuse this engine.
 
+Real data are transformed on half spectra.  A block that is exactly
+Hermitian, c_{-k} = conj c_k bit for bit, is read on a grid through
+`np.fft.irfftn`, and a real re-expansion goes through `np.fft.rfftn` and
+comes back exactly Hermitian, so a real series stays on half spectra from
+one grid to the next.  Complex data take the full complex transforms.
+
 Axes are 0-based throughout the package.  Values are immutable after
 construction: every operation returns a new series, and coefficient arrays
 are marked read-only so instances can be shared freely between threads.
@@ -246,21 +252,32 @@ class PeriodicSeries:
         the grid exp(i k theta) = exp(i k' theta) whenever k = k' (mod M),
         so below the alias-free M = 2N + 1 such coefficients are added into
         one FFT bin; from there on every bin holds one coefficient and is
-        assigned.  No off-grid point is read here; scattered points go
-        through `eval_many`.
+        assigned.  There, a cut block that is exactly Hermitian,
+        c_{-k} = conj c_k bit for bit, has real values, and only its half
+        k_last >= 0 goes through `np.fft.irfftn`; the values still come back
+        complex.  The `real` flag is not read for this, as it holds only to
+        within REAL_TOL.  No off-grid point is read here; scattered points
+        go through `eval_many`.
         """
         axes = self.dependent_axes()
         vals = self.coeffs[tuple(slice(None) if j in axes else self.N
                                  for j in range(self.n))]
         if axes:
             d = len(axes)
-            emb = np.zeros((M,) * d, dtype=complex)
-            idx = np.ix_(*([self.k_range() % M] * d))
-            if M > 2 * self.N:
-                emb[idx] = vals
+            k = self.k_range() % M
+            if M > 2 * self.N and _is_hermitian(vals):
+                emb = np.zeros((M,) * (d - 1) + (M // 2 + 1,), dtype=complex)
+                emb[np.ix_(*([k] * (d - 1)), k[self.N:])] = vals[..., self.N:]
+                vals = np.fft.irfftn(emb, s=(M,) * d, axes=tuple(range(d)),
+                                     norm="forward")
             else:
-                np.add.at(emb, idx, vals)
-            vals = np.fft.ifftn(emb) * (M ** d)
+                emb = np.zeros((M,) * d, dtype=complex)
+                idx = np.ix_(*([k] * d))
+                if M > 2 * self.N:
+                    emb[idx] = vals
+                else:
+                    np.add.at(emb, idx, vals)
+                vals = np.fft.ifftn(emb) * (M ** d)
         out = np.empty((M,) * self.n, dtype=complex)
         out[...] = vals.reshape([M if j in axes else 1 for j in range(self.n)])
         return out
@@ -479,6 +496,12 @@ def stacked_det(rows):
     return minors[tuple(range(n))]
 
 
+def _is_hermitian(block):
+    """Whether c_{-k} = conj c_k holds bit for bit on a centred block."""
+    return bool(np.array_equal(
+        block, np.conj(block[(slice(None, None, -1),) * block.ndim])))
+
+
 def _is_zero(entry):
     return np.ndim(entry) == 0 and entry == 0
 
@@ -499,22 +522,37 @@ def series_from_real_grid(values, N, real=False):
     `values` must be an n-dimensional cube of M >= 2N+1 samples per axis.
     Frequencies outside the degree bound are dropped and their l1 mass is
     recorded on the result as `trunc_mass` (the aliasing/truncation report).
+    With `real`, the result is the Hermitian part of the spectrum, which is
+    the spectrum of the real part of the values: that goes through
+    `np.fft.rfftn`, the half k_last >= 0 is kept and the rest mirrored, so
+    the block is exactly Hermitian.  Its dropped mass counts each column
+    0 < k_last < M/2 of the half spectrum twice, once for its mirror.
     """
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values) if real else np.asarray(values, dtype=complex)
     n = values.ndim
     M = values.shape[0]
     if any(s != M for s in values.shape):
         raise ValueError(f"sample block must be cubical, got {values.shape}")
     if M < 2 * N + 1:
         raise ValueError(f"grid of {M} points cannot resolve degree {N}")
-    full = np.fft.fftn(values) / values.size
-    idx = np.ix_(*([np.arange(-N, N + 1) % M] * n))
-    kept = full[idx]
-    dropped = float(np.abs(full).sum() - np.abs(kept).sum())
-    if real:
-        flipped = np.conj(kept[(slice(None, None, -1),) * n])
-        kept = 0.5 * (kept + flipped)
-    return PeriodicSeries(kept, real=real, trunc_mass=dropped)
+    k = np.arange(-N, N + 1) % M
+    if not real:
+        full = np.fft.fftn(values) / values.size
+        kept = full[np.ix_(*([k] * n))]
+        dropped = float(np.abs(full).sum() - np.abs(kept).sum())
+        return PeriodicSeries(kept, trunc_mass=dropped)
+    half = np.fft.rfftn(values.real, axes=tuple(range(n)), norm="forward")
+    mod = np.abs(half)
+    total = mod.sum() + mod[..., 1:(M + 1) // 2].sum()
+    kept = np.empty((2 * N + 1,) * n, dtype=complex)
+    kept[..., N:] = half[np.ix_(*([k] * (n - 1)), k[N:])]
+    flip = (slice(None, None, -1),) * n
+    kept[..., :N] = np.conj(kept[flip][..., :N])
+    # the k_last = 0 plane is Hermitian in the other axes up to round-off
+    plane = kept[..., N]
+    kept[..., N] = 0.5 * (plane + np.conj(plane[flip[1:]]))
+    return PeriodicSeries(kept, real=True,
+                          trunc_mass=float(total - np.abs(kept).sum()))
 
 
 def divide(num, den, N_out):

@@ -71,6 +71,17 @@ def eval_points(h, pts):
     return eval_many([h], pts)[0]
 
 
+def at_points(chain, pts, det=False):
+    """`chain.apply` at an (m, n) array of points, as an (m, n) array; with
+    `det`, `chain.jacobian_det` there, as (image, det), det an (m,) array.
+    Both methods take and return one coordinate array per component."""
+    pts = np.asarray(pts, dtype=complex)
+    if not det:
+        return np.stack(chain.apply(list(pts.T)), axis=-1)
+    image, jac = chain.jacobian_det(list(pts.T))
+    return np.stack(image, axis=-1), np.broadcast_to(jac, pts.shape[:1])
+
+
 def abs_max_coeff(h):
     return float(np.max(np.abs(h.coeffs)))
 

@@ -17,6 +17,7 @@ from torusnf.series import PeriodicSeries, theta_grid
 
 from oracles import (
     abs_max_coeff,
+    at_points,
     coeff_distance,
     multiply,
     phase_profile_distance,
@@ -205,7 +206,7 @@ class TestWitness:
 
         # mu o Phi - theta_1 - k(theta_1), every value by the direct sum
         pts = theta_grid(2, fibering.VERIFY_GRID)
-        moved = res.chain.apply(pts)
+        moved = at_points(res.chain, pts)
         mu = moved[:, 0] + series.eval_many([h0], moved)[0]
         t1 = pts[:, :1]
         target = t1[:, 0] + series.eval_many([res.k], t1)[0]

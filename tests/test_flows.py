@@ -31,6 +31,7 @@ from torusnf.series import (
 
 from oracles import (
     abs_max_coeff,
+    at_points,
     average,
     coeff_distance,
     eval_points,
@@ -84,7 +85,7 @@ class TestFlow:
         fr = flow(v, 1.0, 0.5, 0.2, N_out=16)
         pts = rng.uniform(0, 2 * np.pi, size=(40, 2))
         end, _ = rk4_oracle(v, pts, 1.0)
-        assert np.max(np.abs(MapChain([fr.map]).apply(pts) - end)) < 1e-10
+        assert np.max(np.abs(at_points(MapChain([fr.map]), pts) - end)) < 1e-10
 
     def test_matches_rk4_oracle_complex_field_with_integral(self):
         rng = np.random.default_rng(31)
@@ -96,7 +97,7 @@ class TestFlow:
         fr = flow(v, -1.0, 0.5, 0.2, N_out=16, line_integrand=g)
         pts = rng.uniform(0, 2 * np.pi, size=(40, 2))
         end, integral = rk4_oracle(v, pts, -1.0, g=g)
-        assert np.max(np.abs(MapChain([fr.map]).apply(pts) - end)) < 1e-10
+        assert np.max(np.abs(at_points(MapChain([fr.map]), pts) - end)) < 1e-10
         assert np.max(np.abs(eval_points(fr.integral, pts) - integral)) < 1e-10
 
     def test_zero_field_gives_identity(self):
@@ -155,8 +156,8 @@ class TestFlow:
         b = flow(v, 0.5, 0.5, 0.2, N_out=12).map
         c = flow(v, 0.9, 0.5, 0.2, N_out=12).map
         pts = theta_grid(2, 9)
-        assert np.max(np.abs(MapChain([b, a]).apply(pts)
-                             - MapChain([c]).apply(pts))) < 1e-9
+        assert np.max(np.abs(at_points(MapChain([b, a]), pts)
+                             - at_points(MapChain([c]), pts))) < 1e-9
 
 
 class TestDivergence:
@@ -200,7 +201,8 @@ class TestLogDet:
         t, r1, delta = 1.0, 0.5, 0.3
         fr = flow(v, t, r1, delta, N_out=3, line_integrand=v.divergence())
         pts = theta_grid(2, 7)
-        fd = finite_difference_jacobian_det(MapChain([fr.map]).apply, pts)
+        fd = finite_difference_jacobian_det(
+            functools.partial(at_points, MapChain([fr.map])), pts)
         ld = eval_points(fr.integral, pts)
         assert np.max(np.abs(np.log(fd) - ld)) < 1e-6
 
@@ -209,7 +211,8 @@ class TestLogDet:
         v = stream_field(rng, N=2, norm=5e-3)
         fr = flow(v, -1.0, 0.5, 0.2, N_out=12)
         pts = theta_grid(2, 8)
-        fd = finite_difference_jacobian_det(MapChain([fr.map]).apply, pts)
+        fd = finite_difference_jacobian_det(
+            functools.partial(at_points, MapChain([fr.map])), pts)
         assert np.max(np.abs(fd - 1.0)) < 1e-8
 
 
@@ -219,8 +222,8 @@ class TestMapAlgebra:
         phi = flow(stream_field(rng), 1.0, 0.5, 0.2, N_out=4).map
         out = compose_maps(phi, TorusMapLift.identity(2), N_out=phi.N)
         pts = theta_grid(2, 9)
-        assert np.max(np.abs(MapChain([out]).apply(pts)
-                             - MapChain([phi]).apply(pts))) < 1e-12
+        assert np.max(np.abs(at_points(MapChain([out]), pts)
+                             - at_points(MapChain([phi]), pts))) < 1e-12
 
     def test_integer_shear_round_trip(self):
         A = np.array([[1, 1], [0, 1]])
@@ -241,10 +244,10 @@ class TestMapAlgebra:
         right = compose_maps(a, compose_maps(b, c, N_out=10), N_out=10)
         flat = compose_maps(a, b, c, N_out=10)
         pts = theta_grid(2, 9)
-        assert np.max(np.abs(MapChain([left]).apply(pts)
-                             - MapChain([right]).apply(pts))) < 1e-10
-        assert np.max(np.abs(MapChain([flat]).apply(pts)
-                             - MapChain([right]).apply(pts))) < 1e-10
+        assert np.max(np.abs(at_points(MapChain([left]), pts)
+                             - at_points(MapChain([right]), pts))) < 1e-10
+        assert np.max(np.abs(at_points(MapChain([flat]), pts)
+                             - at_points(MapChain([right]), pts))) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_normalizer_shaped_chain_matches_stage_by_stage(self, n):
@@ -262,8 +265,8 @@ class TestMapAlgebra:
         single = compose_maps(unshear, lift, translation, shear, N_out=6)
         assert np.array_equal(single.D, np.eye(n, dtype=int))
         pts = rng.uniform(0, 2 * np.pi, size=(40, n)) + 0.05j
-        assert np.max(np.abs(MapChain([single]).apply(pts)
-                             - chain.apply(pts))) < 1e-13
+        assert np.max(np.abs(at_points(MapChain([single]), pts)
+                             - at_points(chain, pts))) < 1e-13
 
     def test_pullback_matches_pointwise(self):
         rng = np.random.default_rng(22)
@@ -274,7 +277,7 @@ class TestMapAlgebra:
         for lift, N_out in ((phi, 16), (sheared, 24)):
             comp = lift.pullback(h, N_out=N_out)
             lhs = eval_points(comp, pts)
-            rhs = eval_points(h, MapChain([lift]).apply(pts))
+            rhs = eval_points(h, at_points(MapChain([lift]), pts))
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_pullback_refuses_coarse_degree(self):
@@ -309,7 +312,7 @@ class TestInverse:
             inv = invert_map(phi, 0.5, N_out=10)
             assert inv.residual < 1e-10
             pts = theta_grid(2, 9)
-            round_trip = MapChain([phi, inv.map]).apply(pts)
+            round_trip = at_points(MapChain([phi, inv.map]), pts)
             assert np.max(np.abs(round_trip - pts)) < 1e-9
 
     def test_hypothesis_nf_checked(self):
@@ -326,7 +329,7 @@ class TestInverse:
         inv = invert_map(ab, 0.5, N_out=10)
         out = compose_maps(ab, inv.map, N_out=10)
         pts = theta_grid(2, 9)
-        assert np.max(np.abs(MapChain([out]).apply(pts) - pts)) < 1e-9
+        assert np.max(np.abs(at_points(MapChain([out]), pts) - pts)) < 1e-9
 
     def test_chain_round_trip(self):
         rng = np.random.default_rng(28)
@@ -335,7 +338,7 @@ class TestInverse:
         chain = MapChain([b, a])
         inv = invert_map(chain, 0.5, N_out=10)
         pts = theta_grid(2, 9)
-        assert np.max(np.abs(MapChain((inv.map,) + chain.stages).apply(pts)
+        assert np.max(np.abs(at_points(MapChain((inv.map,) + chain.stages), pts)
                              - pts)) < 1e-9
 
     def test_chain_nf_gate_sums_stages(self):
@@ -370,9 +373,10 @@ class TestStageJacobian:
     def test_determinant_matches_finite_difference(self):
         chain = self.three_angle_chain()
         pts = theta_grid(3, 5) + 0.05j
-        image, det = chain.jacobian_det(pts)
-        assert np.array_equal(image, chain.apply(pts))
-        fd = finite_difference_jacobian_det(chain.apply, pts)
+        image, det = at_points(chain, pts, det=True)
+        assert np.array_equal(image, at_points(chain, pts))
+        fd = finite_difference_jacobian_det(
+            functools.partial(at_points, chain), pts)
         assert np.max(np.abs(det - 1.0)) > 1e-2
         assert np.max(np.abs(det - fd)) < 1e-8
 
@@ -391,11 +395,12 @@ class TestStageJacobian:
             return torusnf.series.eval_many(series_list, pts)
 
         monkeypatch.setattr(torusnf.flows, "eval_many", counting)
-        image, det = chain.jacobian_det(pts)
+        image, det = at_points(chain, pts, det=True)
         assert calls == [3 + 9] * 2   # the flow and the shear only
-        assert np.array_equal(image, chain.apply(pts))
-        _, inner = MapChain(chain.stages[1:3]).jacobian_det(
-            MapChain(chain.stages[:1]).apply(pts))
+        assert np.array_equal(image, at_points(chain, pts))
+        _, inner = at_points(MapChain(chain.stages[1:3]),
+                             at_points(MapChain(chain.stages[:1]), pts),
+                             det=True)
         assert np.array_equal(det, inner)
 
     def test_constant_entries_reach_stacked_det_as_scalars(self, monkeypatch):
@@ -410,12 +415,13 @@ class TestStageJacobian:
             return torusnf.series.stacked_det(rows)
 
         monkeypatch.setattr(torusnf.flows, "stacked_det", recording)
-        _, det = chain.jacobian_det(pts)
+        _, det = at_points(chain, pts, det=True)
         want = [[[not p.derivative(l).dependent_axes() for l in range(3)]
                  for p in s.parts] for s in chain.stages[1:]]
         assert seen == want
         assert want[0][2] == [True] * 3 and want[1][0] == [False, True, True]
-        fd = finite_difference_jacobian_det(chain.apply, pts)
+        fd = finite_difference_jacobian_det(
+            functools.partial(at_points, chain), pts)
         assert np.max(np.abs(det - fd)) < 1e-8
 
 
@@ -466,17 +472,24 @@ class TestTaylorKernel:
         assert np.max(np.abs(got.reshape(-1) - eval_many([h], pts)[0])) < 1e-13
 
     def test_constant_costs_no_transform(self, monkeypatch):
+        # a real series is read through irfftn and a real grid re-expanded
+        # through rfftn; each transform is recorded by its grid shape
         calls = []
-        ifftn = np.fft.ifftn
 
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return ifftn(a, *args, **kwargs)
+        def counting(transform, inverse):
+            def spy(a, *args, **kwargs):
+                out = transform(a, *args, **kwargs)
+                calls.append(out.shape if inverse else a.shape)
+                return out
+            return spy
 
         rng = np.random.default_rng(73)
         n, M, D = 3, 12, shear_lift(3).D
         U = self.displacement(rng, n, M, 1e-4)
-        monkeypatch.setattr(np.fft, "ifftn", counting)
+        for name, inverse in [("ifftn", True), ("irfftn", True),
+                              ("rfftn", False)]:
+            monkeypatch.setattr(
+                np.fft, name, counting(getattr(np.fft, name), inverse))
         taylor_on_grid([PeriodicSeries.constant(n, self.N, 2.0),
                         PeriodicSeries.zeros(n, self.N)], D, U, M)
         assert calls == []
@@ -525,9 +538,9 @@ class TestUnimodular:
         assert np.array_equal(A @ A_inv, np.eye(n, dtype=int))
         phi = TorusMapLift(A, [PeriodicSeries.constant(n, 0, 0.1)] * n)
         pts = theta_grid(n, 5) + 0.05j
-        image, det = MapChain([phi]).jacobian_det(pts)
+        image, det = at_points(MapChain([phi]), pts, det=True)
         assert np.all(det == 1.0)
-        assert np.array_equal(image, MapChain([phi]).apply(pts))
+        assert np.array_equal(image, at_points(MapChain([phi]), pts))
         assert np.all(grid_walk(phi, 5, 0.05, 1.0)[2] == 1.0)
 
     def test_inverse_refuses_a_non_unimodular_matrix(self):
@@ -554,7 +567,7 @@ class TestGridNative:
         monkeypatch.setattr(torusnf.series, "eval_many", refuse)
         monkeypatch.setattr(torusnf.flows, "eval_many", refuse)
         with pytest.raises(AssertionError):
-            MapChain([phi]).apply(theta_grid(2, 3))
+            at_points(MapChain([phi]), theta_grid(2, 3))
         fibering_step(h, 0.5, 1.0 / 16.0)
         realization_step(a, 0.5, 0.05)
         compose_maps(phi, shear, phi, N_out=10)
@@ -578,15 +591,15 @@ class TestSmoothGrids:
         h = random_series(rng, n, 3)
         pts = rng.uniform(0, 2 * np.pi, size=(50, n)) + 0.05j
         comp = phi.pullback(h, N_out=N)
-        moved = MapChain([phi]).apply(pts)
+        moved = at_points(MapChain([phi]), pts)
         assert np.max(np.abs(eval_points(comp, pts)
                              - eval_points(h, moved))) < 1e-13
         both = compose_maps(phi, psi, N_out=N)
-        assert np.max(np.abs(MapChain([both]).apply(pts)
-                             - MapChain([psi, phi]).apply(pts))) < 1e-13
+        assert np.max(np.abs(at_points(MapChain([both]), pts)
+                             - at_points(MapChain([psi, phi]), pts))) < 1e-13
         inv = invert_map(phi, 0.5, N_out=N)
         assert inv.residual < 1e-13
-        assert np.max(np.abs(MapChain([inv.map, phi]).apply(pts) - pts)) < 1e-13
+        assert np.max(np.abs(at_points(MapChain([inv.map, phi]), pts) - pts)) < 1e-13
 
 
 class TestGridWitness:
@@ -622,7 +635,7 @@ class TestGridWitness:
         # 7 points per axis resolve degree 3; 5 alias it
         for M in (5, 7):
             pts = theta_grid(n, M) + 1j * shift
-            _, det = chain.jacobian_det(pts)
+            _, det = at_points(chain, pts, det=True)
             if kind != "affine":
                 assert np.ptp(np.abs(det)) > 1e-3
             D, U, none = grid_walk(phi, M, shift, None)
@@ -631,7 +644,7 @@ class TestGridWitness:
                 assert np.array_equal(D, np.eye(n, dtype=int))
             U = np.stack([u.reshape(-1) for u in U], -1)
             moved = theta_grid(n, M) @ D.T + U
-            assert np.max(np.abs(moved - chain.apply(pts))) < 1e-13
+            assert np.max(np.abs(moved - at_points(chain, pts))) < 1e-13
             D_det, U_det, grid_det = grid_walk(phi, M, shift, 1.0)
             assert np.array_equal(D_det, D)
             assert np.array_equal(

@@ -35,6 +35,7 @@ from torusnf.series import (
 from annulus_oracle import eval_z
 from oracles import (
     abs_max_coeff,
+    at_points,
     coeff_distance,
     half_turn_profile,
     identity_embedding,
@@ -140,31 +141,52 @@ class TestJacobianDensity:
     def test_samples_exact_alias_free_grid(self, n, monkeypatch):
         # the smallest 7-smooth size at or above 2 N_exact + 1, with
         # N_exact = k (N + 1) for the k rows that vary: 2 (12 + 1) and
-        # 1 (11 + 1), as rows 2 and 3 of the n = 3 input are constant.  The
-        # zero check reads the size at or above 2 n (N + 1) + 1 = 53 and 73,
-        # which at n = 2 is the density grid itself
+        # 1 (11 + 1), as rows 2 and 3 of the n = 3 input are constant.  At
+        # n = 2 that is the zero-check grid, the size at or above
+        # 2 n (N + 1) + 1 = 53, so the samples settle the check.  At n = 3
+        # the certificate on the samples settles it, and the 75-point check
+        # grid is not read
         density, check = {2: (54, 54), 3: (25, 75)}[n]
         emb = perturbed_embedding() if n == 2 else three_angle_embedding()
         assert check >= 2 * n * (emb.N + 1) + 1
-        sizes = []
-        sample = PeriodicSeries.eval_real_grid
-
-        def recording(self, M):
-            sizes.append(M)
-            return sample(self, M)
-
-        monkeypatch.setattr(PeriodicSeries, "eval_real_grid", recording)
+        sizes = record_grid_sizes(monkeypatch)
         jacobian_density(emb)
-        assert set(sizes[:-1]) == {density} and sizes[-1] == check
+        assert set(sizes) == {density}
+
+    def test_reads_the_check_grid_when_the_certificate_fails(self,
+                                                             monkeypatch):
+        # det = 1 + 0.99 z1 has modulus at least 0.01 on the torus.  Only
+        # row 1 varies, so the density grid has 7 points; their minimum,
+        # 0.443, is below the certificate's (pi/7) 0.99 = 0.444.  1 + a is
+        # then read on the 14-point check grid, and the density accepted
+        comps = (AnnulusFunction.from_terms(2, 2, {(1, 0): 1.0, (2, 0): 0.495}),
+                 AnnulusFunction.from_terms(2, 2, {(0, 1): 1.0}))
+        sizes = record_grid_sizes(monkeypatch)
+        a = jacobian_density(TorusEmbedding(comps, 0.5))
+        assert set(sizes[:-1]) == {7} and sizes[-1] == 14
+        assert abs(a.series.coeff((1, 0)) - 0.99) < 1e-13
 
     def test_refuses_a_vanishing_determinant(self):
         # det = 1 + z1 vanishes at theta_1 = pi.  Only row 1 varies, so the
-        # density grid has 7 points, which miss pi; the 14-point check grid
-        # holds it
+        # density grid has 7 points, which miss pi, and the certificate
+        # fails there; the 14-point check grid holds pi
         comps = (AnnulusFunction.from_terms(2, 2, {(1, 0): 1.0, (2, 0): 0.5}),
                  AnnulusFunction.from_terms(2, 2, {(0, 1): 1.0}))
         with pytest.raises(NumericalFailure, match="not totally real"):
             jacobian_density(TorusEmbedding(comps, 0.5))
+
+
+def record_grid_sizes(monkeypatch):
+    """The list that every later `eval_real_grid` call appends its M to."""
+    sizes = []
+    sample = PeriodicSeries.eval_real_grid
+
+    def recording(self, M):
+        sizes.append(M)
+        return sample(self, M)
+
+    monkeypatch.setattr(PeriodicSeries, "eval_real_grid", recording)
+    return sizes
 
 
 def inverse_volume_maps(emb, monkeypatch):
@@ -539,8 +561,8 @@ class TestWitnessGrids:
 
         # the defining identity, every value by the direct sum
         pts = theta_grid(2, fibering.VERIFY_GRID)
-        moved = rep.chain.apply(pts)
-        _, det = rep.chain.jacobian_det(pts)
+        moved = at_points(rep.chain, pts)
+        _, det = at_points(rep.chain, pts, det=True)
         lhs = (1.0 + series.eval_many([a], moved)[0]) \
             * np.exp(1j * moved.sum(axis=1)) * det
         s = pts.sum(axis=1)

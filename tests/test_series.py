@@ -1,11 +1,15 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusnf.errors import HypothesisViolation
 from torusnf.series import (
     CHOP_FLOOR,
+    REAL_TOL,
     PeriodicSeries,
     divide,
     eval_many,
@@ -494,6 +498,84 @@ class TestReality:
         back = series_from_real_grid(vals, 5, real=True)
         assert coeff_distance(back, h) < 1e-13
         assert back.real
+
+
+def full_spectrum_values(h, M):
+    """h on the M^n grid by one complex inverse FFT of its whole block, the
+    coefficients with k = k' (mod M) added into one bin."""
+    emb = np.zeros((M,) * h.n, dtype=complex)
+    np.add.at(emb, np.ix_(*([h.k_range() % M] * h.n)), h.coeffs)
+    return np.fft.ifftn(emb) * M ** h.n
+
+
+def is_hermitian(c):
+    return np.array_equal(c, np.conj(c[(slice(None, None, -1),) * c.ndim]))
+
+
+half_spectra = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=80)
+
+
+class TestHalfSpectra:
+    """A block that is exactly Hermitian is read through `irfftn`, and a real
+    grid re-expanded through `rfftn`; both match the full complex spectrum
+    to 1e-14 of its l1 mass."""
+
+    @half_spectra
+    @given(n=st.integers(1, 3), N=st.integers(0, 4), extra=st.integers(-8, 5),
+           subset=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
+    def test_eval_real_grid_matches_full_spectrum(self, n, N, extra, subset,
+                                                  seed):
+        # M from below the alias-free 2N + 1, where aliases fold, to above
+        # it, odd and even; the series depends on a subset of the axes
+        M = max(1, 2 * N + 1 + extra)
+        axes = tuple(j for j in range(n) if subset >> j & 1)
+        c = np.array(random_series(np.random.default_rng(seed), n, N).coeffs)
+        for j in set(range(n)) - set(axes):
+            np.moveaxis(c, j, 0)[np.arange(-N, N + 1) != 0] = 0.0
+        h = PeriodicSeries(c, real=True)
+        assert is_hermitian(h.coeffs)
+        half = M > 2 * N and bool(h.dependent_axes())
+        with mock.patch.object(np.fft, "irfftn",
+                               wraps=np.fft.irfftn) as irfftn:
+            vals = h.eval_real_grid(M)
+        assert irfftn.call_count == half
+        mass = np.abs(c).sum()
+        assert np.max(np.abs(vals - full_spectrum_values(h, M))) \
+            <= 1e-14 * mass
+        if not half or N == 0:
+            return
+        # Hermitian only to within REAL_TOL: the full path
+        k = tuple(N + int(j == h.dependent_axes()[0]) for j in range(n))
+        c[k] += 0.1 * REAL_TOL
+        near = PeriodicSeries(c, real=True)
+        assert near.is_real_symmetric() and not is_hermitian(near.coeffs)
+        with mock.patch.object(np.fft, "irfftn",
+                               wraps=np.fft.irfftn) as irfftn:
+            vals = near.eval_real_grid(M)
+        assert irfftn.call_count == 0
+        assert np.max(np.abs(vals - full_spectrum_values(near, M))) \
+            <= 1e-14 * mass
+
+    @half_spectra
+    @given(n=st.integers(1, 3), N=st.integers(0, 4), extra=st.integers(0, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_series_from_real_grid_matches_full_spectrum(self, n, N, extra,
+                                                         seed):
+        # white noise, so that the dropped mass is of the order of the kept
+        M = 2 * N + 1 + extra
+        values = np.random.default_rng(seed).standard_normal((M,) * n)
+        full = np.fft.fftn(values) / values.size
+        kept = full[np.ix_(*([np.arange(-N, N + 1) % M] * n))]
+        dropped = np.abs(full).sum() - np.abs(kept).sum()
+        kept = 0.5 * (kept + np.conj(kept[(slice(None, None, -1),) * n]))
+        with mock.patch.object(np.fft, "rfftn", wraps=np.fft.rfftn) as rfftn:
+            out = series_from_real_grid(values, N, real=True)
+        assert rfftn.call_count == 1
+        assert out.real and is_hermitian(out.coeffs)
+        mass = np.abs(full).sum()
+        assert np.max(np.abs(out.coeffs - kept)) <= 1e-14 * mass
+        assert abs(out.trunc_mass - dropped) <= 1e-14 * mass
 
 
 class TestImmutability:
