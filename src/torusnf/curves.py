@@ -14,12 +14,13 @@ import dataclasses
 
 import numpy as np
 
-from .errors import HypothesisViolation, NumericalFailure
+from .errors import above, at_most
 from .series import PeriodicSeries
 
 DEFAULT_GRID = 4096  # samples per turn of the velocity and phase checks
 IMMERSION_TOL = 1e-9
 NONCRITICAL_TOL = 1e-6  # margin of the phase derivative from zero
+WINDING_TOL = 1e-6      # distance of the accumulated winding from an integer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,10 +42,7 @@ class CurveImmersion:
 
 
 def _check_immersion(velocity):
-    low = float(np.min(np.abs(velocity)))
-    if low <= IMMERSION_TOL:
-        raise NumericalFailure(
-            f"curve speed drops to {low:.3e} on the grid: not an immersion")
+    above("(immersion)", float(np.min(np.abs(velocity))), IMMERSION_TOL)
 
 
 def gauss_degree(curve):
@@ -52,17 +50,14 @@ def gauss_degree(curve):
 
     Accumulates the phase increments of the velocity between adjacent grid
     samples (each below pi in magnitude on an adequate grid) and divides by
-    2 pi; refuses when the total is not within 1e-6 of an integer.
+    2 pi; refuses when the total is not within WINDING_TOL of an integer.
     """
     v = curve.velocity()
     _check_immersion(v)
     ratios = np.roll(v, -1) / v
     total = float(np.sum(np.angle(ratios))) / (2.0 * np.pi)
-    d = int(np.round(total))
-    if abs(total - d) > 1e-6:
-        raise NumericalFailure(
-            f"accumulated winding {total:.8f} is not an integer; refine the grid")
-    return d
+    at_most("(winding)", abs(total - np.round(total)), WINDING_TOL)
+    return int(np.round(total))
 
 
 def phase_derivative(curve):
@@ -75,22 +70,22 @@ def phase_derivative(curve):
 
 
 def noncritical_phase(curve):
-    """Phase-derivative samples and whether they stay away from zero.
+    """Phase-derivative samples and their margin from zero, max(min mu',
+    -max mu').
 
-    Non-critical means the samples keep one sign with margin NONCRITICAL_TOL;
-    testing |mu'| alone would miss a continuous sign crossing that falls
-    between grid points.
+    Non-critical means the samples keep one sign with margin NONCRITICAL_TOL,
+    that is margin > NONCRITICAL_TOL; testing |mu'| alone would miss a
+    continuous sign crossing that falls between grid points.
     """
     mu_prime = phase_derivative(curve)
-    flag = bool(np.min(mu_prime) > NONCRITICAL_TOL
-                or np.max(mu_prime) < -NONCRITICAL_TOL)
-    return mu_prime, flag
+    return mu_prime, max(float(np.min(mu_prime)), -float(np.max(mu_prime)))
 
 
 @dataclasses.dataclass(frozen=True)
 class EmbeddingCheck:
     is_embedding: bool
     self_intersection_index: int
+    turning_number: int
 
 
 def embedding_check(curve):
@@ -99,9 +94,6 @@ def embedding_check(curve):
     A non-critical immersion is an embedding exactly when its turning
     number is +-1; the index d - sign(d) counts signed double points.
     """
-    _, flag = noncritical_phase(curve)
-    if not flag:
-        raise HypothesisViolation(
-            "(noncritical)", "embedding criterion needs a non-critical curve")
+    above("(noncritical)", noncritical_phase(curve)[1], NONCRITICAL_TOL)
     d = gauss_degree(curve)
-    return EmbeddingCheck(abs(d) == 1, d - int(np.sign(d)))
+    return EmbeddingCheck(abs(d) == 1, d - int(np.sign(d)), d)

@@ -24,7 +24,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import HypothesisViolation, NumericalFailure, TorusNFError
+from .errors import TorusNFError, at_most
 from .flows import (
     MapChain,
     PeriodicVectorField,
@@ -45,6 +45,8 @@ from .series import (
 MAX_ITER = 20
 STOP_TOL = 1e-12
 VERIFY_GRID = 48  # points per axis of the residual witness grids
+# A step's field must be divergence-free to DIVERGENCE_TOL in the r-norm.
+DIVERGENCE_TOL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,7 +113,8 @@ def shrinking_strip(state, r0, schedule, defect, step, power):
 def leading_bound(h, r):
     """max(|constant part|, ||d/d theta_1 of the theta_1-only part||_r)."""
     parts = h.triangular_split()
-    return max(abs(parts[0].mean()), parts[1].derivative(0).coeff_norm(r))
+    return float(np.max([abs(parts[0].mean()),
+                         parts[1].derivative(0).coeff_norm(r)]))
 
 
 def transverse_bound(h, r):
@@ -140,9 +143,7 @@ def fibering_step(h, r, delta):
         raise ValueError("a fibering step needs at least two angles")
     if not 0.0 < delta < 0.25:
         raise ValueError(f"delta must lie in (0, 1/4), got {delta}")
-    B = leading_bound(h, r)
-    if B > 0.5:
-        raise HypothesisViolation("(p4)", f"B_r = {B:.3e} exceeds 1/2")
+    at_most("(p4)", leading_bound(h, r), 0.5)
     N_field = h.N + 4
     N_pull = 2 * h.N + 4
 
@@ -156,10 +157,7 @@ def fibering_step(h, r, delta):
         u = u.restrict_axes(axis).symmetrized()
         comps.append((-1.0 * u).derivative(0).antiderivative(axis))
     field = PeriodicVectorField(comps)
-    div_defect = field.divergence().coeff_norm(r)
-    if div_defect > 1e-8:
-        raise NumericalFailure(
-            f"constructed field has divergence {div_defect:.3e}")
+    at_most("(divergence)", field.divergence().coeff_norm(r), DIVERGENCE_TOL)
 
     fr = flow(field, -1.0, (1.0 - delta) * r, delta, N_out=N_field)
     pulled = fr.map.pullback(h, N_out=N_pull)

@@ -32,8 +32,8 @@ stage reads its parts, and its n^2 first derivatives for a determinant,
 through a reader: on the grid `taylor_on_grid` at the current (D, U), at
 scattered points `eval_many` at the points U carries whole (D = 0).  Every
 determinant goes to `stacked_det` entry by entry, a constant entry as a
-scalar, so no (m, n, n) stack is built.  A residual witness samples
-theta_grid(n, M) + i shift through `grid_walk`, which returns the image
+scalar, so no (m, n, n) stack is built.  A residual witness samples the
+M^n-point real grid + i shift through `grid_walk`, which returns the image
 as D theta + U, U one grid per component.  Its leading affine stages and
 first non-affine stage are walked on the grid; the later stages see
 scattered image points, through `MapChain.apply` / `jacobian_det`, which
@@ -53,7 +53,7 @@ import operator
 
 import numpy as np
 
-from .errors import HypothesisViolation, NumericalFailure
+from .errors import at_most
 from .series import (
     PeriodicSeries,
     eval_many,
@@ -103,7 +103,7 @@ class PeriodicVectorField:
         return all(c.real for c in self.components)
 
     def coeff_norm(self, r):
-        return max(c.coeff_norm(r) for c in self.components)
+        return float(np.max([c.coeff_norm(r) for c in self.components]))
 
     def divergence(self):
         out = PeriodicSeries.zeros(self.n, self.N, real=self.real)
@@ -128,7 +128,8 @@ def _grid_gradient(vals):
 
 
 def _sup(grids):
-    return max(float(np.max(np.abs(g))) for g in grids)
+    """The largest modulus over the grids; NaN if any value is NaN."""
+    return float(np.max([np.max(np.abs(g)) for g in grids]))
 
 
 def _grid_index(D, M):
@@ -187,10 +188,11 @@ def taylor_on_grid(series_list, D, U, M):
         for acc, term in zip(out, terms):
             if np.ndim(term):
                 acc += term
-        if _sup(terms) <= TERM_TOL:
-            return out
-    raise NumericalFailure(
-        f"Taylor composition not below {TERM_TOL:.0e} after {MAX_TERMS} orders")
+        sup = _sup(terms)
+        if sup <= TERM_TOL:
+            break
+    at_most("(taylor)", sup, TERM_TOL)
+    return out
 
 
 def _walk(stages, read, D, U, det):
@@ -301,7 +303,7 @@ class TorusMapLift:
         return all(p.real for p in self.parts)
 
     def part_norm(self, r):
-        return max(p.coeff_norm(r) for p in self.parts)
+        return float(np.max([p.coeff_norm(r) for p in self.parts]))
 
     def pullback(self, h, N_out):
         """h composed with this lift by the grid kernel, re-expanded at N_out.
@@ -351,10 +353,7 @@ def flow(v, t, r1, delta, N_out, line_integrand=None):
         raise ValueError("flows are only taken for |t| <= 1")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    p_norm = v.coeff_norm(r1)
-    if p_norm > r1 * delta:
-        raise HypothesisViolation(
-            "(z1)", f"||p||_r1 = {p_norm:.3e} exceeds r1*delta = {r1 * delta:.3e}")
+    at_most("(z1)", v.coeff_norm(r1), r1 * delta)
     fields = list(v.components) + ([] if line_integrand is None
                                    else [line_integrand])
     M = grid_size(N_out, *(g.N for g in fields))
@@ -369,9 +368,7 @@ def flow(v, t, r1, delta, N_out, line_integrand=None):
         terms = [t ** k / math.factorial(k) * g for g in powers]
         sums = [acc + term for acc, term in zip(sums, terms)]
         defect = _sup(terms)
-    if defect > FLOW_DEFECT_TOL:
-        raise NumericalFailure(f"Lie series defect {defect:.3e} above "
-                               f"{FLOW_DEFECT_TOL:.1e} after {MAX_TERMS} terms")
+    at_most("(lie)", defect, FLOW_DEFECT_TOL)
     integral = None if line_integrand is None else series_from_real_grid(
         sums[v.n], N_out, real=v.real and line_integrand.real)
     return FlowResult(
@@ -477,9 +474,10 @@ def has_identity_integer_part(phi):
 
 
 def grid_walk(phi, M, shift, det):
-    """A lift or MapChain at theta_grid(n, M) + i shift, as (D, U, det): the
-    image is D theta + U, U one (M,)*n grid per component, and det is det
-    times det D phi there, an (M,)*n grid (None when det is None).
+    """A lift or MapChain at the M^n-point real grid + i shift, as
+    (D, U, det): the image is D theta + U, U one (M,)*n grid per component,
+    and det is det times det D phi there, an (M,)*n grid (None when det is
+    None).
 
     The leading affine stages and the first stage with a non-constant part
     are walked on the grid (`_walk` with `taylor_on_grid`) from the scalar
@@ -511,9 +509,9 @@ def grid_walk(phi, M, shift, det):
 
 
 def _grid_rows(D, M):
-    """D theta at the points of theta_grid(n, M), one broadcast array per
-    row of D: the sum of the aranges 2 pi m / M of the axes the row holds,
-    each times its entry."""
+    """D theta at the points of the M^n-point real grid, one broadcast array
+    per row of D: the sum of the aranges 2 pi m / M of the axes the row
+    holds, each times its entry."""
     n = D.shape[1]
     t = 2.0 * np.pi * np.arange(M) / M
     axes = [t.reshape((M,) + (1,) * (n - 1 - l)) for l in range(n)]
@@ -549,10 +547,7 @@ def invert_map(phi, r, N_out):
     if not has_identity_integer_part(phi):
         raise ValueError("invert_map requires an identity integer part")
     n = phi.n
-    f_norm = phi.part_norm(r)
-    if f_norm > r / (4.0 * n):
-        raise HypothesisViolation(
-            "(nf)", f"||f||_r = {f_norm:.3e} exceeds r/(4n) = {r / (4 * n):.3e}")
+    at_most("(nf)", phi.part_norm(r), r / (4.0 * n))
     stages = phi.stages if isinstance(phi, MapChain) else (phi,)
     M = grid_size(N_out, phi.N)
     read = functools.partial(taylor_on_grid, M=M)
@@ -564,15 +559,10 @@ def invert_map(phi, r, N_out):
         delta = _sup(W)
         if delta <= INVERT_TOL:
             break
-        if delta > prev_delta * (1.0 + 1e-12) and delta > 1e3 * INVERT_TOL:
-            raise NumericalFailure(
-                f"fixed-point iteration expanding: step {delta:.3e} "
-                f"after {prev_delta:.3e}")
+        at_most("(expanding)", delta,
+                max(prev_delta * (1.0 + 1e-12), 1e3 * INVERT_TOL))
         prev_delta = delta
-    else:
-        raise NumericalFailure(
-            f"fixed-point iteration did not reach {INVERT_TOL:.1e} "
-            f"in {INVERT_MAX_ITER} steps")
+    at_most("(inverse)", delta, INVERT_TOL)
     inv = _lift_from_grid(np.eye(n, dtype=int), U, N_out, phi.real)
     M_w = witness_grid_size(N_out, phi.N) + 1
     residual = _sup(grid_walk(MapChain((inv,) + stages), M_w, 0.0, None)[1])

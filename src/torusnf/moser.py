@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import above
 from .flows import TorusMapLift
 from .series import (
     PeriodicSeries,
@@ -54,8 +54,7 @@ def moser_normalize(density, N_out):
     """
     b = density.b
     n = b.n
-    if density.min_on_grid() <= 0.0:
-        raise NumericalFailure("density 1 + b vanishes on the real grid")
+    above("(density)", density.min_on_grid(), 0.0)
 
     parts = b.triangular_split()
     mean = parts[0].mean().real

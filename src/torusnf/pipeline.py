@@ -20,8 +20,8 @@ import dataclasses
 import numpy as np
 
 from .curves import CurveImmersion, embedding_check, gauss_degree
-from .errors import HypothesisViolation, NumericalFailure
-from .fibering import VERIFY_GRID, FiberingPhase, fibering_normalize
+from .errors import NumericalFailure, above, at_most
+from .fibering import STOP_TOL, VERIFY_GRID, FiberingPhase, fibering_normalize
 from .flows import (
     MapChain,
     TorusMapLift,
@@ -40,7 +40,6 @@ from .series import (
     series_from_real_grid,
     seven_smooth,
     stacked_det,
-    theta_grid,
     unimodular_inverse,
 )
 
@@ -123,9 +122,7 @@ def jacobian_density(emb):
     low = float(np.min(np.abs(det)))
     if M < M_check and low - np.pi / M * _slope_mass(a) <= MIN_JACOBIAN:
         low = float(np.min(np.abs(1.0 + a.eval_real_grid(M_check))))
-    if low <= MIN_JACOBIAN:
-        raise NumericalFailure(
-            "Jacobian determinant vanishes on the torus grid: not totally real")
+    above("(jacobian)", low, MIN_JACOBIAN)
     return AnnulusFunction(a.chop(CHOP_FLOOR))
 
 
@@ -148,7 +145,7 @@ class PolarSplit:
 def modulus_phase_split(a):
     """Factor 1 + a into positive modulus and real phase on the real torus.
 
-    Requires |a| < 1/2 on the grid so the principal branch is unambiguous;
+    Requires |a| <= 1/2 on the grid so the principal branch is unambiguous;
     both outputs extend holomorphically off the real torus and are flagged
     real.
     """
@@ -157,10 +154,7 @@ def modulus_phase_split(a):
     N_out = a.N + 8
     M = grid_size(N_out)
     vals = a.series.eval_real_grid(M)
-    worst = float(np.max(np.abs(vals)))
-    if worst >= 0.5:
-        raise HypothesisViolation(
-            "(branch)", f"|a| reaches {worst:.3f} >= 1/2 on the torus grid")
+    at_most("(branch)", float(np.max(np.abs(vals))), 0.5)
     w = 1.0 + vals
     b = series_from_real_grid(np.abs(w) - 1.0, N_out, real=True)
     h = series_from_real_grid(np.angle(w), N_out, real=True)
@@ -222,7 +216,7 @@ def normalize_embedding(emb):
     a = jacobian_density(emb)
     r = emb.r0 / 2.0
     split = modulus_phase_split(a)
-    _stage_gate("modulus/phase factorization", split.residual)
+    at_most("(split)", split.residual, STAGE_TOL)
 
     shear = shear_lift(n)
     A_inv = unimodular_inverse(shear.D)
@@ -230,10 +224,10 @@ def normalize_embedding(emb):
     h2 = pull_back_linear(split.phase, A_inv)
 
     moser = moser_normalize(VolumeDensity(b2), N_out=b2.N + 4)
-    _stage_gate("volume normalization", moser.residual)
+    at_most("(volume)", moser.residual, STAGE_TOL)
     rho0 = 1.0 + moser.mean
     inv1 = invert_map(moser.map, r, N_out=moser.map.N + 4)
-    _stage_gate("volume map inversion", inv1.residual)
+    at_most("(volume-inverse)", inv1.residual, STAGE_TOL)
 
     carried = h2 - moser.map.parts[0]
     h3 = inv1.map.pullback(carried, N_out=carried.N + 4)
@@ -242,12 +236,12 @@ def normalize_embedding(emb):
         h3 = h3.truncate(FIB_DEGREE)
 
     fib = fibering_normalize(FiberingPhase(h3), r)
-    if not fib.converged:
-        err = NumericalFailure(
-            "phase normalization exhausted its schedule; trace attached")
+    try:
+        at_most("(exhausted)", fib.trace[-1].defect, STOP_TOL)
+        at_most("(phase)", fib.residual, STAGE_TOL)
+    except NumericalFailure as err:
         err.trace = fib.trace
-        raise err
-    _stage_gate("phase normalization", fib.residual)
+        raise
     k = fib.k
 
     g, exactness_defect = normal_form_curve(k, rho0)
@@ -267,12 +261,6 @@ def normalize_embedding(emb):
         complex_constant=1.0 + a.series.mean(),
         total_volume=(2.0 * np.pi) ** n * rho0,
         fibering_trace=fib.trace)
-
-
-def _stage_gate(stage, residual):
-    if residual > STAGE_TOL:
-        raise NumericalFailure(
-            f"{stage} residual {residual:.3e} above {STAGE_TOL:.1e}")
 
 
 def _normal_form_residual(a, chain, k, rho0, n):
@@ -297,8 +285,8 @@ def _normal_form_residual(a, chain, k, rho0, n):
 
 def _on_grid_sums(line, n):
     """Values of a function of one angle, given on its M-point grid, at the
-    sums theta_1 + ... + theta_n over theta_grid(n, M), as an (M,)*n grid:
-    the line values at the index (m_1 + ... + m_n) mod M."""
+    sums theta_1 + ... + theta_n over the M^n-point real grid, as an (M,)*n
+    grid: the line values at the index (m_1 + ... + m_n) mod M."""
     return np.take(line, _grid_index(np.ones((1, n), dtype=int), len(line)))
 
 
@@ -332,8 +320,7 @@ def exactness_correct(k):
         step = np.linalg.solve(J, np.array([c0.real, c0.imag]))
         alpha -= step[0]
         beta -= step[1]
-    else:
-        raise NumericalFailure("closure correction did not converge")
+    at_most("(closure)", abs(c0), CLOSURE_TOL)
     corr = PeriodicSeries.from_terms(
         1, 1, {(1,): 0.5 * (alpha - 1j * beta),
                (-1,): 0.5 * (alpha + 1j * beta)})
@@ -346,9 +333,7 @@ def _profile_velocity(k, rho0):
     t = 2.0 * np.pi * np.arange(M) / M
     kv = k.eval_real_grid(M).real
     slope = 1.0 + k.derivative(0).eval_real_grid(M).real
-    if float(np.min(slope)) <= 0.0:
-        raise NumericalFailure(
-            "1 + k' vanishes on the grid: the normal form is critical")
+    above("(slope)", float(np.min(slope)), 0.0)
     return series_from_real_grid(rho0 * np.exp(1j * (t + kv)), N_out)
 
 
@@ -371,10 +356,7 @@ def normal_form_curve(k, rho0):
     if rho0 <= 0.0:
         raise ValueError("the amplitude must be positive")
     defect = closure_defect(k, rho0)
-    if defect > 2.0 * np.pi * STAGE_TOL:
-        raise HypothesisViolation(
-            "(exact)", f"velocity closure defect {defect:.6e} "
-            "(integral over a turn); correct the profile first")
+    at_most("(exact)", defect, 2.0 * np.pi * STAGE_TOL)
     return curve_from_profile(k, rho0), defect
 
 
@@ -392,8 +374,7 @@ def curve_from_profile(k, rho0):
     vel = _profile_velocity(k, rho0)
     vel = vel - vel.mean()
     curve = CurveImmersion(vel.antiderivative(0).chop(CHOP_FLOOR))
-    if gauss_degree(curve) != 1:
-        raise NumericalFailure("generating curve has turning number != 1")
+    at_most("(turning)", abs(gauss_degree(curve) - 1), 0)
     return curve
 
 
@@ -405,15 +386,13 @@ def normal_form_embedding(g, n, r0):
     correspond to the identity.  Verifies on the uniform grid of
     4 (N + 1) points per axis, N the embedding degree, that the Jacobian
     determinant matches the curve velocity data to STAGE_TOL; both sides
-    are read there by FFT.
+    are read there by FFT, and the target e^{-i s} g'(s), a function of
+    s = sum theta, is formed on the M-point line and spread by
+    `_on_grid_sums`.
     """
     if n < 2:
         raise ValueError("the normal form embedding needs n >= 2")
-    chk = embedding_check(g)
-    if not chk.is_embedding:
-        raise HypothesisViolation(
-            "(embed)", f"generating curve has turning number giving index "
-            f"{chk.self_intersection_index}; not an embedding")
+    at_most("(embed)", abs(abs(embedding_check(g).turning_number) - 1), 0)
     line = g.series
     N_emb = line.N + 1
     terms = {}
@@ -430,14 +409,11 @@ def normal_form_embedding(g, n, r0):
 
     # det D psi(e^{i theta}) must equal e^{-i s} d/ds g(e^{i s}) at s = sum theta
     M = 4 * (N_emb + 1)
-    s = theta_grid(n, M).sum(axis=1).reshape((M,) * n)
     det = first.z_derivative(0).series.eval_real_grid(M)
-    target = np.exp(-1j * s) * _on_grid_sums(
-        line.derivative(0).eval_real_grid(M), n)
-    worst = float(np.max(np.abs(det - target)))
-    if worst > STAGE_TOL:
-        raise NumericalFailure(
-            f"normal form embedding verification failed at {worst:.3e}")
+    t = 2.0 * np.pi * np.arange(M) / M
+    target = _on_grid_sums(
+        np.exp(-1j * t) * line.derivative(0).eval_real_grid(M), n)
+    at_most("(model)", float(np.max(np.abs(det - target))), STAGE_TOL)
     return emb
 
 

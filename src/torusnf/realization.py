@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import HypothesisViolation
+from .errors import at_most
 from .fibering import shrinking_strip
 from .flows import (
     MapChain,
@@ -95,9 +95,7 @@ def check_exact(a):
     modulus.
     """
     defect = abs(a.coeff((-1,) * a.n)) if a.N >= 1 else 0.0
-    if defect > MEAN_MONOMIAL_TOL:
-        raise HypothesisViolation(
-            "(kn)", f"mean monomial coefficient has modulus {defect:.3e}")
+    at_most("(kn)", defect, MEAN_MONOMIAL_TOL)
     return defect
 
 

@@ -26,7 +26,7 @@ import itertools
 
 import numpy as np
 
-from .errors import HypothesisViolation, NumericalFailure
+from .errors import above, at_most
 
 # Absolute coefficient tolerances for the mean-zero and reality preconditions.
 MEAN_TOL = 1e-12
@@ -35,7 +35,7 @@ REAL_TOL = 1e-12
 # computed data and the l1 budget of the tail chop of computed maps.
 CHOP_FLOOR = 1e-15
 
-# A quotient is refused where the denominator's modulus drops below MIN_DEN.
+# A quotient is refused unless the denominator's modulus stays above MIN_DEN.
 MIN_DEN = 1e-8
 # Points per block of off-grid evaluation, which bounds the memory of the
 # per-block phase matrices and partial sums.
@@ -159,8 +159,9 @@ class PeriodicSeries:
 
     def chop(self, tol):
         """Zero coefficients at or below `tol` in modulus, then shrink the
-        degree bound to the smallest block holding the survivors."""
-        mask = np.abs(self.coeffs) > tol
+        degree bound to the smallest block holding the survivors.  A NaN
+        coefficient is not at or below `tol`, so it survives."""
+        mask = ~(np.abs(self.coeffs) <= tol)
         dropped = float(np.abs(self.coeffs[~mask]).sum())
         kept = np.where(mask, self.coeffs, 0.0)
         if not mask.any():
@@ -242,8 +243,8 @@ class PeriodicSeries:
     # evaluation
 
     def eval_real_grid(self, M):
-        """Values on the uniform real grid theta_j = 2 pi m / M: the points
-        of `theta_grid(n, M)`, as a writable (M,)*n array.
+        """Values on the uniform real grid theta_j = 2 pi m_j / M, as a
+        writable (M,)*n array.
 
         Only the dependent axes are transformed: the block is cut to the
         k = 0 plane of every other axis, that lower-dimensional block goes
@@ -330,10 +331,7 @@ class PeriodicSeries:
         if not 0 <= axis < self.n:
             raise ValueError(f"axis {axis} out of range")
         plane = np.take(self.coeffs, self.N, axis=axis)
-        worst = float(np.max(np.abs(plane))) if plane.size else 0.0
-        if worst > MEAN_TOL:
-            raise HypothesisViolation(
-                "(i2)", f"axis-{axis} average must vanish, max residue {worst:.3e}")
+        at_most("(i2)", float(np.max(np.abs(plane))), MEAN_TOL)
         k = self.k_range().astype(complex)
         k[self.N] = 1.0  # avoid 0/0; plane is zeroed below
         shape = [1] * self.n
@@ -506,16 +504,6 @@ def _is_zero(entry):
     return np.ndim(entry) == 0 and entry == 0
 
 
-def theta_grid(n, M):
-    """(M^n, n) array of uniform real grid points on [0, 2 pi)^n, the last
-    axis fastest, each coordinate broadcast into one preallocated array."""
-    t = 2.0 * np.pi * np.arange(M) / M
-    out = np.empty((M,) * n + (n,))
-    for j in range(n):
-        out[..., j] = t.reshape((M,) + (1,) * (n - 1 - j))
-    return out.reshape(-1, n)
-
-
 def series_from_real_grid(values, N, real=False):
     """Fourier coefficients from samples on the uniform real grid.
 
@@ -566,10 +554,7 @@ def divide(num, den, N_out):
         raise ValueError("dimension mismatch")
     M = grid_size(N_out, num.N, den.N)
     dv = den.eval_real_grid(M)
-    worst = float(np.min(np.abs(dv)))
-    if worst < MIN_DEN:
-        raise NumericalFailure(
-            f"denominator modulus {worst:.3e} below {MIN_DEN:.1e} on grid")
+    above("(denominator)", float(np.min(np.abs(dv))), MIN_DEN)
     nv = num.eval_real_grid(M)
     return series_from_real_grid(nv / dv, N_out, real=num.real and den.real)
 

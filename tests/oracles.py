@@ -29,6 +29,16 @@ PROFILE_GRID = 4096
 PROFILE_MEAN_TOL = 1e-10
 
 
+def theta_grid(n, M):
+    """(M^n, n) array of uniform real grid points on [0, 2 pi)^n, the last
+    axis fastest, each coordinate broadcast into one preallocated array."""
+    t = 2.0 * np.pi * np.arange(M) / M
+    out = np.empty((M,) * n + (n,))
+    for j in range(n):
+        out[..., j] = t.reshape((M,) + (1,) * (n - 1 - j))
+    return out.reshape(-1, n)
+
+
 def multiply(a, b, N_out=None):
     """Coefficient-level product (exact linear convolution, then truncation).
 

@@ -1,6 +1,7 @@
 import numpy as np
 
 from torusnf.curves import (
+    NONCRITICAL_TOL,
     CurveImmersion,
     embedding_check,
     gauss_degree,
@@ -51,23 +52,23 @@ class TestGaussDegree:
 
 class TestNoncritical:
     def test_circle_phase_derivative_is_one(self):
-        mu_prime, flag = noncritical_phase(circle())
-        assert flag
+        mu_prime, margin = noncritical_phase(circle())
+        assert margin > NONCRITICAL_TOL
         assert np.max(np.abs(mu_prime - 1.0)) < 1e-10
 
     def test_ellipse_strictly_convex(self):
-        mu_prime, flag = noncritical_phase(ellipse())
-        assert flag
+        mu_prime, margin = noncritical_phase(ellipse())
+        assert margin > NONCRITICAL_TOL
         assert np.min(mu_prime) > 0
 
     def test_inflected_curve_flagged(self):
-        mu_prime, flag = noncritical_phase(limacon_like(1.5))
-        assert not flag
+        mu_prime, margin = noncritical_phase(limacon_like(1.5))
+        assert not margin > NONCRITICAL_TOL
         assert np.min(mu_prime) < 0 < np.max(mu_prime)
 
     def test_round_curve_not_inflected(self):
-        _, flag = noncritical_phase(limacon_like(3.0))
-        assert flag
+        _, margin = noncritical_phase(limacon_like(3.0))
+        assert margin > NONCRITICAL_TOL
 
 
 class TestEmbeddingCheck:

@@ -2,8 +2,9 @@
 every private one is referenced outside its own body, every name imported
 from the package is used, every default is both taken and overridden by
 production code, the number of settable values does not grow, no
-`np.linalg` result is truncated to integers, and outside `series` one
-function, the point reader in `flows`, references `eval_many`.
+`np.linalg` result is truncated to integers, outside `series` one
+function, the point reader in `flows`, references `eval_many`, and every
+refusal goes through the gate of `errors`.
 
 The scan parses `src/torusnf` and the benchmark under `perfbench/` with
 `ast` and collects every name they reference: plain names, attribute names
@@ -200,3 +201,29 @@ def test_no_linalg_result_is_truncated_to_int():
         and node.func.attr == "astype" and is_linalg_call(node.func.value)
         and [ast.unparse(a) for a in node.args] == ["int"]]
     assert truncated == []
+
+
+def test_every_refusal_goes_through_one_gate():
+    """Outside `errors`, no module constructs a `HypothesisViolation` or a
+    `NumericalFailure`: a refusal is a call to `at_most` or `above`.  Every
+    code those calls pass is a literal key of `GATES`, and every key is
+    passed somewhere, so codes, classes and messages live in one table."""
+    built, codes = [], set()
+    for path in SOURCES:
+        if path.stem == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = call_name(node)
+            if name in ("HypothesisViolation", "NumericalFailure"):
+                built.append(f"{path.stem}:{node.lineno}")
+            elif name in ("at_most", "above"):
+                code = node.args[0]
+                assert isinstance(code, ast.Constant), (
+                    f"{path.stem}:{node.lineno} passes a computed code")
+                codes.add(code.value)
+    assert built == []
+    from torusnf.errors import GATES
+    assert codes - set(GATES) == set()
+    assert set(GATES) - codes == set()

@@ -13,7 +13,7 @@ from torusnf.fibering import (
 )
 from torusnf.flows import flow
 from torusnf.realization import realize_form
-from torusnf.series import PeriodicSeries, theta_grid
+from torusnf.series import PeriodicSeries
 
 from oracles import (
     abs_max_coeff,
@@ -21,6 +21,7 @@ from oracles import (
     coeff_distance,
     multiply,
     phase_profile_distance,
+    theta_grid,
 )
 from test_flows import stream_field
 from test_realization import random_annulus_function
@@ -220,8 +221,8 @@ def two_step_density_run():
 
 class TestShrinkingStrip:
     @pytest.mark.parametrize("error", [
-        lambda: HypothesisViolation("(z1)", "injected step refusal"),
-        lambda: NumericalFailure("injected step failure"),
+        lambda: HypothesisViolation("(z1)", 1.0, 0.5, "injected step refusal"),
+        lambda: NumericalFailure("(lie)", 1.0, 0.5, "injected step failure"),
     ], ids=["HypothesisViolation", "NumericalFailure"])
     @pytest.mark.parametrize("module, step, run", [
         (fibering, "fibering_step", two_step_phase_run),

@@ -24,7 +24,6 @@ from torusnf.series import (
     PeriodicSeries,
     eval_many,
     grid_size,
-    theta_grid,
     translate,
     unimodular_inverse,
 )
@@ -36,6 +35,7 @@ from oracles import (
     coeff_distance,
     eval_points,
     finite_difference_jacobian_det,
+    theta_grid,
 )
 from test_series import random_series, sin_series
 

@@ -4,7 +4,7 @@ import pytest
 from torusnf.errors import NumericalFailure
 from torusnf.flows import MapChain, invert_map
 from torusnf.moser import VolumeDensity, moser_normalize
-from torusnf.series import PeriodicSeries, theta_grid
+from torusnf.series import PeriodicSeries
 
 from oracles import (
     abs_max_coeff,
@@ -12,6 +12,7 @@ from oracles import (
     average,
     coeff_distance,
     eval_points,
+    theta_grid,
 )
 from test_series import cos_series, random_series, sin_series
 

@@ -28,7 +28,6 @@ from torusnf.series import (
     CHOP_FLOOR,
     PeriodicSeries,
     pull_back_linear,
-    theta_grid,
     unimodular_inverse,
 )
 
@@ -41,6 +40,7 @@ from oracles import (
     identity_embedding,
     phase_profile_distance,
     postcompose_monomial_shear,
+    theta_grid,
 )
 from test_flows import stream_field
 from test_realization import random_annulus_function

@@ -12,7 +12,7 @@ from torusnf.realization import (
     realize_form,
     solve_divergence,
 )
-from torusnf.series import PeriodicSeries, theta_grid
+from torusnf.series import PeriodicSeries
 
 from annulus_oracle import (
     apply_z,
@@ -21,7 +21,7 @@ from annulus_oracle import (
     eval_z,
     holo_components,
 )
-from oracles import abs_max_coeff
+from oracles import abs_max_coeff, theta_grid
 from test_series import random_series
 
 

@@ -18,7 +18,6 @@ from torusnf.series import (
     series_from_real_grid,
     seven_smooth,
     stacked_det,
-    theta_grid,
     translate,
     witness_grid_size,
 )
@@ -30,6 +29,7 @@ from oracles import (
     coeff_distance,
     eval_points,
     multiply,
+    theta_grid,
 )
 
 
@@ -447,6 +447,21 @@ class TestStackedDet:
         assert np.max(np.abs(det - ref) / scale) < 1e-13
         if near_identity:
             assert np.max(np.abs(det / ref - 1.0)) < 1e-13
+
+
+class TestChop:
+    def test_keeps_non_finite_coefficients(self):
+        out = PeriodicSeries([np.nan, 1.0, np.nan]).chop(1e-15)
+        assert out.N == 1
+        assert np.isnan(out.coeffs[0]) and np.isnan(out.coeffs[2])
+        assert out.coeff((0,)) == 1.0 and out.trunc_mass == 0.0
+
+    def test_drops_finite_coefficients_at_or_below_tol(self):
+        h = PeriodicSeries.from_terms(
+            1, 3, {(0,): 1.0, (1,): 2e-15, (2,): 1e-15, (3,): 5e-16})
+        out = h.chop(1e-15)
+        assert out.N == 1 and out.coeff((1,)) == 2e-15
+        assert out.trunc_mass == pytest.approx(1.5e-15, rel=1e-12)
 
 
 class TestChopTail:
