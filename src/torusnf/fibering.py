@@ -212,7 +212,7 @@ def fibering_normalize(phase, r0):
     M = VERIFY_GRID
     D, U, det = grid_walk(chain, M, 0.0, 1.0)
     mu = U[0] + taylor_on_grid([h0], D, U, M)[0]
-    target = k.eval_real_grid(M).reshape((M,) + (1,) * (n - 1))
+    target = k.eval_real_grid(M).reshape((-1,) + (1,) * (n - 1))
     residual = float(np.max(np.abs(mu - target)))
     det_residual = float(np.max(np.abs(det - 1.0)))
     return FiberingResult(chain, k, trace, residual, det_residual, converged,

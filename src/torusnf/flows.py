@@ -25,6 +25,15 @@ of an angle near 2 pi, while a map that is round-off (the inverse of an
 identity up to rounding, say) keeps only the few coefficients that carry its
 mass.
 
+Values on the M^n-point real grid are kept at the shape of the axes they
+depend on: M along each of those axes and 1 along the others, as
+`eval_real_grid` returns them, so that arithmetic broadcasts them.  The
+volume map is triangular (Moser 1965): its part p depends on the first p
+angles only, and a part of theta_1 alone costs M points, not M^n.  Only a
+re-index by an integer D (`np.take`) and a re-expansion
+(`series_from_real_grid`) need the full cube, and take it as a zero-copy
+`np.broadcast_to` view.
+
 One loop, `_walk`, applies a chain of lifts, with its Jacobian determinant
 when one is wanted.  An affine stage (parts constant) adds its constants
 and multiplies the determinant by det D, with nothing read.  A non-affine
@@ -33,14 +42,15 @@ through a reader: on the grid `taylor_on_grid` at the current (D, U), at
 scattered points `eval_many` at the points U carries whole (D = 0).  Every
 determinant goes to `stacked_det` entry by entry, a constant entry as a
 scalar, so no (m, n, n) stack is built.  A residual witness samples the
-M^n-point real grid + i shift through `grid_walk`, which returns the image
-as D theta + U, U one grid per component.  Its leading affine stages and
+real grid + i shift through `grid_walk`, which returns the image as
+D theta + U, U one grid per component.  Its leading affine stages and
 first non-affine stage are walked on the grid; the later stages see
 scattered image points, through `MapChain.apply` / `jacobian_det`, which
-take and return one coordinate grid per component, so no (M^n, n) array
-of points is built.  A series read at the image, as the density or the
-phase in the normal-form and fibering witnesses, goes through the grid
-kernel at the returned (D, U).
+take and return one coordinate array per component at the shape of the
+axes it depends on, so no (M^n, n) array of points is built, and a stage
+of theta_1 alone is read at M points.  A series read at the image, as the
+density or the phase in the normal-form and fibering witnesses, goes
+through the grid kernel at the returned (D, U).
 """
 
 from __future__ import annotations
@@ -120,11 +130,13 @@ def _spectral_factors(n, M):
             for j in range(n)]
 
 
-def _grid_gradient(vals):
-    """Spectral partial derivatives of grid values, one grid per axis."""
+def _grid_gradient(vals, M):
+    """Spectral partial derivatives of values on the M^n grid, kept at the
+    shape of the axes they depend on, one grid per axis; along an axis of
+    length 1 the values are constant, and the derivative is 0."""
     spec = np.fft.fftn(vals)
-    return [np.fft.ifftn(spec * ik)
-            for ik in _spectral_factors(vals.ndim, vals.shape[0])]
+    return [np.fft.ifftn(spec * ik) if vals.shape[j] > 1 else 0.0
+            for j, ik in enumerate(_spectral_factors(vals.ndim, M))]
 
 
 def _sup(grids):
@@ -150,10 +162,13 @@ def _grid_index(D, M):
 def taylor_on_grid(series_list, D, U, M):
     """Values of each series at D theta + U(theta) on the M^n grid.
 
-    U holds one entry per component: a grid, or a scalar where the
-    displacement is the same at every point.  D only re-indexes grid points
-    (`_grid_index`), and a constant series comes back as a read-only
-    broadcast of its value.  When every entry is a scalar, U = c, the value
+    U holds one entry per component: grid values at the shape of the axes
+    they depend on (see `eval_real_grid`), or a scalar where the
+    displacement is the same at every point.  Each value comes back at the
+    shape of the axes it depends on, so a constant series is a read-only
+    (1,)*n array of its value.  D only re-indexes grid points
+    (`_grid_index`): that needs the full cube, which a read then takes as a
+    `np.broadcast_to` view.  When every entry is a scalar, U = c, the value
     h(D theta + c) is translate(h, c) read by `eval_real_grid`: exact, with
     no Taylor order.  Otherwise the Taylor sum over multi-indices a of
     (d^a h)(D theta) U^a / a! runs one order |a| at a time until an order is
@@ -161,16 +176,18 @@ def taylor_on_grid(series_list, D, U, M):
     `eval_real_grid`, exact for every M.  No derivative is built along an
     axis h does not depend on or where U vanishes.
     """
+    n = len(U)
     index = _grid_index(D, M)
     scalar = all(np.ndim(u) == 0 for u in U)
     deps = [set(h.dependent_axes()) for h in series_list]
 
     def read(h):
         vals = h.eval_real_grid(M)
-        return vals if index is None else np.take(vals, index)
+        return vals if index is None else np.take(
+            np.broadcast_to(vals, (M,) * n), index)
 
     out = [read(translate(h, U) if scalar else h) if dep
-           else np.broadcast_to(h.mean(), (M,) * len(U))
+           else np.broadcast_to(h.mean(), (1,) * n)
            for h, dep in zip(series_list, deps)]
     active = [] if scalar else [
         j for j in sorted(set().union(*deps)) if np.any(U[j])]
@@ -185,9 +202,9 @@ def taylor_on_grid(series_list, D, U, M):
                 if deps[i].issuperset(axes):
                     d = functools.reduce(PeriodicSeries.derivative, axes, h)
                     terms[i] = terms[i] + weight * read(d)
-        for acc, term in zip(out, terms):
-            if np.ndim(term):
-                acc += term
+        # out of place: a term may vary on more axes than the sum so far
+        out = [acc + term if np.ndim(term) else acc
+               for acc, term in zip(out, terms)]
         sup = _sup(terms)
         if sup <= TERM_TOL:
             break
@@ -236,17 +253,34 @@ def _walk(stages, read, D, U, det):
 
 def _read_points(series_list, D, U):
     """The scattered-point reader of `_walk`: the series at the points whose
-    coordinates U carries whole, one array per component, by `eval_many` on
-    the (m, n) array of the points; D is 0 and not read.  Returns one array
-    of the coordinates' common shape per series."""
-    vals = eval_many(series_list, np.stack([u.reshape(-1) for u in U], -1))
-    return list(vals.reshape((len(series_list),) + U[0].shape))
+    coordinates U carries whole, one array (or scalar) per component, the
+    arrays broadcasting together; D is 0 and not read.
+
+    One `eval_many` call reads every series at the broadcast of the
+    coordinates on the axes some series depends on, and only those: a stage
+    of theta_1 alone costs as many points as the first coordinate holds.
+    `eval_many` never reads the other columns, so they are zeros.  Returns,
+    per series, an array of that broadcast shape, or for a constant series
+    its value in an array of as many dimensions, each of length 1, as the
+    grid reader gives it."""
+    n = len(U)
+    deps = [h.dependent_axes() for h in series_list]
+    axes = sorted(set().union(*deps))
+    shape = np.broadcast_shapes(*(np.shape(U[j]) for j in axes))
+    pts = np.zeros((math.prod(shape), n), dtype=complex)
+    for j in axes:
+        pts[:, j] = np.broadcast_to(U[j], shape).reshape(-1)
+    vals = eval_many(series_list, pts)
+    return [v.reshape(shape) if dep else v[:1].reshape((1,) * len(shape))
+            for dep, v in zip(deps, vals)]
 
 
-def _lift_from_grid(D, disp, N_out, real):
+def _lift_from_grid(D, disp, M, N_out, real):
     """The lift D theta + f(theta), f re-expanded at N_out from `disp`, one
-    (M,)*n grid per component, or a scalar for a constant one, which is
-    taken as it is, with no transform (its real part for a real lift).
+    grid per component of values on the M^n grid at the shape of the axes
+    they depend on, re-expanded from their `np.broadcast_to` cube, or a
+    scalar for a constant one, which is taken as it is, with no transform
+    (its real part for a real lift).
 
     Each part is tail-chopped: its smallest coefficients are zeroed while
     their summed modulus stays at or below CHOP_FLOOR, so the part moves by
@@ -254,7 +288,8 @@ def _lift_from_grid(D, disp, N_out, real):
     its `trunc_mass` next to the aliasing mass of the re-expansion.
     """
     n = len(disp)
-    parts = [series_from_real_grid(g, N_out, real=real) if np.ndim(g)
+    parts = [series_from_real_grid(np.broadcast_to(g, (M,) * n), N_out,
+                                   real=real) if np.ndim(g)
              else PeriodicSeries.constant(n, N_out, g.real if real else g)
              .with_real_flag(real) for g in disp]
     return TorusMapLift(D, [p.chop_tail() for p in parts])
@@ -321,7 +356,8 @@ class TorusMapLift:
         M = grid_size(N_out, self.N)
         U = [p.eval_real_grid(M) for p in self.parts]
         vals = taylor_on_grid([h], self.D, U, M)[0]
-        return series_from_real_grid(vals, N_out, real=h.real and self.real)
+        return series_from_real_grid(np.broadcast_to(vals, (M,) * self.n),
+                                     N_out, real=h.real and self.real)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -363,16 +399,17 @@ def flow(v, t, r1, delta, N_out, line_integrand=None):
     k, defect = 1, _sup(sums)
     while defect > TERM_TOL and k < MAX_TERMS:
         k += 1
-        powers = [sum(pi * d for pi, d in zip(p, _grid_gradient(g)))
+        powers = [sum(pi * d for pi, d in zip(p, _grid_gradient(g, M)))
                   for g in powers]
         terms = [t ** k / math.factorial(k) * g for g in powers]
         sums = [acc + term for acc, term in zip(sums, terms)]
         defect = _sup(terms)
     at_most("(lie)", defect, FLOW_DEFECT_TOL)
     integral = None if line_integrand is None else series_from_real_grid(
-        sums[v.n], N_out, real=v.real and line_integrand.real)
+        np.broadcast_to(sums[v.n], (M,) * v.n), N_out,
+        real=v.real and line_integrand.real)
     return FlowResult(
-        _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], N_out, v.real),
+        _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], M, N_out, v.real),
         float(t), k, defect, integral)
 
 
@@ -388,7 +425,7 @@ def compose_maps(*maps, N_out):
     n, M = chain.n, grid_size(N_out, chain.N)
     D, U, _ = _walk(chain.stages, functools.partial(taylor_on_grid, M=M),
                     np.eye(n, dtype=int), [0.0] * n, None)
-    return _lift_from_grid(D, U, N_out, chain.real)
+    return _lift_from_grid(D, U, M, N_out, chain.real)
 
 
 class MapChain:
@@ -399,9 +436,9 @@ class MapChain:
     members `D`, `N`, `real` and `part_norm`, so `invert_map` inverts it
     without collapsing it first; `to_single` collapses it in one pass when a
     serializable map is wanted.  `apply` and `jacobian_det` read it at
-    scattered points, given as one coordinate array per component, by
-    `_walk` with the point reader; wrap a single lift as MapChain([lift]) to
-    read it there.
+    scattered points, given as one coordinate array per component, the
+    arrays broadcasting together, by `_walk` with the point reader; wrap a
+    single lift as MapChain([lift]) to read it there.
     """
 
     __slots__ = ("stages",)
@@ -440,13 +477,14 @@ class MapChain:
 
     def apply(self, coords):
         """The image of the points whose coordinates `coords` holds, one
-        array per component, as one array per component."""
+        array per component, as one array per component, each of the
+        broadcast shape of the coordinates it depends on."""
         return _walk(self.stages, _read_points,
                      np.zeros((self.n,) * 2, dtype=int), list(coords), None)[1]
 
     def jacobian_det(self, coords):
         """(image, det): the image of the points whose coordinates `coords`
-        holds, one array per component, and the determinant of the Jacobian
+        holds, as `apply` gives it, and the determinant of the Jacobian
         there, from one `_walk` of the stages.  det is a scalar when every
         stage is affine."""
         _, U, det = _walk(self.stages, _read_points,
@@ -477,7 +515,7 @@ def grid_walk(phi, M, shift, det):
     """A lift or MapChain at the M^n-point real grid + i shift, as
     (D, U, det): the image is D theta + U, U one (M,)*n grid per component,
     and det is det times det D phi there, an (M,)*n grid (None when det is
-    None).
+    None).  `det` may be a scalar or grid values at the shape of their axes.
 
     The leading affine stages and the first stage with a non-constant part
     are walked on the grid (`_walk` with `taylor_on_grid`) from the scalar
@@ -486,7 +524,10 @@ def grid_walk(phi, M, shift, det):
     `MapChain.jacobian_det` when a determinant is wanted, on the image
     coordinates D theta + U, one grid per component; U is then the image
     less D theta.  Each component of D theta is a sum of broadcast aranges,
-    one per axis its row of D holds.
+    one per axis its row of D holds.  Every grid keeps the shape of the axes
+    it depends on, so a component of theta_1 alone stays an (M, 1, ..., 1)
+    line through the walk, and only the returned U and det are its
+    read-only `np.broadcast_to` views at (M,)*n.
     """
     stages = phi.stages if isinstance(phi, MapChain) else (phi,)
     n = stages[0].n
@@ -563,7 +604,7 @@ def invert_map(phi, r, N_out):
                 max(prev_delta * (1.0 + 1e-12), 1e3 * INVERT_TOL))
         prev_delta = delta
     at_most("(inverse)", delta, INVERT_TOL)
-    inv = _lift_from_grid(np.eye(n, dtype=int), U, N_out, phi.real)
+    inv = _lift_from_grid(np.eye(n, dtype=int), U, M, N_out, phi.real)
     M_w = witness_grid_size(N_out, phi.N) + 1
     residual = _sup(grid_walk(MapChain((inv,) + stages), M_w, 0.0, None)[1])
     return MapInverse(inv, residual, its)

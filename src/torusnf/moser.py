@@ -72,9 +72,10 @@ def moser_normalize(density, N_out):
     phi = TorusMapLift(np.eye(n, dtype=int), fs)
 
     M = witness_grid_size(max(N_out, b.N))
-    det = np.ones((M,) * n, dtype=complex)
+    # each factor keeps the shape of the axes it depends on
+    det = 1.0
     for p in range(1, n + 1):
-        det *= 1.0 + fs[p - 1].derivative(p - 1).eval_real_grid(M)
+        det = det * (1.0 + fs[p - 1].derivative(p - 1).eval_real_grid(M))
     lhs = (1.0 + mean) * det
     rhs = 1.0 + b.eval_real_grid(M)
     residual = float(np.max(np.abs(lhs - rhs)))

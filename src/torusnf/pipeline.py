@@ -114,10 +114,10 @@ def jacobian_density(emb):
     varying = sum(any(d.dependent_axes() for d in row) for row in rows)
     N_exact = varying * (emb.N + 1)
     M = seven_smooth(2 * N_exact + 1)
-    det = stacked_det([[d.eval_real_grid(M).reshape(-1) if d.dependent_axes()
+    # at the shape of the axes some entry varies on; a scalar if none does
+    det = stacked_det([[d.eval_real_grid(M) if d.dependent_axes()
                         else d.mean() for d in row] for row in rows])
-    det = np.broadcast_to(det, (M ** n,))   # a scalar if no entry varies
-    a = series_from_real_grid((det - 1.0).reshape((M,) * n), N_exact)
+    a = series_from_real_grid(np.broadcast_to(det - 1.0, (M,) * n), N_exact)
     M_check = seven_smooth(2 * n * (emb.N + 1) + 1)
     low = float(np.min(np.abs(det)))
     if M < M_check and low - np.pi / M * _slope_mass(a) <= MIN_JACOBIAN:
@@ -156,8 +156,11 @@ def modulus_phase_split(a):
     vals = a.series.eval_real_grid(M)
     at_most("(branch)", float(np.max(np.abs(vals))), 0.5)
     w = 1.0 + vals
-    b = series_from_real_grid(np.abs(w) - 1.0, N_out, real=True)
-    h = series_from_real_grid(np.angle(w), N_out, real=True)
+    cube = (M,) * n
+    b = series_from_real_grid(np.broadcast_to(np.abs(w) - 1.0, cube), N_out,
+                              real=True)
+    h = series_from_real_grid(np.broadcast_to(np.angle(w), cube), N_out,
+                              real=True)
     recon = (1.0 + b.eval_real_grid(M)) * np.exp(1j * h.eval_real_grid(M))
     residual = float(np.max(np.abs(recon - w)))
     return PolarSplit(b.chop(CHOP_FLOOR), h.chop(CHOP_FLOOR), residual)

@@ -169,7 +169,8 @@ def realization_step(a, r, delta):
     a_vals = fr.map.pullback(a.series, N_out=N_pull).eval_real_grid(M)
     det_vals = np.exp(fr.integral.eval_real_grid(M))
     hat_vals = (1.0 + a_vals) * det_vals - 1.0
-    return AnnulusFunction(series_from_real_grid(hat_vals, a.N)), fr.map
+    return AnnulusFunction(series_from_real_grid(
+        np.broadcast_to(hat_vals, (M,) * a.n), a.N)), fr.map
 
 
 @dataclasses.dataclass
@@ -260,8 +261,9 @@ def _verify_density(phi, a0):
     # mu = sum theta_j + Im log det D phi + const; the form is non-critical
     # when grad mu never vanishes
     log_det = series_from_real_grid(np.log(det), M // 4)
-    grads = np.stack([1.0 + log_det.derivative(j).eval_real_grid(M).imag
-                      for j in range(n)], axis=-1)
+    grads = np.stack(np.broadcast_arrays(*[
+        1.0 + log_det.derivative(j).eval_real_grid(M).imag
+        for j in range(n)]), axis=-1)
     min_phase_gradient = float(np.min(np.max(np.abs(grads), axis=-1)))
     return det_residual, min_det, min_phase_gradient
 

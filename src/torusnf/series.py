@@ -243,20 +243,23 @@ class PeriodicSeries:
     # evaluation
 
     def eval_real_grid(self, M):
-        """Values on the uniform real grid theta_j = 2 pi m_j / M, as a
-        writable (M,)*n array.
+        """Values on the uniform real grid theta_j = 2 pi m_j / M, at the
+        shape of the axes the series depends on: M along each dependent axis
+        and 1 along every other, so a constant comes back as a (1,)*n array.
+        Broadcast against (M,)*n, the array gives the value at every grid
+        point; `np.broadcast_to` makes that cube as a view, with no copy,
+        where one is needed (a re-index by `np.take`, a re-expansion).
 
         Only the dependent axes are transformed: the block is cut to the
-        k = 0 plane of every other axis, that lower-dimensional block goes
-        through one inverse FFT, and its values are broadcast along the
-        other axes.  A constant costs no FFT at all.  Exact for every M: on
-        the grid exp(i k theta) = exp(i k' theta) whenever k = k' (mod M),
-        so below the alias-free M = 2N + 1 such coefficients are added into
-        one FFT bin; from there on every bin holds one coefficient and is
-        assigned.  There, a cut block that is exactly Hermitian,
-        c_{-k} = conj c_k bit for bit, has real values, and only its half
-        k_last >= 0 goes through `np.fft.irfftn`; the values still come back
-        complex.  The `real` flag is not read for this, as it holds only to
+        k = 0 plane of every other axis, and that lower-dimensional block
+        goes through one inverse FFT.  A constant costs no FFT at all.
+        Exact for every M: on the grid exp(i k theta) = exp(i k' theta)
+        whenever k = k' (mod M), so below the alias-free M = 2N + 1 such
+        coefficients are added into one FFT bin; from there on every bin
+        holds one coefficient and is assigned.  There, a cut block that is
+        exactly Hermitian, c_{-k} = conj c_k bit for bit, has real values,
+        and only its half k_last >= 0 goes through `np.fft.irfftn`; the
+        values still come back complex.  The `real` flag is not read for this, as it holds only to
         within REAL_TOL.  No off-grid point is read here; scattered points
         go through `eval_many`.
         """
@@ -270,7 +273,7 @@ class PeriodicSeries:
                 emb = np.zeros((M,) * (d - 1) + (M // 2 + 1,), dtype=complex)
                 emb[np.ix_(*([k] * (d - 1)), k[self.N:])] = vals[..., self.N:]
                 vals = np.fft.irfftn(emb, s=(M,) * d, axes=tuple(range(d)),
-                                     norm="forward")
+                                     norm="forward").astype(complex)
             else:
                 emb = np.zeros((M,) * d, dtype=complex)
                 idx = np.ix_(*([k] * d))
@@ -279,9 +282,7 @@ class PeriodicSeries:
                 else:
                     np.add.at(emb, idx, vals)
                 vals = np.fft.ifftn(emb) * (M ** d)
-        out = np.empty((M,) * self.n, dtype=complex)
-        out[...] = vals.reshape([M if j in axes else 1 for j in range(self.n)])
-        return out
+        return np.reshape(vals, [M if j in axes else 1 for j in range(self.n)])
 
     # ------------------------------------------------------------------
     # splitting and calculus
@@ -466,14 +467,15 @@ def witness_grid_size(N_out, *N_in):
 def stacked_det(rows):
     """Determinants of an n x n matrix, given entry by entry, at m points.
 
-    `rows[j][l]` is an (m,) complex array, or a scalar for an entry that is
-    the same at every point; a zero scalar adds no term, so no (m, n, n)
-    stack is built.  Laplace expansion along the rows: the minors on the
-    last k rows, one per set of k columns, are built from those on the last
-    k - 1 rows.  For the n <= 4 Jacobians here this is several times faster
-    than `np.linalg.det`, which factors the matrices one by one, and agrees
-    with it to round-off.  Returns an (m,) array, or a scalar when every
-    entry is one.
+    `rows[j][l]` is a complex array, or a scalar for an entry that is the
+    same at every point; a zero scalar adds no term, so no (m, n, n) stack
+    is built.  The arrays broadcast together, so a grid entry may keep the
+    shape of the axes it depends on.  Laplace expansion along the rows: the
+    minors on the last k rows, one per set of k columns, are built from
+    those on the last k - 1 rows.  For the n <= 4 Jacobians here this is
+    several times faster than `np.linalg.det`, which factors the matrices
+    one by one, and agrees with it to round-off.  Returns an array of the
+    broadcast shape of the entries, or a scalar when every entry is one.
     """
     n = len(rows)
     minors = {(c,): rows[n - 1][c] for c in range(n)}
@@ -486,10 +488,8 @@ def stacked_det(rows):
                 entry, minor = row[c], below[cols[:i] + cols[i + 1:]]
                 if _is_zero(entry) or _is_zero(minor):
                     continue
-                if i % 2:
-                    out -= entry * minor
-                else:
-                    out += entry * minor
+                # out of place: a term may vary on more axes than out
+                out = out - entry * minor if i % 2 else out + entry * minor
             minors[cols] = out
     return minors[tuple(range(n))]
 
@@ -507,7 +507,9 @@ def _is_zero(entry):
 def series_from_real_grid(values, N, real=False):
     """Fourier coefficients from samples on the uniform real grid.
 
-    `values` must be an n-dimensional cube of M >= 2N+1 samples per axis.
+    `values` must be an n-dimensional cube of M >= 2N+1 samples per axis;
+    grid values kept at the shape of their axes come as the zero-copy view
+    `np.broadcast_to(values, (M,) * n)`.
     Frequencies outside the degree bound are dropped and their l1 mass is
     recorded on the result as `trunc_mass` (the aliasing/truncation report).
     With `real`, the result is the Hermitian part of the spectrum, which is
@@ -556,7 +558,8 @@ def divide(num, den, N_out):
     dv = den.eval_real_grid(M)
     above("(denominator)", float(np.min(np.abs(dv))), MIN_DEN)
     nv = num.eval_real_grid(M)
-    return series_from_real_grid(nv / dv, N_out, real=num.real and den.real)
+    return series_from_real_grid(np.broadcast_to(nv / dv, (M,) * num.n),
+                                 N_out, real=num.real and den.real)
 
 
 def translate(h, shift):

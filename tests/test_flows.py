@@ -424,6 +424,41 @@ class TestStageJacobian:
             functools.partial(at_points, chain), pts)
         assert np.max(np.abs(det - fd)) < 1e-8
 
+    def test_compact_coordinates_read_as_the_full_grid(self):
+        # theta_1-only, two-axis, affine and constant-part stages, read at
+        # the grid axes kept at their own shape and at the full cube
+        rng = np.random.default_rng(33)
+        n, N, M = 3, 3, 6
+
+        def on(axes):
+            c = np.array(random_series(rng, n, N).coeffs)
+            for j in set(range(n)) - set(axes):
+                np.moveaxis(c, j, 0)[np.arange(-N, N + 1) != 0] = 0.0
+            return 1e-2 * PeriodicSeries(c, real=True)
+
+        eye, zero = np.eye(n, dtype=int), PeriodicSeries.zeros(n, N)
+        chain = MapChain([
+            TorusMapLift(eye, [on((0,)), zero, zero]),
+            TorusMapLift(eye, [on((0, 1)), on((0,)), zero]),
+            TorusMapLift.translation(n, [0.3, -0.2, 0.1]),
+            TorusMapLift(eye, [PeriodicSeries.constant(n, N, 0.05),
+                               on((1, 2)), zero]),
+            TorusMapLift([[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                         [PeriodicSeries.constant(n, 0, -0.1)] * n)])
+        t = 2.0 * np.pi * np.arange(M) / M + 0.05j
+        compact = [t.reshape([M if l == j else 1 for l in range(n)])
+                   for j in range(n)]
+        full = [np.broadcast_to(c, (M,) * n).copy() for c in compact]
+        image, det = chain.jacobian_det(compact)
+        full_image, full_det = chain.jacobian_det(full)
+        assert np.array_equal(np.broadcast_to(det, (M,) * n), full_det)
+        for u, v in zip(image, full_image):
+            assert np.array_equal(np.broadcast_to(u, (M,) * n), v)
+        # the first two stages keep the third axis out of every read
+        image, det = MapChain(chain.stages[:2]).jacobian_det(compact)
+        assert [u.shape for u in image] == [(M, M, 1), (M, M, 1), (1, 1, M)]
+        assert det.shape == (M, M, 1)
+
 
 class TestTaylorKernel:
     """`taylor_on_grid` reads h(D theta + U(theta)) on the M^n grid: against

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -189,19 +190,69 @@ def record_grid_sizes(monkeypatch):
     return sizes
 
 
+def volume_map(emb):
+    """The volume map of `normalize_embedding`, rebuilt stage by stage, with
+    the strip half-width r and the degree N_out of its inversion there."""
+    a = jacobian_density(emb)
+    A_inv = unimodular_inverse(shear_lift(emb.n).D)
+    b2 = pull_back_linear(modulus_phase_split(a).modulus, A_inv)
+    phi = moser_normalize(VolumeDensity(b2), N_out=b2.N + 4).map
+    return phi, emb.r0 / 2.0, phi.N + 4
+
+
 def inverse_volume_maps(emb, monkeypatch):
     """The inverse volume map of `normalize_embedding`, rebuilt stage by
     stage, and the same map computed without the tail chop."""
-    a = jacobian_density(emb)
-    r = emb.r0 / 2.0
-    A_inv = unimodular_inverse(shear_lift(emb.n).D)
-    b2 = pull_back_linear(modulus_phase_split(a).modulus, A_inv)
-    moser = moser_normalize(VolumeDensity(b2), N_out=b2.N + 4)
-    inv = invert_map(moser.map, r, N_out=moser.map.N + 4).map
+    phi, r, N_out = volume_map(emb)
+    inv = invert_map(phi, r, N_out=N_out).map
     with monkeypatch.context() as m:
         m.setattr(PeriodicSeries, "chop_tail", lambda self: self)
-        raw = invert_map(moser.map, r, N_out=moser.map.N + 4).map
+        raw = invert_map(phi, r, N_out=N_out).map
     return inv, raw
+
+
+class TestCompactGrids:
+    """Grid values keep the shape of the axes they depend on, so the
+    theta_1-only volume map of the seeded n = 3 normal form is inverted and
+    witnessed on lines of the grid, not on its cube."""
+
+    def test_round_trip_reads_the_first_axis_only(self, monkeypatch):
+        phi, r, N_out = volume_map(three_angle_embedding())
+        assert [p.dependent_axes() for p in phi.parts] == [(0,), (), ()]
+        M_w = series.witness_grid_size(N_out, phi.N) + 1
+        points, walked = [], []
+        evaluate, walk = series.eval_many, flows.grid_walk
+
+        def recording(series_list, pts):
+            points.append(len(pts))
+            return evaluate(series_list, pts)
+
+        def keeping(*args):
+            out = walk(*args)
+            walked.append(out[1])
+            return out
+
+        monkeypatch.setattr(flows, "eval_many", recording)
+        monkeypatch.setattr(flows, "grid_walk", keeping)
+        assert invert_map(phi, r, N_out=N_out).residual < 1e-13
+        # the round trip's volume stage is read at the M_w points of the
+        # first coordinate; at the full cube it would take M_w ** 3
+        assert points and max(points) <= M_w
+        [U] = walked
+        assert [u.shape for u in U] == [(M_w,) * 3] * 3
+        # the first component is a line until the final broadcast
+        assert U[0].strides[1:] == (0, 0)
+
+    def test_inverse_volume_map_fits_in_two_megabytes(self):
+        phi, r, N_out = volume_map(three_angle_embedding())
+        tracemalloc.start()
+        try:
+            invert_map(phi, r, N_out=N_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # read on the full (M,)*3 cubes it peaks at about 14 MB
+        assert peak < 2e6
 
 
 class TestComputedMapChop:

@@ -128,10 +128,12 @@ class TestEval:
         else:
             h = PeriodicSeries.zeros(n, 4)
         assert h.dependent_axes() == axes
+        # M along the dependent axes, 1 along the others
         vals = h.eval_real_grid(M)
-        assert vals.shape == (M,) * n and vals.flags.writeable
+        assert vals.shape == tuple(M if j in axes else 1 for j in range(n))
         pts_vals = eval_many([h], theta_grid(n, M))[0]
-        assert np.max(np.abs(vals.reshape(-1) - pts_vals)) < 1e-13
+        full = np.broadcast_to(vals, (M,) * n).reshape(-1)
+        assert np.max(np.abs(full - pts_vals)) < 1e-13
 
 
 def term_sum(h, pts):
@@ -591,6 +593,35 @@ class TestHalfSpectra:
         mass = np.abs(full).sum()
         assert np.max(np.abs(out.coeffs - kept)) <= 1e-14 * mass
         assert abs(out.trunc_mass - dropped) <= 1e-14 * mass
+
+
+class TestCompactGrids:
+    @half_spectra
+    @given(n=st.integers(1, 3), N=st.integers(0, 4), extra=st.integers(-8, 5),
+           subset=st.integers(0, 7), real=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_broadcast_view_re_expands_as_the_cube(self, n, N, extra, subset,
+                                                   real, seed):
+        # grid values at the shape of their axes, read from M below the
+        # alias-free 2N + 1, where aliases fold, to above it, and re-expanded
+        # from their broadcast view: the block of the materialized cube
+        M = max(1, 2 * N + 1 + extra)
+        axes = tuple(j for j in range(n) if subset >> j & 1)
+        c = np.array(random_series(np.random.default_rng(seed), n, N,
+                                   real=real).coeffs)
+        for j in set(range(n)) - set(axes):
+            np.moveaxis(c, j, 0)[np.arange(-N, N + 1) != 0] = 0.0
+        h = PeriodicSeries(c, real=real)
+        assert set(h.dependent_axes()) <= set(axes)
+        vals = h.eval_real_grid(M)
+        assert vals.shape == tuple(M if j in h.dependent_axes() else 1
+                                   for j in range(n))
+        view = np.broadcast_to(vals, (M,) * n)
+        N_out = (M - 1) // 2
+        got = series_from_real_grid(view, N_out, real=real)
+        want = series_from_real_grid(np.array(view), N_out, real=real)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.trunc_mass == want.trunc_mass
 
 
 class TestImmutability:
