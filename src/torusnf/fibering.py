@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import TorusNFError, at_most
 from .flows import (
-    MapChain,
     PeriodicVectorField,
     TorusMapLift,
     flow,
@@ -167,7 +166,7 @@ def fibering_step(h, r, delta):
 
 @dataclasses.dataclass
 class FiberingResult:
-    chain: MapChain            # stages in application order (translation first)
+    stages: tuple              # lifts in application order (translation first)
     k: PeriodicSeries          # one-dimensional, zero mean
     trace: list                # TraceRow per m, defect = transverse_bound
     residual: float
@@ -180,12 +179,12 @@ def fibering_normalize(phase, r0):
     """Iterate fibering steps until the transverse mass drops to STOP_TOL.
 
     Runs `shrinking_strip` on the fibering schedule with the transverse
-    bound as defect.  On success returns the stage chain, the normalized
+    bound as defect.  On success returns the stages, the normalized
     one-variable phase k with zero mean, the per-step trace, and the grid
     residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
     sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness takes
     the displacement U and the determinant from one `grid_walk` of the
-    chain, and reads h at the image by the grid kernel, not at scattered
+    stages, and reads h at the image by the grid kernel, not at scattered
     points.
 
     Schedule exhaustion (MAX_ITER steps) returns a non-converged result
@@ -204,17 +203,16 @@ def fibering_normalize(phase, r0):
     k = (translate(k_line, [a]) + a).symmetrized()
     shift = np.zeros(n)
     shift[0] = a
-    stages = [TorusMapLift.translation(n, shift)] + stage_maps[::-1]
-    chain = MapChain(stages)
+    stages = (TorusMapLift.translation(n, shift), *stage_maps[::-1])
 
     # every stage has D = I, so Phi theta = theta + U(theta) and
     # mu o Phi - theta_1 = U_1 + h0(theta + U), h0 read by the grid kernel
     M = VERIFY_GRID
-    D, U, det = grid_walk(chain, M, 0.0, 1.0)
+    D, U, det = grid_walk(stages, M, 0.0, 1.0)
     mu = U[0] + taylor_on_grid([h0], D, U, M)[0]
     target = k.eval_real_grid(M).reshape((-1,) + (1,) * (n - 1))
     residual = float(np.max(np.abs(mu - target)))
     det_residual = float(np.max(np.abs(det - 1.0)))
-    return FiberingResult(chain, k, trace, residual, det_residual, converged,
+    return FiberingResult(stages, k, trace, residual, det_residual, converged,
                           len(stage_maps))
 

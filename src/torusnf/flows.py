@@ -34,21 +34,22 @@ re-index by an integer D (`np.take`) and a re-expansion
 (`series_from_real_grid`) need the full cube, and take it as a zero-copy
 `np.broadcast_to` view.
 
-One loop, `_walk`, applies a chain of lifts, with its Jacobian determinant
-when one is wanted.  An affine stage (parts constant) adds its constants
-and multiplies the determinant by det D, with nothing read.  A non-affine
-stage reads its parts, and its n^2 first derivatives for a determinant,
-through a reader: on the grid `taylor_on_grid` at the current (D, U), at
-scattered points `eval_many` at the points U carries whole (D = 0).  Every
-determinant goes to `stacked_det` entry by entry, a constant entry as a
-scalar, so no (m, n, n) stack is built.  A residual witness samples the
-real grid + i shift through `grid_walk`, which returns the image as
-D theta + U, U one grid per component.  Its leading affine stages and
-first non-affine stage are walked on the grid; the later stages see
-scattered image points, through `MapChain.apply` / `jacobian_det`, which
-take and return one coordinate array per component at the shape of the
-axes it depends on, so no (M^n, n) array of points is built, and a stage
-of theta_1 alone is read at M points.  A series read at the image, as the
+One loop, `_walk`, applies a composite map: a tuple of lifts, first-applied
+first, the one type a composite has; a single lift is the tuple (lift,).
+An affine stage (parts constant) adds its constants and multiplies the
+determinant by det D, with nothing read.  A non-affine stage reads its
+parts, and its n^2 first derivatives for a determinant, through a reader:
+on the grid `taylor_on_grid` at the current (D, U), at scattered points
+`eval_many` at the points U carries whole (D = 0).  Every determinant goes
+to `stacked_det` entry by entry, a constant entry as a scalar, so no
+(m, n, n) stack is built.  A residual witness samples the real grid
++ i shift through `grid_walk`, which returns the image as D theta + U, U
+one grid per component.  Its leading affine stages and first non-affine
+stage are walked on the grid; the later stages see scattered image points,
+through a `MapChain` of them, whose `apply` / `jacobian_det` take and
+return one coordinate array per component at the shape of the axes it
+depends on, so no (M^n, n) array of points is built, and a stage of
+theta_1 alone is read at M points.  A series read at the image, as the
 density or the phase in the normal-form and fibering witnesses, goes
 through the grid kernel at the returned (D, U).
 """
@@ -368,7 +369,6 @@ class FlowResult:
     `integral` is the line integral, None when no integrand was given."""
 
     map: TorusMapLift
-    t: float
     step_count: int
     defect: float
     integral: PeriodicSeries | None
@@ -410,7 +410,7 @@ def flow(v, t, r1, delta, N_out, line_integrand=None):
         real=v.real and line_integrand.real)
     return FlowResult(
         _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], M, N_out, v.real),
-        float(t), k, defect, integral)
+        k, defect, integral)
 
 
 def compose_maps(*maps, N_out):
@@ -421,80 +421,49 @@ def compose_maps(*maps, N_out):
     grid kernel and the periodic part of the composite is re-expanded once,
     at the degree bound N_out.
     """
-    chain = MapChain(maps[::-1])
-    n, M = chain.n, grid_size(N_out, chain.N)
-    D, U, _ = _walk(chain.stages, functools.partial(taylor_on_grid, M=M),
+    stages = maps[::-1]
+    n, M = stages[0].n, grid_size(N_out, max(s.N for s in stages))
+    D, U, _ = _walk(stages, functools.partial(taylor_on_grid, M=M),
                     np.eye(n, dtype=int), [0.0] * n, None)
-    return _lift_from_grid(D, U, M, N_out, chain.real)
+    return _lift_from_grid(D, U, M, N_out, all(s.real for s in stages))
 
 
 class MapChain:
-    """A composition of lifts kept stage by stage, first-applied first.
+    """A tuple of lifts, first-applied first, read at scattered points.
 
-    Evaluating through the stages avoids the re-expansion error of collapsing
-    the chain into a single truncated lift.  A chain has the lift-shaped
-    members `D`, `N`, `real` and `part_norm`, so `invert_map` inverts it
-    without collapsing it first; `to_single` collapses it in one pass when a
-    serializable map is wanted.  `apply` and `jacobian_det` read it at
-    scattered points, given as one coordinate array per component, the
-    arrays broadcasting together, by `_walk` with the point reader; wrap a
-    single lift as MapChain([lift]) to read it there.
+    `apply` and `jacobian_det` read the stages at points given as one
+    coordinate array per component, the arrays broadcasting together, by
+    `_walk` with the point reader; `grid_walk` builds one for the stages it
+    walks off the grid.  `to_single` collapses the stages in one pass when a
+    serializable map is wanted.  Everything else takes the tuple itself.
     """
 
     __slots__ = ("stages",)
 
     def __init__(self, stages):
         self.stages = tuple(stages)
-        if not self.stages:
-            raise ValueError("chain needs at least one stage")
-        n = self.stages[0].n
-        if any(s.n != n for s in self.stages):
-            raise ValueError("all stages must act on the same torus")
-
-    @property
-    def n(self):
-        return self.stages[0].n
-
-    @property
-    def N(self):
-        return max(s.N for s in self.stages)
-
-    @property
-    def real(self):
-        return all(s.real for s in self.stages)
-
-    @property
-    def D(self):
-        """Integer part of the composite: the stage integer parts multiplied."""
-        D = np.eye(self.n, dtype=int)
-        for s in self.stages:
-            D = s.D @ D
-        return D
-
-    def part_norm(self, r):
-        """Sum of the stage part norms: what `invert_map` gates for a chain."""
-        return sum(s.part_norm(r) for s in self.stages)
 
     def apply(self, coords):
         """The image of the points whose coordinates `coords` holds, one
         array per component, as one array per component, each of the
         broadcast shape of the coordinates it depends on."""
-        return _walk(self.stages, _read_points,
-                     np.zeros((self.n,) * 2, dtype=int), list(coords), None)[1]
+        n = len(coords)
+        return _walk(self.stages, _read_points, np.zeros((n, n), dtype=int),
+                     list(coords), None)[1]
 
     def jacobian_det(self, coords):
         """(image, det): the image of the points whose coordinates `coords`
         holds, as `apply` gives it, and the determinant of the Jacobian
         there, from one `_walk` of the stages.  det is a scalar when every
         stage is affine."""
+        n = len(coords)
         _, U, det = _walk(self.stages, _read_points,
-                          np.zeros((self.n,) * 2, dtype=int), list(coords), 1.0)
+                          np.zeros((n, n), dtype=int), list(coords), 1.0)
         return U, det
 
     def to_single(self, N_out):
-        """The chain collapsed by `compose_maps` into one lift of degree N_out.
-
-        A one-stage chain returns its lone stage unchanged.
+        """The stages collapsed by `compose_maps` into one lift of degree
+        N_out.  A lone stage is returned unchanged.
         """
         if len(self.stages) == 1:
             return self.stages[0]
@@ -506,30 +475,31 @@ def _is_affine(stage):
     return not any(p.dependent_axes() for p in stage.parts)
 
 
-def has_identity_integer_part(phi):
-    """Whether a lift or MapChain has integer part I: a near-identity map."""
-    return bool(np.array_equal(phi.D, np.eye(phi.n, dtype=int)))
+def has_identity_integer_part(lift):
+    """Whether the lift has integer part I: a near-identity map."""
+    return bool(np.array_equal(lift.D, np.eye(lift.n, dtype=int)))
 
 
-def grid_walk(phi, M, shift, det):
-    """A lift or MapChain at the M^n-point real grid + i shift, as
-    (D, U, det): the image is D theta + U, U one (M,)*n grid per component,
-    and det is det times det D phi there, an (M,)*n grid (None when det is
-    None).  `det` may be a scalar or grid values at the shape of their axes.
+def grid_walk(stages, M, shift, det):
+    """The lifts `stages`, first-applied first, at the M^n-point real grid
+    + i shift, as (D, U, det): the image is D theta + U, U one (M,)*n grid
+    per component, and det is det times the Jacobian determinant of the
+    composite there, an (M,)*n grid (None when det is None).  `det` may be
+    a scalar or grid values at the shape of their axes.
 
     The leading affine stages and the first stage with a non-constant part
     are walked on the grid (`_walk` with `taylor_on_grid`) from the scalar
     displacement i shift, so they are read by FFT.  The later stages see
     scattered points and go through `MapChain.apply`, or
     `MapChain.jacobian_det` when a determinant is wanted, on the image
-    coordinates D theta + U, one grid per component; U is then the image
-    less D theta.  Each component of D theta is a sum of broadcast aranges,
-    one per axis its row of D holds.  Every grid keeps the shape of the axes
-    it depends on, so a component of theta_1 alone stays an (M, 1, ..., 1)
-    line through the walk, and only the returned U and det are its
-    read-only `np.broadcast_to` views at (M,)*n.
+    coordinates D theta + U, one grid per component; D is then multiplied
+    by their integer parts, and U is the image less D theta.  Each
+    component of D theta is a sum of broadcast aranges, one per axis its row
+    of D holds.  Every grid keeps the shape of the axes it depends on, so a
+    component of theta_1 alone stays an (M, 1, ..., 1) line through the
+    walk, and only the returned U and det are its read-only
+    `np.broadcast_to` views at (M,)*n.
     """
-    stages = phi.stages if isinstance(phi, MapChain) else (phi,)
     n = stages[0].n
     head = 1 + sum(1 for _ in itertools.takewhile(_is_affine, stages))
     D, U, det = _walk(stages[:head], functools.partial(taylor_on_grid, M=M),
@@ -543,7 +513,8 @@ def grid_walk(phi, M, shift, det):
         else:
             coords, rest_det = rest.jacobian_det(coords)
             det = det * rest_det
-        D = rest.D @ D
+        for s in rest.stages:
+            D = s.D @ D
         U = [c - t for c, t in zip(coords, _grid_rows(D, M))]
     return (D, [np.broadcast_to(u, (M,) * n) for u in U],
             None if det is None else np.broadcast_to(det, (M,) * n))
@@ -568,29 +539,29 @@ class MapInverse:
     iterations: int
 
 
-def invert_map(phi, r, N_out):
-    """Inverse of a near-identity lift or MapChain by fixed-point iteration,
-    re-expanded at degree N_out.
+def invert_map(stages, r, N_out):
+    """Inverse of the composite of the near-identity lifts `stages`,
+    first-applied first, by fixed-point iteration, re-expanded at degree
+    N_out.
 
-    The inverse is theta + U on the grid.  Each iteration applies phi to
-    theta + U by the grid kernel, stage by stage for a chain, giving
-    theta + W, and sets U <- U - W: for one lift theta + f, the contraction
-    U <- -f(theta + U).  Requires an identity integer part and the bound
-    (nf) ||f||_r <= r/(4n), on the summed stage norms for a chain, which
-    makes the iteration contract on the half-width strip.  The iteration
-    runs on the M = grid_size(N_out, phi.N) grid.  The residual is the
-    witness sup |phi(phi^{-1}(theta)) - theta| on a second grid, of
-    witness_grid_size(N_out, phi.N) + 1 points per axis: finer than the
-    compute grid, so that it checks the inverse between the points it was
-    computed on, by `grid_walk` of the round trip; it has D = I, so the
-    residual is sup |U|.
+    The inverse is theta + U on the grid.  Each iteration applies the stages
+    in turn to theta + U by the grid kernel, giving theta + W, and sets
+    U <- U - W: for one lift theta + f, the contraction U <- -f(theta + U).
+    Requires every stage to have integer part I, and the bound
+    (nf) ||f||_r <= r/(4n) on the summed stage norms, which makes the
+    iteration contract on the half-width strip.  The iteration runs on the
+    M = grid_size(N_out, N) grid, N the largest stage degree.  The residual
+    is the witness sup |phi(phi^{-1}(theta)) - theta| on a second grid, of
+    witness_grid_size(N_out, N) + 1 points per axis: finer than the compute
+    grid, so that it checks the inverse between the points it was computed
+    on, by `grid_walk` of the round trip; it has D = I, so the residual is
+    sup |U|.
     """
-    if not has_identity_integer_part(phi):
+    if not all(map(has_identity_integer_part, stages)):
         raise ValueError("invert_map requires an identity integer part")
-    n = phi.n
-    at_most("(nf)", phi.part_norm(r), r / (4.0 * n))
-    stages = phi.stages if isinstance(phi, MapChain) else (phi,)
-    M = grid_size(N_out, phi.N)
+    n, N = stages[0].n, max(s.N for s in stages)
+    at_most("(nf)", sum(s.part_norm(r) for s in stages), r / (4.0 * n))
+    M = grid_size(N_out, N)
     read = functools.partial(taylor_on_grid, M=M)
     U = [0.0] * n
     prev_delta = np.inf
@@ -604,8 +575,8 @@ def invert_map(phi, r, N_out):
                 max(prev_delta * (1.0 + 1e-12), 1e3 * INVERT_TOL))
         prev_delta = delta
     at_most("(inverse)", delta, INVERT_TOL)
-    inv = _lift_from_grid(np.eye(n, dtype=int), U, M, N_out, phi.real)
-    M_w = witness_grid_size(N_out, phi.N) + 1
-    residual = _sup(grid_walk(MapChain((inv,) + stages), M_w, 0.0, None)[1])
+    inv = _lift_from_grid(np.eye(n, dtype=int), U, M, N_out,
+                          all(s.real for s in stages))
+    M_w = witness_grid_size(N_out, N) + 1
+    residual = _sup(grid_walk((inv, *stages), M_w, 0.0, None)[1])
     return MapInverse(inv, residual, its)
-

@@ -185,7 +185,7 @@ class InvariantReport:
     rho0: float
     k: PeriodicSeries              # one-dimensional, zero mean
     normalizer: TorusMapLift       # collapsed normalizing lift
-    chain: MapChain                # the same map, stage by stage
+    stages: tuple                  # the same map, lift by lift, first-applied first
     g: CurveImmersion              # normal-form generating curve
     phase_residual: float
     volume_residual: float
@@ -207,10 +207,10 @@ def normalize_embedding(emb):
     under STAGE_TOL before the next runs, the phase iteration's witness
     included.  Both residual witnesses, of the phase iteration and of the
     normal form, sample VERIFY_GRID points per axis and take the
-    displacement U and the determinant from one `grid_walk` of their stage
-    chain, and read the density or phase at the displaced grid by the grid
-    kernel.  In the normal-form chain the shear and the closing unshear are
-    affine and read nothing.
+    displacement U and the determinant from one `grid_walk` of their
+    stages, and read the density or phase at the displaced grid by the grid
+    kernel.  Of the normal-form stages, the shear and the closing unshear
+    are affine and read nothing.
     Raises NumericalFailure when the phase iteration exhausts its schedule.
     """
     n = emb.n
@@ -229,7 +229,7 @@ def normalize_embedding(emb):
     moser = moser_normalize(VolumeDensity(b2), N_out=b2.N + 4)
     at_most("(volume)", moser.residual, STAGE_TOL)
     rho0 = 1.0 + moser.mean
-    inv1 = invert_map(moser.map, r, N_out=moser.map.N + 4)
+    inv1 = invert_map((moser.map,), r, N_out=moser.map.N + 4)
     at_most("(volume-inverse)", inv1.residual, STAGE_TOL)
 
     carried = h2 - moser.map.parts[0]
@@ -249,15 +249,14 @@ def normalize_embedding(emb):
 
     g, exactness_defect = normal_form_curve(k, rho0)
     unshear = TorusMapLift(A_inv, shear.parts)
-    stages = [shear] + list(fib.chain.stages) + [inv1.map, unshear]
-    chain = MapChain(stages)
+    stages = (shear, *fib.stages, inv1.map, unshear)
     # a phase step adds flow stages, which need h3.N + 6 harmonics
     N_norm = max(h3.N + 6 if fib.iterations else 0, moser.map.N + 4, 12)
-    normalizer = chain.to_single(N_norm)
+    normalizer = MapChain(stages).to_single(N_norm)
 
-    phase_residual = _normal_form_residual(a, chain, k, rho0, n)
+    phase_residual = _normal_form_residual(a, stages, k, rho0, n)
     return InvariantReport(
-        rho0=rho0, k=k, normalizer=normalizer, chain=chain, g=g,
+        rho0=rho0, k=k, normalizer=normalizer, stages=stages, g=g,
         phase_residual=phase_residual, volume_residual=fib.det_residual,
         exactness_defect=exactness_defect, moser_residual=moser.residual,
         split_residual=split.residual,
@@ -266,7 +265,7 @@ def normalize_embedding(emb):
         fibering_trace=fib.trace)
 
 
-def _normal_form_residual(a, chain, k, rho0, n):
+def _normal_form_residual(a, stages, k, rho0, n):
     """sup over the real grid of the defining identity of the normal form:
 
     (1 + a(pi(Phi theta))) e^{i sum Phi_j} det D Phi
@@ -279,7 +278,7 @@ def _normal_form_residual(a, chain, k, rho0, n):
     on the M-point line of k and only then spread over the grid.
     """
     M = VERIFY_GRID
-    D, U, det = grid_walk(chain, M, 0.0, 1.0)
+    D, U, det = grid_walk(stages, M, 0.0, 1.0)
     lhs = (1.0 + taylor_on_grid([a.series], D, U, M)[0]) \
         * np.exp(1j * sum(U)) * det
     rhs = _on_grid_sums(rho0 * np.exp(1j * k.eval_real_grid(M)), n)
@@ -313,8 +312,8 @@ def exactness_correct(k):
         return np.mean(w), w
 
     alpha = beta = 0.0
+    c0, w = closure(alpha, beta)
     for _ in range(CLOSURE_MAX_ITER):
-        c0, w = closure(alpha, beta)
         if abs(c0) <= CLOSURE_TOL:
             break
         da = np.mean(1j * ct * w)
@@ -323,6 +322,7 @@ def exactness_correct(k):
         step = np.linalg.solve(J, np.array([c0.real, c0.imag]))
         alpha -= step[0]
         beta -= step[1]
+        c0, w = closure(alpha, beta)
     at_most("(closure)", abs(c0), CLOSURE_TOL)
     corr = PeriodicSeries.from_terms(
         1, 1, {(1,): 0.5 * (alpha - 1j * beta),

@@ -195,7 +195,7 @@ def realize_form(a, r0):
 
     Runs corrective flows in `shrinking_strip` on the realization schedule
     until the transported density defect is at or below STOP_TOL, or
-    MAX_ITER steps are taken, then inverts the stage chain with
+    MAX_ITER steps are taken, then inverts the stages with
     `invert_map`.  `inverse_residual` is the worst round trip
     sup |psi(phi(theta)) - theta| over the torus, as `invert_map` witnesses
     it on its own grid, and over the shells Im theta = +-r0/8, which lie
@@ -223,20 +223,20 @@ def realize_form(a, r0):
     N_comp = max(2 * a0.N + 4, 8)
     if not stage_maps:
         stage_maps = [TorusMapLift.identity(n)]
-    chain = MapChain(stage_maps[::-1])
-    psi_single = AnnulusMap.from_torus_lift(chain.to_single(N_comp))
+    stages = tuple(stage_maps[::-1])
+    psi = AnnulusMap.from_torus_lift(MapChain(stages).to_single(N_comp))
 
-    inverse = invert_map(chain, r0 / 2.0, N_out=N_comp)
+    inverse = invert_map(stages, r0 / 2.0, N_out=N_comp)
     phi = AnnulusMap.from_torus_lift(inverse.map)
     M = max(2 * N_comp + 3, 33)
-    round_trip = MapChain((inverse.map,) + chain.stages)
+    round_trip = (inverse.map, *stages)
     inverse_residual = inverse.residual
     for shift in (-r0 / 8.0, r0 / 8.0):
         U = grid_walk(round_trip, M, shift, None)[1]
         inverse_residual = max([inverse_residual] + [
             float(np.max(np.abs(u - 1j * shift))) for u in U])
     det_residual, min_det, min_phase_gradient = _verify_density(phi, a0)
-    return RealizationResult(phi, psi_single, trace, det_residual,
+    return RealizationResult(phi, psi, trace, det_residual,
                              inverse_residual, min_det, min_phase_gradient,
                              converged, iterations)
 
@@ -252,7 +252,7 @@ def _verify_density(phi, a0):
     n = a0.n
     M = max(4 * (phi.log_g[0].N + 1), 32)
     log_g = sum(lg.series for lg in phi.log_g)
-    det = grid_walk(phi.to_torus_lift(), M, 0.0,
+    det = grid_walk((phi.to_torus_lift(),), M, 0.0,
                     np.exp(log_g.eval_real_grid(M)))[2]
     target = 1.0 + a0.series.eval_real_grid(M)
     det_residual = float(np.max(np.abs(det - target)))

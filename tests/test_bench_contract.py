@@ -38,7 +38,7 @@ def test_tracer_reads_flow_and_inverse_counts(monkeypatch):
     with tracer.LayerTracer() as trace:
         fr = flows.flow(v, 1.0, 0.5, 0.2, N_out=1)
         flows.flow(v, -1.0, 0.5, 0.2, N_out=1, line_integrand=c)
-        flows.invert_map(fr.map, 0.5, N_out=1)
+        flows.invert_map((fr.map,), 0.5, N_out=1)
     counts = trace.exact_counts()
     assert counts["flows.flow.calls"] == 2
     assert counts["flows.flow.rk4_steps"] > 0

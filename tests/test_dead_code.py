@@ -3,7 +3,8 @@ every private one is referenced outside its own body, every name imported
 from the package is used, every default is both taken and overridden by
 production code, the number of settable values does not grow, no
 `np.linalg` result is truncated to integers, outside `series` one
-function, the point reader in `flows`, references `eval_many`, and every
+function, the point reader in `flows`, references `eval_many`, a composite
+map is a tuple of lifts that no module tests for `MapChain`, and every
 refusal goes through the gate of `errors`.
 
 The scan parses `src/torusnf` and the benchmark under `perfbench/` with
@@ -183,6 +184,25 @@ def test_eval_many_has_one_reader_in_flows():
             loose.append(path.stem)
     assert readers == ["flows._read_points"]
     assert loose == []
+
+
+def test_a_composite_is_a_tuple_of_lifts():
+    """A composite map is a tuple of lifts, first-applied first.  `MapChain`
+    only reads such a tuple at scattered points and collapses it, so its
+    body defines no lift-shaped member for an entry point to branch on, and
+    no module asks whether a map is one."""
+    tree = ast.parse((ROOT / "src" / "torusnf" / "flows.py").read_text())
+    [chain] = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "MapChain"]
+    members = [node.name for node in chain.body
+               if isinstance(node, ast.FunctionDef)]
+    assert members == ["__init__", "apply", "jacobian_det", "to_single"]
+    branches = [
+        f"{path.stem}:{node.lineno}"
+        for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and call_name(node) == "isinstance"
+        and len(node.args) == 2 and "MapChain" in referenced_names(node.args[1])]
+    assert branches == []
 
 
 def is_linalg_call(node):

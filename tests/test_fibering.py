@@ -11,7 +11,7 @@ from torusnf.fibering import (
     leading_bound,
     transverse_bound,
 )
-from torusnf.flows import flow
+from torusnf.flows import MapChain, flow
 from torusnf.realization import realize_form
 from torusnf.series import PeriodicSeries
 
@@ -108,7 +108,7 @@ class TestNormalize:
         res = fibering_normalize(FiberingPhase(h), 0.5)
         assert res.converged
         assert abs_max_coeff(res.k) == 0.0
-        assert res.chain.to_single(10).part_norm(0.25) < 1e-13
+        assert MapChain(res.stages).to_single(10).part_norm(0.25) < 1e-13
         assert res.residual < 1e-12
 
     def test_skew_case_converges_in_one_step(self):
@@ -117,7 +117,7 @@ class TestNormalize:
         res = fibering_normalize(FiberingPhase(h), 0.5)
         assert res.converged and res.iterations == 1
         assert res.k.coeff_norm(0.25) < 1e-12
-        assert coeff_distance(res.chain.to_single(10).parts[0],
+        assert coeff_distance(MapChain(res.stages).to_single(10).parts[0],
                               -eps * sin_series(2, 4, 1)) < 1e-10
         assert res.residual < 1e-10
         assert res.det_residual < 1e-10
@@ -207,7 +207,7 @@ class TestWitness:
 
         # mu o Phi - theta_1 - k(theta_1), every value by the direct sum
         pts = theta_grid(2, fibering.VERIFY_GRID)
-        moved = at_points(res.chain, pts)
+        moved = at_points(MapChain(res.stages), pts)
         mu = moved[:, 0] + series.eval_many([h0], moved)[0]
         t1 = pts[:, :1]
         target = t1[:, 0] + series.eval_many([res.k], t1)[0]

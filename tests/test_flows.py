@@ -295,13 +295,13 @@ class TestMapAlgebra:
 
 class TestInverse:
     def test_identity(self):
-        inv = invert_map(TorusMapLift.identity(2), 0.5, N_out=2)
+        inv = invert_map((TorusMapLift.identity(2),), 0.5, N_out=2)
         assert inv.residual < 1e-13
 
     def test_translation(self):
         c = 0.02
         phi = TorusMapLift.translation(2, [c, 0.0])
-        inv = invert_map(phi, 0.5, N_out=0)
+        inv = invert_map((phi,), 0.5, N_out=0)
         assert abs(inv.map.parts[0].mean() + c) < 1e-12
         assert inv.residual < 1e-12
 
@@ -309,7 +309,7 @@ class TestInverse:
         rng = np.random.default_rng(26)
         for _ in range(5):
             phi = flow(stream_field(rng), 1.0, 0.5, 0.2, N_out=4).map
-            inv = invert_map(phi, 0.5, N_out=10)
+            inv = invert_map((phi,), 0.5, N_out=10)
             assert inv.residual < 1e-10
             pts = theta_grid(2, 9)
             round_trip = at_points(MapChain([phi, inv.map]), pts)
@@ -318,7 +318,7 @@ class TestInverse:
     def test_hypothesis_nf_checked(self):
         phi = TorusMapLift.translation(2, [0.4, 0.0])
         with pytest.raises(HypothesisViolation) as err:
-            invert_map(phi, 0.5, N_out=0)
+            invert_map((phi,), 0.5, N_out=0)
         assert err.value.bound == "(nf)"
 
     def test_invert_compose_round_trip(self):
@@ -326,7 +326,7 @@ class TestInverse:
         a = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2, N_out=4).map
         b = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2, N_out=4).map
         ab = compose_maps(a, b, N_out=10)
-        inv = invert_map(ab, 0.5, N_out=10)
+        inv = invert_map((ab,), 0.5, N_out=10)
         out = compose_maps(ab, inv.map, N_out=10)
         pts = theta_grid(2, 9)
         assert np.max(np.abs(at_points(MapChain([out]), pts) - pts)) < 1e-9
@@ -336,7 +336,7 @@ class TestInverse:
         a = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2, N_out=4).map
         b = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2, N_out=4).map
         chain = MapChain([b, a])
-        inv = invert_map(chain, 0.5, N_out=10)
+        inv = invert_map(chain.stages, 0.5, N_out=10)
         pts = theta_grid(2, 9)
         assert np.max(np.abs(at_points(MapChain((inv.map,) + chain.stages), pts)
                              - pts)) < 1e-9
@@ -344,10 +344,19 @@ class TestInverse:
     def test_chain_nf_gate_sums_stages(self):
         # each stage alone passes ||f||_r <= r/(4n) = 0.0625, the chain does not
         phi = TorusMapLift.translation(2, [0.04, 0.0])
-        assert invert_map(phi, 0.5, N_out=0).residual < 1e-12
+        assert invert_map((phi,), 0.5, N_out=0).residual < 1e-12
         with pytest.raises(HypothesisViolation) as err:
-            invert_map(MapChain([phi, phi]), 0.5, N_out=0)
+            invert_map((phi, phi), 0.5, N_out=0)
         assert err.value.bound == "(nf)"
+
+    def test_refuses_a_shearing_stage(self):
+        # the (nf) sum of stage norms bounds the composite only when no
+        # stage shears, even where the integer parts multiply to I
+        shear = shear_lift(2)
+        unshear = TorusMapLift(unimodular_inverse(shear.D), shear.parts)
+        for stages in ((shear,), (shear, unshear)):
+            with pytest.raises(ValueError):
+                invert_map(stages, 0.5, N_out=0)
 
 
 class TestStageJacobian:
@@ -576,7 +585,7 @@ class TestUnimodular:
         image, det = at_points(MapChain([phi]), pts, det=True)
         assert np.all(det == 1.0)
         assert np.array_equal(image, at_points(MapChain([phi]), pts))
-        assert np.all(grid_walk(phi, 5, 0.05, 1.0)[2] == 1.0)
+        assert np.all(grid_walk((phi,), 5, 0.05, 1.0)[2] == 1.0)
 
     def test_inverse_refuses_a_non_unimodular_matrix(self):
         with pytest.raises(ValueError):
@@ -632,7 +641,7 @@ class TestSmoothGrids:
         both = compose_maps(phi, psi, N_out=N)
         assert np.max(np.abs(at_points(MapChain([both]), pts)
                              - at_points(MapChain([psi, phi]), pts))) < 1e-13
-        inv = invert_map(phi, 0.5, N_out=N)
+        inv = invert_map((phi,), 0.5, N_out=N)
         assert inv.residual < 1e-13
         assert np.max(np.abs(at_points(MapChain([inv.map, phi]), pts) - pts)) < 1e-13
 
@@ -653,34 +662,36 @@ class TestGridWitness:
         shear = shear_lift(n)
         # the normal-form shape: an affine stage after non-affine ones
         unshear = TorusMapLift(unimodular_inverse(shear.D), shear.parts)
-        return {"lift": first,
-                "skew": TorusMapLift(shear.D, first.parts),
-                "shear": MapChain([shear, first, second]),
-                "translation": MapChain([translation, first, second]),
-                "affine": MapChain([shear, translation]),
-                "unshear": MapChain([shear, first, second, unshear])}[kind]
+        return {"lift": (first,),
+                "skew": (TorusMapLift(shear.D, first.parts),),
+                "shear": (shear, first, second),
+                "translation": (translation, first, second),
+                "affine": (shear, translation),
+                "unshear": (shear, first, second, unshear)}[kind]
 
     @pytest.mark.parametrize(
         "kind", ["lift", "skew", "shear", "translation", "affine", "unshear"])
     @pytest.mark.parametrize("shift", [0.0, -0.5 / 8.0, 0.5 / 8.0])
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_pointwise_evaluation(self, n, shift, kind):
-        phi = self.chain(kind, n)
-        chain = phi if isinstance(phi, MapChain) else MapChain([phi])
+        stages = self.chain(kind, n)
+        chain = MapChain(stages)
+        D_chain = functools.reduce(lambda D, s: s.D @ D, stages,
+                                   np.eye(n, dtype=int))
         # 7 points per axis resolve degree 3; 5 alias it
         for M in (5, 7):
             pts = theta_grid(n, M) + 1j * shift
             _, det = at_points(chain, pts, det=True)
             if kind != "affine":
                 assert np.ptp(np.abs(det)) > 1e-3
-            D, U, none = grid_walk(phi, M, shift, None)
-            assert none is None and np.array_equal(D, chain.D)
+            D, U, none = grid_walk(stages, M, shift, None)
+            assert none is None and np.array_equal(D, D_chain)
             if kind == "unshear":
                 assert np.array_equal(D, np.eye(n, dtype=int))
             U = np.stack([u.reshape(-1) for u in U], -1)
             moved = theta_grid(n, M) @ D.T + U
             assert np.max(np.abs(moved - at_points(chain, pts))) < 1e-13
-            D_det, U_det, grid_det = grid_walk(phi, M, shift, 1.0)
+            D_det, U_det, grid_det = grid_walk(stages, M, shift, 1.0)
             assert np.array_equal(D_det, D)
             assert np.array_equal(
                 np.stack([u.reshape(-1) for u in U_det], -1), U)

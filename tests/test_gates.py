@@ -110,5 +110,5 @@ def test_inverse_of_a_nan_lift_is_refused_before_any_step():
     phi = TorusMapLift(np.eye(2, dtype=int), [parts[0], with_nan(parts[1],
                                                                  (0, 1))])
     with pytest.raises(HypothesisViolation) as err:
-        invert_map(phi, 0.25, N_out=7)
+        invert_map((phi,), 0.25, N_out=7)
     assert err.value.bound == "(nf)"

@@ -88,7 +88,7 @@ class TestMoserNormalize:
         # phi maps the half strip into the full strip
         assert res.map.part_norm(r / 2) <= r / 2
         # and the contraction inverse is admissible on the quarter strip
-        inv = invert_map(res.map, r, N_out=12)
+        inv = invert_map((res.map,), r, N_out=12)
         assert inv.residual < 1e-10
         assert inv.map.part_norm(r / 4) <= r / 4
 

@@ -9,7 +9,7 @@ import pytest
 from torusnf import fibering, flows, pipeline, realization, series
 from torusnf.curves import gauss_degree
 from torusnf.errors import HypothesisViolation, NumericalFailure
-from torusnf.flows import TorusMapLift, flow, invert_map
+from torusnf.flows import MapChain, TorusMapLift, flow, invert_map
 from torusnf.moser import VolumeDensity, moser_normalize
 from torusnf.pipeline import (
     TorusEmbedding,
@@ -204,10 +204,10 @@ def inverse_volume_maps(emb, monkeypatch):
     """The inverse volume map of `normalize_embedding`, rebuilt stage by
     stage, and the same map computed without the tail chop."""
     phi, r, N_out = volume_map(emb)
-    inv = invert_map(phi, r, N_out=N_out).map
+    inv = invert_map((phi,), r, N_out=N_out).map
     with monkeypatch.context() as m:
         m.setattr(PeriodicSeries, "chop_tail", lambda self: self)
-        raw = invert_map(phi, r, N_out=N_out).map
+        raw = invert_map((phi,), r, N_out=N_out).map
     return inv, raw
 
 
@@ -234,7 +234,7 @@ class TestCompactGrids:
 
         monkeypatch.setattr(flows, "eval_many", recording)
         monkeypatch.setattr(flows, "grid_walk", keeping)
-        assert invert_map(phi, r, N_out=N_out).residual < 1e-13
+        assert invert_map((phi,), r, N_out=N_out).residual < 1e-13
         # the round trip's volume stage is read at the M_w points of the
         # first coordinate; at the full cube it would take M_w ** 3
         assert points and max(points) <= M_w
@@ -247,7 +247,7 @@ class TestCompactGrids:
         phi, r, N_out = volume_map(three_angle_embedding())
         tracemalloc.start()
         try:
-            invert_map(phi, r, N_out=N_out)
+            invert_map((phi,), r, N_out=N_out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -358,6 +358,15 @@ class TestNormalFormCurve:
         assert gauss_degree(g) == 1
         assert abs(k.coeff((2,)) - seed.coeff((2,))) < 2 * delta ** 2
         assert abs(k.coeff((1,))) < 2 * delta ** 2
+
+    def test_gate_reads_the_returned_correction(self, monkeypatch):
+        # one Newton step closes this profile's integral to round-off, so
+        # the gate must read the closure after that step, not before it
+        monkeypatch.setattr(pipeline, "CLOSURE_MAX_ITER", 1)
+        seed = PeriodicSeries.from_terms(
+            1, 3, {(2,): -5e-4j, (-2,): 5e-4j, (3,): 2e-4, (-3,): 2e-4})
+        k = exactness_correct(seed)
+        assert closure_defect(k, 1.0) <= 2.0 * np.pi * pipeline.CLOSURE_TOL
 
     def test_curve_from_profile_closes_any_seed(self):
         delta = 1e-3
@@ -568,7 +577,7 @@ class TestWitnessGrids:
             if hasattr(mod, "eval_many"):
                 monkeypatch.setattr(mod, "eval_many", recording)
         assert normalize_embedding(seeded).fibering_trace
-        assert len(normalize_embedding(reparam).chain.stages) > 5
+        assert len(normalize_embedding(reparam).stages) > 5
         assert realize_form(density, 0.5).converged
         # the stages after the first non-affine one still see scattered points
         assert seen
@@ -579,13 +588,13 @@ class TestWitnessGrids:
         walks = []
         walk = flows.grid_walk
 
-        def counting(phi, M, shift, det):
+        def counting(stages, M, shift, det):
             walks.append(M)
-            return walk(phi, M, shift, det)
+            return walk(stages, M, shift, det)
 
         for mod in (flows, fibering, pipeline):
             monkeypatch.setattr(mod, "grid_walk", counting)
-        assert len(normalize_embedding(emb).chain.stages) > 5
+        assert len(normalize_embedding(emb).stages) > 5
         # the round trip of invert_map, then the fibering and the normal-form
         # witnesses, which read image and determinant from one walk each
         assert len(walks) == 3
@@ -606,14 +615,14 @@ class TestWitnessGrids:
                 monkeypatch.setattr(mod, "eval_many", recording)
         rep = normalize_embedding(emb)
         monkeypatch.undo()
-        assert len(rep.chain.stages) > 5 and seen
+        assert len(rep.stages) > 5 and seen
         assert not [c for c in seen
                     if c.shape == a.coeffs.shape and np.array_equal(c, a.coeffs)]
 
         # the defining identity, every value by the direct sum
         pts = theta_grid(2, fibering.VERIFY_GRID)
-        moved = at_points(rep.chain, pts)
-        _, det = at_points(rep.chain, pts, det=True)
+        moved = at_points(MapChain(rep.stages), pts)
+        _, det = at_points(MapChain(rep.stages), pts, det=True)
         lhs = (1.0 + series.eval_many([a], moved)[0]) \
             * np.exp(1j * moved.sum(axis=1)) * det
         s = pts.sum(axis=1)

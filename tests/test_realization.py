@@ -193,6 +193,20 @@ class TestRealizeForm:
             decays = [row.residual for row in res.trace if row.residual > 0]
             assert all(c <= 1e3 for c in decays)
 
+    def test_random_three_dim(self):
+        rng = np.random.default_rng(66)
+        a = random_annulus_function(rng, 3, 4, 0.5, 1e-4)
+        res = realize_form(a, 0.5)
+        assert res.converged
+        assert res.det_residual <= 1e-7
+        assert res.inverse_residual <= 1e-9
+        assert res.min_det > 0.5
+        assert res.min_phase_gradient > 0.5
+        # the realized Jacobian by the direct sum, off the witness grid
+        z = torus_points(3, 7)
+        assert np.max(np.abs(det_jacobian_z(res.phi, z) - 1.0
+                             - eval_z(a, z))) <= 1e-7
+
     def test_exhausted_schedule_is_not_converged(self, monkeypatch):
         # the random density needs two corrective steps; allow only one
         monkeypatch.setattr(fibering, "MAX_ITER", 1)

@@ -2,9 +2,9 @@
 
 Draws n = 2 normal forms with amplitude rho0 in [0.8, 1.3] behind random
 reparametrizations of size up to 1e-3, and annulus densities of norm up to
-2e-2.  A run either refuses with `NumericalFailure` or with a violated bound
-measured on the run itself, or it returns a result inside the bounds the
-benchmark gates its outputs with.
+2e-2 at n = 2 and n = 3.  A run either refuses with `NumericalFailure` or
+with a violated bound measured on the run itself, or it returns a result
+inside the bounds the benchmark gates its outputs with.
 """
 
 import numpy as np
@@ -72,5 +72,22 @@ def test_annulus_density(norm, seed):
     assert res.inverse_residual <= INVERSE_TOL
     # the realized Jacobian by the direct sum, away from the witness grid
     z = torus_points(2, 13)
+    witness = np.max(np.abs(det_jacobian_z(res.phi, z) - 1.0 - eval_z(a, z)))
+    assert witness <= DET_TOL
+
+
+# One draw, kept away from the zero density (the first draw hypothesis makes),
+# so that it takes corrective steps and inverts their stages.
+@settings(audit, max_examples=1)
+@given(norm=st.floats(1e-4, 2e-2), seed=seeds)
+def test_annulus_density_three_dim(norm, seed):
+    a = random_annulus_function(np.random.default_rng(seed), 3, 3, 0.5, norm)
+    res = accepted(lambda: realize_form(a, 0.5))
+    if res is None:
+        return
+    assert res.converged
+    assert res.det_residual <= DET_TOL
+    assert res.inverse_residual <= INVERSE_TOL
+    z = torus_points(3, 7)
     witness = np.max(np.abs(det_jacobian_z(res.phi, z) - 1.0 - eval_z(a, z)))
     assert witness <= DET_TOL
