@@ -29,9 +29,10 @@ Values on the M^n-point real grid are kept at the shape of the axes they
 depend on: M along each of those axes and 1 along the others, as
 `eval_real_grid` returns them, so that arithmetic broadcasts them.  The
 volume map is triangular (Moser 1965): its part p depends on the first p
-angles only, and a part of theta_1 alone costs M points, not M^n.  Only a
-re-index by an integer D (`np.take`) and a re-expansion
-(`series_from_real_grid`) need the full cube, and take it as a zero-copy
+angles only, and a part of theta_1 alone costs M points, not M^n.  A
+re-expansion (`series_from_real_grid`) takes the values at that shape too
+and transforms only their axes.  Only a re-index by an integer D
+(`np.take`) needs the full cube, and takes it as a zero-copy
 `np.broadcast_to` view.
 
 One loop, `_walk`, applies a composite map: a tuple of lifts, first-applied
@@ -276,12 +277,11 @@ def _read_points(series_list, D, U):
             for dep, v in zip(deps, vals)]
 
 
-def _lift_from_grid(D, disp, M, N_out, real):
+def _lift_from_grid(D, disp, N_out, real):
     """The lift D theta + f(theta), f re-expanded at N_out from `disp`, one
     grid per component of values on the M^n grid at the shape of the axes
-    they depend on, re-expanded from their `np.broadcast_to` cube, or a
-    scalar for a constant one, which is taken as it is, with no transform
-    (its real part for a real lift).
+    they depend on, or a scalar for a constant one, which is taken as it
+    is, with no transform (its real part for a real lift).
 
     Each part is tail-chopped: its smallest coefficients are zeroed while
     their summed modulus stays at or below CHOP_FLOOR, so the part moves by
@@ -289,8 +289,7 @@ def _lift_from_grid(D, disp, M, N_out, real):
     its `trunc_mass` next to the aliasing mass of the re-expansion.
     """
     n = len(disp)
-    parts = [series_from_real_grid(np.broadcast_to(g, (M,) * n), N_out,
-                                   real=real) if np.ndim(g)
+    parts = [series_from_real_grid(g, N_out, real=real) if np.ndim(g)
              else PeriodicSeries.constant(n, N_out, g.real if real else g)
              .with_real_flag(real) for g in disp]
     return TorusMapLift(D, [p.chop_tail() for p in parts])
@@ -357,8 +356,7 @@ class TorusMapLift:
         M = grid_size(N_out, self.N)
         U = [p.eval_real_grid(M) for p in self.parts]
         vals = taylor_on_grid([h], self.D, U, M)[0]
-        return series_from_real_grid(np.broadcast_to(vals, (M,) * self.n),
-                                     N_out, real=h.real and self.real)
+        return series_from_real_grid(vals, N_out, real=h.real and self.real)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -406,10 +404,9 @@ def flow(v, t, r1, delta, N_out, line_integrand=None):
         defect = _sup(terms)
     at_most("(lie)", defect, FLOW_DEFECT_TOL)
     integral = None if line_integrand is None else series_from_real_grid(
-        np.broadcast_to(sums[v.n], (M,) * v.n), N_out,
-        real=v.real and line_integrand.real)
+        sums[v.n], N_out, real=v.real and line_integrand.real)
     return FlowResult(
-        _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], M, N_out, v.real),
+        _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], N_out, v.real),
         k, defect, integral)
 
 
@@ -425,7 +422,7 @@ def compose_maps(*maps, N_out):
     n, M = stages[0].n, grid_size(N_out, max(s.N for s in stages))
     D, U, _ = _walk(stages, functools.partial(taylor_on_grid, M=M),
                     np.eye(n, dtype=int), [0.0] * n, None)
-    return _lift_from_grid(D, U, M, N_out, all(s.real for s in stages))
+    return _lift_from_grid(D, U, N_out, all(s.real for s in stages))
 
 
 class MapChain:
@@ -575,7 +572,7 @@ def invert_map(stages, r, N_out):
                 max(prev_delta * (1.0 + 1e-12), 1e3 * INVERT_TOL))
         prev_delta = delta
     at_most("(inverse)", delta, INVERT_TOL)
-    inv = _lift_from_grid(np.eye(n, dtype=int), U, M, N_out,
+    inv = _lift_from_grid(np.eye(n, dtype=int), U, N_out,
                           all(s.real for s in stages))
     M_w = witness_grid_size(N_out, N) + 1
     residual = _sup(grid_walk((inv, *stages), M_w, 0.0, None)[1])

@@ -117,7 +117,9 @@ def jacobian_density(emb):
     # at the shape of the axes some entry varies on; a scalar if none does
     det = stacked_det([[d.eval_real_grid(M) if d.dependent_axes()
                         else d.mean() for d in row] for row in rows])
-    a = series_from_real_grid(np.broadcast_to(det - 1.0, (M,) * n), N_exact)
+    # a scalar det is re-expanded as the (1,)*n array of its value
+    a = series_from_real_grid(np.reshape(det - 1.0, np.shape(det) or (1,) * n),
+                              N_exact)
     M_check = seven_smooth(2 * n * (emb.N + 1) + 1)
     low = float(np.min(np.abs(det)))
     if M < M_check and low - np.pi / M * _slope_mass(a) <= MIN_JACOBIAN:
@@ -150,17 +152,13 @@ def modulus_phase_split(a):
     real.
     """
     a = AnnulusFunction(a)
-    n = a.n
     N_out = a.N + 8
     M = grid_size(N_out)
     vals = a.series.eval_real_grid(M)
     at_most("(branch)", float(np.max(np.abs(vals))), 0.5)
     w = 1.0 + vals
-    cube = (M,) * n
-    b = series_from_real_grid(np.broadcast_to(np.abs(w) - 1.0, cube), N_out,
-                              real=True)
-    h = series_from_real_grid(np.broadcast_to(np.angle(w), cube), N_out,
-                              real=True)
+    b = series_from_real_grid(np.abs(w) - 1.0, N_out, real=True)
+    h = series_from_real_grid(np.angle(w), N_out, real=True)
     recon = (1.0 + b.eval_real_grid(M)) * np.exp(1j * h.eval_real_grid(M))
     residual = float(np.max(np.abs(recon - w)))
     return PolarSplit(b.chop(CHOP_FLOOR), h.chop(CHOP_FLOOR), residual)
@@ -200,17 +198,22 @@ class InvariantReport:
 def normalize_embedding(emb):
     """Run the full normalization and assemble the invariant report.
 
-    Stage order: Jacobian density, modulus/phase factorization, the integer
-    shear that concentrates the phase on the first angle, volume
-    normalization of the modulus, phase transport through the inverse volume
-    map, and the volume-preserving phase iteration.  Each stage must land
-    under STAGE_TOL before the next runs, the phase iteration's witness
-    included.  Both residual witnesses, of the phase iteration and of the
-    normal form, sample VERIFY_GRID points per axis and take the
-    displacement U and the determinant from one `grid_walk` of their
-    stages, and read the density or phase at the displaced grid by the grid
-    kernel.  Of the normal-form stages, the shear and the closing unshear
-    are affine and read nothing.
+    Stage order: Jacobian density; the integer shear that concentrates the
+    phase on the first angle, applied to the density as the exact re-index
+    `pull_back_linear`; modulus/phase factorization in that sheared frame,
+    where the density of a seeded normal form depends on theta_1 alone;
+    volume normalization of the modulus, phase transport through the
+    inverse volume map, and the volume-preserving phase iteration.  Each
+    stage must land under STAGE_TOL before the next runs, the phase
+    iteration's witness included.  The normalizer is the sheared-frame
+    stages, phase iteration then inverse volume map, collapsed by
+    `MapChain.to_single` and conjugated back by the shear on the
+    coefficients (`_unsheared`).  Both residual witnesses, of the phase
+    iteration and of the normal form, sample VERIFY_GRID points per axis
+    and take the displacement U and the determinant from one `grid_walk` of
+    their stages, and read the density or phase at the displaced grid by
+    the grid kernel.  Of the normal-form stages, the shear and the closing
+    unshear are affine and read nothing.
     Raises NumericalFailure when the phase iteration exhausts its schedule.
     """
     n = emb.n
@@ -218,13 +221,12 @@ def normalize_embedding(emb):
         raise ValueError("the normal form machinery needs n >= 2")
     a = jacobian_density(emb)
     r = emb.r0 / 2.0
-    split = modulus_phase_split(a)
-    at_most("(split)", split.residual, STAGE_TOL)
-
     shear = shear_lift(n)
     A_inv = unimodular_inverse(shear.D)
-    b2 = pull_back_linear(split.modulus, A_inv)
-    h2 = pull_back_linear(split.phase, A_inv)
+    split = modulus_phase_split(
+        AnnulusFunction(pull_back_linear(a.series, A_inv)))
+    at_most("(split)", split.residual, STAGE_TOL)
+    b2, h2 = split.modulus, split.phase
 
     moser = moser_normalize(VolumeDensity(b2), N_out=b2.N + 4)
     at_most("(volume)", moser.residual, STAGE_TOL)
@@ -252,7 +254,8 @@ def normalize_embedding(emb):
     stages = (shear, *fib.stages, inv1.map, unshear)
     # a phase step adds flow stages, which need h3.N + 6 harmonics
     N_norm = max(h3.N + 6 if fib.iterations else 0, moser.map.N + 4, 12)
-    normalizer = MapChain(stages).to_single(N_norm)
+    normalizer = _unsheared(MapChain((*fib.stages, inv1.map)).to_single(N_norm),
+                            shear.D, N_norm)
 
     phase_residual = _normal_form_residual(a, stages, k, rho0, n)
     return InvariantReport(
@@ -263,6 +266,20 @@ def normalize_embedding(emb):
         complex_constant=1.0 + a.series.mean(),
         total_volume=(2.0 * np.pi) ** n * rho0,
         fibering_trace=fib.trace)
+
+
+def _unsheared(lift, A, N_out):
+    """The lift theta -> A^-1 lift(A theta) for a unimodular integer A, on
+    the coefficients: (A^-1 D A) theta + A^-1 f(A theta), each f_l(A theta)
+    the exact re-index `pull_back_linear` and each part a sum of them with
+    the integer entries of A^-1.  Each part is truncated at N_out, which
+    adds the mass that the re-index moved beyond N_out to its trunc_mass."""
+    A_inv = unimodular_inverse(A)
+    moved = [pull_back_linear(p, A) for p in lift.parts]
+    sums = [[d * f for d, f in zip(row, moved) if d] for row in A_inv]
+    return TorusMapLift(A_inv @ lift.D @ A,
+                        [sum(terms[1:], terms[0]).truncate(N_out)
+                         for terms in sums])
 
 
 def _normal_form_residual(a, stages, k, rho0, n):
@@ -276,13 +293,28 @@ def _normal_form_residual(a, stages, k, rho0, n):
     (1 + a(theta + U)) e^{i sum U_j} det D Phi with rho0 e^{i k(sum theta_j)},
     a read by `taylor_on_grid` at (D, U).  The right side is exponentiated
     on the M-point line of k and only then spread over the grid.
+
+    Every product is taken in place, in the same order as the formula, on
+    two (M,)*n grids: the Taylor read of a, when it is a fresh grid of its
+    own, and one buffer for e^{i sum U_j} and then the right side.
     """
     M = VERIFY_GRID
+    cube = (M,) * n
     D, U, det = grid_walk(stages, M, 0.0, 1.0)
-    lhs = (1.0 + taylor_on_grid([a.series], D, U, M)[0]) \
-        * np.exp(1j * sum(U)) * det
-    rhs = _on_grid_sums(rho0 * np.exp(1j * k.eval_real_grid(M)), n)
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs = taylor_on_grid([a.series], D, U, M)[0]
+    if not (lhs.flags.writeable and lhs.shape == cube):
+        lhs = np.array(np.broadcast_to(lhs, cube))   # a view, or a line
+    lhs += 1.0
+    buf = np.add(U[0], U[1], out=np.empty(cube, dtype=complex))
+    for u in U[2:]:
+        buf += u
+    buf *= 1j
+    lhs *= np.exp(buf, out=buf)
+    lhs *= det
+    line = np.broadcast_to(rho0 * np.exp(1j * k.eval_real_grid(M)), (M,))
+    lhs -= np.take(line, _grid_index(np.ones((1, n), dtype=int), M), out=buf,
+                   mode="wrap")   # in range: "raise" would buffer the output
+    return float(np.max(np.abs(lhs, out=buf.real)))
 
 
 def _on_grid_sums(line, n):

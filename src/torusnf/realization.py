@@ -169,8 +169,7 @@ def realization_step(a, r, delta):
     a_vals = fr.map.pullback(a.series, N_out=N_pull).eval_real_grid(M)
     det_vals = np.exp(fr.integral.eval_real_grid(M))
     hat_vals = (1.0 + a_vals) * det_vals - 1.0
-    return AnnulusFunction(series_from_real_grid(
-        np.broadcast_to(hat_vals, (M,) * a.n), a.N)), fr.map
+    return AnnulusFunction(series_from_real_grid(hat_vals, a.N)), fr.map
 
 
 @dataclasses.dataclass

@@ -246,9 +246,10 @@ class PeriodicSeries:
         """Values on the uniform real grid theta_j = 2 pi m_j / M, at the
         shape of the axes the series depends on: M along each dependent axis
         and 1 along every other, so a constant comes back as a (1,)*n array.
+        `series_from_real_grid` takes values at this shape as they are.
         Broadcast against (M,)*n, the array gives the value at every grid
         point; `np.broadcast_to` makes that cube as a view, with no copy,
-        where one is needed (a re-index by `np.take`, a re-expansion).
+        where one is needed (a re-index by `np.take`).
 
         Only the dependent axes are transformed: the block is cut to the
         k = 0 plane of every other axis, and that lower-dimensional block
@@ -507,9 +508,13 @@ def _is_zero(entry):
 def series_from_real_grid(values, N, real=False):
     """Fourier coefficients from samples on the uniform real grid.
 
-    `values` must be an n-dimensional cube of M >= 2N+1 samples per axis;
-    grid values kept at the shape of their axes come as the zero-copy view
-    `np.broadcast_to(values, (M,) * n)`.
+    `values` has the shape `eval_real_grid` gives: M >= 2N+1 samples along
+    each axis the values depend on and 1 along every other.  Only the
+    dependent axes are transformed, and their block is placed on the k = 0
+    plane of the others, so a line of theta_1 costs M points, not M^n, and
+    every coefficient off the dependent axes is exactly zero.  A (1,)*n
+    array, a constant, is transformed as the M = 1 cube, whose one
+    coefficient is placed at k = 0 for every N.
     Frequencies outside the degree bound are dropped and their l1 mass is
     recorded on the result as `trunc_mass` (the aliasing/truncation report).
     With `real`, the result is the Hermitian part of the spectrum, which is
@@ -519,29 +524,34 @@ def series_from_real_grid(values, N, real=False):
     0 < k_last < M/2 of the half spectrum twice, once for its mirror.
     """
     values = np.asarray(values) if real else np.asarray(values, dtype=complex)
-    n = values.ndim
-    M = values.shape[0]
-    if any(s != M for s in values.shape):
-        raise ValueError(f"sample block must be cubical, got {values.shape}")
-    if M < 2 * N + 1:
+    n, M = values.ndim, max(values.shape)
+    if any(s not in (1, M) for s in values.shape):
+        raise ValueError(f"sample axes must have M or 1 points, got {values.shape}")
+    if 1 < M < 2 * N + 1:
         raise ValueError(f"grid of {M} points cannot resolve degree {N}")
-    k = np.arange(-N, N + 1) % M
+    axes = tuple(j for j in range(n) if values.shape[j] == M)
+    d, K = len(axes), N if M > 1 else 0   # K: the degree of the block
+    values = values.reshape((M,) * d)
+    k = np.arange(-K, K + 1) % M
+    out = np.zeros((2 * N + 1,) * n, dtype=complex)
+    place = tuple(slice(N - K, N + K + 1) if j in axes else N for j in range(n))
     if not real:
         full = np.fft.fftn(values) / values.size
-        kept = full[np.ix_(*([k] * n))]
-        dropped = float(np.abs(full).sum() - np.abs(kept).sum())
-        return PeriodicSeries(kept, trunc_mass=dropped)
-    half = np.fft.rfftn(values.real, axes=tuple(range(n)), norm="forward")
+        out[place] = kept = full[np.ix_(*([k] * d))]
+        return PeriodicSeries(out, trunc_mass=float(
+            np.abs(full).sum() - np.abs(kept).sum()))
+    half = np.fft.rfftn(values.real, axes=tuple(range(d)), norm="forward")
     mod = np.abs(half)
     total = mod.sum() + mod[..., 1:(M + 1) // 2].sum()
-    kept = np.empty((2 * N + 1,) * n, dtype=complex)
-    kept[..., N:] = half[np.ix_(*([k] * (n - 1)), k[N:])]
-    flip = (slice(None, None, -1),) * n
-    kept[..., :N] = np.conj(kept[flip][..., :N])
+    kept = np.empty((2 * K + 1,) * d, dtype=complex)
+    kept[..., K:] = half[np.ix_(*([k] * (d - 1)), k[K:])]
+    flip = (slice(None, None, -1),) * d
+    kept[..., :K] = np.conj(kept[flip][..., :K])
     # the k_last = 0 plane is Hermitian in the other axes up to round-off
-    plane = kept[..., N]
-    kept[..., N] = 0.5 * (plane + np.conj(plane[flip[1:]]))
-    return PeriodicSeries(kept, real=True,
+    plane = kept[..., K]
+    kept[..., K] = 0.5 * (plane + np.conj(plane[flip[1:]]))
+    out[place] = kept
+    return PeriodicSeries(out, real=True,
                           trunc_mass=float(total - np.abs(kept).sum()))
 
 
@@ -558,8 +568,7 @@ def divide(num, den, N_out):
     dv = den.eval_real_grid(M)
     above("(denominator)", float(np.min(np.abs(dv))), MIN_DEN)
     nv = num.eval_real_grid(M)
-    return series_from_real_grid(np.broadcast_to(nv / dv, (M,) * num.n),
-                                 N_out, real=num.real and den.real)
+    return series_from_real_grid(nv / dv, N_out, real=num.real and den.real)
 
 
 def translate(h, shift):

@@ -9,7 +9,7 @@ import pytest
 from torusnf import fibering, flows, pipeline, realization, series
 from torusnf.curves import gauss_degree
 from torusnf.errors import HypothesisViolation, NumericalFailure
-from torusnf.flows import MapChain, TorusMapLift, flow, invert_map
+from torusnf.flows import MapChain, TorusMapLift, compose_maps, flow, invert_map
 from torusnf.moser import VolumeDensity, moser_normalize
 from torusnf.pipeline import (
     TorusEmbedding,
@@ -257,7 +257,18 @@ class TestCompactGrids:
 
 class TestComputedMapChop:
     def test_round_off_inverse_volume_map_becomes_one_angle(self, monkeypatch):
-        inv, raw = inverse_volume_maps(three_angle_embedding(), monkeypatch)
+        # re-expanded from the full (M,)*3 cube, the theta_1-only inverse
+        # volume map spreads round-off over every axis, and the tail chop
+        # makes it one angle again
+        re_expand = series.series_from_real_grid
+
+        def from_cube(values, N, real=False):
+            cube = (max(np.shape(values)),) * np.ndim(values)
+            return re_expand(np.broadcast_to(values, cube), N, real=real)
+
+        with monkeypatch.context() as m:
+            m.setattr(flows, "series_from_real_grid", from_cube)
+            inv, raw = inverse_volume_maps(three_angle_embedding(), m)
         assert raw.parts[0].dependent_axes() == (0, 1, 2)
         assert inv.parts[0].dependent_axes() == (0,)
         assert np.count_nonzero(inv.parts[0].coeffs) == 2
@@ -268,6 +279,14 @@ class TestComputedMapChop:
                 mass, rel=1e-12, abs=0.0)
             change = np.abs(p.eval_real_grid(32) - q.eval_real_grid(32))
             assert float(np.max(change)) <= CHOP_FLOOR
+        # re-expanded at the shape of its axes, as the package does, the
+        # chopped map is the same one angle
+        phi, r, N_out = volume_map(three_angle_embedding())
+        compact = invert_map((phi,), r, N_out=N_out).map
+        assert np.count_nonzero(compact.parts[0].coeffs) == 2
+        for p, q in zip(compact.parts, inv.parts):
+            assert p.dependent_axes() == q.dependent_axes()
+            assert coeff_distance(p, q) <= CHOP_FLOOR
 
     def test_map_with_content_keeps_every_coefficient_above_floor(
             self, monkeypatch):
@@ -282,6 +301,71 @@ class TestComputedMapChop:
             assert big.any()
             assert np.array_equal(p.coeffs[big], q.coeffs[big])
             assert float(np.abs(p.coeffs - q.coeffs).sum()) <= CHOP_FLOOR
+
+
+class TestShearedFrame:
+    """`normalize_embedding` splits the density after the shear and
+    collapses only the stages between the shear and the unshear; the old
+    order, the split before the shear and the collapse of every stage, is
+    the oracle, on the seeded n = 3 normal form and on an n = 2 normal
+    form behind a volume-changing reparametrization."""
+
+    @staticmethod
+    def embedding(case):
+        if case == "n3-seeded":
+            return three_angle_embedding()
+        return TestWitnessGrids.reparametrized()[1]
+
+    @pytest.mark.parametrize("case", ["n3-seeded", "n2-reparam"])
+    def test_split_after_the_shear_matches_the_split_before_it(self, case):
+        emb = self.embedding(case)
+        a = jacobian_density(emb)
+        A_inv = unimodular_inverse(shear_lift(emb.n).D)
+        before = modulus_phase_split(a)
+        after = modulus_phase_split(
+            AnnulusFunction(pull_back_linear(a.series, A_inv)))
+        assert coeff_distance(
+            after.modulus, pull_back_linear(before.modulus, A_inv)) <= 1e-15
+        assert coeff_distance(
+            after.phase, pull_back_linear(before.phase, A_inv)) <= 1e-15
+
+    @pytest.mark.parametrize("case", ["n3-seeded", "n2-reparam"])
+    def test_normalizer_matches_the_collapse_of_every_stage(self, case):
+        rep = normalize_embedding(self.embedding(case))
+        oracle = compose_maps(*rep.stages[::-1], N_out=rep.normalizer.N)
+        assert np.array_equal(rep.normalizer.D, oracle.D)
+        for p, q in zip(rep.normalizer.parts, oracle.parts):
+            assert p.N == q.N and p.real and q.real
+            assert coeff_distance(p, q) <= 1e-15
+
+    def test_seeded_split_reads_lines_of_its_grid(self, monkeypatch):
+        # the seeded n = 3 density is a function of theta_1 + theta_2 +
+        # theta_3, and after the shear one of theta_1 alone: every value the
+        # split reads or re-expands is a line of M points, not the (M,)*3 cube
+        sizes = []
+        sample = PeriodicSeries.eval_real_grid
+        re_expand = pipeline.series_from_real_grid
+        split = pipeline.modulus_phase_split
+
+        def reading(self, M):
+            vals = sample(self, M)
+            sizes.append((M, vals.size))
+            return vals
+
+        def expanding(values, N, real=False):
+            sizes.append((max(np.shape(values)), np.size(values)))
+            return re_expand(values, N, real=real)
+
+        def recorded(a):
+            with monkeypatch.context() as m:
+                m.setattr(PeriodicSeries, "eval_real_grid", reading)
+                m.setattr(pipeline, "series_from_real_grid", expanding)
+                return split(a)
+
+        monkeypatch.setattr(pipeline, "modulus_phase_split", recorded)
+        normalize_embedding(three_angle_embedding())
+        assert len(sizes) == 5   # a, then b and h read and re-expanded
+        assert all(size <= M for M, size in sizes)
 
 
 class TestModulusPhaseSplit:

@@ -604,7 +604,8 @@ class TestCompactGrids:
                                                    real, seed):
         # grid values at the shape of their axes, read from M below the
         # alias-free 2N + 1, where aliases fold, to above it, and re-expanded
-        # from their broadcast view: the block of the materialized cube
+        # from their broadcast view: the block of the materialized cube;
+        # and re-expanded as they are, which transforms only their axes
         M = max(1, 2 * N + 1 + extra)
         axes = tuple(j for j in range(n) if subset >> j & 1)
         c = np.array(random_series(np.random.default_rng(seed), n, N,
@@ -622,6 +623,16 @@ class TestCompactGrids:
         want = series_from_real_grid(np.array(view), N_out, real=real)
         assert np.array_equal(got.coeffs, want.coeffs)
         assert got.trunc_mass == want.trunc_mass
+        compact = series_from_real_grid(vals, N_out, real=real)
+        mass = np.abs(c).sum()
+        assert np.max(np.abs(compact.coeffs - want.coeffs)) <= 1e-15 * mass
+        assert abs(compact.trunc_mass - want.trunc_mass) <= 1e-15 * mass
+        assert compact.real == want.real
+        # exactly zero off the axes the values depend on
+        off = np.ones(compact.coeffs.shape, dtype=bool)
+        off[tuple(slice(None) if vals.shape[j] > 1 else N_out
+                  for j in range(n))] = False
+        assert not np.any(compact.coeffs[off])
 
 
 class TestImmutability:
