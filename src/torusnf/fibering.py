@@ -83,12 +83,14 @@ def shrinking_strip(state, r0, schedule, defect, step, power):
     realized contraction constant d_{m+1} (r_m delta_m)^power / d_m^2; the
     defect d_{m+1} taken after a step is carried to m + 1, so each defect
     is computed once.
-    Returns (state, lifts, trace, converged), the lifts in the order they
-    were taken.  An error raised by a step carries the trace so far.
+    Returns (state, lifts, trace, converged), the lifts a tuple, first-applied
+    first: the state after the steps is the first state pulled back through
+    their composite, so the last step taken comes first.  An error raised by
+    a step carries the trace so far.
     """
     if not 0.0 < r0 < 1.0:
         raise ValueError(f"r0 must lie in (0, 1), got {r0}")
-    lifts = []
+    lifts = ()
     trace = []
     defect_m = defect(state, schedule(r0, 0)[0])
     for m in range(MAX_ITER + 1):
@@ -105,7 +107,7 @@ def shrinking_strip(state, r0, schedule, defect, step, power):
         realized = (defect_next * r_m ** power * d_m ** power / defect_m ** 2
                     if defect_m > 0 else 0.0)
         trace.append(TraceRow(m, r_m, d_m, defect_m, realized))
-        lifts.append(lift)
+        lifts = (lift, *lifts)
         defect_m = defect_next
 
 
@@ -166,7 +168,7 @@ def fibering_step(h, r, delta):
 
 @dataclasses.dataclass
 class FiberingResult:
-    stages: tuple              # lifts in application order (translation first)
+    stages: tuple              # first-applied first (the translation first)
     k: PeriodicSeries          # one-dimensional, zero mean
     trace: list                # TraceRow per m, defect = transverse_bound
     residual: float
@@ -184,8 +186,8 @@ def fibering_normalize(phase, r0):
     residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
     sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness takes
     the displacement U and the determinant from one `grid_walk` of the
-    stages, and reads h at the image by the grid kernel, not at scattered
-    points.
+    stages, at the shape of the axes they depend on, and reads h at the
+    image by the grid kernel, not at scattered points.
 
     Schedule exhaustion (MAX_ITER steps) returns a non-converged result
     with its trace; a step refusal mid-run raises, with the partial trace
@@ -193,7 +195,7 @@ def fibering_normalize(phase, r0):
     """
     h0 = phase.h
     n = h0.n
-    state, stage_maps, trace, converged = shrinking_strip(
+    state, steps, trace, converged = shrinking_strip(
         h0, r0, _fibering_schedule, transverse_bound, fibering_step, 3)
 
     parts = state.triangular_split()
@@ -203,7 +205,7 @@ def fibering_normalize(phase, r0):
     k = (translate(k_line, [a]) + a).symmetrized()
     shift = np.zeros(n)
     shift[0] = a
-    stages = (TorusMapLift.translation(n, shift), *stage_maps[::-1])
+    stages = (TorusMapLift.translation(n, shift), *steps)
 
     # every stage has D = I, so Phi theta = theta + U(theta) and
     # mu o Phi - theta_1 = U_1 + h0(theta + U), h0 read by the grid kernel
@@ -214,5 +216,5 @@ def fibering_normalize(phase, r0):
     residual = float(np.max(np.abs(mu - target)))
     det_residual = float(np.max(np.abs(det - 1.0)))
     return FiberingResult(stages, k, trace, residual, det_residual, converged,
-                          len(stage_maps))
+                          len(steps))
 

@@ -44,15 +44,16 @@ on the grid `taylor_on_grid` at the current (D, U), at scattered points
 `eval_many` at the points U carries whole (D = 0).  Every determinant goes
 to `stacked_det` entry by entry, a constant entry as a scalar, so no
 (m, n, n) stack is built.  A residual witness samples the real grid
-+ i shift through `grid_walk`, which returns the image as D theta + U, U
-one grid per component.  Its leading affine stages and first non-affine
-stage are walked on the grid; the later stages see scattered image points,
-through a `MapChain` of them, whose `apply` / `jacobian_det` take and
-return one coordinate array per component at the shape of the axes it
-depends on, so no (M^n, n) array of points is built, and a stage of
-theta_1 alone is read at M points.  A series read at the image, as the
-density or the phase in the normal-form and fibering witnesses, goes
-through the grid kernel at the returned (D, U).
++ i shift through `grid_walk`, which returns the image as D theta + U and
+the determinant there, each entry a scalar or grid values at the shape of
+the axes it depends on, which the witness broadcasts.  Its leading affine
+stages and first non-affine stage are walked on the grid; the later stages
+see scattered image points, through a `MapChain` of them, whose `apply` /
+`jacobian_det` take and return one coordinate array per component at the
+shape of the axes it depends on, so no (M^n, n) array of points is built,
+and a stage of theta_1 alone is read at M points.  A series read at the
+image, as the density or the phase in the normal-form and fibering
+witnesses, goes through the grid kernel at the returned (D, U).
 """
 
 from __future__ import annotations
@@ -383,8 +384,8 @@ def flow(v, t, r1, delta, N_out, line_integrand=None):
     result's `integral` is int_0^t g(theta(s)) ds = sum_{k >= 1} t^k/k!
     L^{k-1} g.
     """
-    if abs(t) > 1.0 + 1e-15:
-        raise ValueError("flows are only taken for |t| <= 1")
+    if not abs(t) <= 1.0 + 1e-15:
+        raise ValueError(f"flows are only taken for |t| <= 1, got {t}")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     at_most("(z1)", v.coeff_norm(r1), r1 * delta)
@@ -410,15 +411,14 @@ def flow(v, t, r1, delta, N_out, line_integrand=None):
         k, defect, integral)
 
 
-def compose_maps(*maps, N_out):
-    """The lift of the composite of `maps`, outermost first.
+def compose_maps(stages, *, N_out):
+    """The lift of the composite of the lifts `stages`, first-applied first.
 
-    compose_maps(phi, psi) is theta -> phi(psi(theta)).  Integer parts
-    multiply; the maps are applied in turn on one `grid_size` grid by the
+    compose_maps((psi, phi)) is theta -> phi(psi(theta)).  Integer parts
+    multiply; the stages are applied in turn on one `grid_size` grid by the
     grid kernel and the periodic part of the composite is re-expanded once,
     at the degree bound N_out.
     """
-    stages = maps[::-1]
     n, M = stages[0].n, grid_size(N_out, max(s.N for s in stages))
     D, U, _ = _walk(stages, functools.partial(taylor_on_grid, M=M),
                     np.eye(n, dtype=int), [0.0] * n, None)
@@ -464,7 +464,7 @@ class MapChain:
         """
         if len(self.stages) == 1:
             return self.stages[0]
-        return compose_maps(*self.stages[::-1], N_out=N_out)
+        return compose_maps(self.stages, N_out=N_out)
 
 
 def _is_affine(stage):
@@ -479,10 +479,11 @@ def has_identity_integer_part(lift):
 
 def grid_walk(stages, M, shift, det):
     """The lifts `stages`, first-applied first, at the M^n-point real grid
-    + i shift, as (D, U, det): the image is D theta + U, U one (M,)*n grid
-    per component, and det is det times the Jacobian determinant of the
-    composite there, an (M,)*n grid (None when det is None).  `det` may be
-    a scalar or grid values at the shape of their axes.
+    + i shift, as (D, U, det): the image is D theta + U, U one entry per
+    component, and det is det times the Jacobian determinant of the
+    composite there (None when det is None).  `det` and every returned
+    entry are a scalar or grid values at the shape of the axes they depend
+    on, which a caller broadcasts.
 
     The leading affine stages and the first stage with a non-constant part
     are walked on the grid (`_walk` with `taylor_on_grid`) from the scalar
@@ -493,9 +494,8 @@ def grid_walk(stages, M, shift, det):
     by their integer parts, and U is the image less D theta.  Each
     component of D theta is a sum of broadcast aranges, one per axis its row
     of D holds.  Every grid keeps the shape of the axes it depends on, so a
-    component of theta_1 alone stays an (M, 1, ..., 1) line through the
-    walk, and only the returned U and det are its read-only
-    `np.broadcast_to` views at (M,)*n.
+    component of theta_1 alone is an (M, 1, ..., 1) line, and a walk of
+    affine stages alone leaves U and det scalars.
     """
     n = stages[0].n
     head = 1 + sum(1 for _ in itertools.takewhile(_is_affine, stages))
@@ -513,8 +513,7 @@ def grid_walk(stages, M, shift, det):
         for s in rest.stages:
             D = s.D @ D
         U = [c - t for c, t in zip(coords, _grid_rows(D, M))]
-    return (D, [np.broadcast_to(u, (M,) * n) for u in U],
-            None if det is None else np.broadcast_to(det, (M,) * n))
+    return D, U, det
 
 
 def _grid_rows(D, M):

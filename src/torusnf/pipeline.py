@@ -291,30 +291,17 @@ def _normal_form_residual(a, stages, k, rho0, n):
     The shear and the unshear cancel, so Phi theta = theta + U(theta) and
     the common factor e^{i sum theta_j} drops out: the witness compares
     (1 + a(theta + U)) e^{i sum U_j} det D Phi with rho0 e^{i k(sum theta_j)},
-    a read by `taylor_on_grid` at (D, U).  The right side is exponentiated
-    on the M-point line of k and only then spread over the grid.
-
-    Every product is taken in place, in the same order as the formula, on
-    two (M,)*n grids: the Taylor read of a, when it is a fresh grid of its
-    own, and one buffer for e^{i sum U_j} and then the right side.
+    a read by `taylor_on_grid` at (D, U).  U and det come from `grid_walk`
+    at the shape of the axes they depend on and broadcast in the products.
+    The right side is exponentiated on the M-point line of k and only then
+    spread over the grid.
     """
     M = VERIFY_GRID
-    cube = (M,) * n
     D, U, det = grid_walk(stages, M, 0.0, 1.0)
-    lhs = taylor_on_grid([a.series], D, U, M)[0]
-    if not (lhs.flags.writeable and lhs.shape == cube):
-        lhs = np.array(np.broadcast_to(lhs, cube))   # a view, or a line
-    lhs += 1.0
-    buf = np.add(U[0], U[1], out=np.empty(cube, dtype=complex))
-    for u in U[2:]:
-        buf += u
-    buf *= 1j
-    lhs *= np.exp(buf, out=buf)
-    lhs *= det
-    line = np.broadcast_to(rho0 * np.exp(1j * k.eval_real_grid(M)), (M,))
-    lhs -= np.take(line, _grid_index(np.ones((1, n), dtype=int), M), out=buf,
-                   mode="wrap")   # in range: "raise" would buffer the output
-    return float(np.max(np.abs(lhs, out=buf.real)))
+    lhs = (1.0 + taylor_on_grid([a.series], D, U, M)[0]) \
+        * np.exp(1j * sum(U)) * det
+    rhs = _on_grid_sums(rho0 * np.exp(1j * k.eval_real_grid(M)), n)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def _on_grid_sums(line, n):
@@ -386,10 +373,10 @@ def normal_form_curve(k, rho0):
     """
     if k.n != 1:
         raise ValueError("expected a one-dimensional profile")
-    if abs(k.mean()) > 1e-10:
+    if not abs(k.mean()) <= 1e-10:
         raise ValueError(f"profile must have zero mean, got {k.mean():.3e}")
-    if rho0 <= 0.0:
-        raise ValueError("the amplitude must be positive")
+    if not rho0 > 0.0:
+        raise ValueError(f"the amplitude must be positive, got {rho0}")
     defect = closure_defect(k, rho0)
     at_most("(exact)", defect, 2.0 * np.pi * STAGE_TOL)
     return curve_from_profile(k, rho0), defect

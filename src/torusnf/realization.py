@@ -215,14 +215,11 @@ def realize_form(a, r0):
             r *= 1.0 - 2.0 * _realization_delta(n, j)
         return r, _realization_delta(n, m)
 
-    _, stage_maps, trace, converged = shrinking_strip(
+    _, steps, trace, converged = shrinking_strip(
         a0, r0, schedule, AnnulusFunction.norm, realization_step, 1)
-    iterations = len(stage_maps)
 
     N_comp = max(2 * a0.N + 4, 8)
-    if not stage_maps:
-        stage_maps = [TorusMapLift.identity(n)]
-    stages = tuple(stage_maps[::-1])
+    stages = steps or (TorusMapLift.identity(n),)
     psi = AnnulusMap.from_torus_lift(MapChain(stages).to_single(N_comp))
 
     inverse = invert_map(stages, r0 / 2.0, N_out=N_comp)
@@ -237,7 +234,7 @@ def realize_form(a, r0):
     det_residual, min_det, min_phase_gradient = _verify_density(phi, a0)
     return RealizationResult(phi, psi, trace, det_residual,
                              inverse_residual, min_det, min_phase_gradient,
-                             converged, iterations)
+                             converged, len(steps))
 
 
 def _verify_density(phi, a0):

@@ -4,8 +4,8 @@ from the package is used, every default is both taken and overridden by
 production code, the number of settable values does not grow, no
 `np.linalg` result is truncated to integers, outside `series` one
 function, the point reader in `flows`, references `eval_many`, a composite
-map is a tuple of lifts that no module tests for `MapChain`, and every
-refusal goes through the gate of `errors`.
+map is a tuple of lifts, first-applied first, that no module tests for
+`MapChain`, and every refusal goes through the gate of `errors`.
 
 The scan parses `src/torusnf` and the benchmark under `perfbench/` with
 `ast` and collects every name they reference: plain names, attribute names
@@ -190,8 +190,16 @@ def test_a_composite_is_a_tuple_of_lifts():
     """A composite map is a tuple of lifts, first-applied first.  `MapChain`
     only reads such a tuple at scattered points and collapses it, so its
     body defines no lift-shaped member for an entry point to branch on, and
-    no module asks whether a map is one."""
+    no module asks whether a map is one.  `compose_maps` takes the tuple as
+    its one positional parameter, so no outermost-first argument list can
+    come back."""
     tree = ast.parse((ROOT / "src" / "torusnf" / "flows.py").read_text())
+    [compose] = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "compose_maps"]
+    args = compose.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["stages"]
+    assert args.vararg is None
     [chain] = [node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "MapChain"]
     members = [node.name for node in chain.body

@@ -220,7 +220,7 @@ class TestMapAlgebra:
     def test_compose_with_identity(self):
         rng = np.random.default_rng(19)
         phi = flow(stream_field(rng), 1.0, 0.5, 0.2, N_out=4).map
-        out = compose_maps(phi, TorusMapLift.identity(2), N_out=phi.N)
+        out = compose_maps((TorusMapLift.identity(2), phi), N_out=phi.N)
         pts = theta_grid(2, 9)
         assert np.max(np.abs(at_points(MapChain([out]), pts)
                              - at_points(MapChain([phi]), pts))) < 1e-12
@@ -230,7 +230,7 @@ class TestMapAlgebra:
         shear = TorusMapLift(A, [PeriodicSeries.zeros(2, 0)] * 2)
         unshear = TorusMapLift(unimodular_inverse(A),
                                [PeriodicSeries.zeros(2, 0)] * 2)
-        out = compose_maps(shear, unshear, N_out=0)
+        out = compose_maps((unshear, shear), N_out=0)
         assert np.array_equal(out.D, np.eye(2, dtype=int))
         assert all(abs_max_coeff(p) < 1e-13 for p in out.parts)
 
@@ -240,9 +240,9 @@ class TestMapAlgebra:
                      N_out=4).map
                 for _ in range(3)]
         a, b, c = maps
-        left = compose_maps(compose_maps(a, b, N_out=10), c, N_out=10)
-        right = compose_maps(a, compose_maps(b, c, N_out=10), N_out=10)
-        flat = compose_maps(a, b, c, N_out=10)
+        left = compose_maps((c, compose_maps((b, a), N_out=10)), N_out=10)
+        right = compose_maps((compose_maps((c, b), N_out=10), a), N_out=10)
+        flat = compose_maps((c, b, a), N_out=10)
         pts = theta_grid(2, 9)
         assert np.max(np.abs(at_points(MapChain([left]), pts)
                              - at_points(MapChain([right]), pts))) < 1e-10
@@ -262,7 +262,7 @@ class TestMapAlgebra:
                             [1e-3 * random_series(rng, n, 3) for _ in range(n)])
         chain = MapChain([shear, translation, lift, unshear])
         # the lift read at the shear has degree at most 2 * 3 per axis
-        single = compose_maps(unshear, lift, translation, shear, N_out=6)
+        single = compose_maps((shear, translation, lift, unshear), N_out=6)
         assert np.array_equal(single.D, np.eye(n, dtype=int))
         pts = rng.uniform(0, 2 * np.pi, size=(40, n)) + 0.05j
         assert np.max(np.abs(at_points(MapChain([single]), pts)
@@ -325,9 +325,9 @@ class TestInverse:
         rng = np.random.default_rng(27)
         a = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2, N_out=4).map
         b = flow(stream_field(rng, norm=1.5e-2), 1.0, 0.5, 0.2, N_out=4).map
-        ab = compose_maps(a, b, N_out=10)
+        ab = compose_maps((b, a), N_out=10)
         inv = invert_map((ab,), 0.5, N_out=10)
-        out = compose_maps(ab, inv.map, N_out=10)
+        out = compose_maps((inv.map, ab), N_out=10)
         pts = theta_grid(2, 9)
         assert np.max(np.abs(at_points(MapChain([out]), pts) - pts)) < 1e-9
 
@@ -540,9 +540,9 @@ class TestTaylorKernel:
         taylor_on_grid([PeriodicSeries.constant(n, self.N, 2.0)], D,
                        [0.1, 0.0, -0.2j], M)
         shear = shear_lift(n)
-        affine = [shear, TorusMapLift.translation(n, [0.1, 0.2, 0.3]),
-                  TorusMapLift(unimodular_inverse(shear.D), shear.parts)]
-        compose_maps(*affine[::-1], N_out=2)
+        affine = (shear, TorusMapLift.translation(n, [0.1, 0.2, 0.3]),
+                  TorusMapLift(unimodular_inverse(shear.D), shear.parts))
+        compose_maps(affine, N_out=2)
         assert calls == []
         # nor a grid: through affine stages the displacement stays a scalar
         _, W, _ = torusnf.flows._walk(
@@ -614,7 +614,7 @@ class TestGridNative:
             at_points(MapChain([phi]), theta_grid(2, 3))
         fibering_step(h, 0.5, 1.0 / 16.0)
         realization_step(a, 0.5, 0.05)
-        compose_maps(phi, shear, phi, N_out=10)
+        compose_maps((phi, shear, phi), N_out=10)
         shear.pullback(h, N_out=20)
 
 
@@ -638,7 +638,7 @@ class TestSmoothGrids:
         moved = at_points(MapChain([phi]), pts)
         assert np.max(np.abs(eval_points(comp, pts)
                              - eval_points(h, moved))) < 1e-13
-        both = compose_maps(phi, psi, N_out=N)
+        both = compose_maps((psi, phi), N_out=N)
         assert np.max(np.abs(at_points(MapChain([both]), pts)
                              - at_points(MapChain([psi, phi]), pts))) < 1e-13
         inv = invert_map((phi,), 0.5, N_out=N)
@@ -680,6 +680,10 @@ class TestGridWitness:
                                    np.eye(n, dtype=int))
         # 7 points per axis resolve degree 3; 5 alias it
         for M in (5, 7):
+            def flat(u):
+                # grid_walk keeps each value at the shape of its axes
+                return np.broadcast_to(u, (M,) * n).reshape(-1)
+
             pts = theta_grid(n, M) + 1j * shift
             _, det = at_points(chain, pts, det=True)
             if kind != "affine":
@@ -688,12 +692,26 @@ class TestGridWitness:
             assert none is None and np.array_equal(D, D_chain)
             if kind == "unshear":
                 assert np.array_equal(D, np.eye(n, dtype=int))
-            U = np.stack([u.reshape(-1) for u in U], -1)
+            U = np.stack([flat(u) for u in U], -1)
             moved = theta_grid(n, M) @ D.T + U
             assert np.max(np.abs(moved - at_points(chain, pts))) < 1e-13
             D_det, U_det, grid_det = grid_walk(stages, M, shift, 1.0)
             assert np.array_equal(D_det, D)
-            assert np.array_equal(
-                np.stack([u.reshape(-1) for u in U_det], -1), U)
-            assert grid_det.shape == (M,) * n
-            assert np.max(np.abs(grid_det.reshape(-1) - det)) < 1e-13
+            assert np.array_equal(np.stack([flat(u) for u in U_det], -1), U)
+            assert np.max(np.abs(flat(grid_det) - det)) < 1e-13
+
+    def test_values_keep_the_shape_of_their_axes(self):
+        # a translation leaves U and det the same at every point: scalars;
+        # a lift of theta_1 alone moves the first angle along a line
+        n, M = 3, 7
+        translation = TorusMapLift.translation(n, [0.1, 0.2, 0.3])
+        _, U, det = grid_walk((translation,), M, 0.05, 1.0)
+        assert [np.ndim(u) for u in U] == [0] * n and np.ndim(det) == 0
+        rng = np.random.default_rng(47)
+        first = random_series(rng, n, 3).restrict_axes(0)
+        assert first.dependent_axes() == (0,)
+        lift = TorusMapLift(np.eye(n, dtype=int),
+                            [1e-3 * first] + [PeriodicSeries.zeros(n, 3)] * 2)
+        _, U, det = grid_walk((lift,), M, 0.0, 1.0)
+        assert U[0].shape == (M, 1, 1) and np.shape(det) == (M, 1, 1)
+

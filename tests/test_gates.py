@@ -2,7 +2,9 @@
 never passes.
 
 Each probe feeds one NaN coefficient to an entry point and expects the
-refusal of the first gate on its path, by code.
+refusal of the first gate on its path, by code.  A NaN argument that the
+entry point checks by hand is refused there, with a ValueError, before any
+gate runs.
 """
 
 import numpy as np
@@ -22,13 +24,14 @@ from torusnf.pipeline import (
     STAGE_TOL,
     TorusEmbedding,
     modulus_phase_split,
+    normal_form_curve,
     normalize_embedding,
 )
 from torusnf.realization import AnnulusFunction
 from torusnf.series import PeriodicSeries, divide
 
 from test_flows import stream_field
-from test_pipeline import seeded_embedding
+from test_pipeline import rich_profile, seeded_embedding
 from test_series import random_series
 
 
@@ -71,6 +74,24 @@ def test_flow_of_a_nan_field():
     with pytest.raises(HypothesisViolation) as err:
         flow(v, 1.0, 0.5, 0.1, N_out=8)
     assert err.value.bound == "(z1)"
+
+
+def test_flow_for_a_nan_time():
+    v = stream_field(np.random.default_rng(3))
+    with pytest.raises(ValueError, match=r"\|t\| <= 1"):
+        flow(v, np.nan, 0.5, 0.1, N_out=8)
+
+
+def test_normal_form_curve_of_a_nan_amplitude():
+    k = rich_profile(1e-3)
+    with pytest.raises(ValueError, match="amplitude must be positive"):
+        normal_form_curve(k, np.nan)
+
+
+def test_normal_form_curve_of_a_nan_mean_profile():
+    k = with_nan(rich_profile(1e-3), (0,))
+    with pytest.raises(ValueError, match="zero mean"):
+        normal_form_curve(k, 1.0)
 
 
 def test_moser_of_a_nan_density():

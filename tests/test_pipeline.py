@@ -239,9 +239,10 @@ class TestCompactGrids:
         # first coordinate; at the full cube it would take M_w ** 3
         assert points and max(points) <= M_w
         [U] = walked
-        assert [u.shape for u in U] == [(M_w,) * 3] * 3
-        # the first component is a line until the final broadcast
-        assert U[0].strides[1:] == (0, 0)
+        # grid_walk returns each component at the shape of its axes: the
+        # first is a line along theta_1, and none is the (M_w,)*3 cube
+        assert U[0].shape == (M_w, 1, 1)
+        assert all(np.size(u) <= M_w for u in U)
 
     def test_inverse_volume_map_fits_in_two_megabytes(self):
         phi, r, N_out = volume_map(three_angle_embedding())
@@ -253,6 +254,29 @@ class TestCompactGrids:
             tracemalloc.stop()
         # read on the full (M,)*3 cubes it peaks at about 14 MB
         assert peak < 2e6
+
+    def test_phase_witness_fits_in_one_and_a_half_megabytes(self, monkeypatch):
+        # the seeded phase needs no fibering step, so its witness walks a
+        # translation alone: U and det are scalars, not (48,)*3 grids
+        seen = []
+        normalize = pipeline.fibering_normalize
+
+        def recording(phase, r):
+            seen.append((phase, r))
+            return normalize(phase, r)
+
+        monkeypatch.setattr(pipeline, "fibering_normalize", recording)
+        pipeline.normalize_embedding(three_angle_embedding())
+        [(phase, r)] = seen
+        tracemalloc.start()
+        try:
+            res = fibering.fibering_normalize(phase, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 0 and len(res.stages) == 1
+        # with U and det broadcast to the cube it peaks at about 4.5 MB
+        assert peak < 1.5e6
 
 
 class TestComputedMapChop:
@@ -332,7 +356,7 @@ class TestShearedFrame:
     @pytest.mark.parametrize("case", ["n3-seeded", "n2-reparam"])
     def test_normalizer_matches_the_collapse_of_every_stage(self, case):
         rep = normalize_embedding(self.embedding(case))
-        oracle = compose_maps(*rep.stages[::-1], N_out=rep.normalizer.N)
+        oracle = compose_maps(rep.stages, N_out=rep.normalizer.N)
         assert np.array_equal(rep.normalizer.D, oracle.D)
         for p, q in zip(rep.normalizer.parts, oracle.parts):
             assert p.N == q.N and p.real and q.real
