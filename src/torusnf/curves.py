@@ -4,8 +4,9 @@ A closed curve is carried as a one-dimensional complex Fourier series of its
 lift theta -> f(e^{i theta}).  The turning number is read off the winding of
 the derivative; "non-critical" means the derivative's phase is itself an
 immersion of the circle (strict local convexity).  The generating curve of a
-normal form must be a non-critical embedding, which `embedding_check`
-decides from the turning number.
+normal form must be a non-critical embedding: `embedding_check` refuses a
+critical curve and returns the turning number, which is +-1 exactly for an
+embedding.
 """
 
 from __future__ import annotations
@@ -81,19 +82,8 @@ def noncritical_phase(curve):
     return mu_prime, max(float(np.min(mu_prime)), -float(np.max(mu_prime)))
 
 
-@dataclasses.dataclass(frozen=True)
-class EmbeddingCheck:
-    is_embedding: bool
-    self_intersection_index: int
-    turning_number: int
-
-
 def embedding_check(curve):
-    """Embeddedness by turning number.
-
-    A non-critical immersion is an embedding exactly when its turning
-    number is +-1; the index d - sign(d) counts signed double points.
-    """
+    """The turning number of a non-critical immersion, which is an
+    embedding exactly when that number is +-1."""
     above("(noncritical)", noncritical_phase(curve)[1], NONCRITICAL_TOL)
-    d = gauss_degree(curve)
-    return EmbeddingCheck(abs(d) == 1, d - int(np.sign(d)), d)
+    return gauss_degree(curve)

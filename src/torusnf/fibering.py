@@ -198,9 +198,7 @@ def fibering_normalize(phase, r0):
     state, steps, trace, converged = shrinking_strip(
         h0, r0, _fibering_schedule, transverse_bound, fibering_step, 3)
 
-    parts = state.triangular_split()
-    k_nd = parts[0] + parts[1]
-    k_line = extract_axis_line(k_nd)
+    k_line = extract_axis_line(state)
     a = -k_line.mean().real
     k = (translate(k_line, [a]) + a).symmetrized()
     shift = np.zeros(n)

@@ -491,7 +491,8 @@ def grid_walk(stages, M, shift, det):
     scattered points and go through `MapChain.apply`, or
     `MapChain.jacobian_det` when a determinant is wanted, on the image
     coordinates D theta + U, one grid per component; D is then multiplied
-    by their integer parts, and U is the image less D theta.  Each
+    by their integer parts, and U is the image less D theta, an entry that
+    the later stages leave at zero the scalar 0.  Each
     component of D theta is a sum of broadcast aranges, one per axis its row
     of D holds.  Every grid keeps the shape of the axes it depends on, so a
     component of theta_1 alone is an (M, 1, ..., 1) line, and a walk of
@@ -513,6 +514,7 @@ def grid_walk(stages, M, shift, det):
         for s in rest.stages:
             D = s.D @ D
         U = [c - t for c, t in zip(coords, _grid_rows(D, M))]
+        U = [u if np.any(u) else 0.0 for u in U]
     return D, U, det
 
 

@@ -31,7 +31,6 @@ from .flows import (
     taylor_on_grid,
 )
 from .moser import VolumeDensity, moser_normalize
-from .realization import AnnulusFunction
 from .series import (
     CHOP_FLOOR,
     PeriodicSeries,
@@ -41,6 +40,7 @@ from .series import (
     seven_smooth,
     stacked_det,
     unimodular_inverse,
+    z_derivative,
 )
 
 # Every stage residual of the normalization, the closure defect of a normal
@@ -56,13 +56,15 @@ MIN_JACOBIAN = 1e-12
 
 @dataclasses.dataclass(frozen=True)
 class TorusEmbedding:
-    """Holomorphic near-identity map of the annulus carrying the torus."""
+    """Holomorphic near-identity map of the annulus carrying the torus, its
+    components Laurent data: series flagged complex, so that a pullback
+    re-expands them on full spectra."""
 
     components: tuple
     r0: float
 
     def __post_init__(self):
-        comps = tuple(AnnulusFunction(c) for c in self.components)
+        comps = tuple(c.with_real_flag(False) for c in self.components)
         object.__setattr__(self, "components", comps)
         if not 0.0 < self.r0 < 1.0:
             raise ValueError(f"r0 must lie in (0, 1), got {self.r0}")
@@ -109,8 +111,7 @@ def jacobian_density(emb):
     determinants that vanish nowhere.
     """
     n = emb.n
-    rows = [[c.z_derivative(l).series for l in range(n)]
-            for c in emb.components]
+    rows = [[z_derivative(c, l) for l in range(n)] for c in emb.components]
     varying = sum(any(d.dependent_axes() for d in row) for row in rows)
     N_exact = varying * (emb.N + 1)
     M = seven_smooth(2 * N_exact + 1)
@@ -125,7 +126,7 @@ def jacobian_density(emb):
     if M < M_check and low - np.pi / M * _slope_mass(a) <= MIN_JACOBIAN:
         low = float(np.min(np.abs(1.0 + a.eval_real_grid(M_check))))
     above("(jacobian)", low, MIN_JACOBIAN)
-    return AnnulusFunction(a.chop(CHOP_FLOOR))
+    return a.chop(CHOP_FLOOR)
 
 
 def _slope_mass(h):
@@ -151,10 +152,9 @@ def modulus_phase_split(a):
     both outputs extend holomorphically off the real torus and are flagged
     real.
     """
-    a = AnnulusFunction(a)
     N_out = a.N + 8
     M = grid_size(N_out)
-    vals = a.series.eval_real_grid(M)
+    vals = a.eval_real_grid(M)
     at_most("(branch)", float(np.max(np.abs(vals))), 0.5)
     w = 1.0 + vals
     b = series_from_real_grid(np.abs(w) - 1.0, N_out, real=True)
@@ -198,6 +198,8 @@ class InvariantReport:
 def normalize_embedding(emb):
     """Run the full normalization and assemble the invariant report.
 
+    The Jacobian density, like the components of `emb`, is Laurent data
+    held as a plain series, so every stage takes and returns series.
     Stage order: Jacobian density; the integer shear that concentrates the
     phase on the first angle, applied to the density as the exact re-index
     `pull_back_linear`; modulus/phase factorization in that sheared frame,
@@ -223,8 +225,7 @@ def normalize_embedding(emb):
     r = emb.r0 / 2.0
     shear = shear_lift(n)
     A_inv = unimodular_inverse(shear.D)
-    split = modulus_phase_split(
-        AnnulusFunction(pull_back_linear(a.series, A_inv)))
+    split = modulus_phase_split(pull_back_linear(a, A_inv))
     at_most("(split)", split.residual, STAGE_TOL)
     b2, h2 = split.modulus, split.phase
 
@@ -263,7 +264,7 @@ def normalize_embedding(emb):
         phase_residual=phase_residual, volume_residual=fib.det_residual,
         exactness_defect=exactness_defect, moser_residual=moser.residual,
         split_residual=split.residual,
-        complex_constant=1.0 + a.series.mean(),
+        complex_constant=1.0 + a.mean(),
         total_volume=(2.0 * np.pi) ** n * rho0,
         fibering_trace=fib.trace)
 
@@ -298,7 +299,7 @@ def _normal_form_residual(a, stages, k, rho0, n):
     """
     M = VERIFY_GRID
     D, U, det = grid_walk(stages, M, 0.0, 1.0)
-    lhs = (1.0 + taylor_on_grid([a.series], D, U, M)[0]) \
+    lhs = (1.0 + taylor_on_grid([a], D, U, M)[0]) \
         * np.exp(1j * sum(U)) * det
     rhs = _on_grid_sums(rho0 * np.exp(1j * k.eval_real_grid(M)), n)
     return float(np.max(np.abs(lhs - rhs)))
@@ -414,7 +415,7 @@ def normal_form_embedding(g, n, r0):
     """
     if n < 2:
         raise ValueError("the normal form embedding needs n >= 2")
-    at_most("(embed)", abs(abs(embedding_check(g).turning_number) - 1), 0)
+    at_most("(embed)", abs(abs(embedding_check(g)) - 1), 0)
     line = g.series
     N_emb = line.N + 1
     terms = {}
@@ -424,14 +425,13 @@ def normal_form_embedding(g, n, r0):
             continue
         idx = tuple([m] + [m - 1] * (n - 1))
         terms[idx] = 1j * gamma
-    first = AnnulusFunction.from_terms(n, N_emb, terms)
-    comps = [first] + [AnnulusFunction(_identity_component(n, N_emb, j))
-                       for j in range(1, n)]
+    first = PeriodicSeries.from_terms(n, N_emb, terms, real=False)
+    comps = [first] + [_identity_component(n, N_emb, j) for j in range(1, n)]
     emb = TorusEmbedding(tuple(comps), r0)
 
     # det D psi(e^{i theta}) must equal e^{-i s} d/ds g(e^{i s}) at s = sum theta
     M = 4 * (N_emb + 1)
-    det = first.z_derivative(0).series.eval_real_grid(M)
+    det = z_derivative(first, 0).eval_real_grid(M)
     t = 2.0 * np.pi * np.arange(M) / M
     target = _on_grid_sums(
         np.exp(-1j * t) * line.derivative(0).eval_real_grid(M), n)
@@ -451,7 +451,6 @@ def precompose_torus_map(emb, lift):
     """
     if not lift.real:
         raise ValueError("reparametrizations must be real torus maps")
-    comps = [AnnulusFunction(lift.pullback(
-        c.series, N_out=c.N + lift.N + 4).chop(CHOP_FLOOR))
-        for c in emb.components]
+    comps = [lift.pullback(c, N_out=c.N + lift.N + 4).chop(CHOP_FLOOR)
+             for c in emb.components]
     return TorusEmbedding(tuple(comps), emb.r0)

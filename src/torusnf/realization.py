@@ -1,7 +1,10 @@
 """Realizing a complex volume density on the annulus through near-identity maps.
 
-Laurent data a(z) on the annulus is carried by the same coefficient engine
-as the periodic series (exponent = frequency).  The correction maps are
+Laurent data a(z) on the annulus are plain `PeriodicSeries` (exponent =
+frequency) in every function here.  `AnnulusFunction` and `AnnulusMap` are
+the types `realize_form` meets its callers with: it unwraps its density
+once and wraps the maps it returns, z_j -> z_j g_j(z) stored as
+log g_j = i f_j for the torus lift theta + f.  The correction maps are
 time-(-1) flows of holomorphic fields v = sum q_j d/dz_j with div v = a,
 computed as Lie series in angle coordinates through the conjugated field
 p_j(theta) = -i e^{-i theta_j} q_j(z), which `solve_divergence` writes
@@ -11,7 +14,7 @@ quadrature log det D psi = int a o phi_s ds.
 `realize_form` runs these steps in `fibering.shrinking_strip`, the loop it
 shares with the phase normalization, on the realization schedule
 r_{m+1} = (1 - 2 delta_m) r_m, delta_m = e^{-2} / (2 n (m+2)^2), with the
-density norm ||a||_{r_m} as defect.
+density norm ||a||_{r_m}, `coeff_norm`, as defect.
 """
 
 from __future__ import annotations
@@ -62,21 +65,8 @@ class AnnulusFunction:
     def N(self):
         return self.series.N
 
-    def coeff(self, exponents):
-        return self.series.coeff(exponents)
-
     def norm(self, r):
         return self.series.coeff_norm(r)
-
-    def z_derivative(self, axis):
-        """d/dz_axis at coefficient level: c_I -> (I_axis + 1) c_{I + e_axis}."""
-        s = self.series.pad_to(self.series.N + 1)
-        rolled = np.roll(np.array(s.coeffs), -1, axis=axis)
-        k = np.arange(-s.N, s.N + 1)
-        shape = [1] * s.n
-        shape[axis] = 2 * s.N + 1
-        out = rolled * (k + 1).reshape(shape)
-        return AnnulusFunction(PeriodicSeries(out, trunc_mass=s.trunc_mass))
 
     def __mul__(self, scalar):
         return AnnulusFunction(self.series * scalar)
@@ -108,11 +98,10 @@ def solve_divergence(a):
     Requires the all-(-1) monomial of `a` to vanish.
     """
     check_exact(a)
-    s = a.series
-    n, N = s.n, s.N
+    n, N = a.n, a.N
     k = np.arange(-N, N + 1)
     den = np.where(k == -1, 1, k + 1).astype(complex)  # -1 never reaches p_j
-    rest = s.coeffs  # the terms that no earlier axis took
+    rest = a.coeffs  # the terms that no earlier axis took
     comps = []
     for j in range(n):
         shape = [1] * n
@@ -128,25 +117,13 @@ def solve_divergence(a):
 class AnnulusMap:
     """Multiplicative near-identity map z_j -> z_j g_j(z), stored as log g_j."""
 
-    log_g: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_g",
-                           tuple(AnnulusFunction(c) for c in self.log_g))
+    log_g: tuple   # AnnulusFunction per component
 
     @classmethod
     def from_torus_lift(cls, lift):
         if not has_identity_integer_part(lift):
             raise ValueError("only near-identity lifts define annulus maps")
         return cls(tuple(AnnulusFunction(1j * p) for p in lift.parts))
-
-    @property
-    def n(self):
-        return len(self.log_g)
-
-    def to_torus_lift(self):
-        return TorusMapLift(np.eye(self.n, dtype=int),
-                            [(-1j * lg.series) for lg in self.log_g])
 
 
 def realization_step(a, r, delta):
@@ -157,19 +134,18 @@ def realization_step(a, r, delta):
     a_hat is computed on a grid from the pullback of a through psi and the
     exact log-determinant quadrature.
     """
-    a = AnnulusFunction(a)
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     N_pull = 2 * a.N + 4
 
     fr = flow(solve_divergence(a), -1.0, r, delta, N_out=a.N + 2,
-              line_integrand=a.series)
+              line_integrand=a)
 
     M = grid_size(N_pull)
-    a_vals = fr.map.pullback(a.series, N_out=N_pull).eval_real_grid(M)
+    a_vals = fr.map.pullback(a, N_out=N_pull).eval_real_grid(M)
     det_vals = np.exp(fr.integral.eval_real_grid(M))
     hat_vals = (1.0 + a_vals) * det_vals - 1.0
-    return AnnulusFunction(series_from_real_grid(hat_vals, a.N)), fr.map
+    return series_from_real_grid(hat_vals, a.N), fr.map
 
 
 @dataclasses.dataclass
@@ -199,14 +175,16 @@ def realize_form(a, r0):
     sup |psi(phi(theta)) - theta| over the torus, as `invert_map` witnesses
     it on its own grid, and over the shells Im theta = +-r0/8, which lie
     inside the half-width strip of r0/2 where the inversion gate (nf) is
-    taken.  Entry hypothesis: the all-(-1) monomial of `a` vanishes.
+    taken.  `a` is an `AnnulusFunction` or its series, and `phi` and
+    `psi` come back as `AnnulusMap`s.  Entry hypothesis: the all-(-1)
+    monomial of `a` vanishes.
 
     Each shell is read by `grid_walk` of the round trip; it has D = I, so
     its defect on the shell Im theta = s is sup |U - i s|.  The density
     check reads phi, its Jacobian and `a` on its own uniform grid, all by
     FFT.
     """
-    a0 = AnnulusFunction(a)
+    a0 = AnnulusFunction(a).series
     n = a0.n
     check_exact(a0)
 
@@ -216,14 +194,13 @@ def realize_form(a, r0):
         return r, _realization_delta(n, m)
 
     _, steps, trace, converged = shrinking_strip(
-        a0, r0, schedule, AnnulusFunction.norm, realization_step, 1)
+        a0, r0, schedule, PeriodicSeries.coeff_norm, realization_step, 1)
 
     N_comp = max(2 * a0.N + 4, 8)
     stages = steps or (TorusMapLift.identity(n),)
     psi = AnnulusMap.from_torus_lift(MapChain(stages).to_single(N_comp))
 
     inverse = invert_map(stages, r0 / 2.0, N_out=N_comp)
-    phi = AnnulusMap.from_torus_lift(inverse.map)
     M = max(2 * N_comp + 3, 33)
     round_trip = (inverse.map, *stages)
     inverse_residual = inverse.residual
@@ -231,26 +208,27 @@ def realize_form(a, r0):
         U = grid_walk(round_trip, M, shift, None)[1]
         inverse_residual = max([inverse_residual] + [
             float(np.max(np.abs(u - 1j * shift))) for u in U])
-    det_residual, min_det, min_phase_gradient = _verify_density(phi, a0)
-    return RealizationResult(phi, psi, trace, det_residual,
-                             inverse_residual, min_det, min_phase_gradient,
-                             converged, len(steps))
+    det_residual, min_det, min_phase_gradient = _verify_density(
+        inverse.map, a0)
+    return RealizationResult(AnnulusMap.from_torus_lift(inverse.map), psi,
+                             trace, det_residual, inverse_residual, min_det,
+                             min_phase_gradient, converged, len(steps))
 
 
-def _verify_density(phi, a0):
-    """det D_z phi against 1 + a0 on the uniform M^n torus grid, read by FFT.
+def _verify_density(lift, a0):
+    """det D_z phi against 1 + a0 on the uniform M^n torus grid, read by FFT,
+    for phi_j = z_j g_j with torus lift theta + f, log g_j = i f_j.
 
-    With phi_j = z_j g_j and theta + f the torus lift, det D_z phi is
-    prod_j g_j det(I + grad f), and prod_j g_j = exp(sum_j log g_j) is read
-    from the summed series rather than from theta + f, which would round f
-    off at the scale of theta; `grid_walk` multiplies it by det(I + grad f).
+    det D_z phi is prod_j g_j det(I + grad f), and prod_j g_j =
+    exp(sum_j log g_j) is read from the summed series rather than from
+    theta + f, which would round f off at the scale of theta; `grid_walk`
+    multiplies it by det(I + grad f).
     """
     n = a0.n
-    M = max(4 * (phi.log_g[0].N + 1), 32)
-    log_g = sum(lg.series for lg in phi.log_g)
-    det = grid_walk((phi.to_torus_lift(),), M, 0.0,
-                    np.exp(log_g.eval_real_grid(M)))[2]
-    target = 1.0 + a0.series.eval_real_grid(M)
+    M = max(4 * (lift.N + 1), 32)
+    log_g = sum(1j * p for p in lift.parts)
+    det = grid_walk((lift,), M, 0.0, np.exp(log_g.eval_real_grid(M)))[2]
+    target = 1.0 + a0.eval_real_grid(M)
     det_residual = float(np.max(np.abs(det - target)))
     min_det = float(np.min(np.abs(det)))
     # the toroidal phase of the realized volume form is

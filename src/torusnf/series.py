@@ -5,9 +5,11 @@ convention
 
     h(theta) = sum_k c_k exp(i <k, theta>),  theta in C^n.
 
-The same coefficient block doubles as Laurent data on the annulus
+The same coefficient block is Laurent data on the annulus
 e^{-r} < |z_j| < e^r through z_j = e^{i theta_j} (Laurent exponent = Fourier
-frequency), which is how the annulus-side modules reuse this engine.
+frequency), so embedding components and volume densities are plain series:
+`z_derivative` is d/dz_j on the coefficients, and `coeff_norm` is the sup
+bound on the annulus.
 
 Real data are transformed on half spectra.  A block that is exactly
 Hermitian, c_{-k} = conj c_k bit for bit, is read on a grid through
@@ -363,6 +365,17 @@ class PeriodicSeries:
         for _ in range(self.n):
             v = np.tensordot(w, v, axes=(0, 0))
         return float(v)
+
+
+def z_derivative(h, axis):
+    """d/dz_axis of h read as Laurent data, on the coefficients:
+    c_I -> (I_axis + 1) c_{I + e_axis}, at degree N + 1 and not real."""
+    s = h.pad_to(h.N + 1)
+    rolled = np.roll(np.array(s.coeffs), -1, axis=axis)
+    shape = [1] * s.n
+    shape[axis] = 2 * s.N + 1
+    return PeriodicSeries(rolled * (s.k_range() + 1).reshape(shape),
+                          trunc_mass=s.trunc_mass)
 
 
 # ----------------------------------------------------------------------

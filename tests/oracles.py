@@ -10,7 +10,6 @@ import numpy as np
 
 from torusnf.curves import CurveImmersion
 from torusnf.pipeline import TorusEmbedding
-from torusnf.realization import AnnulusFunction
 from torusnf.series import (
     CHOP_FLOOR,
     PeriodicSeries,
@@ -126,7 +125,7 @@ def circle(radius=1.0, N=4):
 
 def identity_embedding(n, N=1, r0=0.5):
     """z -> z on the annulus of half-width r0, at degree bound N."""
-    comps = [AnnulusFunction.from_terms(
+    comps = [PeriodicSeries.from_terms(
         n, max(N, 1), {tuple(int(i == j) for i in range(n)): 1.0})
         for j in range(n)]
     return TorusEmbedding(tuple(comps), r0)
@@ -147,10 +146,10 @@ def postcompose_monomial_shear(emb, target, exponents, eps):
     M = grid_size(N_out)
     vals = np.ones((M,) * n, dtype=complex)
     for j, m in exponents.items():
-        vals = vals * emb.components[j].series.eval_real_grid(M) ** m
+        vals = vals * emb.components[j].eval_real_grid(M) ** m
     add = series_from_real_grid(vals, N_out).chop(CHOP_FLOOR)
     comps = list(emb.components)
-    comps[target] = AnnulusFunction(comps[target].series + eps * add)
+    comps[target] = comps[target] + eps * add
     return TorusEmbedding(tuple(comps), emb.r0)
 
 

@@ -5,7 +5,8 @@ production code, the number of settable values does not grow, no
 `np.linalg` result is truncated to integers, outside `series` one
 function, the point reader in `flows`, references `eval_many`, a composite
 map is a tuple of lifts, first-applied first, that no module tests for
-`MapChain`, and every refusal goes through the gate of `errors`.
+`MapChain`, that Laurent data are plain series outside `realization`, and
+every refusal goes through the gate of `errors`.
 
 The scan parses `src/torusnf` and the benchmark under `perfbench/` with
 `ast` and collects every name they reference: plain names, attribute names
@@ -211,6 +212,34 @@ def test_a_composite_is_a_tuple_of_lifts():
         if isinstance(node, ast.Call) and call_name(node) == "isinstance"
         and len(node.args) == 2 and "MapChain" in referenced_names(node.args[1])]
     assert branches == []
+
+
+def test_laurent_data_are_plain_series_outside_realization():
+    """Inside the package Laurent data are `PeriodicSeries`.  The wrapper
+    types `AnnulusFunction` and `AnnulusMap` are where `realize_form` meets
+    its callers, so no other module names them, imported or used, and
+    `pipeline` imports nothing from `realization`."""
+    wrappers = {"AnnulusFunction", "AnnulusMap"}
+    naming = []
+    for path in SOURCES:
+        if path.stem == "realization":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        naming += [f"{path.stem}.{name}" for name in sorted(wrappers)
+                   if referenced_names(tree)[name] or name in imported]
+    assert naming == []
+    tree = ast.parse((ROOT / "src" / "torusnf" / "pipeline.py").read_text())
+    from_realization = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and ((node.module or "").split(".")[-1] == "realization"
+             or any(a.name == "realization" for a in node.names))
+        or isinstance(node, ast.Import)
+        and any(a.name.split(".")[-1] == "realization" for a in node.names)]
+    assert from_realization == []
 
 
 def is_linalg_call(node):

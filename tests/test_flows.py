@@ -19,7 +19,7 @@ from torusnf.flows import (
     taylor_on_grid,
 )
 from torusnf.pipeline import shear_lift
-from torusnf.realization import AnnulusFunction, realization_step
+from torusnf.realization import realization_step
 from torusnf.series import (
     PeriodicSeries,
     eval_many,
@@ -603,8 +603,8 @@ class TestGridNative:
         s = random_series(rng, 2, 5, real=False)
         c = np.array(s.coeffs)
         c[4, 4] = 0.0   # the all-(-1) monomial obstructs realization
-        a = AnnulusFunction(PeriodicSeries(c))
-        a = a * (1e-4 / a.norm(0.5))
+        a = PeriodicSeries(c)
+        a = a * (1e-4 / a.coeff_norm(0.5))
         phi = flow(stream_field(rng, norm=1e-3), 1.0, 0.5, 0.2, N_out=8).map
         shear = TorusMapLift([[1, 1], [0, 1]], phi.parts)
 

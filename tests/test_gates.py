@@ -27,7 +27,6 @@ from torusnf.pipeline import (
     normal_form_curve,
     normalize_embedding,
 )
-from torusnf.realization import AnnulusFunction
 from torusnf.series import PeriodicSeries, divide
 
 from test_flows import stream_field
@@ -60,9 +59,8 @@ def test_at_the_limit_at_most_accepts_and_above_refuses():
 
 def test_embedding_with_a_nan_coefficient():
     emb, _ = seeded_embedding(1e-3)
-    first = with_nan(emb.components[0].series, (1, 0))
-    emb = TorusEmbedding((AnnulusFunction(first),) + emb.components[1:],
-                         emb.r0)
+    first = with_nan(emb.components[0], (1, 0))
+    emb = TorusEmbedding((first,) + emb.components[1:], emb.r0)
     with pytest.raises(NumericalFailure, match="not totally real") as err:
         normalize_embedding(emb)
     assert err.value.bound == "(jacobian)"

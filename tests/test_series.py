@@ -20,6 +20,7 @@ from torusnf.series import (
     stacked_det,
     translate,
     witness_grid_size,
+    z_derivative,
 )
 
 from oracles import (
@@ -250,6 +251,26 @@ class TestCalculus:
         h = PeriodicSeries.from_terms(1, 3, {(3,): 1.0})
         d = h.derivative(0)
         assert d.coeff((3,)) == pytest.approx(3j)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_z_derivative_is_the_power_rule_off_the_torus(self, n):
+        # d/dz_j z^I = I_j z^{I - e_j}, summed term by term at points with
+        # |z_j| = e^{+-0.3}, off the torus
+        rng = np.random.default_rng(8)
+        h = random_series(rng, n, 3, real=False)
+        z = np.exp(rng.choice([-0.3, 0.3], (20, n))
+                   + 1j * rng.uniform(0.0, 2.0 * np.pi, (20, n)))
+        for axis in range(n):
+            e = np.eye(n, dtype=int)[axis]
+            exact = np.zeros(len(z), dtype=complex)
+            for idx in np.ndindex(h.coeffs.shape):
+                I = np.array(idx) - h.N
+                exact += (h.coeffs[idx] * I[axis]
+                          * np.prod(z ** (I - e), axis=1))
+            d = z_derivative(h, axis)
+            assert d.N == h.N + 1 and not d.real
+            got = eval_points(d, -1j * np.log(z))
+            assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_antiderivative_of_cosine(self):
         assert allclose(cos_series(1, 2, 0).antiderivative(0), sin_series(1, 2, 0))
