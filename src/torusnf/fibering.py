@@ -25,13 +25,7 @@ import dataclasses
 import numpy as np
 
 from .errors import TorusNFError, at_most
-from .flows import (
-    PeriodicVectorField,
-    TorusMapLift,
-    flow,
-    grid_walk,
-    taylor_on_grid,
-)
+from .flows import TorusMapLift, flow, grid_walk, taylor_on_grid
 from .series import (
     PeriodicSeries,
     divide,
@@ -46,17 +40,6 @@ STOP_TOL = 1e-12
 VERIFY_GRID = 48  # points per axis of the residual witness grids
 # A step's field must be divergence-free to DIVERGENCE_TOL in the r-norm.
 DIVERGENCE_TOL = 1e-8
-
-
-@dataclasses.dataclass(frozen=True)
-class FiberingPhase:
-    """Phase perturbation h in mu(theta) = theta_1 + h(theta), real on R^n."""
-
-    h: PeriodicSeries
-
-    def __post_init__(self):
-        if not self.h.real:
-            raise ValueError("phase perturbation must be real on R^n")
 
 
 def _fibering_schedule(r0, m):
@@ -157,10 +140,10 @@ def fibering_step(h, r, delta):
         u = divide(parts[p], denom, N_out=N_field)
         u = u.restrict_axes(axis).symmetrized()
         comps.append((-1.0 * u).derivative(0).antiderivative(axis))
-    field = PeriodicVectorField(comps)
-    at_most("(divergence)", field.divergence().coeff_norm(r), DIVERGENCE_TOL)
+    divergence = sum(c.derivative(j) for j, c in enumerate(comps))
+    at_most("(divergence)", divergence.coeff_norm(r), DIVERGENCE_TOL)
 
-    fr = flow(field, -1.0, (1.0 - delta) * r, delta, N_out=N_field)
+    fr = flow(comps, -1.0, (1.0 - delta) * r, delta, N_out=N_field)
     pulled = fr.map.pullback(h, N_out=N_pull)
     k_next = (fr.map.parts[0] + pulled).truncate(h.N).symmetrized()
     return k_next, fr.map
@@ -177,23 +160,26 @@ class FiberingResult:
     iterations: int
 
 
-def fibering_normalize(phase, r0):
-    """Iterate fibering steps until the transverse mass drops to STOP_TOL.
+def fibering_normalize(h0, r0):
+    """Iterate fibering steps on the phase mu(theta) = theta_1 + h0(theta)
+    until the transverse mass drops to STOP_TOL.
 
-    Runs `shrinking_strip` on the fibering schedule with the transverse
-    bound as defect.  On success returns the stages, the normalized
-    one-variable phase k with zero mean, the per-step trace, and the grid
-    residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
+    h0 is a series real on R^n; a series that is not is refused with a
+    ValueError.  Runs `shrinking_strip` on the fibering schedule with the
+    transverse bound as defect.  On success returns the stages, the
+    normalized one-variable phase k with zero mean, the per-step trace, and
+    the grid residuals sup |mu(Phi(theta)) - theta_1 - k(theta_1)| and
     sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness takes
     the displacement U and the determinant from one `grid_walk` of the
-    stages, at the shape of the axes they depend on, and reads h at the
+    stages, at the shape of the axes they depend on, and reads h0 at the
     image by the grid kernel, not at scattered points.
 
     Schedule exhaustion (MAX_ITER steps) returns a non-converged result
     with its trace; a step refusal mid-run raises, with the partial trace
     attached to the error.
     """
-    h0 = phase.h
+    if not h0.real:
+        raise ValueError("phase perturbation must be real on R^n")
     n = h0.n
     state, steps, trace, converged = shrinking_strip(
         h0, r0, _fibering_schedule, transverse_bound, fibering_step, 3)

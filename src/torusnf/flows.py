@@ -12,9 +12,11 @@ order is below round-off.  A displacement c that is the same at every point
 is read exactly as translate(h, c), and D only re-indexes the grid, so an
 affine stage costs no grid work.  `TorusMapLift.pullback`, `compose_maps`,
 `invert_map` (stage by stage) and the witnesses all go through it.
-Flows are Lie series, sum_k t^k/k! L^{k-1} p with L g = sum_i p_i d_i g,
-every product taken on the grid.  `compose_maps` is the one place a
-composite is collapsed and `invert_map` the one fixed-point inverter.
+A field is a plain tuple of n series p_j on T^n, d theta_j / dt =
+p_j(theta).  Flows are Lie series, sum_k t^k/k! L^{k-1} p with
+L g = sum_i p_i d_i g, every product taken on the grid.  `compose_maps` is
+the one place a composite is collapsed and `invert_map` the one
+fixed-point inverter.
 
 `_lift_from_grid` is the one place a computed map is re-expanded, and it
 chops each part by one rule: the smallest coefficients are dropped for as
@@ -86,43 +88,6 @@ FLOW_DEFECT_TOL = 1e-8
 # Fixed-point inversion stops once a step is at or below INVERT_TOL.
 INVERT_TOL = 1e-13
 INVERT_MAX_ITER = 200
-
-
-class PeriodicVectorField:
-    """n-tuple of periodic series, viewed as d theta_j / dt = p_j(theta)."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        components = tuple(components)
-        n = len(components)
-        if n == 0:
-            raise ValueError("field needs at least one component")
-        if any(c.n != n for c in components):
-            raise ValueError("every component must be a series on T^n")
-        N = max(c.N for c in components)
-        self.components = tuple(c.pad_to(N) for c in components)
-
-    @property
-    def n(self):
-        return len(self.components)
-
-    @property
-    def N(self):
-        return self.components[0].N
-
-    @property
-    def real(self):
-        return all(c.real for c in self.components)
-
-    def coeff_norm(self, r):
-        return float(np.max([c.coeff_norm(r) for c in self.components]))
-
-    def divergence(self):
-        out = PeriodicSeries.zeros(self.n, self.N, real=self.real)
-        for j, c in enumerate(self.components):
-            out = out + c.derivative(j)
-        return out
 
 
 def _spectral_factors(n, M):
@@ -373,41 +338,48 @@ class FlowResult:
     integral: PeriodicSeries | None
 
 
-def flow(v, t, r1, delta, N_out, line_integrand=None):
-    """Time-t map of the field as a near-identity lift, by its Lie series,
-    re-expanded at degree N_out.
+def flow(p, t, r1, delta, N_out, line_integrand=None):
+    """Time-t map of the field d theta_j / dt = p_j(theta) as a
+    near-identity lift, by its Lie series, re-expanded at degree N_out.
 
-    The displacement is sum_{k >= 1} t^k/k! L^{k-1} p with L g = sum_i p_i
-    d_i g, products and spectral derivatives taken on the grid, summed up to
-    the first term at or below TERM_TOL.  Requires |t| <= 1, 0 < delta < 1/2
-    and the bound (z1) ||p||_{r1} <= r1 delta.  With `line_integrand` g, the
+    `p` is a sequence of n series on T^n, one per component, and
+    `line_integrand`, when given, a series on T^n too.  The displacement is
+    sum_{k >= 1} t^k/k! L^{k-1} p with L g = sum_i p_i d_i g, products and
+    spectral derivatives taken on the grid, summed up to the first term at
+    or below TERM_TOL.  Requires |t| <= 1, 0 < delta < 1/2 and the bound
+    (z1) max_j ||p_j||_{r1} <= r1 delta.  With `line_integrand` g, the
     result's `integral` is int_0^t g(theta(s)) ds = sum_{k >= 1} t^k/k!
     L^{k-1} g.
     """
+    n = len(p)
+    fields = [*p] + ([] if line_integrand is None else [line_integrand])
+    if n == 0 or any(g.n != n for g in fields):
+        raise ValueError("a field of n components needs every component, "
+                         "and the line integrand, on T^n")
     if not abs(t) <= 1.0 + 1e-15:
         raise ValueError(f"flows are only taken for |t| <= 1, got {t}")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    at_most("(z1)", v.coeff_norm(r1), r1 * delta)
-    fields = list(v.components) + ([] if line_integrand is None
-                                   else [line_integrand])
+    # np.max, as a NaN norm in any place must reach the gate
+    at_most("(z1)", float(np.max([c.coeff_norm(r1) for c in p])), r1 * delta)
+    real = all(c.real for c in p)
     M = grid_size(N_out, *(g.N for g in fields))
     powers = [g.eval_real_grid(M) for g in fields]   # L^{k-1} of each
-    p = powers[:v.n]
+    grids = powers[:n]
     sums = [t * g for g in powers]
     k, defect = 1, _sup(sums)
     while defect > TERM_TOL and k < MAX_TERMS:
         k += 1
-        powers = [sum(pi * d for pi, d in zip(p, _grid_gradient(g, M)))
+        powers = [sum(pi * d for pi, d in zip(grids, _grid_gradient(g, M)))
                   for g in powers]
         terms = [t ** k / math.factorial(k) * g for g in powers]
         sums = [acc + term for acc, term in zip(sums, terms)]
         defect = _sup(terms)
     at_most("(lie)", defect, FLOW_DEFECT_TOL)
     integral = None if line_integrand is None else series_from_real_grid(
-        sums[v.n], N_out, real=v.real and line_integrand.real)
+        sums[n], N_out, real=real and line_integrand.real)
     return FlowResult(
-        _lift_from_grid(np.eye(v.n, dtype=int), sums[:v.n], N_out, v.real),
+        _lift_from_grid(np.eye(n, dtype=int), sums[:n], N_out, real),
         k, defect, integral)
 
 

@@ -22,39 +22,28 @@ from .series import (
 
 
 @dataclasses.dataclass(frozen=True)
-class VolumeDensity:
-    """Real analytic density (1 + b(theta)) d theta on T^n."""
-
-    b: PeriodicSeries
-
-    def __post_init__(self):
-        if not self.b.real:
-            raise ValueError("volume density perturbation must be real on R^n")
-
-    def min_on_grid(self):
-        M = max(witness_grid_size(self.b.N), 16)
-        vals = 1.0 + self.b.eval_real_grid(M).real
-        return float(np.min(vals))
-
-
-@dataclasses.dataclass(frozen=True)
 class MoserResult:
     map: TorusMapLift
     mean: float
     residual: float
 
 
-def moser_normalize(density, N_out):
+def moser_normalize(b, N_out):
     """Map the density (1+b) d theta to its mean multiple of d theta.
 
-    Returns the triangular near-identity lift phi, of degree N_out, with
-    (1 + [b]) phi^* d theta = (1 + b) d theta, together with the mean [b]
-    and the grid residual of that identity.  The perturbation obeys
-    ||f||_r <= 8 pi ||b||_r.
+    b is a series real on R^n; a series that is not is refused with a
+    ValueError, and a density that is not positive on the grid of
+    max(witness_grid_size(b.N), 16) points per axis is refused as
+    (density).  Returns the triangular near-identity lift phi, of degree
+    N_out, with (1 + [b]) phi^* d theta = (1 + b) d theta, together with
+    the mean [b] and the grid residual of that identity.  The perturbation
+    obeys ||f||_r <= 8 pi ||b||_r.
     """
-    b = density.b
+    if not b.real:
+        raise ValueError("volume density perturbation must be real on R^n")
     n = b.n
-    above("(density)", density.min_on_grid(), 0.0)
+    M = max(witness_grid_size(b.N), 16)
+    above("(density)", float(np.min(1.0 + b.eval_real_grid(M).real)), 0.0)
 
     parts = b.triangular_split()
     mean = parts[0].mean().real

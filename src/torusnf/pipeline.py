@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import CurveImmersion, embedding_check, gauss_degree
 from .errors import NumericalFailure, above, at_most
-from .fibering import STOP_TOL, VERIFY_GRID, FiberingPhase, fibering_normalize
+from .fibering import STOP_TOL, VERIFY_GRID, fibering_normalize
 from .flows import (
     MapChain,
     TorusMapLift,
@@ -30,7 +30,7 @@ from .flows import (
     invert_map,
     taylor_on_grid,
 )
-from .moser import VolumeDensity, moser_normalize
+from .moser import moser_normalize
 from .series import (
     CHOP_FLOOR,
     PeriodicSeries,
@@ -229,7 +229,7 @@ def normalize_embedding(emb):
     at_most("(split)", split.residual, STAGE_TOL)
     b2, h2 = split.modulus, split.phase
 
-    moser = moser_normalize(VolumeDensity(b2), N_out=b2.N + 4)
+    moser = moser_normalize(b2, N_out=b2.N + 4)
     at_most("(volume)", moser.residual, STAGE_TOL)
     rho0 = 1.0 + moser.mean
     inv1 = invert_map((moser.map,), r, N_out=moser.map.N + 4)
@@ -241,7 +241,7 @@ def normalize_embedding(emb):
     if h3.N > FIB_DEGREE:
         h3 = h3.truncate(FIB_DEGREE)
 
-    fib = fibering_normalize(FiberingPhase(h3), r)
+    fib = fibering_normalize(h3, r)
     try:
         at_most("(exhausted)", fib.trace[-1].defect, STOP_TOL)
         at_most("(phase)", fib.residual, STAGE_TOL)

@@ -27,7 +27,6 @@ from .errors import at_most
 from .fibering import shrinking_strip
 from .flows import (
     MapChain,
-    PeriodicVectorField,
     TorusMapLift,
     flow,
     grid_walk,
@@ -90,7 +89,8 @@ def check_exact(a):
 
 
 def solve_divergence(a):
-    """The conjugated angle field p of the canonical solution of div v = a.
+    """The conjugated angle field p of the canonical solution of div v = a,
+    as the tuple (p_1, ..., p_n) of series for `flow`.
 
     v = sum_j q_j d/dz_j has no exponent-0 terms in z_j in q_j, and
     p_j = -i z_j^{-1} q_j.  The term of `a` at I goes to p_j, for the first
@@ -110,7 +110,7 @@ def solve_divergence(a):
         comps.append(-1j * PeriodicSeries(
             np.where(lead, rest / den.reshape(shape), 0.0)))
         rest = np.where(lead, 0.0, rest)
-    return PeriodicVectorField(comps)
+    return tuple(comps)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -74,8 +74,8 @@ class PeriodicSeries:
     # constructors
 
     @classmethod
-    def zeros(cls, n, N, real=True):
-        return cls(np.zeros((2 * N + 1,) * n, dtype=complex), real=real)
+    def zeros(cls, n, N):
+        return cls(np.zeros((2 * N + 1,) * n, dtype=complex), real=True)
 
     @classmethod
     def constant(cls, n, N, value):

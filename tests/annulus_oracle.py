@@ -26,7 +26,7 @@ def holo_components(p):
     """q_j = i z_j p_j: the Laurent components of the holomorphic field
     v = sum_j q_j d/dz_j whose conjugated angle field is p."""
     return [1j * PeriodicSeries(np.roll(c.pad_to(c.N + 1).coeffs, 1, axis=j))
-            for j, c in enumerate(p.components)]
+            for j, c in enumerate(p)]
 
 
 def divergence_z(q):

@@ -91,6 +91,17 @@ def at_points(chain, pts, det=False):
     return np.stack(image, axis=-1), np.broadcast_to(jac, pts.shape[:1])
 
 
+def field_norm(p, r):
+    """max_j ||p_j||_r of a field p, a tuple of series: the norm of the
+    (z1) bound of `flow`."""
+    return max(c.coeff_norm(r) for c in p)
+
+
+def divergence(p):
+    """sum_j d p_j / d theta_j of a field p, a tuple of series."""
+    return sum(c.derivative(j) for j, c in enumerate(p))
+
+
 def abs_max_coeff(h):
     return float(np.max(np.abs(h.coeffs)))
 

@@ -34,7 +34,7 @@ def test_tracer_reads_flow_and_inverse_counts(monkeypatch):
     flows = importlib.import_module("torusnf.flows")
     series = importlib.import_module("torusnf.series")
     c = series.PeriodicSeries.from_terms(2, 1, {(0, 1): 1e-3, (0, -1): 1e-3})
-    v = flows.PeriodicVectorField([c, series.PeriodicSeries.zeros(2, 1)])
+    v = (c, series.PeriodicSeries.zeros(2, 1))
     with tracer.LayerTracer() as trace:
         fr = flows.flow(v, 1.0, 0.5, 0.2, N_out=1)
         flows.flow(v, -1.0, 0.5, 0.2, N_out=1, line_integrand=c)

@@ -5,8 +5,9 @@ production code, the number of settable values does not grow, no
 `np.linalg` result is truncated to integers, outside `series` one
 function, the point reader in `flows`, references `eval_many`, a composite
 map is a tuple of lifts, first-applied first, that no module tests for
-`MapChain`, that Laurent data are plain series outside `realization`, and
-every refusal goes through the gate of `errors`.
+`MapChain`, that Laurent data are plain series outside `realization`, that
+no class wraps a single value unless the benchmark pins it, and every
+refusal goes through the gate of `errors`.
 
 The scan parses `src/torusnf` and the benchmark under `perfbench/` with
 `ast` and collects every name they reference: plain names, attribute names
@@ -37,7 +38,7 @@ CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 # Public functions exempt from both scans.  Test conjugations and model data
 # live in tests/oracles.py, so none is.
 ALLOWED = set()
-MAX_SETTABLE_VALUES = 6
+MAX_SETTABLE_VALUES = 5
 
 
 def referenced_names(node):
@@ -240,6 +241,46 @@ def test_laurent_data_are_plain_series_outside_realization():
         or isinstance(node, ast.Import)
         and any(a.name.split(".")[-1] == "realization" for a in node.names)]
     assert from_realization == []
+
+
+# Classes whose instances hold one value, each kept because `perfbench/`
+# builds it or names one of its members as a traced layer.
+ONE_VALUE_WRAPPERS = {
+    "CurveImmersion": "perfbench/workloads.py builds the n3-seeded curve "
+                      "with it and reads `g.series`",
+    "MapChain": "its `apply`, `jacobian_det` and `to_single` are layers of "
+                "BENCHMARK.json and perfbench/tracer.py",
+    "AnnulusFunction": "perfbench/workloads.py builds the annulus densities "
+                       "with `from_terms`, `*` and `.norm`",
+    "AnnulusMap": "perfbench/workloads.py reads `res.phi.log_g[j].series` "
+                  "in its witness and fingerprint",
+}
+
+
+def held_values(cls):
+    """The fields of a dataclass, or the names of `__slots__`; None for a
+    class that declares neither."""
+    if is_dataclass(cls):
+        return [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
+    for s in cls.body:
+        if (isinstance(s, ast.Assign)
+                and [ast.unparse(t) for t in s.targets] == ["__slots__"]):
+            value = ast.literal_eval(s.value)
+            return [value] if isinstance(value, str) else list(value)
+    return None
+
+
+def test_no_class_wraps_one_value_unless_the_benchmark_pins_it():
+    """A stage input is a plain series, not a one-field class around one.
+    A class whose instances hold one value (a dataclass of one field, or
+    `__slots__` of one name) is kept only where the benchmark builds it or
+    traces a member, and each such class must still be one, so the list
+    shrinks as they go."""
+    wrappers = {node.name for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)
+                and len(held_values(node) or ()) == 1}
+    assert sorted(wrappers) == sorted(ONE_VALUE_WRAPPERS)
 
 
 def is_linalg_call(node):

@@ -10,7 +10,7 @@ from torusnf import fibering, flows, pipeline, realization, series
 from torusnf.curves import gauss_degree
 from torusnf.errors import HypothesisViolation, NumericalFailure
 from torusnf.flows import MapChain, TorusMapLift, compose_maps, flow, invert_map
-from torusnf.moser import VolumeDensity, moser_normalize
+from torusnf.moser import moser_normalize
 from torusnf.pipeline import (
     TorusEmbedding,
     closure_defect,
@@ -196,7 +196,7 @@ def volume_map(emb):
     a = jacobian_density(emb)
     A_inv = unimodular_inverse(shear_lift(emb.n).D)
     b2 = pull_back_linear(modulus_phase_split(a).modulus, A_inv)
-    phi = moser_normalize(VolumeDensity(b2), N_out=b2.N + 4).map
+    phi = moser_normalize(b2, N_out=b2.N + 4).map
     return phi, emb.r0 / 2.0, phi.N + 4
 
 

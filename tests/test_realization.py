@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusnf import fibering
 from torusnf.errors import HypothesisViolation
@@ -39,20 +41,47 @@ def torus_points(n, M):
     return np.exp(1j * theta_grid(n, M))
 
 
+def laurent_sum_3d(c, z):
+    """Values at (m, 3) points z of the 3-D Laurent polynomial with the
+    coefficient block c, summed by einsum one axis at a time, last first."""
+    e = np.arange(-(c.shape[0] // 2), c.shape[0] // 2 + 1)
+    x, y, w = (z[:, j:j + 1] ** e for j in range(3))
+    return np.einsum("im,mi->m", np.einsum("ijm,mj->im",
+                                           np.einsum("ijk,mk->ijm", c, w), y),
+                     x)
+
+
+def finite_difference_det_3d(phi, z, h=1e-5):
+    """det D phi at the points z by central differences of step h, for
+    phi_j = z_j exp(log g_j) summed from the coefficients of `phi.log_g`."""
+    coeffs = [lg.series.coeffs for lg in phi.log_g]
+
+    def apply(w):
+        return np.stack([w[:, j] * np.exp(laurent_sum_3d(c, w))
+                         for j, c in enumerate(coeffs)], axis=-1)
+
+    jac = np.empty((z.shape[0], 3, 3), dtype=complex)
+    for l in range(3):
+        dz = np.zeros(3)
+        dz[l] = h
+        jac[:, :, l] = (apply(z + dz) - apply(z - dz)) / (2.0 * h)
+    return np.linalg.det(jac)
+
+
 class TestLaurentSplit:
     """The Laurent terms split among the components of `solve_divergence`:
     each term goes to the first axis whose exponent is not -1."""
 
     def test_one_dim_positive_power(self):
         a = PeriodicSeries.from_terms(1, 2, {(1,): 1e-3})
-        (p,) = solve_divergence(a).components
+        (p,) = solve_divergence(a)
         assert p.coeff((1,)) == pytest.approx(-0.5e-3j)
         assert np.count_nonzero(p.coeffs) == 1
 
     def test_partition_and_norm_bound(self):
         rng = np.random.default_rng(61)
         a = random_annulus_function(rng, 2, 5, 0.5, 1e-3)
-        p = solve_divergence(a).components
+        p = solve_divergence(a)
         # every nonzero term lands in exactly one component
         owners = sum((c.coeffs != 0).astype(int) for c in p)
         assert np.array_equal(owners, (a.coeffs != 0).astype(int))
@@ -62,6 +91,29 @@ class TestLaurentSplit:
                               axis_1_only & (a.coeffs != 0))
         for j, c in enumerate(p):
             assert c.coeff_norm(0.5) <= 2 * np.e ** (j + 1) * a.coeff_norm(0.5)
+
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=80)
+    @given(n=st.integers(1, 3), N=st.integers(0, 4),
+           fill=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_term_is_placed_once(self, n, N, fill, seed):
+        # a sparse density, its all-(-1) term left out: the components'
+        # supports partition the support of a, and the holomorphic field
+        # they define has divergence a
+        rng = np.random.default_rng(seed)
+        shape = (2 * N + 1,) * n
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c[rng.uniform(size=shape) >= fill] = 0.0
+        if N >= 1:
+            c[(N - 1,) * n] = 0.0
+        a = PeriodicSeries(c)
+        p = solve_divergence(a)
+        assert len(p) == n
+        owners = sum((c_j.coeffs != 0).astype(int) for c_j in p)
+        assert np.array_equal(owners, (a.coeffs != 0).astype(int))
+        resid = divergence_z(holo_components(p)) - a
+        assert abs_max_coeff(resid) <= 1e-15 * abs_max_coeff(a)
 
 
 class TestMeanCheck:
@@ -93,7 +145,7 @@ class TestSolveDivergence:
     def test_zero_input(self):
         a = PeriodicSeries.zeros(2, 3)
         p = solve_divergence(a)
-        assert all(abs_max_coeff(c) == 0.0 for c in p.components)
+        assert all(abs_max_coeff(c) == 0.0 for c in p)
 
     def test_random_reconstruction_and_gauge(self):
         rng = np.random.default_rng(63)
@@ -208,6 +260,9 @@ class TestRealizeForm:
         z = torus_points(3, 7)
         assert np.max(np.abs(det_jacobian_z(res.phi, z) - 1.0
                              - eval_z(a, z))) <= 1e-7
+        # and by central differences, with no package code
+        assert np.max(np.abs(finite_difference_det_3d(res.phi, z) - 1.0
+                             - laurent_sum_3d(a.coeffs, z))) <= 1e-7
 
     def test_exhausted_schedule_is_not_converged(self, monkeypatch):
         # the random density needs two corrective steps; allow only one
