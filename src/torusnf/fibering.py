@@ -156,6 +156,7 @@ class FiberingResult:
     trace: list                # TraceRow per m, defect = transverse_bound
     residual: float
     det_residual: float
+    walk: tuple                # the witness's grid_walk (D, U, det) of stages
     converged: bool
     iterations: int
 
@@ -172,7 +173,8 @@ def fibering_normalize(h0, r0):
     sup |det D Phi - 1| on VERIFY_GRID points per axis.  The witness takes
     the displacement U and the determinant from one `grid_walk` of the
     stages, at the shape of the axes they depend on, and reads h0 at the
-    image by the grid kernel, not at scattered points.
+    image by the grid kernel, not at scattered points; the result keeps
+    that walk.
 
     Schedule exhaustion (MAX_ITER steps) returns a non-converged result
     with its trace; a step refusal mid-run raises, with the partial trace
@@ -199,6 +201,6 @@ def fibering_normalize(h0, r0):
     target = k.eval_real_grid(M).reshape((-1,) + (1,) * (n - 1))
     residual = float(np.max(np.abs(mu - target)))
     det_residual = float(np.max(np.abs(det - 1.0)))
-    return FiberingResult(stages, k, trace, residual, det_residual, converged,
-                          len(steps))
+    return FiberingResult(stages, k, trace, residual, det_residual,
+                          (D, U, det), converged, len(steps))
 

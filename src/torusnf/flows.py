@@ -49,13 +49,15 @@ to `stacked_det` entry by entry, a constant entry as a scalar, so no
 + i shift through `grid_walk`, which returns the image as D theta + U and
 the determinant there, each entry a scalar or grid values at the shape of
 the axes it depends on, which the witness broadcasts.  Its leading affine
-stages and first non-affine stage are walked on the grid; the later stages
-see scattered image points, through a `MapChain` of them, whose `apply` /
-`jacobian_det` take and return one coordinate array per component at the
-shape of the axes it depends on, so no (M^n, n) array of points is built,
-and a stage of theta_1 alone is read at M points.  A series read at the
-image, as the density or the phase in the normal-form and fibering
-witnesses, goes through the grid kernel at the returned (D, U).
+stages and first non-affine stage are walked on the grid; `continue_walk`
+takes the later stages to the scattered image points, through a `MapChain`
+of them, whose `apply` / `jacobian_det` take and return one coordinate
+array per component at the shape of the axes it depends on, so no
+(M^n, n) array of points is built, and a stage of theta_1 alone is read at
+M points.  A witness that extends a finished walk by more stages, as the
+normal-form witness extends the fibering one, hands its (D, U, det) to
+`continue_walk`.  A series read at the image, as the density or the phase
+in those witnesses, goes through the grid kernel at the returned (D, U).
 """
 
 from __future__ import annotations
@@ -459,35 +461,42 @@ def grid_walk(stages, M, shift, det):
 
     The leading affine stages and the first stage with a non-constant part
     are walked on the grid (`_walk` with `taylor_on_grid`) from the scalar
-    displacement i shift, so they are read by FFT.  The later stages see
-    scattered points and go through `MapChain.apply`, or
-    `MapChain.jacobian_det` when a determinant is wanted, on the image
-    coordinates D theta + U, one grid per component; D is then multiplied
-    by their integer parts, and U is the image less D theta, an entry that
-    the later stages leave at zero the scalar 0.  Each
-    component of D theta is a sum of broadcast aranges, one per axis its row
-    of D holds.  Every grid keeps the shape of the axes it depends on, so a
-    component of theta_1 alone is an (M, 1, ..., 1) line, and a walk of
-    affine stages alone leaves U and det scalars.
+    displacement i shift, so they are read by FFT, and `continue_walk`
+    applies the later stages.  A component of theta_1 alone is an
+    (M, 1, ..., 1) line, and a walk of affine stages alone leaves U and det
+    scalars.
     """
     n = stages[0].n
     head = 1 + sum(1 for _ in itertools.takewhile(_is_affine, stages))
     D, U, det = _walk(stages[:head], functools.partial(taylor_on_grid, M=M),
                       np.eye(n, dtype=int), [1j * shift] * n, det)
-    if head < len(stages):
-        rest = MapChain(stages[head:])
-        coords = [t + u for t, u in zip(_grid_rows(D, M), U)]
-        del U   # freed before the later stages allocate their own
-        if det is None:
-            coords = rest.apply(coords)
-        else:
-            coords, rest_det = rest.jacobian_det(coords)
-            det = det * rest_det
-        for s in rest.stages:
-            D = s.D @ D
-        U = [c - t for c, t in zip(coords, _grid_rows(D, M))]
-        U = [u if np.any(u) else 0.0 for u in U]
-    return D, U, det
+    return continue_walk(stages[head:], M, D, U, det)
+
+
+def continue_walk(stages, M, D, U, det):
+    """A finished walk (D, U, det) of the M^n-point grid, as `grid_walk`
+    returns it, continued by the lifts `stages`, first-applied first.
+
+    The stages see the image D theta + U as scattered points and go through
+    `MapChain.apply`, or `MapChain.jacobian_det` when det is wanted, one
+    coordinate grid per component; D is multiplied by their integer parts,
+    and U is the image less D theta, an entry that the stages leave at zero
+    the scalar 0.  Each component of D theta is a sum of broadcast aranges,
+    one per axis its row of D holds.
+    """
+    if not stages:
+        return D, U, det
+    chain = MapChain(stages)
+    coords = [t + u for t, u in zip(_grid_rows(D, M), U)]
+    if det is None:
+        coords = chain.apply(coords)
+    else:
+        coords, chain_det = chain.jacobian_det(coords)
+        det = det * chain_det
+    for s in stages:
+        D = s.D @ D
+    U = [c - t for c, t in zip(coords, _grid_rows(D, M))]
+    return D, [u if np.any(u) else 0.0 for u in U], det
 
 
 def _grid_rows(D, M):

@@ -22,14 +22,8 @@ import numpy as np
 from .curves import CurveImmersion, embedding_check, gauss_degree
 from .errors import NumericalFailure, above, at_most
 from .fibering import STOP_TOL, VERIFY_GRID, fibering_normalize
-from .flows import (
-    MapChain,
-    TorusMapLift,
-    _grid_index,
-    grid_walk,
-    invert_map,
-    taylor_on_grid,
-)
+from .flows import (MapChain, TorusMapLift, continue_walk, invert_map,
+                    taylor_on_grid)
 from .moser import moser_normalize
 from .series import (
     CHOP_FLOOR,
@@ -210,12 +204,11 @@ def normalize_embedding(emb):
     iteration's witness included.  The normalizer is the sheared-frame
     stages, phase iteration then inverse volume map, collapsed by
     `MapChain.to_single` and conjugated back by the shear on the
-    coefficients (`_unsheared`).  Both residual witnesses, of the phase
-    iteration and of the normal form, sample VERIFY_GRID points per axis
-    and take the displacement U and the determinant from one `grid_walk` of
-    their stages, and read the density or phase at the displaced grid by
-    the grid kernel.  Of the normal-form stages, the shear and the closing
-    unshear are affine and read nothing.
+    coefficients (`_unsheared`).  Both residual witnesses sample
+    VERIFY_GRID points per axis in the sheared frame and read the phase or
+    the sheared density at the displaced grid by the grid kernel.  The
+    phase iteration's witness walks its stages once (`grid_walk`), and the
+    normal-form witness continues that walk by the inverse volume map.
     Raises NumericalFailure when the phase iteration exhausts its schedule.
     """
     n = emb.n
@@ -225,7 +218,8 @@ def normalize_embedding(emb):
     r = emb.r0 / 2.0
     shear = shear_lift(n)
     A_inv = unimodular_inverse(shear.D)
-    split = modulus_phase_split(pull_back_linear(a, A_inv))
+    b = pull_back_linear(a, A_inv)   # the density in the sheared frame
+    split = modulus_phase_split(b)
     at_most("(split)", split.residual, STAGE_TOL)
     b2, h2 = split.modulus, split.phase
 
@@ -258,7 +252,7 @@ def normalize_embedding(emb):
     normalizer = _unsheared(MapChain((*fib.stages, inv1.map)).to_single(N_norm),
                             shear.D, N_norm)
 
-    phase_residual = _normal_form_residual(a, stages, k, rho0, n)
+    phase_residual = _normal_form_residual(b, fib, inv1.map, rho0)
     return InvariantReport(
         rho0=rho0, k=k, normalizer=normalizer, stages=stages, g=g,
         phase_residual=phase_residual, volume_residual=fib.det_residual,
@@ -283,33 +277,27 @@ def _unsheared(lift, A, N_out):
                          for terms in sums])
 
 
-def _normal_form_residual(a, stages, k, rho0, n):
-    """sup over the real grid of the defining identity of the normal form:
+def _normal_form_residual(b, fib, volume_inverse, rho0):
+    """sup over the real grid of the defining identity of the normal form,
+    in the sheared frame phi = A theta, phi_1 = theta_1 + ... + theta_n.
 
-    (1 + a(pi(Phi theta))) e^{i sum Phi_j} det D Phi
-        = rho0 e^{i (sum theta_j + k(sum theta_j))}.
-
-    The shear and the unshear cancel, so Phi theta = theta + U(theta) and
-    the common factor e^{i sum theta_j} drops out: the witness compares
-    (1 + a(theta + U)) e^{i sum U_j} det D Phi with rho0 e^{i k(sum theta_j)},
-    a read by `taylor_on_grid` at (D, U).  U and det come from `grid_walk`
-    at the shape of the axes they depend on and broadcast in the products.
-    The right side is exponentiated on the M-point line of k and only then
-    spread over the grid.
+    The normalizer is Phi = A^-1 psi A, psi the sheared-frame chain
+    (*fib.stages, volume_inverse).  The first row of A is all ones, so
+    sum_j Phi_j(theta) = psi_1(phi), det D Phi(theta) = det D psi(phi) and
+    a(Phi theta) = b(psi phi), b = a(A^-1 .) the sheared density.  A is
+    unimodular and permutes the grid, so the witness compares, at each
+    grid point phi, (1 + b(phi + V)) e^{i V_1} det D psi with
+    rho0 e^{i k(phi_1)}, the common factor e^{i phi_1} dropped: every
+    stage has D = I, and V = psi(phi) - phi.  (D, V, det) continue the
+    fibering witness's walk by the volume stage (`continue_walk`), b is
+    read at that image by `taylor_on_grid`, and the right side stays on
+    the M-point line of k.
     """
     M = VERIFY_GRID
-    D, U, det = grid_walk(stages, M, 0.0, 1.0)
-    lhs = (1.0 + taylor_on_grid([a], D, U, M)[0]) \
-        * np.exp(1j * sum(U)) * det
-    rhs = _on_grid_sums(rho0 * np.exp(1j * k.eval_real_grid(M)), n)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def _on_grid_sums(line, n):
-    """Values of a function of one angle, given on its M-point grid, at the
-    sums theta_1 + ... + theta_n over the M^n-point real grid, as an (M,)*n
-    grid: the line values at the index (m_1 + ... + m_n) mod M."""
-    return np.take(line, _grid_index(np.ones((1, n), dtype=int), len(line)))
+    D, V, det = continue_walk((volume_inverse,), M, *fib.walk)
+    lhs = (1.0 + taylor_on_grid([b], D, V, M)[0]) * np.exp(1j * V[0]) * det
+    rhs = rho0 * np.exp(1j * fib.k.eval_real_grid(M))
+    return float(np.max(np.abs(lhs - rhs.reshape((-1,) + (1,) * (b.n - 1)))))
 
 
 def exactness_correct(k):
@@ -406,12 +394,12 @@ def normal_form_embedding(g, n, r0):
 
     First component i g(z_1 ... z_n) / (z_2 ... z_n), remaining components
     the coordinates themselves; the absorbed factor i makes the round curve
-    correspond to the identity.  Verifies on the uniform grid of
-    4 (N + 1) points per axis, N the embedding degree, that the Jacobian
-    determinant matches the curve velocity data to STAGE_TOL; both sides
-    are read there by FFT, and the target e^{-i s} g'(s), a function of
-    s = sum theta, is formed on the M-point line and spread by
-    `_on_grid_sums`.
+    correspond to the identity.  Verifies that the Jacobian determinant,
+    d psi_1 / d z_1, matches the curve velocity data e^{-i s} g'(s),
+    s = sum theta, to STAGE_TOL.  The determinant is read in the sheared
+    frame (`pull_back_linear` by the inverse shear), where it is a function
+    of theta_1 = s alone, so both sides are read on the line of
+    4 (N + 1) points, N the embedding degree, by FFT.
     """
     if n < 2:
         raise ValueError("the normal form embedding needs n >= 2")
@@ -431,11 +419,12 @@ def normal_form_embedding(g, n, r0):
 
     # det D psi(e^{i theta}) must equal e^{-i s} d/ds g(e^{i s}) at s = sum theta
     M = 4 * (N_emb + 1)
-    det = z_derivative(first, 0).eval_real_grid(M)
+    A_inv = unimodular_inverse(shear_lift(n).D)
+    det = pull_back_linear(z_derivative(first, 0), A_inv).eval_real_grid(M)
     t = 2.0 * np.pi * np.arange(M) / M
-    target = _on_grid_sums(
-        np.exp(-1j * t) * line.derivative(0).eval_real_grid(M), n)
-    at_most("(model)", float(np.max(np.abs(det - target))), STAGE_TOL)
+    target = np.exp(-1j * t) * line.derivative(0).eval_real_grid(M)
+    gap = det - target.reshape((-1,) + (1,) * (n - 1))
+    at_most("(model)", float(np.max(np.abs(gap))), STAGE_TOL)
     return emb
 
 

@@ -618,12 +618,9 @@ def pull_back_linear(h, A):
     A = np.asarray(A, dtype=int)
     if A.shape != (h.n, h.n):
         raise ValueError("matrix shape must match series dimension")
-    ks = np.stack(np.meshgrid(*([h.k_range()] * h.n), indexing="ij"),
-                  axis=-1).reshape(-1, h.n)
-    vals = h.coeffs.reshape(-1)
-    nz = vals != 0.0
-    ks, vals = ks[nz], vals[nz]
-    moved = ks @ A
+    nz = np.nonzero(h.coeffs)   # only the stored terms, in row-major order
+    vals = h.coeffs[nz]
+    moved = (np.stack(nz, axis=-1) - h.N) @ A
     N = int(np.max(np.abs(moved))) if moved.size else 0
     c = np.zeros((2 * N + 1,) * h.n, dtype=complex)
     np.add.at(c, tuple((moved + N).T), vals)

@@ -5,6 +5,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusnf import fibering, flows, pipeline, realization, series
 from torusnf.curves import gauss_degree
@@ -278,6 +280,29 @@ class TestCompactGrids:
         # with U and det broadcast to the cube it peaks at about 4.5 MB
         assert peak < 1.5e6
 
+    def test_normal_form_witness_fits_in_two_megabytes(self, monkeypatch):
+        # in the sheared frame the seeded witness continues the fibering
+        # walk by the theta_1-only volume map: every array is an M-line
+        seen = []
+        witness = pipeline._normal_form_residual
+
+        def recording(*args):
+            seen.append(args)
+            return witness(*args)
+
+        monkeypatch.setattr(pipeline, "_normal_form_residual", recording)
+        rep = pipeline.normalize_embedding(three_angle_embedding())
+        [args] = seen
+        tracemalloc.start()
+        try:
+            residual = witness(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual == rep.phase_residual
+        # walked in the theta frame on the (48,)*3 cube it peaks at 12.5 MB
+        assert peak < 2e6
+
 
 class TestComputedMapChop:
     def test_round_off_inverse_volume_map_becomes_one_angle(self, monkeypatch):
@@ -351,6 +376,27 @@ class TestShearedFrame:
             after.modulus, pull_back_linear(before.modulus, A_inv)) <= 1e-15
         assert coeff_distance(
             after.phase, pull_back_linear(before.phase, A_inv)) <= 1e-15
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(n=st.integers(2, 4), N=st.integers(0, 5),
+           fill=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_the_shear_re_indexes_the_density_exactly(self, n, N, fill, seed):
+        # the normal-form witness reads b = a(A^-1 .) for a: the round trip
+        # gives a back bit for bit, and b.N <= 2 a.N keeps the VERIFY_GRID
+        # read of b alias-free up to a.N = 11
+        rng = np.random.default_rng(seed)
+        shape = (2 * N + 1,) * n
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c[rng.uniform(size=shape) >= fill] = 0.0
+        a = PeriodicSeries(c)
+        A = shear_lift(n).D
+        b = pull_back_linear(a, unimodular_inverse(A))
+        back = pull_back_linear(b, A)
+        assert b.N <= 2 * a.N
+        N_max = max(a.N, back.N)
+        assert np.array_equal(back.pad_to(N_max).coeffs,
+                              a.pad_to(N_max).coeffs)
 
     @pytest.mark.parametrize("case", ["n3-seeded", "n2-reparam"])
     def test_normalizer_matches_the_collapse_of_every_stage(self, case):
@@ -493,6 +539,18 @@ class TestNormalFormEmbedding:
         g, _ = normal_form_curve(PeriodicSeries.zeros(1, 2), 1.0)
         with pytest.raises(ValueError):
             normal_form_embedding(g, 1, 0.5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_model_check_refuses_a_perturbed_determinant(self, n, monkeypatch):
+        # the check reads det D psi on the line of s = sum theta: a
+        # determinant moved by 1e-6 everywhere must not pass it
+        g, _ = normal_form_curve(exactness_correct(rich_profile(1e-4)), 1.0)
+        normal_form_embedding(g, n, 0.5)
+        monkeypatch.setattr(pipeline, "z_derivative",
+                            lambda c, l: z_derivative(c, l) + 1e-6)
+        with pytest.raises(NumericalFailure) as err:
+            normal_form_embedding(g, n, 0.5)
+        assert err.value.bound == "(model)"
 
 
 class TestNormalizeEmbedding:
@@ -691,47 +749,64 @@ class TestWitnessGrids:
 
     def test_each_witness_walks_its_chain_once(self, monkeypatch):
         _, emb = self.reparametrized()
-        walks = []
-        walk = flows.grid_walk
+        walks, continued = [], []
+        walk, extend = flows.grid_walk, pipeline.continue_walk
 
         def counting(stages, M, shift, det):
-            walks.append(M)
-            return walk(stages, M, shift, det)
+            out = walk(stages, M, shift, det)
+            walks.append((M, stages, out))
+            return out
 
-        for mod in (flows, fibering, pipeline):
+        def continuing(stages, M, *finished):
+            continued.append((stages, M, finished))
+            return extend(stages, M, *finished)
+
+        for mod in (flows, fibering):
             monkeypatch.setattr(mod, "grid_walk", counting)
-        assert len(normalize_embedding(emb).stages) > 5
-        # the round trip of invert_map, then the fibering and the normal-form
-        # witnesses, which read image and determinant from one walk each
-        assert len(walks) == 3
-        assert walks[1:] == [fibering.VERIFY_GRID] * 2
+        monkeypatch.setattr(pipeline, "continue_walk", continuing)
+        rep = normalize_embedding(emb)
+        assert len(rep.stages) > 5
+        # the round trip of invert_map, then the fibering witness, which
+        # reads image and determinant from one walk of its stages
+        assert len(walks) == 2
+        assert walks[1][0] == fibering.VERIFY_GRID
+        assert walks[1][1] == rep.stages[1:-2]
+        # the normal-form witness continues that very walk by the inverse
+        # volume map alone, and walks no fibering stage again
+        [(stages, M, finished)] = continued
+        assert M == fibering.VERIFY_GRID
+        assert len(stages) == 1 and stages[0] is rep.stages[-2]
+        assert len(finished) == 3
+        assert all(x is y for x, y in zip(finished, walks[1][2]))
 
     def test_density_is_read_on_the_moved_grid(self, monkeypatch):
-        _, emb = self.reparametrized()
-        a = jacobian_density(emb)
-        seen = []
-        evaluate = series.eval_many
+        for case in ("n2-reparam", "n3-seeded"):
+            emb = TestShearedFrame.embedding(case)
+            a = jacobian_density(emb)
+            seen = []
+            evaluate = series.eval_many
 
-        def recording(series_list, pts):
-            seen.extend(s.coeffs for s in series_list)
-            return evaluate(series_list, pts)
+            def recording(series_list, pts):
+                seen.extend(s.coeffs for s in series_list)
+                return evaluate(series_list, pts)
 
-        for mod in (series, flows, pipeline):
-            if hasattr(mod, "eval_many"):
-                monkeypatch.setattr(mod, "eval_many", recording)
-        rep = normalize_embedding(emb)
-        monkeypatch.undo()
-        assert len(rep.stages) > 5 and seen
-        assert not [c for c in seen
-                    if c.shape == a.coeffs.shape and np.array_equal(c, a.coeffs)]
+            with monkeypatch.context() as m:
+                for mod in (series, flows, pipeline):
+                    if hasattr(mod, "eval_many"):
+                        m.setattr(mod, "eval_many", recording)
+                rep = normalize_embedding(emb)
+            assert len(rep.stages) > (5 if emb.n == 2 else 3) and seen
+            assert not [c for c in seen if c.shape == a.coeffs.shape
+                        and np.array_equal(c, a.coeffs)]
 
-        # the defining identity, every value by the direct sum
-        pts = theta_grid(2, fibering.VERIFY_GRID)
-        moved = at_points(MapChain(rep.stages), pts)
-        _, det = at_points(MapChain(rep.stages), pts, det=True)
-        lhs = (1.0 + series.eval_many([a], moved)[0]) \
-            * np.exp(1j * moved.sum(axis=1)) * det
-        s = pts.sum(axis=1)
-        rhs = rep.rho0 * np.exp(
-            1j * (s + series.eval_many([rep.k], s[:, None])[0]))
-        assert abs(np.max(np.abs(lhs - rhs)) - rep.phase_residual) < 1e-14
+            # the defining identity in the theta frame, every value by the
+            # direct sum, on the full VERIFY_GRID^n grid
+            pts = theta_grid(emb.n, fibering.VERIFY_GRID)
+            moved, det = at_points(MapChain(rep.stages), pts, det=True)
+            lhs = (1.0 + series.eval_many([a], moved)[0]) \
+                * np.exp(1j * moved.sum(axis=1)) * det
+            s = pts.sum(axis=1)
+            rhs = rep.rho0 * np.exp(
+                1j * (s + series.eval_many([rep.k], s[:, None])[0]))
+            assert abs(np.max(np.abs(lhs - rhs))
+                       - rep.phase_residual) < 1e-14, case
