@@ -156,7 +156,7 @@ class FiberingResult:
     trace: list                # TraceRow per m, defect = transverse_bound
     residual: float
     det_residual: float
-    walk: tuple                # the witness's grid_walk (D, U, det) of stages
+    walk: tuple                # the witness's grid_walk (U, det) of stages
     converged: bool
     iterations: int
 
@@ -193,14 +193,14 @@ def fibering_normalize(h0, r0):
     shift[0] = a
     stages = (TorusMapLift.translation(n, shift), *steps)
 
-    # every stage has D = I, so Phi theta = theta + U(theta) and
-    # mu o Phi - theta_1 = U_1 + h0(theta + U), h0 read by the grid kernel
+    # Phi theta = theta + U(theta), so mu o Phi - theta_1 = U_1 + h0(theta
+    # + U), h0 read by the grid kernel
     M = VERIFY_GRID
-    D, U, det = grid_walk(stages, M, 0.0, 1.0)
-    mu = U[0] + taylor_on_grid([h0], D, U, M)[0]
+    U, det = grid_walk(stages, M, 0.0, 1.0)
+    mu = U[0] + taylor_on_grid([h0], U, M)[0]
     target = k.eval_real_grid(M).reshape((-1,) + (1,) * (n - 1))
     residual = float(np.max(np.abs(mu - target)))
     det_residual = float(np.max(np.abs(det - 1.0)))
     return FiberingResult(stages, k, trace, residual, det_residual,
-                          (D, U, det), converged, len(steps))
+                          (U, det), converged, len(steps))
 

@@ -1,17 +1,19 @@
 """Flows of periodic vector fields and the algebra of lifted torus maps.
 
-Every map is near the identity, theta -> D theta + f(theta) with D integer
-and f small.  It is computed on a uniform real grid and re-expanded as a
-Fourier series, whose coefficient norms then bound it on the strip.
-Holomorphic (non-real) data are allowed throughout.
+Every map is near the identity, theta -> theta + f(theta) with f small;
+an integer linear map, as the shear onto the fibration, acts on
+coefficients through `pull_back_linear` and never walks here.  A map is
+computed on a uniform real grid and re-expanded as a Fourier series, whose
+coefficient norms then bound it on the strip.  Holomorphic (non-real) data
+are allowed throughout.
 
 One grid kernel, `taylor_on_grid`, composes a series h with such a map:
-h(D theta + U) is the Taylor sum of the derivatives of h, read on the grid
+h(theta + U) is the Taylor sum of the derivatives of h, read on the grid
 from their coefficients, times powers of U, one order at a time until an
 order is below round-off.  A displacement c that is the same at every point
-is read exactly as translate(h, c), and D only re-indexes the grid, so an
-affine stage costs no grid work.  `TorusMapLift.pullback`, `compose_maps`,
-`invert_map` (stage by stage) and the witnesses all go through it.
+is read exactly as translate(h, c), so a translation costs no grid work.
+`TorusMapLift.pullback`, `compose_maps`, `invert_map` (stage by stage) and
+the witnesses all go through it.
 A field is a plain tuple of n series p_j on T^n, d theta_j / dt =
 p_j(theta).  Flows are Lie series, sum_k t^k/k! L^{k-1} p with
 L g = sum_i p_i d_i g, every product taken on the grid.  `compose_maps` is
@@ -33,31 +35,29 @@ depend on: M along each of those axes and 1 along the others, as
 volume map is triangular (Moser 1965): its part p depends on the first p
 angles only, and a part of theta_1 alone costs M points, not M^n.  A
 re-expansion (`series_from_real_grid`) takes the values at that shape too
-and transforms only their axes.  Only a re-index by an integer D
-(`np.take`) needs the full cube, and takes it as a zero-copy
-`np.broadcast_to` view.
+and transforms only their axes.
 
 One loop, `_walk`, applies a composite map: a tuple of lifts, first-applied
 first, the one type a composite has; a single lift is the tuple (lift,).
-An affine stage (parts constant) adds its constants and multiplies the
-determinant by det D, with nothing read.  A non-affine stage reads its
-parts, and its n^2 first derivatives for a determinant, through a reader:
-on the grid `taylor_on_grid` at the current (D, U), at scattered points
-`eval_many` at the points U carries whole (D = 0).  Every determinant goes
-to `stacked_det` entry by entry, a constant entry as a scalar, so no
+Each stage sets U <- U + f.  A translation (parts constant) adds its
+constants, with nothing read and the determinant unchanged.  Any other
+stage reads its parts, and its n^2 first derivatives for a determinant,
+through a reader: on the grid `taylor_on_grid` at theta + U, at scattered
+points `eval_many` at the points that U carries whole.  Every determinant
+goes to `stacked_det` entry by entry, a constant entry as a scalar, so no
 (m, n, n) stack is built.  A residual witness samples the real grid
-+ i shift through `grid_walk`, which returns the image as D theta + U and
++ i shift through `grid_walk`, which returns the image as theta + U and
 the determinant there, each entry a scalar or grid values at the shape of
-the axes it depends on, which the witness broadcasts.  Its leading affine
-stages and first non-affine stage are walked on the grid; `continue_walk`
-takes the later stages to the scattered image points, through a `MapChain`
-of them, whose `apply` / `jacobian_det` take and return one coordinate
-array per component at the shape of the axes it depends on, so no
-(M^n, n) array of points is built, and a stage of theta_1 alone is read at
-M points.  A witness that extends a finished walk by more stages, as the
-normal-form witness extends the fibering one, hands its (D, U, det) to
+the axes it depends on, which the witness broadcasts.  Its leading
+translations and first non-constant stage are walked on the grid;
+`continue_walk` takes the later stages to the scattered image points,
+through a `MapChain` of them, whose `apply` / `jacobian_det` take and
+return one coordinate array per component at the shape of the axes it
+depends on, so no (M^n, n) array of points is built, and a stage of
+theta_1 alone is read at M points.  A witness that extends a finished walk,
+as the normal-form witness extends the fibering one, hands its (U, det) to
 `continue_walk`.  A series read at the image, as the density or the phase
-in those witnesses, goes through the grid kernel at the returned (D, U).
+in those witnesses, goes through the grid kernel at the returned U.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -114,49 +113,25 @@ def _sup(grids):
     return float(np.max([np.max(np.abs(g)) for g in grids]))
 
 
-def _grid_index(D, M):
-    """Flat index, for `np.take`, taking values on the M^n grid at theta to
-    values at D theta, D an integer matrix with n columns; None for the
-    identity.  The flat position of (D m) mod M is built row by row of D,
-    each row a sum of broadcast aranges, one per axis."""
-    n = D.shape[1]
-    if np.array_equal(D, np.eye(n, dtype=int)):
-        return None
-    axes = [np.arange(M).reshape((M,) + (1,) * (n - 1 - l)) for l in range(n)]
-    flat = 0
-    for row in D:
-        flat = flat * M + sum(d * k for d, k in zip(row, axes) if d) % M
-    return np.broadcast_to(flat, (M,) * n)
-
-
-def taylor_on_grid(series_list, D, U, M):
-    """Values of each series at D theta + U(theta) on the M^n grid.
+def taylor_on_grid(series_list, U, M):
+    """Values of each series at theta + U(theta) on the M^n grid.
 
     U holds one entry per component: grid values at the shape of the axes
     they depend on (see `eval_real_grid`), or a scalar where the
     displacement is the same at every point.  Each value comes back at the
     shape of the axes it depends on, so a constant series is a read-only
-    (1,)*n array of its value.  D only re-indexes grid points
-    (`_grid_index`): that needs the full cube, which a read then takes as a
-    `np.broadcast_to` view.  When every entry is a scalar, U = c, the value
-    h(D theta + c) is translate(h, c) read by `eval_real_grid`: exact, with
-    no Taylor order.  Otherwise the Taylor sum over multi-indices a of
-    (d^a h)(D theta) U^a / a! runs one order |a| at a time until an order is
+    (1,)*n array of its value.  When every entry is a scalar, U = c, the
+    value h(theta + c) is translate(h, c) read by `eval_real_grid`: exact,
+    with no Taylor order.  Otherwise the Taylor sum over multi-indices a of
+    (d^a h)(theta) U^a / a! runs one order |a| at a time until an order is
     below TERM_TOL.  Each derivative is taken on the coefficients and read by
     `eval_real_grid`, exact for every M.  No derivative is built along an
     axis h does not depend on or where U vanishes.
     """
     n = len(U)
-    index = _grid_index(D, M)
     scalar = all(np.ndim(u) == 0 for u in U)
     deps = [set(h.dependent_axes()) for h in series_list]
-
-    def read(h):
-        vals = h.eval_real_grid(M)
-        return vals if index is None else np.take(
-            np.broadcast_to(vals, (M,) * n), index)
-
-    out = [read(translate(h, U) if scalar else h) if dep
+    out = [(translate(h, U) if scalar else h).eval_real_grid(M) if dep
            else np.broadcast_to(h.mean(), (1,) * n)
            for h, dep in zip(series_list, deps)]
     active = [] if scalar else [
@@ -171,7 +146,7 @@ def taylor_on_grid(series_list, D, U, M):
             for i, h in enumerate(series_list):
                 if deps[i].issuperset(axes):
                     d = functools.reduce(PeriodicSeries.derivative, axes, h)
-                    terms[i] = terms[i] + weight * read(d)
+                    terms[i] = terms[i] + weight * d.eval_real_grid(M)
         # out of place: a term may vary on more axes than the sum so far
         out = [acc + term if np.ndim(term) else acc
                for acc, term in zip(out, terms)]
@@ -182,49 +157,43 @@ def taylor_on_grid(series_list, D, U, M):
     return out
 
 
-def _walk(stages, read, D, U, det):
-    """The lifts `stages`, first-applied first, applied to D theta + U, as
-    (D, U, det): the new D and U, and det times the Jacobian determinant of
-    the stages (None when det is None).
+def _walk(stages, read, U, det):
+    """The lifts `stages`, first-applied first, applied to theta + U, as
+    (U, det): the new U, and det times the Jacobian determinant of the
+    stages (None when det is None).
 
-    Each stage maps U to s.D U + f, a zero of s.D adding no term and a one
-    no product.  An affine stage reads nothing: f is its constants, so a
-    scalar entry of U stays scalar, and det is multiplied by det s.D.  Any
-    other stage makes one call read(series, D, U) for the values of its
-    parts at D theta + U, and of their n^2 first derivatives when det is
-    wanted; a derivative that is constant goes to `stacked_det` as the
-    scalar s.D_jl + its value, so that the zeros add no term.  On the grid
-    the reader is `taylor_on_grid` with D = I at the start; at scattered
-    points it is `_read_points`, the points carried whole in U with D = 0.
+    Each stage sets U <- U + f.  A translation reads nothing: f is its
+    constants, so a scalar entry of U stays scalar, and det is unchanged.
+    Any other stage makes one call read(series, U) for the values of its
+    parts at theta + U, and of their n^2 first derivatives when det is
+    wanted, and multiplies det by det(I + grad f); a derivative that is
+    constant goes to `stacked_det` as a scalar, so that the zeros add no
+    term.  On the grid the reader is `taylor_on_grid`; at scattered points
+    it is `_read_points`, the points carried whole in U.
     """
     n = len(U)
     for s in stages:
-        if _is_affine(s):
+        if _is_translation(s):
             f = [p.mean() for p in s.parts]
-            if det is not None:
-                det = det * round(np.linalg.det(s.D))
         else:
             grads = () if det is None else tuple(
                 p.derivative(l) for p in s.parts for l in range(n))
-            vals = read(s.parts + grads, D, U)
+            vals = read(s.parts + grads, U)
             f = vals[:n]
             if det is not None:
                 jac = [v if g.dependent_axes() else g.mean()
                        for g, v in zip(grads, vals[n:])]
-                det = det * stacked_det([[s.D[j, l] + jac[n * j + l]
+                det = det * stacked_det([[int(j == l) + jac[n * j + l]
                                           for l in range(n)]
                                          for j in range(n)])
-        U = [functools.reduce(operator.add, [u if d == 1 else d * u
-                                             for d, u in zip(row, U) if d])
-             + f_j for row, f_j in zip(s.D, f)]
-        D = s.D @ D
-    return D, U, det
+        U = [u + f_j for u, f_j in zip(U, f)]
+    return U, det
 
 
-def _read_points(series_list, D, U):
+def _read_points(series_list, U):
     """The scattered-point reader of `_walk`: the series at the points whose
     coordinates U carries whole, one array (or scalar) per component, the
-    arrays broadcasting together; D is 0 and not read.
+    arrays broadcasting together.
 
     One `eval_many` call reads every series at the broadcast of the
     coordinates on the axes some series depends on, and only those: a stage
@@ -245,8 +214,8 @@ def _read_points(series_list, D, U):
             for dep, v in zip(deps, vals)]
 
 
-def _lift_from_grid(D, disp, N_out, real):
-    """The lift D theta + f(theta), f re-expanded at N_out from `disp`, one
+def _lift_from_grid(disp, N_out, real):
+    """The lift theta + f(theta), f re-expanded at N_out from `disp`, one
     grid per component of values on the M^n grid at the shape of the axes
     they depend on, or a scalar for a constant one, which is taken as it
     is, with no transform (its real part for a real lift).
@@ -260,11 +229,17 @@ def _lift_from_grid(D, disp, N_out, real):
     parts = [series_from_real_grid(g, N_out, real=real) if np.ndim(g)
              else PeriodicSeries.constant(n, N_out, g.real if real else g)
              .with_real_flag(real) for g in disp]
-    return TorusMapLift(D, [p.chop_tail() for p in parts])
+    return TorusMapLift(np.eye(n, dtype=int), [p.chop_tail() for p in parts])
 
 
 class TorusMapLift:
-    """Lifted self-map of T^n: theta' = D theta + f(theta), D integer, f periodic."""
+    """Lifted near-identity self-map of T^n: theta' = theta + f(theta).
+
+    The integer part D must be the n x n identity, or the constructor
+    raises ValueError; it is kept as the read-only array I.  An integer
+    linear map of the torus, as the shear of `pipeline`, acts on
+    coefficients through `pull_back_linear` and is not a lift.
+    """
 
     __slots__ = ("D", "parts")
 
@@ -274,8 +249,9 @@ class TorusMapLift:
         if any(p.n != n for p in parts):
             raise ValueError("periodic parts must be series on T^n")
         D = np.array(D, dtype=int)
-        if D.shape != (n, n):
-            raise ValueError(f"integer part must be {n}x{n}")
+        if not np.array_equal(D, np.eye(n, dtype=int)):
+            raise ValueError(f"the integer part must be the {n}x{n} identity; "
+                             "integer maps act through pull_back_linear")
         D.setflags(write=False)
         N = max(p.N for p in parts)
         self.D = D
@@ -323,7 +299,7 @@ class TorusMapLift:
                 f"output degree {N_out} below input degree {h.N}: grid too coarse")
         M = grid_size(N_out, self.N)
         U = [p.eval_real_grid(M) for p in self.parts]
-        vals = taylor_on_grid([h], self.D, U, M)[0]
+        vals = taylor_on_grid([h], U, M)[0]
         return series_from_real_grid(vals, N_out, real=h.real and self.real)
 
 
@@ -380,23 +356,22 @@ def flow(p, t, r1, delta, N_out, line_integrand=None):
     at_most("(lie)", defect, FLOW_DEFECT_TOL)
     integral = None if line_integrand is None else series_from_real_grid(
         sums[n], N_out, real=real and line_integrand.real)
-    return FlowResult(
-        _lift_from_grid(np.eye(n, dtype=int), sums[:n], N_out, real),
-        k, defect, integral)
+    return FlowResult(_lift_from_grid(sums[:n], N_out, real), k, defect,
+                      integral)
 
 
 def compose_maps(stages, *, N_out):
     """The lift of the composite of the lifts `stages`, first-applied first.
 
-    compose_maps((psi, phi)) is theta -> phi(psi(theta)).  Integer parts
-    multiply; the stages are applied in turn on one `grid_size` grid by the
-    grid kernel and the periodic part of the composite is re-expanded once,
-    at the degree bound N_out.
+    compose_maps((psi, phi)) is theta -> phi(psi(theta)).  The stages are
+    applied in turn on one `grid_size` grid by the grid kernel and the
+    periodic part of the composite is re-expanded once, at the degree bound
+    N_out.
     """
     n, M = stages[0].n, grid_size(N_out, max(s.N for s in stages))
-    D, U, _ = _walk(stages, functools.partial(taylor_on_grid, M=M),
-                    np.eye(n, dtype=int), [0.0] * n, None)
-    return _lift_from_grid(D, U, N_out, all(s.real for s in stages))
+    U, _ = _walk(stages, functools.partial(taylor_on_grid, M=M),
+                 [0.0] * n, None)
+    return _lift_from_grid(U, N_out, all(s.real for s in stages))
 
 
 class MapChain:
@@ -404,9 +379,9 @@ class MapChain:
 
     `apply` and `jacobian_det` read the stages at points given as one
     coordinate array per component, the arrays broadcasting together, by
-    `_walk` with the point reader; `grid_walk` builds one for the stages it
-    walks off the grid.  `to_single` collapses the stages in one pass when a
-    serializable map is wanted.  Everything else takes the tuple itself.
+    `_walk` with the point reader; `continue_walk` builds one for the stages
+    it walks off the grid.  `to_single` collapses them, in one pass, into
+    one serializable lift.  Everything else takes the tuple itself.
     """
 
     __slots__ = ("stages",)
@@ -418,19 +393,14 @@ class MapChain:
         """The image of the points whose coordinates `coords` holds, one
         array per component, as one array per component, each of the
         broadcast shape of the coordinates it depends on."""
-        n = len(coords)
-        return _walk(self.stages, _read_points, np.zeros((n, n), dtype=int),
-                     list(coords), None)[1]
+        return _walk(self.stages, _read_points, list(coords), None)[0]
 
     def jacobian_det(self, coords):
         """(image, det): the image of the points whose coordinates `coords`
         holds, as `apply` gives it, and the determinant of the Jacobian
         there, from one `_walk` of the stages.  det is a scalar when every
-        stage is affine."""
-        n = len(coords)
-        _, U, det = _walk(self.stages, _read_points,
-                          np.zeros((n, n), dtype=int), list(coords), 1.0)
-        return U, det
+        stage is a translation."""
+        return _walk(self.stages, _read_points, list(coords), 1.0)
 
     def to_single(self, N_out):
         """The stages collapsed by `compose_maps` into one lift of degree
@@ -441,74 +411,57 @@ class MapChain:
         return compose_maps(self.stages, N_out=N_out)
 
 
-def _is_affine(stage):
-    """Whether every part of the lift is constant: theta -> D theta + c."""
+def _is_translation(stage):
+    """Whether every part of the lift is constant: theta -> theta + c."""
     return not any(p.dependent_axes() for p in stage.parts)
-
-
-def has_identity_integer_part(lift):
-    """Whether the lift has integer part I: a near-identity map."""
-    return bool(np.array_equal(lift.D, np.eye(lift.n, dtype=int)))
 
 
 def grid_walk(stages, M, shift, det):
     """The lifts `stages`, first-applied first, at the M^n-point real grid
-    + i shift, as (D, U, det): the image is D theta + U, U one entry per
+    + i shift, as (U, det): the image is theta + U, U one entry per
     component, and det is det times the Jacobian determinant of the
     composite there (None when det is None).  `det` and every returned
     entry are a scalar or grid values at the shape of the axes they depend
     on, which a caller broadcasts.
 
-    The leading affine stages and the first stage with a non-constant part
+    The leading translations and the first stage with a non-constant part
     are walked on the grid (`_walk` with `taylor_on_grid`) from the scalar
     displacement i shift, so they are read by FFT, and `continue_walk`
     applies the later stages.  A component of theta_1 alone is an
-    (M, 1, ..., 1) line, and a walk of affine stages alone leaves U and det
+    (M, 1, ..., 1) line, and a walk of translations alone leaves U and det
     scalars.
     """
     n = stages[0].n
-    head = 1 + sum(1 for _ in itertools.takewhile(_is_affine, stages))
-    D, U, det = _walk(stages[:head], functools.partial(taylor_on_grid, M=M),
-                      np.eye(n, dtype=int), [1j * shift] * n, det)
-    return continue_walk(stages[head:], M, D, U, det)
+    head = 1 + sum(1 for _ in itertools.takewhile(_is_translation, stages))
+    U, det = _walk(stages[:head], functools.partial(taylor_on_grid, M=M),
+                   [1j * shift] * n, det)
+    return continue_walk(stages[head:], M, U, det)
 
 
-def continue_walk(stages, M, D, U, det):
-    """A finished walk (D, U, det) of the M^n-point grid, as `grid_walk`
+def continue_walk(stages, M, U, det):
+    """A finished walk (U, det) of the M^n-point grid, as `grid_walk`
     returns it, continued by the lifts `stages`, first-applied first.
 
-    The stages see the image D theta + U as scattered points and go through
+    The stages see the image theta + U as scattered points and go through
     `MapChain.apply`, or `MapChain.jacobian_det` when det is wanted, one
-    coordinate grid per component; D is multiplied by their integer parts,
-    and U is the image less D theta, an entry that the stages leave at zero
-    the scalar 0.  Each component of D theta is a sum of broadcast aranges,
-    one per axis its row of D holds.
+    coordinate grid per component: the M-point axis theta_j, at the shape
+    of that axis, plus U_j.  The returned U is the image less theta, an
+    entry that the stages leave at zero the scalar 0.
     """
     if not stages:
-        return D, U, det
+        return U, det
+    n = len(U)
+    t = 2.0 * np.pi * np.arange(M) / M
+    axes = [t.reshape((M,) + (1,) * (n - 1 - j)) for j in range(n)]
     chain = MapChain(stages)
-    coords = [t + u for t, u in zip(_grid_rows(D, M), U)]
+    coords = [a + u for a, u in zip(axes, U)]
     if det is None:
         coords = chain.apply(coords)
     else:
         coords, chain_det = chain.jacobian_det(coords)
         det = det * chain_det
-    for s in stages:
-        D = s.D @ D
-    U = [c - t for c, t in zip(coords, _grid_rows(D, M))]
-    return D, [u if np.any(u) else 0.0 for u in U], det
-
-
-def _grid_rows(D, M):
-    """D theta at the points of the M^n-point real grid, one broadcast array
-    per row of D: the sum of the aranges 2 pi m / M of the axes the row
-    holds, each times its entry."""
-    n = D.shape[1]
-    t = 2.0 * np.pi * np.arange(M) / M
-    axes = [t.reshape((M,) + (1,) * (n - 1 - l)) for l in range(n)]
-    return [functools.reduce(operator.add, [a if d == 1 else d * a
-                                            for d, a in zip(row, axes) if d])
-            for row in D]
+    U = [c - a for c, a in zip(coords, axes)]
+    return [u if np.any(u) else 0.0 for u in U], det
 
 
 @dataclasses.dataclass(frozen=True)
@@ -526,18 +479,15 @@ def invert_map(stages, r, N_out):
     The inverse is theta + U on the grid.  Each iteration applies the stages
     in turn to theta + U by the grid kernel, giving theta + W, and sets
     U <- U - W: for one lift theta + f, the contraction U <- -f(theta + U).
-    Requires every stage to have integer part I, and the bound
-    (nf) ||f||_r <= r/(4n) on the summed stage norms, which makes the
-    iteration contract on the half-width strip.  The iteration runs on the
-    M = grid_size(N_out, N) grid, N the largest stage degree.  The residual
-    is the witness sup |phi(phi^{-1}(theta)) - theta| on a second grid, of
-    witness_grid_size(N_out, N) + 1 points per axis: finer than the compute
-    grid, so that it checks the inverse between the points it was computed
-    on, by `grid_walk` of the round trip; it has D = I, so the residual is
+    Requires the bound (nf) ||f||_r <= r/(4n) on the summed stage norms,
+    which makes the iteration contract on the half-width strip.  The
+    iteration runs on the M = grid_size(N_out, N) grid, N the largest stage
+    degree.  The residual is the witness sup |phi(phi^{-1}(theta)) - theta|
+    on a second grid, of witness_grid_size(N_out, N) + 1 points per axis:
+    finer than the compute grid, so that it checks the inverse between the
+    points it was computed on, by `grid_walk` of the round trip, and is
     sup |U|.
     """
-    if not all(map(has_identity_integer_part, stages)):
-        raise ValueError("invert_map requires an identity integer part")
     n, N = stages[0].n, max(s.N for s in stages)
     at_most("(nf)", sum(s.part_norm(r) for s in stages), r / (4.0 * n))
     M = grid_size(N_out, N)
@@ -545,7 +495,7 @@ def invert_map(stages, r, N_out):
     U = [0.0] * n
     prev_delta = np.inf
     for its in range(1, INVERT_MAX_ITER + 1):
-        _, W, _ = _walk(stages, read, np.eye(n, dtype=int), U, None)
+        W, _ = _walk(stages, read, U, None)
         U = [u - w for u, w in zip(U, W)]
         delta = _sup(W)
         if delta <= INVERT_TOL:
@@ -554,8 +504,7 @@ def invert_map(stages, r, N_out):
                 max(prev_delta * (1.0 + 1e-12), 1e3 * INVERT_TOL))
         prev_delta = delta
     at_most("(inverse)", delta, INVERT_TOL)
-    inv = _lift_from_grid(np.eye(n, dtype=int), U, N_out,
-                          all(s.real for s in stages))
+    inv = _lift_from_grid(U, N_out, all(s.real for s in stages))
     M_w = witness_grid_size(N_out, N) + 1
-    residual = _sup(grid_walk((inv, *stages), M_w, 0.0, None)[1])
+    residual = _sup(grid_walk((inv, *stages), M_w, 0.0, None)[0])
     return MapInverse(inv, residual, its)

@@ -74,10 +74,10 @@ class TorusEmbedding:
         return max(c.N for c in self.components)
 
 
-def _identity_component(n, N, axis):
+def _identity_component(n, axis):
     k = [0] * n
     k[axis] = 1
-    return PeriodicSeries.from_terms(n, max(N, 1), {tuple(k): 1.0})
+    return PeriodicSeries.from_terms(n, 1, {tuple(k): 1.0})
 
 
 def jacobian_density(emb):
@@ -158,11 +158,12 @@ def modulus_phase_split(a):
     return PolarSplit(b.chop(CHOP_FLOOR), h.chop(CHOP_FLOOR), residual)
 
 
-def shear_lift(n):
-    """The unimodular integer lift sending theta_1 to theta_1 + ... + theta_n."""
+def shear_matrix(n):
+    """The unimodular integer matrix A sending theta_1 to theta_1 + ... +
+    theta_n.  It acts on series by `pull_back_linear`, never as a lift."""
     A = np.eye(n, dtype=int)
     A[0, :] = 1
-    return TorusMapLift(A, [PeriodicSeries.zeros(n, 0) for _ in range(n)])
+    return A
 
 
 @dataclasses.dataclass
@@ -177,7 +178,8 @@ class InvariantReport:
     rho0: float
     k: PeriodicSeries              # one-dimensional, zero mean
     normalizer: TorusMapLift       # collapsed normalizing lift
-    stages: tuple                  # the same map, lift by lift, first-applied first
+    stages: tuple                  # the sheared-frame chain psi, first-applied
+                                   # first: normalizer = A^-1 psi(A .)
     g: CurveImmersion              # normal-form generating curve
     phase_residual: float
     volume_residual: float
@@ -201,14 +203,16 @@ def normalize_embedding(emb):
     volume normalization of the modulus, phase transport through the
     inverse volume map, and the volume-preserving phase iteration.  Each
     stage must land under STAGE_TOL before the next runs, the phase
-    iteration's witness included.  The normalizer is the sheared-frame
-    stages, phase iteration then inverse volume map, collapsed by
-    `MapChain.to_single` and conjugated back by the shear on the
-    coefficients (`_unsheared`).  Both residual witnesses sample
-    VERIFY_GRID points per axis in the sheared frame and read the phase or
-    the sheared density at the displaced grid by the grid kernel.  The
-    phase iteration's witness walks its stages once (`grid_walk`), and the
-    normal-form witness continues that walk by the inverse volume map.
+    iteration's witness included.  The report's `stages` are the
+    sheared-frame chain psi, phase iteration then inverse volume map, every
+    one a near-identity lift: the shear A never walks, it acts on
+    coefficients alone.  The normalizer is psi collapsed by
+    `MapChain.to_single` and conjugated back by A on the coefficients
+    (`_unsheared`), theta -> A^-1 psi(A theta).  Both residual witnesses
+    sample VERIFY_GRID points per axis in the sheared frame and read the
+    phase or the sheared density at the displaced grid by the grid kernel.
+    The phase iteration's witness walks its stages once (`grid_walk`), and
+    the normal-form witness continues that walk by the inverse volume map.
     Raises NumericalFailure when the phase iteration exhausts its schedule.
     """
     n = emb.n
@@ -216,8 +220,8 @@ def normalize_embedding(emb):
         raise ValueError("the normal form machinery needs n >= 2")
     a = jacobian_density(emb)
     r = emb.r0 / 2.0
-    shear = shear_lift(n)
-    A_inv = unimodular_inverse(shear.D)
+    A = shear_matrix(n)
+    A_inv = unimodular_inverse(A)
     b = pull_back_linear(a, A_inv)   # the density in the sheared frame
     split = modulus_phase_split(b)
     at_most("(split)", split.residual, STAGE_TOL)
@@ -245,12 +249,10 @@ def normalize_embedding(emb):
     k = fib.k
 
     g, exactness_defect = normal_form_curve(k, rho0)
-    unshear = TorusMapLift(A_inv, shear.parts)
-    stages = (shear, *fib.stages, inv1.map, unshear)
+    stages = (*fib.stages, inv1.map)
     # a phase step adds flow stages, which need h3.N + 6 harmonics
     N_norm = max(h3.N + 6 if fib.iterations else 0, moser.map.N + 4, 12)
-    normalizer = _unsheared(MapChain((*fib.stages, inv1.map)).to_single(N_norm),
-                            shear.D, N_norm)
+    normalizer = _unsheared(MapChain(stages).to_single(N_norm), A, N_norm)
 
     phase_residual = _normal_form_residual(b, fib, inv1.map, rho0)
     return InvariantReport(
@@ -265,16 +267,15 @@ def normalize_embedding(emb):
 
 def _unsheared(lift, A, N_out):
     """The lift theta -> A^-1 lift(A theta) for a unimodular integer A, on
-    the coefficients: (A^-1 D A) theta + A^-1 f(A theta), each f_l(A theta)
-    the exact re-index `pull_back_linear` and each part a sum of them with
-    the integer entries of A^-1.  Each part is truncated at N_out, which
-    adds the mass that the re-index moved beyond N_out to its trunc_mass."""
+    the coefficients: theta + A^-1 f(A theta), each f_l(A theta) the exact
+    re-index `pull_back_linear` and each part a sum of them with the integer
+    entries of A^-1.  Each part is truncated at N_out, which adds the mass
+    that the re-index moved beyond N_out to its trunc_mass."""
     A_inv = unimodular_inverse(A)
     moved = [pull_back_linear(p, A) for p in lift.parts]
     sums = [[d * f for d, f in zip(row, moved) if d] for row in A_inv]
-    return TorusMapLift(A_inv @ lift.D @ A,
-                        [sum(terms[1:], terms[0]).truncate(N_out)
-                         for terms in sums])
+    return TorusMapLift(lift.D, [sum(terms[1:], terms[0]).truncate(N_out)
+                                 for terms in sums])
 
 
 def _normal_form_residual(b, fib, volume_inverse, rho0):
@@ -287,15 +288,14 @@ def _normal_form_residual(b, fib, volume_inverse, rho0):
     a(Phi theta) = b(psi phi), b = a(A^-1 .) the sheared density.  A is
     unimodular and permutes the grid, so the witness compares, at each
     grid point phi, (1 + b(phi + V)) e^{i V_1} det D psi with
-    rho0 e^{i k(phi_1)}, the common factor e^{i phi_1} dropped: every
-    stage has D = I, and V = psi(phi) - phi.  (D, V, det) continue the
-    fibering witness's walk by the volume stage (`continue_walk`), b is
-    read at that image by `taylor_on_grid`, and the right side stays on
-    the M-point line of k.
+    rho0 e^{i k(phi_1)}, the common factor e^{i phi_1} dropped, with
+    V = psi(phi) - phi.  (V, det) continue the fibering witness's walk by
+    the volume stage (`continue_walk`), b is read at that image by
+    `taylor_on_grid`, and the right side stays on the M-point line of k.
     """
     M = VERIFY_GRID
-    D, V, det = continue_walk((volume_inverse,), M, *fib.walk)
-    lhs = (1.0 + taylor_on_grid([b], D, V, M)[0]) * np.exp(1j * V[0]) * det
+    V, det = continue_walk((volume_inverse,), M, *fib.walk)
+    lhs = (1.0 + taylor_on_grid([b], V, M)[0]) * np.exp(1j * V[0]) * det
     rhs = rho0 * np.exp(1j * fib.k.eval_real_grid(M))
     return float(np.max(np.abs(lhs - rhs.reshape((-1,) + (1,) * (b.n - 1)))))
 
@@ -393,13 +393,14 @@ def normal_form_embedding(g, n, r0):
     """The model embedding built from a generating curve.
 
     First component i g(z_1 ... z_n) / (z_2 ... z_n), remaining components
-    the coordinates themselves; the absorbed factor i makes the round curve
-    correspond to the identity.  Verifies that the Jacobian determinant,
-    d psi_1 / d z_1, matches the curve velocity data e^{-i s} g'(s),
-    s = sum theta, to STAGE_TOL.  The determinant is read in the sheared
-    frame (`pull_back_linear` by the inverse shear), where it is a function
-    of theta_1 = s alone, so both sides are read on the line of
-    4 (N + 1) points, N the embedding degree, by FFT.
+    the coordinates themselves, each one term of degree 1; the absorbed
+    factor i makes the round curve correspond to the identity.  Verifies
+    that the Jacobian determinant, d psi_1 / d z_1, matches the curve
+    velocity data e^{-i s} g'(s), s = sum theta, to STAGE_TOL.  The
+    determinant is read in the sheared frame (`pull_back_linear` by the
+    inverse shear), where it is a function of theta_1 = s alone, so both
+    sides are read on the line of 4 (N + 1) points, N the embedding degree,
+    by FFT.
     """
     if n < 2:
         raise ValueError("the normal form embedding needs n >= 2")
@@ -413,13 +414,13 @@ def normal_form_embedding(g, n, r0):
             continue
         idx = tuple([m] + [m - 1] * (n - 1))
         terms[idx] = 1j * gamma
-    first = PeriodicSeries.from_terms(n, N_emb, terms, real=False)
-    comps = [first] + [_identity_component(n, N_emb, j) for j in range(1, n)]
+    first = PeriodicSeries.from_terms(n, N_emb, terms)
+    comps = [first] + [_identity_component(n, j) for j in range(1, n)]
     emb = TorusEmbedding(tuple(comps), r0)
 
     # det D psi(e^{i theta}) must equal e^{-i s} d/ds g(e^{i s}) at s = sum theta
     M = 4 * (N_emb + 1)
-    A_inv = unimodular_inverse(shear_lift(n).D)
+    A_inv = unimodular_inverse(shear_matrix(n))
     det = pull_back_linear(z_derivative(first, 0), A_inv).eval_real_grid(M)
     t = 2.0 * np.pi * np.arange(M) / M
     target = np.exp(-1j * t) * line.derivative(0).eval_real_grid(M)
@@ -437,9 +438,13 @@ def precompose_torus_map(emb, lift):
 
     The image submanifold is unchanged, so the invariant pair must be
     reproduced; this is the working form of the uniqueness statement.
+    Every component is re-expanded at the embedding degree plus lift.N + 4,
+    so a component held at a lower degree, as the coordinates of
+    `normal_form_embedding` are, comes back at the common one.
     """
     if not lift.real:
         raise ValueError("reparametrizations must be real torus maps")
-    comps = [lift.pullback(c, N_out=c.N + lift.N + 4).chop(CHOP_FLOOR)
+    N_out = emb.N + lift.N + 4
+    comps = [lift.pullback(c, N_out=N_out).chop(CHOP_FLOOR)
              for c in emb.components]
     return TorusEmbedding(tuple(comps), emb.r0)

@@ -30,7 +30,6 @@ from .flows import (
     TorusMapLift,
     flow,
     grid_walk,
-    has_identity_integer_part,
     invert_map,
 )
 from .series import (
@@ -54,7 +53,7 @@ class AnnulusFunction:
 
     @classmethod
     def from_terms(cls, n, N, terms):
-        return cls(PeriodicSeries.from_terms(n, N, terms, real=False))
+        return cls(PeriodicSeries.from_terms(n, N, terms))
 
     @property
     def n(self):
@@ -121,8 +120,6 @@ class AnnulusMap:
 
     @classmethod
     def from_torus_lift(cls, lift):
-        if not has_identity_integer_part(lift):
-            raise ValueError("only near-identity lifts define annulus maps")
         return cls(tuple(AnnulusFunction(1j * p) for p in lift.parts))
 
 
@@ -179,10 +176,10 @@ def realize_form(a, r0):
     `psi` come back as `AnnulusMap`s.  Entry hypothesis: the all-(-1)
     monomial of `a` vanishes.
 
-    Each shell is read by `grid_walk` of the round trip; it has D = I, so
-    its defect on the shell Im theta = s is sup |U - i s|.  The density
-    check reads phi, its Jacobian and `a` on its own uniform grid, all by
-    FFT.
+    Each shell is read by `grid_walk` of the round trip, whose image is
+    theta + U, so its defect on the shell Im theta = s is sup |U - i s|.
+    The density check reads phi, its Jacobian and `a` on its own uniform
+    grid, all by FFT.
     """
     a0 = AnnulusFunction(a).series
     n = a0.n
@@ -205,7 +202,7 @@ def realize_form(a, r0):
     round_trip = (inverse.map, *stages)
     inverse_residual = inverse.residual
     for shift in (-r0 / 8.0, r0 / 8.0):
-        U = grid_walk(round_trip, M, shift, None)[1]
+        U = grid_walk(round_trip, M, shift, None)[0]
         inverse_residual = max([inverse_residual] + [
             float(np.max(np.abs(u - 1j * shift))) for u in U])
     det_residual, min_det, min_phase_gradient = _verify_density(
@@ -227,7 +224,7 @@ def _verify_density(lift, a0):
     n = a0.n
     M = max(4 * (lift.N + 1), 32)
     log_g = sum(1j * p for p in lift.parts)
-    det = grid_walk((lift,), M, 0.0, np.exp(log_g.eval_real_grid(M)))[2]
+    det = grid_walk((lift,), M, 0.0, np.exp(log_g.eval_real_grid(M)))[1]
     target = 1.0 + a0.eval_real_grid(M)
     det_residual = float(np.max(np.abs(det - target)))
     min_det = float(np.min(np.abs(det)))

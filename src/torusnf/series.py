@@ -84,8 +84,9 @@ class PeriodicSeries:
         return cls(c, real=abs(complex(value).imag) <= REAL_TOL)
 
     @classmethod
-    def from_terms(cls, n, N, terms, real=None):
-        """Build a series from a {multi-index tuple: coefficient} mapping."""
+    def from_terms(cls, n, N, terms):
+        """Build a series from a {multi-index tuple: coefficient} mapping,
+        flagged real when the coefficients are Hermitian symmetric."""
         c = np.zeros((2 * N + 1,) * n, dtype=complex)
         for k, v in terms.items():
             k = tuple(int(x) for x in (k if isinstance(k, (tuple, list)) else (k,)))
@@ -94,10 +95,7 @@ class PeriodicSeries:
             if any(abs(x) > N for x in k):
                 raise ValueError(f"index {k} exceeds degree bound {N}")
             c[tuple(x + N for x in k)] += v
-        s = cls(c)
-        if real is None:
-            real = s.is_real_symmetric()
-        return cls(c, real=real)
+        return cls(c, real=cls(c).is_real_symmetric())
 
     # ------------------------------------------------------------------
     # coefficient access and structure
@@ -137,6 +135,8 @@ class PeriodicSeries:
                               trunc_mass=self.trunc_mass)
 
     def with_real_flag(self, real):
+        if self.real == bool(real):
+            return self
         return PeriodicSeries(self.coeffs, real=real, trunc_mass=self.trunc_mass)
 
     def pad_to(self, N):
@@ -250,8 +250,7 @@ class PeriodicSeries:
         and 1 along every other, so a constant comes back as a (1,)*n array.
         `series_from_real_grid` takes values at this shape as they are.
         Broadcast against (M,)*n, the array gives the value at every grid
-        point; `np.broadcast_to` makes that cube as a view, with no copy,
-        where one is needed (a re-index by `np.take`).
+        point.
 
         Only the dependent axes are transformed: the block is cut to the
         k = 0 plane of every other axis, and that lower-dimensional block
@@ -334,7 +333,7 @@ class PeriodicSeries:
         """
         if not 0 <= axis < self.n:
             raise ValueError(f"axis {axis} out of range")
-        plane = np.take(self.coeffs, self.N, axis=axis)
+        plane = self.coeffs[(slice(None),) * axis + (self.N,)]
         at_most("(i2)", float(np.max(np.abs(plane))), MEAN_TOL)
         k = self.k_range().astype(complex)
         k[self.N] = 1.0  # avoid 0/0; plane is zeroed below

@@ -83,7 +83,7 @@ class TestEmbeddingCheck:
         pert = {(int(k),): 1e-3 * (rng.standard_normal() + 1j * rng.standard_normal())
                 for k in range(-3, 4)}
         f = CurveImmersion(circle().series
-                           + PeriodicSeries.from_terms(1, 4, pert, real=False))
+                           + PeriodicSeries.from_terms(1, 4, pert))
         assert embedding_check(f) == 1
 
     def test_gauss_map_injectivity_for_unit_turning(self):

@@ -5,7 +5,8 @@ production code, the number of settable values does not grow, no
 `np.linalg` result is truncated to integers, outside `series` one
 function, the point reader in `flows`, references `eval_many`, a composite
 map is a tuple of lifts, first-applied first, that no module tests for
-`MapChain`, that Laurent data are plain series outside `realization`, that
+`MapChain`, that no walk or grid read carries an integer part, that
+Laurent data are plain series outside `realization`, that
 no class wraps a single value unless the benchmark pins it, and every
 refusal goes through the gate of `errors`.
 
@@ -38,7 +39,7 @@ CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 # Public functions exempt from both scans.  Test conjugations and model data
 # live in tests/oracles.py, so none is.
 ALLOWED = set()
-MAX_SETTABLE_VALUES = 5
+MAX_SETTABLE_VALUES = 4
 
 
 def referenced_names(node):
@@ -213,6 +214,28 @@ def test_a_composite_is_a_tuple_of_lifts():
         if isinstance(node, ast.Call) and call_name(node) == "isinstance"
         and len(node.args) == 2 and "MapChain" in referenced_names(node.args[1])]
     assert branches == []
+
+
+def test_no_walk_or_grid_read_carries_an_integer_part():
+    """Every lift is near-identity, theta + f(theta): an integer map acts on
+    coefficients through `pull_back_linear`.  So no grid values are
+    re-indexed (`np.take`) anywhere in the package, and in `flows` only the
+    constructor of `TorusMapLift`, which refuses any D but I, has a
+    parameter named D."""
+    takes = [f"{path.stem}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "take"]
+    assert takes == []
+    tree = ast.parse((ROOT / "src" / "torusnf" / "flows.py").read_text())
+    [lift] = [node for node in tree.body if isinstance(node, ast.ClassDef)
+              and node.name == "TorusMapLift"]
+    [init] = [node for node in lift.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    with_D = [node.name for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node is not init
+              and "D" in [a.arg for a in node.args.posonlyargs
+                          + node.args.args + node.args.kwonlyargs]]
+    assert with_D == []
 
 
 def test_laurent_data_are_plain_series_outside_realization():

@@ -24,7 +24,7 @@ from torusnf.pipeline import (
     normal_form_embedding,
     normalize_embedding,
     precompose_torus_map,
-    shear_lift,
+    shear_matrix,
 )
 from torusnf.realization import realize_form
 from torusnf.series import (
@@ -196,7 +196,7 @@ def volume_map(emb):
     """The volume map of `normalize_embedding`, rebuilt stage by stage, with
     the strip half-width r and the degree N_out of its inversion there."""
     a = jacobian_density(emb)
-    A_inv = unimodular_inverse(shear_lift(emb.n).D)
+    A_inv = unimodular_inverse(shear_matrix(emb.n))
     b2 = pull_back_linear(modulus_phase_split(a).modulus, A_inv)
     phi = moser_normalize(b2, N_out=b2.N + 4).map
     return phi, emb.r0 / 2.0, phi.N + 4
@@ -231,7 +231,7 @@ class TestCompactGrids:
 
         def keeping(*args):
             out = walk(*args)
-            walked.append(out[1])
+            walked.append(out[0])
             return out
 
         monkeypatch.setattr(flows, "eval_many", recording)
@@ -303,6 +303,23 @@ class TestCompactGrids:
         # walked in the theta frame on the (48,)*3 cube it peaks at 12.5 MB
         assert peak < 2e6
 
+    def test_four_angle_embedding_fits_in_forty_mebibytes(self):
+        # the coordinates z_2 .. z_4 are one term of degree 1 each, and the
+        # complex components are flagged without a copy; padded to the
+        # curve's degree N = 11, each coordinate was a dense (23,)^4 block,
+        # and the call peaked at 58 MiB
+        k = exactness_correct(rich_profile(1e-4))
+        g, _ = normal_form_curve(k, 1.0)
+        tracemalloc.start()
+        try:
+            emb = normal_form_embedding(g, 4, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.N == 11
+        assert [c.N for c in emb.components] == [11, 1, 1, 1]
+        assert peak < 40 * 2 ** 20
+
 
 class TestComputedMapChop:
     def test_round_off_inverse_volume_map_becomes_one_angle(self, monkeypatch):
@@ -369,7 +386,7 @@ class TestShearedFrame:
     def test_split_after_the_shear_matches_the_split_before_it(self, case):
         emb = self.embedding(case)
         a = jacobian_density(emb)
-        A_inv = unimodular_inverse(shear_lift(emb.n).D)
+        A_inv = unimodular_inverse(shear_matrix(emb.n))
         before = modulus_phase_split(a)
         after = modulus_phase_split(pull_back_linear(a, A_inv))
         assert coeff_distance(
@@ -390,7 +407,7 @@ class TestShearedFrame:
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         c[rng.uniform(size=shape) >= fill] = 0.0
         a = PeriodicSeries(c)
-        A = shear_lift(n).D
+        A = shear_matrix(n)
         b = pull_back_linear(a, unimodular_inverse(A))
         back = pull_back_linear(b, A)
         assert b.N <= 2 * a.N
@@ -400,12 +417,29 @@ class TestShearedFrame:
 
     @pytest.mark.parametrize("case", ["n3-seeded", "n2-reparam"])
     def test_normalizer_matches_the_collapse_of_every_stage(self, case):
+        # the stages are the sheared-frame chain psi, and the normalizer is
+        # A^-1 psi(A .): theta + A^-1 f(A theta) for the collapse theta + f
         rep = normalize_embedding(self.embedding(case))
-        oracle = compose_maps(rep.stages, N_out=rep.normalizer.N)
+        n, N = rep.normalizer.n, rep.normalizer.N
+        A = shear_matrix(n)
+        A_inv = unimodular_inverse(A)
+        psi = compose_maps(rep.stages, N_out=N)
+        moved = [pull_back_linear(f, A) for f in psi.parts]
+        oracle = TorusMapLift(psi.D, [
+            sum((d * f for d, f in zip(row, moved) if d),
+                PeriodicSeries.zeros(n, 0)).truncate(N) for row in A_inv])
         assert np.array_equal(rep.normalizer.D, oracle.D)
         for p, q in zip(rep.normalizer.parts, oracle.parts):
             assert p.N == q.N and p.real and q.real
             assert coeff_distance(p, q) <= 1e-15
+        # off the grid, the normalizer's displacement is A^-1 (psi(A theta)
+        # - A theta), with A applied to the points, not to coefficients
+        pts = np.random.default_rng(86).uniform(0.0, 2.0 * np.pi,
+                                                size=(200, n))
+        phi = pts @ A.T
+        want = (at_points(MapChain(rep.stages), phi) - phi) @ A_inv.T
+        got = at_points(MapChain([rep.normalizer]), pts) - pts
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_seeded_split_reads_lines_of_its_grid(self, monkeypatch):
         # the seeded n = 3 density is a function of theta_1 + theta_2 +
@@ -741,7 +775,7 @@ class TestWitnessGrids:
             if hasattr(mod, "eval_many"):
                 monkeypatch.setattr(mod, "eval_many", recording)
         assert normalize_embedding(seeded).fibering_trace
-        assert len(normalize_embedding(reparam).stages) > 5
+        assert len(normalize_embedding(reparam).stages) > 3
         assert realize_form(density, 0.5).converged
         # the stages after the first non-affine one still see scattered points
         assert seen
@@ -765,18 +799,19 @@ class TestWitnessGrids:
             monkeypatch.setattr(mod, "grid_walk", counting)
         monkeypatch.setattr(pipeline, "continue_walk", continuing)
         rep = normalize_embedding(emb)
-        assert len(rep.stages) > 5
+        assert len(rep.stages) > 3
         # the round trip of invert_map, then the fibering witness, which
-        # reads image and determinant from one walk of its stages
+        # reads image and determinant from one walk of its stages: every
+        # stage but the last, the inverse volume map
         assert len(walks) == 2
         assert walks[1][0] == fibering.VERIFY_GRID
-        assert walks[1][1] == rep.stages[1:-2]
+        assert walks[1][1] == rep.stages[:-1]
         # the normal-form witness continues that very walk by the inverse
         # volume map alone, and walks no fibering stage again
         [(stages, M, finished)] = continued
         assert M == fibering.VERIFY_GRID
-        assert len(stages) == 1 and stages[0] is rep.stages[-2]
-        assert len(finished) == 3
+        assert len(stages) == 1 and stages[0] is rep.stages[-1]
+        assert len(finished) == 2
         assert all(x is y for x, y in zip(finished, walks[1][2]))
 
     def test_density_is_read_on_the_moved_grid(self, monkeypatch):
@@ -795,14 +830,17 @@ class TestWitnessGrids:
                     if hasattr(mod, "eval_many"):
                         m.setattr(mod, "eval_many", recording)
                 rep = normalize_embedding(emb)
-            assert len(rep.stages) > (5 if emb.n == 2 else 3) and seen
+            assert len(rep.stages) > (3 if emb.n == 2 else 1) and seen
             assert not [c for c in seen if c.shape == a.coeffs.shape
                         and np.array_equal(c, a.coeffs)]
 
             # the defining identity in the theta frame, every value by the
-            # direct sum, on the full VERIFY_GRID^n grid
+            # direct sum, on the full VERIFY_GRID^n grid: the normalizer is
+            # A^-1 psi(A .), psi the stages, with A applied to the points
             pts = theta_grid(emb.n, fibering.VERIFY_GRID)
-            moved, det = at_points(MapChain(rep.stages), pts, det=True)
+            A = shear_matrix(emb.n)
+            psi, det = at_points(MapChain(rep.stages), pts @ A.T, det=True)
+            moved = psi @ unimodular_inverse(A).T
             lhs = (1.0 + series.eval_many([a], moved)[0]) \
                 * np.exp(1j * moved.sum(axis=1)) * det
             s = pts.sum(axis=1)
