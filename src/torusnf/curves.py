@@ -34,10 +34,6 @@ class CurveImmersion:
         if self.series.n != 1:
             raise ValueError("curves are one-dimensional series")
 
-    @property
-    def N(self):
-        return self.series.N
-
     def velocity(self):
         return self.series.derivative(0).eval_real_grid(DEFAULT_GRID)
 
@@ -61,24 +57,19 @@ def gauss_degree(curve):
     return int(np.round(total))
 
 
-def phase_derivative(curve):
-    """Samples of d(arg f')/d theta, via Im(f''/f') (no unwrapping needed)."""
-    d1 = curve.series.derivative(0)
-    v = d1.eval_real_grid(DEFAULT_GRID)
-    _check_immersion(v)
-    a = d1.derivative(0).eval_real_grid(DEFAULT_GRID)
-    return (a / v).imag
-
-
 def noncritical_phase(curve):
-    """Phase-derivative samples and their margin from zero, max(min mu',
-    -max mu').
+    """Samples of mu' = d(arg f')/d theta, read as Im(f''/f') after the
+    (immersion) check, with no unwrapping, and their margin from zero,
+    max(min mu', -max mu').
 
     Non-critical means the samples keep one sign with margin NONCRITICAL_TOL,
     that is margin > NONCRITICAL_TOL; testing |mu'| alone would miss a
     continuous sign crossing that falls between grid points.
     """
-    mu_prime = phase_derivative(curve)
+    d1 = curve.series.derivative(0)
+    v = d1.eval_real_grid(DEFAULT_GRID)
+    _check_immersion(v)
+    mu_prime = (d1.derivative(0).eval_real_grid(DEFAULT_GRID) / v).imag
     return mu_prime, max(float(np.min(mu_prime)), -float(np.max(mu_prime)))
 
 

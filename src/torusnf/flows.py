@@ -258,12 +258,6 @@ class TorusMapLift:
         self.parts = tuple(p.pad_to(N) for p in parts)
 
     @classmethod
-    def identity(cls, n):
-        """The identity lift, of degree 0."""
-        return cls(np.eye(n, dtype=int),
-                   [PeriodicSeries.zeros(n, 0) for _ in range(n)])
-
-    @classmethod
     def translation(cls, n, shift):
         """theta -> theta + shift, of degree 0."""
         return cls(np.eye(n, dtype=int),

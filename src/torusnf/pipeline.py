@@ -33,7 +33,6 @@ from .series import (
     series_from_real_grid,
     seven_smooth,
     stacked_det,
-    unimodular_inverse,
     z_derivative,
 )
 
@@ -160,7 +159,9 @@ def modulus_phase_split(a):
 
 def shear_matrix(n):
     """The unimodular integer matrix A sending theta_1 to theta_1 + ... +
-    theta_n.  It acts on series by `pull_back_linear`, never as a lift."""
+    theta_n.  It acts on series by `pull_back_linear`, never as a lift.
+    A = I + E, E nonzero only in row 0 off the diagonal, so E^2 = 0 and
+    A^-1 = 2 I - A exactly."""
     A = np.eye(n, dtype=int)
     A[0, :] = 1
     return A
@@ -172,7 +173,7 @@ class InvariantReport:
 
     Normal-form gauge: the first component of the normal-form embedding
     carries an absorbed factor i, so the round curve maps to the identity
-    embedding.
+    embedding.  The amplitude rho0 fixes the total volume, (2 pi)^n rho0.
     """
 
     rho0: float
@@ -183,11 +184,10 @@ class InvariantReport:
     g: CurveImmersion              # normal-form generating curve
     phase_residual: float
     volume_residual: float
-    exactness_defect: float        # |integral of e^{i(t + k(t))}| over a turn
+    exactness_defect: float        # 2 pi |mean of rho0 e^{i(t + k(t))}|
     moser_residual: float
     split_residual: float
     complex_constant: complex      # 1 + mean of the Jacobian density
-    total_volume: float            # (2 pi)^n rho0
     fibering_trace: list
 
 
@@ -208,9 +208,10 @@ def normalize_embedding(emb):
     one a near-identity lift: the shear A never walks, it acts on
     coefficients alone.  The normalizer is psi collapsed by
     `MapChain.to_single` and conjugated back by A on the coefficients
-    (`_unsheared`), theta -> A^-1 psi(A theta).  Both residual witnesses
-    sample VERIFY_GRID points per axis in the sheared frame and read the
-    phase or the sheared density at the displaced grid by the grid kernel.
+    (`_unsheared`), theta -> A^-1 psi(A theta), A^-1 = 2 I - A.  Both
+    residual witnesses sample VERIFY_GRID points per axis in the sheared
+    frame and read the phase or the sheared density at the displaced grid
+    by the grid kernel.
     The phase iteration's witness walks its stages once (`grid_walk`), and
     the normal-form witness continues that walk by the inverse volume map.
     Raises NumericalFailure when the phase iteration exhausts its schedule.
@@ -221,7 +222,7 @@ def normalize_embedding(emb):
     a = jacobian_density(emb)
     r = emb.r0 / 2.0
     A = shear_matrix(n)
-    A_inv = unimodular_inverse(A)
+    A_inv = 2 * np.eye(n, dtype=int) - A
     b = pull_back_linear(a, A_inv)   # the density in the sheared frame
     split = modulus_phase_split(b)
     at_most("(split)", split.residual, STAGE_TOL)
@@ -252,7 +253,8 @@ def normalize_embedding(emb):
     stages = (*fib.stages, inv1.map)
     # a phase step adds flow stages, which need h3.N + 6 harmonics
     N_norm = max(h3.N + 6 if fib.iterations else 0, moser.map.N + 4, 12)
-    normalizer = _unsheared(MapChain(stages).to_single(N_norm), A, N_norm)
+    normalizer = _unsheared(MapChain(stages).to_single(N_norm), A, A_inv,
+                            N_norm)
 
     phase_residual = _normal_form_residual(b, fib, inv1.map, rho0)
     return InvariantReport(
@@ -261,17 +263,15 @@ def normalize_embedding(emb):
         exactness_defect=exactness_defect, moser_residual=moser.residual,
         split_residual=split.residual,
         complex_constant=1.0 + a.mean(),
-        total_volume=(2.0 * np.pi) ** n * rho0,
         fibering_trace=fib.trace)
 
 
-def _unsheared(lift, A, N_out):
-    """The lift theta -> A^-1 lift(A theta) for a unimodular integer A, on
-    the coefficients: theta + A^-1 f(A theta), each f_l(A theta) the exact
-    re-index `pull_back_linear` and each part a sum of them with the integer
-    entries of A^-1.  Each part is truncated at N_out, which adds the mass
-    that the re-index moved beyond N_out to its trunc_mass."""
-    A_inv = unimodular_inverse(A)
+def _unsheared(lift, A, A_inv, N_out):
+    """The lift theta -> A^-1 lift(A theta) for a unimodular integer A and
+    its inverse A_inv, on the coefficients: theta + A^-1 f(A theta), each
+    f_l(A theta) the exact re-index `pull_back_linear` and each part a sum
+    of them with the integer entries of A_inv.  Each part is truncated at
+    N_out, which adds the mass moved beyond N_out to its trunc_mass."""
     moved = [pull_back_linear(p, A) for p in lift.parts]
     sums = [[d * f for d, f in zip(row, moved) if d] for row in A_inv]
     return TorusMapLift(lift.D, [sum(terms[1:], terms[0]).truncate(N_out)
@@ -338,27 +338,16 @@ def exactness_correct(k):
     return (k + corr).symmetrized()
 
 
-def _profile_velocity(k, rho0):
-    N_out = max(2 * k.N + 8, 24)
-    M = grid_size(N_out)
-    t = 2.0 * np.pi * np.arange(M) / M
-    kv = k.eval_real_grid(M).real
-    slope = 1.0 + k.derivative(0).eval_real_grid(M).real
-    above("(slope)", float(np.min(slope)), 0.0)
-    return series_from_real_grid(rho0 * np.exp(1j * (t + kv)), N_out)
-
-
-def closure_defect(k, rho0):
-    """|integral over a turn of rho0 e^{i(t + k(t))}| = 2 pi |velocity mean|."""
-    return 2.0 * np.pi * abs(_profile_velocity(k, rho0).mean())
-
-
 def normal_form_curve(k, rho0):
-    """The generating curve with velocity rho0 e^{i(t + k(t))} (zero mean).
+    """The generating curve with velocity rho0 e^{i(t + k(t))}, and its
+    closure defect 2 pi |velocity mean|.
 
-    Refuses when the closure integral of the velocity over a turn is above
-    2 pi STAGE_TOL (reported as 2 pi times the mean defect), or when the profile
-    fails 1 + k' > 0, which would make the normal form critical.
+    k and 1 + k' are read once on the line and the velocity re-expanded
+    once.  Refuses when 1 + k' > 0 fails, which would make the normal form
+    critical (slope), when the defect is above 2 pi STAGE_TOL (exact), and
+    when the antiderivative of the velocity less its mean does not turn
+    once (turning).  It is chopped at CHOP_FLOOR, so that round-off does
+    not raise the degree of the embedding built from it.
     """
     if k.n != 1:
         raise ValueError("expected a one-dimensional profile")
@@ -366,27 +355,19 @@ def normal_form_curve(k, rho0):
         raise ValueError(f"profile must have zero mean, got {k.mean():.3e}")
     if not rho0 > 0.0:
         raise ValueError(f"the amplitude must be positive, got {rho0}")
-    defect = closure_defect(k, rho0)
+    N_out = max(2 * k.N + 8, 24)
+    M = grid_size(N_out)
+    t = 2.0 * np.pi * np.arange(M) / M
+    kv = k.eval_real_grid(M).real
+    slope = 1.0 + k.derivative(0).eval_real_grid(M).real
+    above("(slope)", float(np.min(slope)), 0.0)
+    vel = series_from_real_grid(rho0 * np.exp(1j * (t + kv)), N_out)
+    defect = 2.0 * np.pi * abs(vel.mean())
     at_most("(exact)", defect, 2.0 * np.pi * STAGE_TOL)
-    return curve_from_profile(k, rho0), defect
-
-
-def curve_from_profile(k, rho0):
-    """A closed non-critical curve from a possibly non-exact profile.
-
-    Subtracts the velocity mean before integrating, so any small profile
-    yields a valid generating curve; its true invariant profile is then the
-    nearby exact one the normalization extracts.  This is how a synthetic
-    profile is \"closure-corrected through the pipeline\": build the curve,
-    embed, normalize, and read the corrected profile off the report.  The
-    curve is chopped at CHOP_FLOOR, so that its round-off coefficients do not
-    raise the degree of the embedding built from it.
-    """
-    vel = _profile_velocity(k, rho0)
-    vel = vel - vel.mean()
-    curve = CurveImmersion(vel.antiderivative(0).chop(CHOP_FLOOR))
+    curve = CurveImmersion((vel - vel.mean()).antiderivative(0)
+                           .chop(CHOP_FLOOR))
     at_most("(turning)", abs(gauss_degree(curve) - 1), 0)
-    return curve
+    return curve, defect
 
 
 def normal_form_embedding(g, n, r0):
@@ -420,7 +401,7 @@ def normal_form_embedding(g, n, r0):
 
     # det D psi(e^{i theta}) must equal e^{-i s} d/ds g(e^{i s}) at s = sum theta
     M = 4 * (N_emb + 1)
-    A_inv = unimodular_inverse(shear_matrix(n))
+    A_inv = 2 * np.eye(n, dtype=int) - shear_matrix(n)
     det = pull_back_linear(z_derivative(first, 0), A_inv).eval_real_grid(M)
     t = 2.0 * np.pi * np.arange(M) / M
     target = np.exp(-1j * t) * line.derivative(0).eval_real_grid(M)

@@ -79,10 +79,10 @@ def check_exact(a):
     """Refuse (kn) unless the coefficient of 1/(z_1 ... z_n) vanishes.
 
     That coefficient is zero iff the density integrates to zero over the
-    torus; it must be at most MEAN_MONOMIAL_TOL in modulus.  Returns the
-    modulus.
+    torus; it must be at most MEAN_MONOMIAL_TOL in modulus, and it reads 0
+    for a density of degree 0.  Returns the modulus.
     """
-    defect = abs(a.coeff((-1,) * a.n)) if a.N >= 1 else 0.0
+    defect = abs(a.coeff((-1,) * a.n))
     at_most("(kn)", defect, MEAN_MONOMIAL_TOL)
     return defect
 
@@ -167,8 +167,9 @@ def realize_form(a, r0):
 
     Runs corrective flows in `shrinking_strip` on the realization schedule
     until the transported density defect is at or below STOP_TOL, or
-    MAX_ITER steps are taken, then inverts the stages with
-    `invert_map`.  `inverse_residual` is the worst round trip
+    MAX_ITER steps are taken, then inverts the stages with `invert_map`;
+    with no step taken, the one stage is the zero translation, the identity
+    lift.  `inverse_residual` is the worst round trip
     sup |psi(phi(theta)) - theta| over the torus, as `invert_map` witnesses
     it on its own grid, and over the shells Im theta = +-r0/8, which lie
     inside the half-width strip of r0/2 where the inversion gate (nf) is
@@ -194,7 +195,7 @@ def realize_form(a, r0):
         a0, r0, schedule, PeriodicSeries.coeff_norm, realization_step, 1)
 
     N_comp = max(2 * a0.N + 4, 8)
-    stages = steps or (TorusMapLift.identity(n),)
+    stages = steps or (TorusMapLift.translation(n, np.zeros(n)),)
     psi = AnnulusMap.from_torus_lift(MapChain(stages).to_single(N_comp))
 
     inverse = invert_map(stages, r0 / 2.0, N_out=N_comp)

@@ -598,16 +598,6 @@ def translate(h, shift):
     return PeriodicSeries(out, real=real, trunc_mass=h.trunc_mass)
 
 
-def unimodular_inverse(A):
-    """The inverse of a unimodular integer matrix: the float inverse rounded,
-    not truncated toward zero, and checked."""
-    A = np.asarray(A, dtype=int)
-    A_inv = np.rint(np.linalg.inv(A)).astype(int)
-    if not np.array_equal(A_inv @ A, np.eye(len(A), dtype=int)):
-        raise ValueError("the integer matrix is not unimodular")
-    return A_inv
-
-
 def pull_back_linear(h, A):
     """h(A theta) for an integer matrix A, as an exact coefficient re-indexing.
 

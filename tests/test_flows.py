@@ -24,7 +24,6 @@ from torusnf.series import (
     grid_size,
     pull_back_linear,
     translate,
-    unimodular_inverse,
 )
 
 from oracles import (
@@ -229,7 +228,8 @@ class TestMapAlgebra:
     def test_compose_with_identity(self):
         rng = np.random.default_rng(19)
         phi = flow(stream_field(rng), 1.0, 0.5, 0.2, N_out=4).map
-        out = compose_maps((TorusMapLift.identity(2), phi), N_out=phi.N)
+        identity = TorusMapLift.translation(2, np.zeros(2))
+        out = compose_maps((identity, phi), N_out=phi.N)
         pts = theta_grid(2, 9)
         assert np.max(np.abs(at_points(MapChain([out]), pts)
                              - at_points(MapChain([phi]), pts))) < 1e-12
@@ -292,18 +292,19 @@ class TestMapAlgebra:
         rng = np.random.default_rng(24)
         h = random_series(rng, 2, 4)
         with pytest.raises(ValueError):
-            TorusMapLift.identity(2).pullback(h, N_out=2)
+            TorusMapLift.translation(2, np.zeros(2)).pullback(h, N_out=2)
 
     def test_pullback_with_identity_is_exact(self):
         rng = np.random.default_rng(25)
         h = random_series(rng, 2, 4)
-        assert coeff_distance(TorusMapLift.identity(2).pullback(h, N_out=4),
-                              h) < 1e-13
+        identity = TorusMapLift.translation(2, np.zeros(2))
+        assert coeff_distance(identity.pullback(h, N_out=4), h) < 1e-13
 
 
 class TestInverse:
     def test_identity(self):
-        inv = invert_map((TorusMapLift.identity(2),), 0.5, N_out=2)
+        identity = TorusMapLift.translation(2, np.zeros(2))
+        inv = invert_map((identity,), 0.5, N_out=2)
         assert inv.residual < 1e-13
 
     def test_translation(self):
@@ -554,14 +555,20 @@ class TestTaylorKernel:
 
 class TestUnimodular:
     # a truncating integer inverse gives [[0, -1], [0, 2]] for the first,
-    # and np.linalg.det gives 0.9999999999999964 for the second
-    MATRICES = [[[3, 2], [1, 1]], [[1, 2, 3], [0, 1, 4], [5, 6, 0]]]
+    # and np.linalg.det gives 0.9999999999999964 for the second; each shear
+    # onto the fibration comes with its closed-form inverse 2 I - A
+    MATRICES = [[[3, 2], [1, 1]], [[1, 2, 3], [0, 1, 4], [5, 6, 0]]] + [
+        (shear_matrix(n), 2 * np.eye(n, dtype=int) - shear_matrix(n))
+        for n in range(2, 6)]
 
     @pytest.mark.parametrize("A", MATRICES)
     def test_inverse_and_determinant_are_exact(self, A):
-        A = np.array(A)
+        if isinstance(A, tuple):
+            A, A_inv = A
+        else:
+            A = np.array(A)
+            A_inv = np.rint(np.linalg.inv(A)).astype(int)
         n = len(A)
-        A_inv = unimodular_inverse(A)
         assert np.array_equal(A_inv @ A, np.eye(n, dtype=int))
         assert np.array_equal(A @ A_inv, np.eye(n, dtype=int))
         # the map acts on coefficients: h(A .) re-indexes them, exactly, and
@@ -574,10 +581,6 @@ class TestUnimodular:
         pts = theta_grid(n, 5) + 0.05j
         assert np.max(np.abs(eval_points(moved, pts)
                              - eval_points(h, pts @ A.T))) < 1e-13
-
-    def test_inverse_refuses_a_non_unimodular_matrix(self):
-        with pytest.raises(ValueError):
-            unimodular_inverse([[2, 0], [0, 1]])
 
 
 class TestGridNative:

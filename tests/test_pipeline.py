@@ -15,8 +15,6 @@ from torusnf.flows import MapChain, TorusMapLift, compose_maps, flow, invert_map
 from torusnf.moser import moser_normalize
 from torusnf.pipeline import (
     TorusEmbedding,
-    closure_defect,
-    curve_from_profile,
     exactness_correct,
     jacobian_density,
     modulus_phase_split,
@@ -31,7 +29,6 @@ from torusnf.series import (
     CHOP_FLOOR,
     PeriodicSeries,
     pull_back_linear,
-    unimodular_inverse,
     z_derivative,
 )
 
@@ -196,7 +193,7 @@ def volume_map(emb):
     """The volume map of `normalize_embedding`, rebuilt stage by stage, with
     the strip half-width r and the degree N_out of its inversion there."""
     a = jacobian_density(emb)
-    A_inv = unimodular_inverse(shear_matrix(emb.n))
+    A_inv = 2 * np.eye(emb.n, dtype=int) - shear_matrix(emb.n)
     b2 = pull_back_linear(modulus_phase_split(a).modulus, A_inv)
     phi = moser_normalize(b2, N_out=b2.N + 4).map
     return phi, emb.r0 / 2.0, phi.N + 4
@@ -386,7 +383,7 @@ class TestShearedFrame:
     def test_split_after_the_shear_matches_the_split_before_it(self, case):
         emb = self.embedding(case)
         a = jacobian_density(emb)
-        A_inv = unimodular_inverse(shear_matrix(emb.n))
+        A_inv = 2 * np.eye(emb.n, dtype=int) - shear_matrix(emb.n)
         before = modulus_phase_split(a)
         after = modulus_phase_split(pull_back_linear(a, A_inv))
         assert coeff_distance(
@@ -408,7 +405,7 @@ class TestShearedFrame:
         c[rng.uniform(size=shape) >= fill] = 0.0
         a = PeriodicSeries(c)
         A = shear_matrix(n)
-        b = pull_back_linear(a, unimodular_inverse(A))
+        b = pull_back_linear(a, 2 * np.eye(n, dtype=int) - A)
         back = pull_back_linear(b, A)
         assert b.N <= 2 * a.N
         N_max = max(a.N, back.N)
@@ -422,7 +419,7 @@ class TestShearedFrame:
         rep = normalize_embedding(self.embedding(case))
         n, N = rep.normalizer.n, rep.normalizer.N
         A = shear_matrix(n)
-        A_inv = unimodular_inverse(A)
+        A_inv = 2 * np.eye(n, dtype=int) - A
         psi = compose_maps(rep.stages, N_out=N)
         moved = [pull_back_linear(f, A) for f in psi.parts]
         oracle = TorusMapLift(psi.D, [
@@ -519,7 +516,7 @@ class TestNormalFormCurve:
             normal_form_curve(k, 1.0)
         assert err.value.bound == "(exact)"
         expected = 2.0 * np.pi * abs(float(mpmath.besselj(1, delta)))
-        assert closure_defect(k, 1.0) == pytest.approx(expected, rel=1e-9)
+        assert err.value.value == pytest.approx(expected, rel=1e-9)
 
     def test_pure_sine_correction_collapses(self):
         # closure forces the first harmonic of an exact profile to second
@@ -527,14 +524,14 @@ class TestNormalFormCurve:
         delta = 1e-3
         k = exactness_correct(delta * sin_series(1, 2, 0))
         assert abs_max_coeff(k) < 1e-12
-        assert closure_defect(k, 1.0) < 1e-12
+        assert normal_form_curve(k, 1.0)[1] < 1e-12
 
     def test_flat_profile_is_already_exact(self):
         # the invariant of the standard torus; its degree 0 is below the
         # degree 1 of the correction
         k = exactness_correct(PeriodicSeries.zeros(1, 0))
         assert abs_max_coeff(k) == 0.0
-        assert closure_defect(k, 1.0) < 1e-12
+        assert normal_form_curve(k, 1.0)[1] < 1e-12
 
     def test_rich_profile_correction_keeps_higher_harmonics(self):
         delta = 1e-3
@@ -553,12 +550,22 @@ class TestNormalFormCurve:
         seed = PeriodicSeries.from_terms(
             1, 3, {(2,): -5e-4j, (-2,): 5e-4j, (3,): 2e-4, (-3,): 2e-4})
         k = exactness_correct(seed)
-        assert closure_defect(k, 1.0) <= 2.0 * np.pi * pipeline.CLOSURE_TOL
+        defect = normal_form_curve(k, 1.0)[1]
+        assert defect <= 2.0 * np.pi * pipeline.CLOSURE_TOL
 
-    def test_curve_from_profile_closes_any_seed(self):
-        delta = 1e-3
-        g = curve_from_profile(delta * sin_series(1, 2, 0), 1.0)
-        assert gauss_degree(g) == 1
+    def test_velocity_is_re_expanded_once(self, monkeypatch):
+        # the (exact) gate and the curve read the same re-expansion
+        re_expand = pipeline.series_from_real_grid
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return re_expand(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "series_from_real_grid", counting)
+        g, defect = normal_form_curve(exactness_correct(rich_profile()), 1.0)
+        assert len(calls) == 1
+        assert defect < 1e-12 and gauss_degree(g) == 1
 
 
 class TestNormalFormEmbedding:
@@ -617,8 +624,6 @@ class TestNormalizeEmbedding:
         emb, k_seed = seeded_embedding(5e-4, rho0=1.0005)
         rep = normalize_embedding(emb)
         assert rep.rho0 == pytest.approx(1.0005, abs=1e-9)
-        assert rep.total_volume == pytest.approx(
-            (2 * np.pi) ** 2 * 1.0005, rel=1e-9)
         assert phase_profile_distance(
             k_seed, rep.k, allow_half_turn=True) <= 1e-6
 
@@ -840,7 +845,7 @@ class TestWitnessGrids:
             pts = theta_grid(emb.n, fibering.VERIFY_GRID)
             A = shear_matrix(emb.n)
             psi, det = at_points(MapChain(rep.stages), pts @ A.T, det=True)
-            moved = psi @ unimodular_inverse(A).T
+            moved = psi @ (2 * np.eye(emb.n, dtype=int) - A).T
             lhs = (1.0 + series.eval_many([a], moved)[0]) \
                 * np.exp(1j * moved.sum(axis=1)) * det
             s = pts.sum(axis=1)
